@@ -1,17 +1,17 @@
-// Scheduler hot-path benchmark: incremental eligibility index vs full scan.
+// Scheduler hot-path benchmark for the incremental eligibility index.
 //
 // Sweeps devices × jobs cells (default {1k, 10k, 100k} × {4, 16, 64}),
-// runs the identical streaming-churn scenario with `index=1` and
-// `index=0` (`--no-index` semantics), checks the two simulations agree,
-// and reports events/sec and per-event µs for each cell. Results are
-// written to BENCH_hotpath.json so the repo finally carries a perf
-// trajectory; CI re-runs the quick cells and fails if any cell's
-// index-vs-scan *speedup ratio* drops more than the tolerance below the
-// checked-in baseline (bench/baselines/hotpath_baseline.json). The gate
-// uses the ratio, not absolute events/sec, because the ratio is
-// machine-invariant: both modes run on the same hardware in the same
-// process, so the baseline does not need to come from the CI runner class
-// (absolute ev/s varies well beyond the tolerance across machines).
+// runs a streaming-churn scenario per cell and reports events/sec,
+// per-event µs and the deterministic hot-path work counters — idle-pool
+// sweep visits and offers, supply queries, manager offers and candidate
+// entries scanned — each per event. Results are written to
+// BENCH_hotpath.json, the repo's perf trajectory; CI re-runs the quick
+// cells and fails if any cell's per-event work counter exceeds the
+// checked-in baseline (bench/baselines/hotpath_baseline.json). The
+// counters are a pure function of the simulation, not of the machine, so
+// the gate is exact and the baseline does not need to come from the CI
+// runner class (absolute ev/s varies well beyond any useful tolerance
+// across machines).
 //
 // Usage:
 //   hotpath_index [--quick] [--out=BENCH_hotpath.json]
@@ -20,18 +20,13 @@
 //                 [--max-journal-overhead=0.10]
 //
 //   --quick      CI-sized sweep: {1k, 10k} devices × {4, 16} jobs.
-//   --baseline   compare each cell's index-vs-scan speedup ratio against a
-//                previous output file; exit 1 if any cell's ratio regressed
-//                beyond the tolerance (or if no cell could be matched
-//                against the baseline).
+//   --baseline   compare against a previous output file: exit 1 if any
+//                cell's per-event work counter exceeds the baseline's, if
+//                a shard-speedup ratio regressed beyond --tolerance, or if
+//                no cell could be matched against the baseline.
 //   --repeats    run each cell N times and keep the fastest wall time —
 //                damps scheduler/timer noise, which on sub-10ms cells can
-//                otherwise exceed the regression tolerance by itself.
-//
-// After the timed sweep, a protocol-agnostic check runs one small cell per
-// round protocol (sync / overcommit / async) in both index modes and fails
-// if any protocol's trajectory differs between index=1 and index=0 — the
-// sweep/index hot path must never depend on the aggregation regime.
+//                otherwise dwarf the signal.
 //
 // Sharded-sweep cells: a second, sweep-dominated workload — an insatiable
 // high-performance job keeps the wants mask non-empty forever, so every
@@ -42,26 +37,18 @@
 // assert that every shard count replays the shards=1 trajectory and
 // canonical sweep counters byte-identically. The filter phase is the
 // struct-of-arrays path: a contiguous signature∩wants bitmask scan over
-// the FleetHotState columns, serial and sharded alike. The ratio gate
-// covers the shard-speedup ratios like the index-vs-scan ratios, and the
-// full run additionally enforces --min-shard-speedup (default 1.2x,
-// re-tuned after the SoA filter made the serial scan itself several times
-// faster) on the best shard cell — the scaling evidence committed in
-// BENCH_hotpath.json.
-//
-// Supply-scan cells: `index=0` solo-JCT probes — each one a full fleet
-// scan over the SoA spec/session columns — timed at the same shard
-// counts, with the estimates asserted byte-identical across shard counts
-// (every merged quantity is exact). Rides the same baseline ratio gate
-// under the "supply-scan-shards-N" modes.
+// the FleetHotState columns, serial and sharded alike. The baseline gate
+// covers the shards=N vs shards=1 throughput ratios (machine-invariant:
+// both run on the same hardware in the same process), and the full run
+// additionally enforces --min-shard-speedup (default 1.2x, re-tuned after
+// the SoA filter made the serial scan itself several times faster) on the
+// best shard cell — the scaling evidence committed in BENCH_hotpath.json.
 //
 // Journaling-overhead cell: the identical 150k-device scenario with the
 // event journal off and on (src/journal/ JournalWriter, round-boundary
 // flushes). Both modes must simulate the same run; the journal-on wall
 // time must stay within --max-journal-overhead (default 10%) of the
-// journal-off wall time — durability is an observer, not a tax. The pair
-// rides in the cells array, so the baseline ratio gate tracks its
-// trajectory like every other mode pair.
+// journal-off wall time — durability is an observer, not a tax.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -85,13 +72,37 @@ namespace {
 struct CellResult {
   std::size_t devices = 0;
   std::size_t jobs = 0;
-  std::string mode;  // "index" | "noindex"
+  std::string mode;  // "index" | "journal-off" | "journal-on"
   double wall_s = 0.0;
   std::uint64_t events = 0;
   double events_per_sec = 0.0;
   double per_event_us = 0.0;
   double avg_jct = 0.0;
+  // Deterministic hot-path work counters of the run.
+  std::uint64_t sweep_visits = 0;
+  std::uint64_t sweep_offers = 0;
+  std::uint64_t supply_queries = 0;
+  std::uint64_t offers = 0;              // manager offers (all call sites)
+  std::uint64_t candidates_scanned = 0;  // manager candidate entries walked
 };
+
+// The work counters the baseline gate bounds per event, by JSON key.
+struct WorkCounter {
+  const char* key;
+  std::uint64_t CellResult::*field;
+};
+constexpr WorkCounter kWorkCounters[] = {
+    {"sweep_visits", &CellResult::sweep_visits},
+    {"sweep_offers", &CellResult::sweep_offers},
+    {"supply_queries", &CellResult::supply_queries},
+    {"offers", &CellResult::offers},
+    {"candidates_scanned", &CellResult::candidates_scanned},
+};
+
+double per_event(std::uint64_t count, std::uint64_t events) {
+  return events > 0 ? static_cast<double>(count) / static_cast<double>(events)
+                    : 0.0;
+}
 
 struct ShardCell {
   std::size_t devices = 0;
@@ -106,20 +117,14 @@ struct ShardCell {
   std::vector<double> jcts;          // per-job trajectory, for identity
 };
 
-// One `index=0` supply-scan throughput measurement (see the supply-scan
-// cells section below).
-struct SupplyCell {
-  std::size_t devices = 0;
-  std::size_t queries = 0;
-  std::size_t shards = 0;
-  double wall_s = 0.0;
-  double queries_per_sec = 0.0;
-  double checksum = 0.0;  // sum of estimates, for cross-shard identity
-};
-
-ScenarioSpec cell_scenario(std::size_t devices, std::size_t jobs,
-                           double horizon_days, std::uint64_t seed,
-                           bool use_index) {
+// One devices × jobs cell, with the durability sink on or off. Materialized
+// sessions (stream=0): session generation happens in the untimed input
+// build, so the timed window measures the scheduling hot path, not world
+// generation. The journal-on window covers the run INCLUDING the journal's
+// round-boundary flushes and the footer — the steady-state cost a
+// coordinator daemon would pay.
+CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
+                    std::uint64_t seed, bool journal_on, std::string mode) {
   ScenarioSpec sc;
   sc.seed = seed;
   sc.num_devices = devices;
@@ -131,18 +136,6 @@ ScenarioSpec cell_scenario(std::size_t devices, std::size_t jobs,
   sc.job_trace.min_demand = 4;
   sc.job_trace.max_demand = 10;
   sc.set("churn", "weibull");
-  // Materialized sessions (stream=0): session generation happens in the
-  // untimed input build, so the timed window measures the scheduling hot
-  // path, not world generation. PR 2's stream=0/1 byte-equivalence means
-  // this is the same world the streaming mode would run.
-  sc.use_index = use_index;
-  return sc;
-}
-
-CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
-                    std::uint64_t seed, bool use_index) {
-  const ScenarioSpec sc =
-      cell_scenario(devices, jobs, horizon_days, seed, use_index);
   const auto inputs = api::build_inputs(sc);
   const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
                                                sc.churn_gen, sc.seed);
@@ -155,64 +148,6 @@ CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
   ccfg.seed = sc.seed;
   ccfg.churn = gens.churn.get();
   ccfg.stream_sessions = sc.streaming;
-  ccfg.use_index = sc.use_index;
-  Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  coord.run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  CellResult r;
-  r.devices = devices;
-  r.jobs = jobs;
-  r.mode = use_index ? "index" : "noindex";
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.events = engine.events_executed();
-  r.events_per_sec =
-      r.wall_s > 0.0 ? static_cast<double>(r.events) / r.wall_s : 0.0;
-  r.per_event_us =
-      r.events > 0 ? 1e6 * r.wall_s / static_cast<double>(r.events) : 0.0;
-  r.avg_jct = collect_results(coord, r.mode).avg_jct();
-  return r;
-}
-
-// Best-of-N: identical deterministic simulation each time, so the fastest
-// repeat is the least-noise measurement of the same work.
-CellResult run_cell_best(std::size_t devices, std::size_t jobs,
-                         double horizon_days, std::uint64_t seed,
-                         bool use_index, int repeats) {
-  CellResult best = run_cell(devices, jobs, horizon_days, seed, use_index);
-  for (int rep = 1; rep < repeats; ++rep) {
-    CellResult r = run_cell(devices, jobs, horizon_days, seed, use_index);
-    if (r.wall_s < best.wall_s) best = r;
-  }
-  return best;
-}
-
-// ------------------------------------------------ journaling overhead --
-
-// The index cell's scenario, with the durability sink on or off. The
-// timed window covers the run INCLUDING the journal's round-boundary
-// flushes and the footer — the steady-state cost a coordinator daemon
-// would pay.
-CellResult run_journal_cell(std::size_t devices, std::size_t jobs,
-                            double horizon_days, std::uint64_t seed,
-                            bool journal_on) {
-  const ScenarioSpec sc =
-      cell_scenario(devices, jobs, horizon_days, seed, /*use_index=*/true);
-  const auto inputs = api::build_inputs(sc);
-  const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
-                                               sc.churn_gen, sc.seed);
-
-  sim::Engine engine(Rng::derive(sc.seed, "engine"));
-  ResourceManager manager(PolicyRegistry::instance().create(
-      "venn", {}, Rng::derive(sc.seed, "scheduler")));
-  CoordinatorConfig ccfg;
-  ccfg.horizon = sc.horizon;
-  ccfg.seed = sc.seed;
-  ccfg.churn = gens.churn.get();
-  ccfg.stream_sessions = sc.streaming;
-  ccfg.use_index = sc.use_index;
 
   std::unique_ptr<journal::JournalWriter> writer;
   if (journal_on) {
@@ -243,7 +178,7 @@ CellResult run_journal_cell(std::size_t devices, std::size_t jobs,
   CellResult r;
   r.devices = devices;
   r.jobs = jobs;
-  r.mode = journal_on ? "journal-on" : "journal-off";
+  r.mode = std::move(mode);
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.events = engine.events_executed();
   r.events_per_sec =
@@ -251,8 +186,31 @@ CellResult run_journal_cell(std::size_t devices, std::size_t jobs,
   r.per_event_us =
       r.events > 0 ? 1e6 * r.wall_s / static_cast<double>(r.events) : 0.0;
   r.avg_jct = collect_results(coord, r.mode).avg_jct();
+  const auto& ch = coord.hotpath_stats();
+  const auto& mh = manager.hotpath_stats();
+  r.sweep_visits = ch.sweep_visits;
+  r.sweep_offers = ch.sweep_offers;
+  r.supply_queries = ch.supply_queries;
+  r.offers = mh.offers;
+  r.candidates_scanned = mh.candidates_scanned;
   return r;
 }
+
+// Best-of-N: identical deterministic simulation each time, so the fastest
+// repeat is the least-noise measurement of the same work.
+CellResult run_cell_best(std::size_t devices, std::size_t jobs,
+                         double horizon_days, std::uint64_t seed,
+                         int repeats) {
+  CellResult best =
+      run_cell(devices, jobs, horizon_days, seed, false, "index");
+  for (int rep = 1; rep < repeats; ++rep) {
+    CellResult r = run_cell(devices, jobs, horizon_days, seed, false, "index");
+    if (r.wall_s < best.wall_s) best = r;
+  }
+  return best;
+}
+
+// ------------------------------------------------ journaling overhead --
 
 // The overhead gate needs a low-noise RATIO, so the two modes are run
 // INTERLEAVED (off, on, off, on, ...) — filesystem writeback pressure, CPU
@@ -277,17 +235,18 @@ std::pair<CellResult, CellResult> run_journal_pair(std::size_t devices,
   // `early_exit_ratio` (the gate ceiling) — further samples could only
   // confirm the pass — or when the repeat budget runs out. The returned
   // cells are the best-observed walls per mode (the baseline entries).
-  (void)run_journal_cell(devices, jobs, horizon_days, seed, true);
-  CellResult off =
-      run_journal_cell(devices, jobs, horizon_days, seed, false);
-  CellResult on = run_journal_cell(devices, jobs, horizon_days, seed, true);
+  const auto journal_cell = [&](bool on) {
+    return run_cell(devices, jobs, horizon_days, seed, on,
+                    on ? "journal-on" : "journal-off");
+  };
+  (void)journal_cell(true);
+  CellResult off = journal_cell(false);
+  CellResult on = journal_cell(true);
   double best_ratio = on.wall_s / off.wall_s;
   for (int rep = 1; rep < repeats && best_ratio > early_exit_ratio; ++rep) {
     const bool on_first = (rep & 1) != 0;
-    CellResult a =
-        run_journal_cell(devices, jobs, horizon_days, seed, on_first);
-    CellResult b =
-        run_journal_cell(devices, jobs, horizon_days, seed, !on_first);
+    CellResult a = journal_cell(on_first);
+    CellResult b = journal_cell(!on_first);
     CellResult& o = on_first ? b : a;
     CellResult& j = on_first ? a : b;
     best_ratio = std::min(best_ratio, j.wall_s / o.wall_s);
@@ -299,20 +258,16 @@ std::pair<CellResult, CellResult> run_journal_pair(std::size_t devices,
 }
 
 void write_shard_json(std::ofstream& out, const std::vector<ShardCell>& cells);
-void write_supply_json(std::ofstream& out,
-                       const std::vector<SupplyCell>& cells);
 
 void write_json(const std::string& path, double horizon_days,
                 const std::vector<CellResult>& cells,
-                const std::vector<ShardCell>& shard_cells,
-                const std::vector<SupplyCell>& supply_cells) {
+                const std::vector<ShardCell>& shard_cells) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"hotpath_index\",\n";
-  char buf[256];
+  char buf[512];
   std::snprintf(buf, sizeof(buf), "  \"horizon_days\": %g,\n", horizon_days);
   out << buf;
   if (!shard_cells.empty()) write_shard_json(out, shard_cells);
-  if (!supply_cells.empty()) write_supply_json(out, supply_cells);
   out << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
@@ -320,25 +275,28 @@ void write_json(const std::string& path, double horizon_days,
                   "    {\"devices\": %zu, \"jobs\": %zu, \"mode\": \"%s\", "
                   "\"wall_s\": %.6f, \"events\": %llu, "
                   "\"events_per_sec\": %.1f, \"per_event_us\": %.4f, "
-                  "\"avg_jct\": %.6f}%s\n",
+                  "\"avg_jct\": %.6f",
                   c.devices, c.jobs, c.mode.c_str(), c.wall_s,
                   static_cast<unsigned long long>(c.events), c.events_per_sec,
-                  c.per_event_us, c.avg_jct, i + 1 < cells.size() ? "," : "");
+                  c.per_event_us, c.avg_jct);
     out << buf;
+    for (const WorkCounter& w : kWorkCounters) {
+      std::snprintf(buf, sizeof(buf), ", \"%s\": %llu", w.key,
+                    static_cast<unsigned long long>(c.*w.field));
+      out << buf;
+    }
+    out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
 
 // Minimal lookup into a previous output file: find the cell's identifying
-// prefix, then read the named throughput field after it. The file format
-// is our own (write_json above), so no general JSON parsing is needed.
-// Index/scan cells carry "events_per_sec"; shard cells carry
-// "visits_per_sec" (sweep throughput — a different metric, deliberately
-// not published under the events key). The lookup delegates to
-// orchestrator::find_cell_metric, which bounds the key search to the
-// matched cell object: an unbounded search (the pre-PR 9 code) silently
-// read the NEXT cell's value when a cell lacked the key — e.g. an old
-// baseline without "visits_per_sec" — and gated against the wrong number.
+// prefix, then read the named field after it. The file format is our own
+// (write_json above), so no general JSON parsing is needed. The lookup
+// delegates to orchestrator::find_cell_metric, which bounds the key search
+// to the matched cell object: an unbounded search would silently read the
+// NEXT cell's value when a cell lacks the key — e.g. an old baseline
+// without the work counters — and gate against the wrong number.
 bool baseline_metric(const std::string& text, std::size_t devices,
                      std::size_t jobs, const std::string& mode,
                      const char* metric_key, double* out) {
@@ -349,18 +307,12 @@ bool baseline_metric(const std::string& text, std::size_t devices,
   return orchestrator::find_cell_metric(text, needle, metric_key, out);
 }
 
-bool baseline_events_per_sec(const std::string& text, const CellResult& c,
-                             double* out) {
-  return baseline_metric(text, c.devices, c.jobs, c.mode, "events_per_sec",
-                         out);
-}
-
 // ------------------------------------------------- sharded sweep cells --
 
 // Always-on low-spec fleet (eligible for General only). One serial stream
 // independent of the shard count, so every shard cell replays the
 // identical world.
-std::vector<Device> make_scan_fleet(std::size_t devices, SimTime horizon,
+std::vector<Device> make_shard_fleet(std::size_t devices, SimTime horizon,
                                     std::uint64_t seed) {
   Rng rng(Rng::derive(seed, "shard-fleet"));
   std::vector<Device> fleet;
@@ -384,7 +336,7 @@ ShardCell run_shard_cell(std::size_t devices, std::size_t shards,
   const SimTime horizon =
       spacing * static_cast<double>(general_jobs + 2) + 2.0 * kHour;
 
-  std::vector<Device> fleet = make_scan_fleet(devices, horizon, seed);
+  std::vector<Device> fleet = make_shard_fleet(devices, horizon, seed);
 
   std::vector<trace::JobSpec> jobs;
   {
@@ -466,105 +418,6 @@ void write_shard_json(std::ofstream& out, const std::vector<ShardCell>& cells) {
   out << "  ],\n";
 }
 
-// ------------------------------------------------ supply-scan cells --
-
-// The `index=0` supply scans read the struct-of-arrays hot-state columns
-// (dense spec / session-count / session-end arrays), sharded over the
-// fleet partition when a worker pool is attached. These cells time
-// repeated solo-JCT probes — each one pays a full fleet scan in scan mode
-// — at several shard counts, and assert the estimates themselves are
-// byte-identical at every shard count (the merged quantities are exact).
-SupplyCell run_supply_cell(std::size_t devices, std::size_t shards,
-                           std::size_t queries, std::uint64_t seed) {
-  const SimTime horizon = 1.0 * kDay;
-  std::vector<Device> fleet = make_scan_fleet(devices, horizon, seed);
-
-  sim::Engine engine(Rng::derive(seed, "engine"));
-  engine.set_shards(shards);
-  ResourceManager manager(PolicyRegistry::instance().create(
-      "fifo", {}, Rng::derive(seed, "scheduler")));
-  CoordinatorConfig ccfg;
-  ccfg.horizon = horizon;
-  ccfg.seed = seed;
-  ccfg.use_index = false;  // scan mode: every probe is a fleet scan
-  Coordinator coord(engine, manager, std::move(fleet), {}, ccfg);
-
-  std::vector<trace::JobSpec> probes;
-  for (const ResourceCategory c : all_categories()) {
-    trace::JobSpec spec;
-    spec.category = c;
-    spec.demand = 16;
-    spec.rounds = 4;
-    spec.nominal_task_s = 120.0;
-    spec.task_cv = 0.3;
-    probes.push_back(spec);
-  }
-
-  SupplyCell r;
-  r.devices = devices;
-  r.queries = queries;
-  r.shards = shards;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t q = 0; q < queries; ++q) {
-    r.checksum += coord.solo_jct_estimate(probes[q % probes.size()]);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.queries_per_sec =
-      r.wall_s > 0.0 ? static_cast<double>(queries) / r.wall_s : 0.0;
-  return r;
-}
-
-void write_supply_json(std::ofstream& out,
-                       const std::vector<SupplyCell>& cells) {
-  out << "  \"supply_cells\": [\n";
-  char buf[256];
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const SupplyCell& c = cells[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"devices\": %zu, \"jobs\": %zu, \"mode\": "
-                  "\"supply-scan-shards-%zu\", \"wall_s\": %.6f, "
-                  "\"queries_per_sec\": %.1f, \"checksum\": %.9g}%s\n",
-                  c.devices, c.queries, c.shards, c.wall_s, c.queries_per_sec,
-                  c.checksum, i + 1 < cells.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n";
-}
-
-// The sweep/index hot path must be protocol-agnostic: the eligibility
-// index and the idle-pool sweep reason about *eligibility*, never about
-// the aggregation regime, so index=1 and index=0 must replay every round
-// protocol byte-identically. One small cell per protocol, compared on the
-// full metric trajectory (JCT + protocol counters).
-bool protocol_agnostic_check(std::uint64_t seed) {
-  const char* const protocols[] = {"sync", "overcommit", "async"};
-  bool all_ok = true;
-  std::printf("\nprotocol-agnostic hot path (index vs scan, 2k x 8):\n");
-  for (const char* proto : protocols) {
-    RunResult results[2];
-    for (const bool use_index : {false, true}) {
-      ExperimentBuilder b;
-      b.devices(2'000).jobs(8).horizon(2.0 * kDay).seed(seed);
-      b.set("churn", "weibull");
-      b.set("protocol", proto);
-      b.set("index", use_index ? "1" : "0");
-      results[use_index ? 1 : 0] = b.build().run(PolicySpec{"venn"});
-    }
-    const RunResult& scan = results[0];
-    const RunResult& index = results[1];
-    bool match =
-        scan.jobs.size() == index.jobs.size() && scan.protocol == index.protocol;
-    for (std::size_t i = 0; match && i < scan.jobs.size(); ++i) {
-      match = scan.jobs[i].jct == index.jobs[i].jct &&
-              scan.jobs[i].completed_rounds == index.jobs[i].completed_rounds;
-    }
-    std::printf("  %-12s %s\n", proto, match ? "match" : "MISMATCH");
-    all_ok = all_ok && match;
-  }
-  return all_ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -616,10 +469,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bench::header("Scheduler hot path — eligibility index vs full fleet scan",
-                "ISSUE 3 tentpole (core/elig_index.h); no paper figure");
-  bench::note("identical streaming-churn world per cell; 'match' checks the "
-              "two modes simulated the same run");
+  bench::header("Scheduler hot path — eligibility-index work and throughput",
+                "no paper figure; engineering bench (core/elig_index.h)");
+  bench::note("identical streaming-churn world per cell; work counters are "
+              "per event and machine-invariant");
 
   const std::vector<std::size_t> device_axis =
       quick ? std::vector<std::size_t>{1'000, 10'000}
@@ -629,22 +482,21 @@ int main(int argc, char** argv) {
 
   std::vector<CellResult> cells;
   bool all_match = true;
-  std::printf("%9s %5s | %12s %12s | %9s %5s\n", "devices", "jobs",
-              "scan ev/s", "index ev/s", "speedup", "match");
+  std::printf("%9s %5s | %12s %9s | %8s %8s %8s %8s %8s\n", "devices", "jobs",
+              "ev/s", "us/ev", "visits", "sw-offer", "supply", "offers",
+              "cands");
+  std::printf("%9s %5s | %12s %9s | %44s\n", "", "", "", "", "(per event)");
   for (const std::size_t devices : device_axis) {
     for (const std::size_t jobs : job_axis) {
-      const CellResult scan = run_cell_best(devices, jobs, horizon_days, seed,
-                                            /*use_index=*/false, repeats);
-      const CellResult index = run_cell_best(devices, jobs, horizon_days, seed,
-                                             /*use_index=*/true, repeats);
-      const bool match = scan.avg_jct == index.avg_jct;
-      all_match = all_match && match;
-      std::printf("%9zu %5zu | %12.0f %12.0f | %8.2fx %5s\n", devices, jobs,
-                  scan.events_per_sec, index.events_per_sec,
-                  scan.wall_s > 0.0 ? scan.wall_s / index.wall_s : 0.0,
-                  match ? "yes" : "NO");
-      cells.push_back(scan);
-      cells.push_back(index);
+      CellResult c = run_cell_best(devices, jobs, horizon_days, seed, repeats);
+      std::printf("%9zu %5zu | %12.0f %9.4f | %8.4f %8.4f %8.4f %8.4f %8.4f\n",
+                  devices, jobs, c.events_per_sec, c.per_event_us,
+                  per_event(c.sweep_visits, c.events),
+                  per_event(c.sweep_offers, c.events),
+                  per_event(c.supply_queries, c.events),
+                  per_event(c.offers, c.events),
+                  per_event(c.candidates_scanned, c.events));
+      cells.push_back(std::move(c));
     }
   }
 
@@ -682,29 +534,6 @@ int main(int argc, char** argv) {
     shard_cells.push_back(std::move(c));
   }
 
-  // --- index=0 supply-scan cells -------------------------------------------
-  // Scan-mode solo-JCT probes over the SoA spec/session columns; sharded
-  // scans must return the serial doubles exactly.
-  const std::size_t supply_queries = 64;
-  std::printf("\nindex=0 supply-scan throughput (%zu devices, %zu probes):\n",
-              shard_devices, supply_queries);
-  std::printf("%7s | %12s %12s | %9s %5s\n", "shards", "queries/s", "wall s",
-              "speedup", "match");
-  std::vector<SupplyCell> supply_cells;
-  for (const std::size_t shards : shard_axis) {
-    SupplyCell c = run_supply_cell(shard_devices, shards, supply_queries, seed);
-    const SupplyCell& base = supply_cells.empty() ? c : supply_cells.front();
-    const bool match = base.checksum == c.checksum;
-    all_match = all_match && match;
-    std::printf("%7zu | %12.1f %12.4f | %8.2fx %5s\n", c.shards,
-                c.queries_per_sec, c.wall_s,
-                base.queries_per_sec > 0.0
-                    ? c.queries_per_sec / base.queries_per_sec
-                    : 0.0,
-                match ? "yes" : "NO");
-    supply_cells.push_back(c);
-  }
-
   // --- journaling overhead -------------------------------------------------
   // Durability must be an observer, not a tax: the identical 150k-device
   // cell with the event journal off and on. Gate on wall-time overhead.
@@ -733,11 +562,11 @@ int main(int argc, char** argv) {
   cells.push_back(joff);
   cells.push_back(jon);
 
-  write_json(out_path, horizon_days, cells, shard_cells, supply_cells);
+  write_json(out_path, horizon_days, cells, shard_cells);
   bench::note("wrote " + out_path);
   if (!all_match) {
     std::fprintf(stderr,
-                 "FAIL: modes diverged (index-vs-scan, shards-vs-serial or "
+                 "FAIL: modes diverged (shards-vs-serial or "
                  "journal-on-vs-off)\n");
     return 1;
   }
@@ -784,13 +613,6 @@ int main(int argc, char** argv) {
                 "x (floor " + std::to_string(min_shard_speedup) + "x)");
   }
 
-  if (!protocol_agnostic_check(seed)) {
-    std::fprintf(stderr,
-                 "FAIL: index and scan modes diverged under a round "
-                 "protocol\n");
-    return 1;
-  }
-
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     if (!in) {
@@ -802,40 +624,41 @@ int main(int argc, char** argv) {
     ss << in.rdbuf();
     const std::string text = ss.str();
     bool ok = true;
-    std::size_t matched = 0;
-    // Cells were pushed scan-then-index per (devices, jobs) pair. Gate on
-    // the speedup ratio of each pair — machine-invariant, unlike absolute
-    // ev/s, which differs across machines by more than the tolerance.
-    for (std::size_t i = 0; i + 1 < cells.size(); i += 2) {
-      const CellResult& scan = cells[i];
-      const CellResult& index = cells[i + 1];
-      double base_scan = 0.0, base_index = 0.0;
-      if (!baseline_events_per_sec(text, scan, &base_scan) ||
-          !baseline_events_per_sec(text, index, &base_index)) {
+    std::size_t work_matched = 0;
+    std::size_t shard_matched = 0;
+    // Work-counter gate: every per-event counter of every cell must stay at
+    // or below the baseline's. The counters are deterministic, so the
+    // comparison is exact — any increase is a real change in how much
+    // work the hot path does per event.
+    for (const CellResult& c : cells) {
+      double base_events = 0.0;
+      if (!baseline_metric(text, c.devices, c.jobs, c.mode, "events",
+                           &base_events) ||
+          base_events <= 0.0) {
         continue;  // new cell
       }
-      // A zero on either side (truncated/hand-edited baseline, or a parse
-      // landing on 0) would make the ratio degenerate and the gate vacuous
-      // for this pair — treat it as unmatched instead.
-      if (base_scan <= 0.0 || base_index <= 0.0 ||
-          scan.events_per_sec <= 0.0 || index.events_per_sec <= 0.0) {
-        continue;
+      bool complete = true;
+      for (const WorkCounter& w : kWorkCounters) {
+        double base_count = 0.0;
+        if (!baseline_metric(text, c.devices, c.jobs, c.mode, w.key,
+                             &base_count)) {
+          complete = false;  // a baseline without counters gates nothing
+          break;
+        }
+        const double base = base_count / base_events;
+        const double now = per_event(c.*w.field, c.events);
+        if (now > base) {
+          std::fprintf(stderr,
+                       "FAIL: %zu devices x %zu jobs (%s): %s per event "
+                       "%.6f exceeds baseline %.6f\n",
+                       c.devices, c.jobs, c.mode.c_str(), w.key, now, base);
+          ok = false;
+        }
       }
-      ++matched;
-      const double base_speedup = base_index / base_scan;
-      const double speedup = index.events_per_sec / scan.events_per_sec;
-      const double floor = (1.0 - tolerance) * base_speedup;
-      if (speedup < floor) {
-        std::fprintf(stderr,
-                     "FAIL: %zu devices x %zu jobs: index-vs-scan speedup "
-                     "%.2fx is >%.0f%% below baseline %.2fx\n",
-                     scan.devices, scan.jobs, speedup, 100.0 * tolerance,
-                     base_speedup);
-        ok = false;
-      }
+      if (complete) ++work_matched;
     }
-    // Shard cells gate on the same machine-invariant principle: the
-    // shards=N vs shards=1 sweep-throughput ratio against the baseline's.
+    // Shard cells gate on a machine-invariant ratio: the shards=N vs
+    // shards=1 sweep-throughput ratio against the baseline's.
     if (shard_cells.size() >= 2) {
       const ShardCell& serial = shard_cells.front();
       double base_serial = 0.0;
@@ -853,7 +676,7 @@ int main(int argc, char** argv) {
             base_n <= 0.0 || c.visits_per_sec <= 0.0) {
           continue;  // new cell
         }
-        ++matched;
+        ++shard_matched;
         const double base_ratio = base_n / base_serial;
         const double ratio = c.visits_per_sec / serial.visits_per_sec;
         if (ratio < (1.0 - tolerance) * base_ratio) {
@@ -866,39 +689,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    // Supply-scan cells: the same shards-N vs shards-1 ratio gate over
-    // scan-mode query throughput.
-    if (supply_cells.size() >= 2) {
-      const SupplyCell& serial = supply_cells.front();
-      double base_serial = 0.0;
-      const bool have_serial =
-          baseline_metric(text, serial.devices, serial.queries,
-                          "supply-scan-shards-" + std::to_string(serial.shards),
-                          "queries_per_sec", &base_serial) &&
-          base_serial > 0.0 && serial.queries_per_sec > 0.0;
-      for (std::size_t i = 1; have_serial && i < supply_cells.size(); ++i) {
-        const SupplyCell& c = supply_cells[i];
-        double base_n = 0.0;
-        if (!baseline_metric(text, c.devices, c.queries,
-                             "supply-scan-shards-" + std::to_string(c.shards),
-                             "queries_per_sec", &base_n) ||
-            base_n <= 0.0 || c.queries_per_sec <= 0.0) {
-          continue;  // new cell
-        }
-        ++matched;
-        const double base_ratio = base_n / base_serial;
-        const double ratio = c.queries_per_sec / serial.queries_per_sec;
-        if (ratio < (1.0 - tolerance) * base_ratio) {
-          std::fprintf(stderr,
-                       "FAIL: %zu devices, shards=%zu: supply-scan speedup "
-                       "%.2fx is >%.0f%% below baseline %.2fx\n",
-                       c.devices, c.shards, ratio, 100.0 * tolerance,
-                       base_ratio);
-          ok = false;
-        }
-      }
-    }
-    if (matched == 0) {
+    if (work_matched == 0) {
       // A truncated or format-drifted baseline must not silently disable
       // the gate by failing to match anything.
       std::fprintf(stderr,
@@ -908,8 +699,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!ok) return 1;
-    bench::note(std::to_string(matched) + " cell speedups within " +
-                std::to_string(int(100 * tolerance)) + "% of baseline " +
+    bench::note(std::to_string(work_matched) +
+                " cells' work counters within baseline, " +
+                std::to_string(shard_matched) + " shard ratios within " +
+                std::to_string(int(100 * tolerance)) + "% of " +
                 baseline_path);
   }
   return 0;

@@ -6,9 +6,8 @@
 // crowds under a compute-biased mix, over-selection and buffered-async
 // aggregation regimes, a fully open-loop streaming scenario — and runs
 // venn vs. random on each shared trace. Every cell is run twice at the
-// same seed AND once with the eligibility index disabled (index=0), all
-// checked byte-identical, so generator or protocol nondeterminism — or a
-// protocol leaking into the index hot path — fails this bench loudly.
+// same seed and checked byte-identical, so generator or protocol
+// nondeterminism fails this bench loudly.
 //
 // Usage: scenario_gallery [--key=value ...]
 //   Overrides apply to every gallery scenario; CI smoke-runs with
@@ -73,8 +72,8 @@ int main(int argc, char** argv) {
   bench::header("Scenario gallery — arrival × churn × mix × protocol",
                 "§2.1/Fig. 2a + Fig. 8b generalized via src/workload/ and "
                 "src/protocol/");
-  bench::note("every cell runs twice at the same seed plus once with "
-              "index=0; 'det' flags byte-identical replay across all three");
+  bench::note("every cell runs twice at the same seed; 'det' flags "
+              "byte-identical replay");
 
   const std::vector<GalleryCell> cells = {
       {"poisson × diurnal",
@@ -123,12 +122,7 @@ int main(int argc, char** argv) {
     const RunResult rnd = run_cell(cell, extra, "random");
     const RunResult vn = run_cell(cell, extra, "venn");
     const RunResult vn2 = run_cell(cell, extra, "venn");
-    // The sweep/index hot path must be protocol-agnostic: the same cell
-    // with the eligibility index disabled must replay byte-identically.
-    GalleryCell noindex = cell;
-    noindex.overrides.push_back("index=0");
-    const RunResult vn_scan = run_cell(noindex, extra, "venn");
-    const bool det = byte_identical(vn, vn2) && byte_identical(vn, vn_scan);
+    const bool det = byte_identical(vn, vn2);
     all_deterministic = all_deterministic && det;
     if (rnd.jobs.empty() || vn.jobs.empty()) {
       std::printf("%-40s %12s %12s %9s %5s\n", cell.label, "-", "-", "-",

@@ -40,6 +40,7 @@
 
 #include "api/live.h"
 #include "service/client.h"
+#include "service/codec.h"
 #include "service/daemon.h"
 #include "service/dump.h"
 #include "service/server.h"
@@ -136,7 +137,7 @@ int run_serve(int argc, char** argv) {
       if (!item) break;
       item->reply.set_value(daemon.dispatch(item->line));
     }
-    queue.close();
+    queue.close(service::err_reply("daemon is shutting down"));
     server.stop();
     VENN_INFO << "coordinatord exiting; journal " << daemon.journal_path();
   } catch (const std::exception& e) {

@@ -19,8 +19,7 @@
 //                   device sessions — O(devices) memory)
 //   protocol keys   protocol=<sync|overcommit|async> + protocol.<key>
 //                   (round-aggregation regime; see --list for knobs)
-//   execution keys  index (0|1, eligibility index vs full-scan fallback),
-//                   shards (1-64, sharded fleet execution on a bounded
+//   execution keys  shards (1-64, sharded fleet execution on a bounded
 //                   worker pool; byte-identical at any value)
 //   topology keys   topology (flat|hier), topo.regions (2-64),
 //                   topo.sync_latency (region->global uplink seconds;
@@ -249,12 +248,9 @@ int main(int argc, char** argv) {
       std::printf("%s", protocol::describe_protocols().c_str());
       std::printf(
           "execution (scenario keys):\n"
-          "  index=<0|1>   eligibility index (default 1) vs full-scan "
-          "fallback\n"
           "  shards=<1-64> sharded fleet execution: partition/execute/merge "
-          "sweeps,\n"
-          "                index slices and supply scans on a bounded worker "
-          "pool;\n"
+          "sweeps\n"
+          "                and index slices on a bounded worker pool;\n"
           "                byte-identical results at any shard count\n");
       std::printf(
           "topology (scenario keys):\n"

@@ -160,7 +160,6 @@ LiveSession::LiveSession(const Experiment& ex,
   CoordinatorConfig ccfg;
   ccfg.horizon = ex.scenario().horizon;
   ccfg.seed = ex.scenario().seed;
-  ccfg.use_index = ex.scenario().use_index;
   ccfg.protocol = &ex.round_protocol();
   const auto& gen = ex.generators();
   if (gen.churn) {

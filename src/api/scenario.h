@@ -71,23 +71,14 @@ struct ScenarioSpec {
   // stream=1: device sessions are pulled lazily from the churn model
   // (requires churn=) — O(devices) memory instead of O(devices × horizon).
   bool streaming = false;
-  // index=0 disables the incremental eligibility index and falls back to
-  // the full-fleet-scan scheduling hot path. Both modes simulate
-  // byte-identically with *each other*; the knob exists for A/B perf
-  // measurement (bench/hotpath_index) and as an escape hatch. Note that
-  // index=0 preserves the pre-index scan *algorithms* (their cost profile),
-  // not bit-exact pre-index trajectories: idle-sweep randomness is drawn
-  // from a per-sweep stream derived from the scenario seed in both modes,
-  // no longer from the engine RNG.
-  bool use_index = true;
 
   // Simulation.
   SimTime horizon = 28.0 * kDay;
 
   // shards=N: sharded fleet execution (1-64). The fleet is partitioned
   // into N contiguous device shards and the fleet-proportional passes
-  // (idle-pool sweep filtering, eligibility-index rebuckets, index=0
-  // supply scans) run on a bounded worker pool with shard-ordered merges.
+  // (idle-pool sweep filtering, eligibility-index rebuckets) run on a
+  // bounded worker pool with shard-ordered merges.
   // Purely an execution knob: results are byte-identical for any value,
   // and the default 1 runs the serial path with no pool at all.
   std::size_t shards = 1;

@@ -21,8 +21,6 @@ constexpr std::size_t kShardedSweepMinPool = 512;
 constexpr std::size_t kShardedBatchMin = 512;
 constexpr std::size_t kShardedBatchMax = 1 << 16;
 constexpr std::size_t kSnapshotAfter = 2048;
-// Minimum fleet for sharding the index=0 full-scan supply queries.
-constexpr std::size_t kShardedScanMinFleet = 2048;
 
 // One sweep's lazily-drawn Fisher-Yates permutation over a stable pool
 // vector. Both sweep flavors realize the SAME draw sequence through this
@@ -35,10 +33,7 @@ constexpr std::size_t kShardedScanMinFleet = 2048;
 // object's lifetime — the sweeping_/in_sweep_pass_ guards ensure that.
 class SweepOrder {
  public:
-  SweepOrder(const std::vector<std::size_t>& pool, bool flat_upfront)
-      : pool_(pool), use_flat_(flat_upfront) {
-    if (use_flat_) flat_ = pool;
-  }
+  explicit SweepOrder(const std::vector<std::size_t>& pool) : pool_(pool) {}
 
   [[nodiscard]] bool materialized() const { return use_flat_; }
 
@@ -71,7 +66,7 @@ class SweepOrder {
   const std::vector<std::size_t>& pool_;
   std::unordered_map<std::size_t, std::size_t> displaced_;
   std::vector<std::size_t> flat_;
-  bool use_flat_;
+  bool use_flat_ = false;
 };
 
 }  // namespace
@@ -145,13 +140,8 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
     devices_[d].bind_participation_slot(&hot_.participation_day[d]);
   }
 
-  if (cfg_.use_index) {
-    index_ = std::make_unique<EligibilityIndex>(hot_);
-    if (workers_ != nullptr) index_->set_workers(workers_);
-  }
-  // The pending-entry cache and the eligibility index are one feature: the
-  // `--no-index` fallback keeps the full job-queue walk per offer too.
-  manager_.set_use_pending_cache(cfg_.use_index);
+  index_ = std::make_unique<EligibilityIndex>(hot_);
+  if (workers_ != nullptr) index_->set_workers(workers_);
   // Durability: the manager emits the submit records (it owns request-id
   // assignment); everything else journals from here.
   manager_.set_journal(cfg_.journal);
@@ -230,133 +220,44 @@ const std::vector<topology::RegionSupply>& Coordinator::region_supply(
 
 double Coordinator::supply_rate(const Requirement& req) const {
   ++hstats_.supply_queries;
+  // Registration is also a side effect the sweep filter relies on
+  // (signature column writes, alignment prefix), so hier mode registers
+  // the requirement too.
+  const std::size_t g = index_->register_requirement(req);
+  std::uint64_t eligible = 0;
+  double checkins = 0.0;
+  SimTime span = 0.0;
   if (cfg_.topo.hier) {
     // Hierarchical topology: the global coordinator aggregates exact
     // per-region partials (each regional coordinator reports its own
-    // eligible count / check-in sum / span) instead of consulting one
-    // flat fleet scan. The region-grouped sums equal the flat values
-    // EXACTLY — eligible counts are integers, per-device check-in counts
-    // are integer-valued doubles (so partial sums are associative), and
-    // the span is a max — which is what keeps hier byte-identical to flat
-    // at zero sync latency.
-    if (index_) {
-      // The flat index path registers the requirement as a side effect
-      // (signature column writes, alignment prefix); hier must do the
-      // same or the sweep filter would degrade relative to flat.
-      (void)index_->register_requirement(req);
-    }
-    const auto& partials = region_supply(req);
+    // eligible count / check-in sum / span). The region-grouped sums equal
+    // the flat values EXACTLY — eligible counts are integers, per-device
+    // check-in counts are integer-valued doubles (so partial sums are
+    // associative), and the span is a max — which is what keeps hier
+    // byte-identical to flat at zero sync latency.
     ++tstats_.cross_region_supply_aggs;
-    std::uint64_t eligible = 0;
-    double checkins = 0.0;
-    SimTime span = 0.0;
-    for (const topology::RegionSupply& p : partials) {
+    for (const topology::RegionSupply& p : region_supply(req)) {
       eligible += p.eligible;
       checkins += p.checkins;
       span = std::max(span, p.span);
     }
-    if (cfg_.churn != nullptr) {
-      const double rate = static_cast<double>(eligible) *
-                          cfg_.churn->mean_sessions_per_day() / kDay;
-      return std::max(rate, 1e-9);
-    }
-    if (span <= 0.0 || checkins <= 0.0) return 1e-9;
-    return checkins / span;
+  } else {
+    // The index's per-signature atom buckets: O(#atoms), not a fleet scan,
+    // and equal to a brute-force scan over the hot-state columns bit for
+    // bit (tests/supply_oracle_test.cc).
+    eligible = index_->eligible_count(g);
+    checkins = index_->eligible_session_checkins(g);
+    span = index_->session_span();
   }
-  if (index_) {
-    // Index path: eligible supply from the per-signature atom buckets —
-    // O(#atoms) instead of a fleet scan, numerically identical to the scan
-    // below (counts are exact integers; the span is the same maximum).
-    const std::size_t g = index_->register_requirement(req);
-    if (cfg_.churn != nullptr) {
-      const double rate = static_cast<double>(index_->eligible_count(g)) *
-                          cfg_.churn->mean_sessions_per_day() / kDay;
-      return std::max(rate, 1e-9);
-    }
-    const double checkins = index_->eligible_session_checkins(g);
-    const SimTime span = index_->session_span();
-    if (span <= 0.0 || checkins <= 0.0) return 1e-9;
-    return checkins / span;
-  }
-
-  // The `index=0` fallback pays a fleet scan per supply query — over the
-  // hot store's dense spec/session columns, never touching a Device
-  // object. With a worker pool, the scan splits by device shard and merges
-  // shard-ordered; every merged quantity is exact (eligible counts are
-  // integers, session check-in sums are integer-valued doubles, the span
-  // is a max), so the sharded scan returns the very double the serial one
-  // does — a property the shard differential tests assert at every shard
-  // count.
-  const bool shard_scan =
-      workers_ != nullptr && devices_.size() >= kShardedScanMinFleet;
-  const DeviceSpec* specs = hot_.spec.data();
-  const std::size_t nd = hot_.size();
-
   if (cfg_.churn != nullptr) {
     // Analytic rate from the churn model — used whether or not sessions
-    // are streamed, so both modes produce identical solo estimates.
-    std::size_t eligible = 0;
-    if (shard_scan) {
-      ++sstats_.sharded_supply_scans;
-      const FleetPartition& partition = hot_.partition;
-      std::vector<std::size_t> partial(workers_->shards(), 0);
-      workers_->run_shards([&](std::size_t s) {
-        std::size_t n = 0;
-        const std::size_t end = partition.end(s);
-        for (std::size_t d = partition.begin(s); d < end; ++d) {
-          n += req.eligible(specs[d]) ? 1 : 0;
-        }
-        partial[s] = n;
-      });
-      for (const std::size_t n : partial) eligible += n;
-    } else {
-      for (std::size_t d = 0; d < nd; ++d) {
-        eligible += req.eligible(specs[d]) ? 1 : 0;
-      }
-    }
+    // are streamed, so stream=0 and stream=1 estimate identically.
     const double rate = static_cast<double>(eligible) *
                         cfg_.churn->mean_sessions_per_day() / kDay;
     return std::max(rate, 1e-9);
   }
-
   // Daily-averaged check-in rate of eligible devices: one check-in per
-  // session, averaged over the span the sessions cover. The per-device
-  // session quantities are the precomputed columns (count, last end) — a
-  // device with no sessions holds last_end 0, which a max against >= 0
-  // treats exactly like the legacy skip.
-  const double* session_counts = hot_.session_checkins.data();
-  const SimTime* last_ends = hot_.session_last_end.data();
-  double checkins = 0.0;
-  SimTime span = 0.0;
-  if (shard_scan) {
-    ++sstats_.sharded_supply_scans;
-    struct Partial {
-      double checkins = 0.0;
-      SimTime span = 0.0;
-    };
-    const FleetPartition& partition = hot_.partition;
-    std::vector<Partial> partial(workers_->shards());
-    workers_->run_shards([&](std::size_t s) {
-      Partial p;
-      const std::size_t end = partition.end(s);
-      for (std::size_t i = partition.begin(s); i < end; ++i) {
-        p.span = std::max(p.span, last_ends[i]);
-        if (!req.eligible(specs[i])) continue;
-        p.checkins += session_counts[i];
-      }
-      partial[s] = p;
-    });
-    for (const Partial& p : partial) {
-      checkins += p.checkins;
-      span = std::max(span, p.span);
-    }
-  } else {
-    for (std::size_t i = 0; i < nd; ++i) {
-      span = std::max(span, last_ends[i]);
-      if (!req.eligible(specs[i])) continue;
-      checkins += session_counts[i];
-    }
-  }
+  // session, averaged over the span the sessions cover.
   if (span <= 0.0 || checkins <= 0.0) return 1e-9;
   return checkins / span;
 }
@@ -373,10 +274,9 @@ double Coordinator::solo_jct_estimate(const trace::JobSpec& spec) const {
   if (cfg_.churn != nullptr) {
     mean_session = cfg_.churn->mean_session_seconds();
   } else if (hot_.session_count > 0.0) {
-    // The hot store accumulated the identical device-order sums once at
-    // construction; the sessions never change after that (both index
-    // modes read the same aggregates — the index's accessors are views of
-    // the very same fields).
+    // The hot store accumulated the device-order sums once at
+    // construction; the sessions never change after that (the index's
+    // session accessors are views of the very same fields).
     mean_session = hot_.session_time / hot_.session_count;
   }
   const double pool = rate * mean_session;
@@ -686,96 +586,79 @@ void Coordinator::sweep_idle_pool(SimTime now) {
   // Sweep order is a uniformly random permutation of the pool, generated
   // lazily (Fisher-Yates position by position) from a per-sweep stream
   // derived from the scenario seed. Randomness therefore costs one draw per
-  // device *visited*, and the index mode's early stop cannot perturb any
-  // other subsystem: the engine stream never sees sweep draws.
+  // device *visited*, and the early stop cannot perturb any other
+  // subsystem: the engine stream never sees sweep draws.
   Rng sweep_rng(
       Rng::derive(Rng::derive(cfg_.seed, "idle-sweep"), sweep_counter_++));
   if (workers_ != nullptr && idle_vec_.size() >= kShardedSweepMinPool) {
     sweep_idle_pool_sharded(now, sweep_rng);
     return;
   }
-  // Both modes visit the pool in the same lazily-drawn Fisher-Yates
-  // permutation, realized through SweepOrder (shared with the sharded
-  // pipeline, so the two sweep flavors cannot drift). The index mode
-  // starts on the implicit displaced-map snapshot — a sweep costs
-  // O(devices visited), not O(pool), and the usual early break keeps
-  // "visited" tiny — then materializes a flat snapshot once the sweep
-  // proves long (same switch-over as the sharded pipeline; a flat copy
-  // beats a hash-map lookup per draw from then on). The fallback
-  // materializes up front: it will visit every position anyway. idle_vec_
-  // itself must not change mid-sweep for either snapshot to stay valid, so
-  // erases of assigned devices are deferred to the end of the loop. The
-  // deferral is safe because nothing else mutates the pool while the loop
-  // runs: session events are queue-deferred, and the sweeping_ guard in
+  // The permutation is realized through SweepOrder (shared with the
+  // sharded pipeline, so the two sweep flavors cannot drift). It starts on
+  // the implicit displaced-map snapshot — a sweep costs O(devices
+  // visited), not O(pool), and the usual early break keeps "visited" tiny
+  // — then materializes a flat snapshot once the sweep proves long (a flat
+  // copy beats a hash-map lookup per draw from then on). idle_vec_ itself
+  // must not change mid-sweep for either snapshot to stay valid, so erases
+  // of assigned devices are deferred to the end of the loop. The deferral
+  // is safe because nothing else mutates the pool while the loop runs:
+  // session events are queue-deferred, and the sweeping_ guard in
   // offer_idle_pool converts any synchronous resubmission (a round
   // completing mid-sweep) into a follow-up sweep instead of a nested one.
-  SweepOrder order(idle_vec_, /*flat_upfront=*/!index_);
+  SweepOrder order(idle_vec_);
   std::vector<std::size_t> assigned;
   const std::size_t n = idle_vec_.size();
-  if (index_) {
-    // Hoisted filter state. The wants mask and the aligned-bits prefix can
-    // only change inside manager_.offer / handle_outcome — a skipped visit
-    // calls neither — so both are refreshed only after an offer lands
-    // instead of through two out-of-line calls per visit, and the skip
-    // test itself is one AND over the hot store's contiguous signature
-    // column. When every manager requirement bit is proven aligned, the
-    // offer also passes the cached signature down (masked to the manager's
-    // bit space — provably the very bits signature_of would recompute).
-    const std::uint64_t* sig = hot_.signature.data();
-    std::uint64_t wants = manager_.wants_mask();
-    std::uint64_t aligned = aligned_requirement_mask();
-    std::size_t mgr_bits = manager_.signatures().size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!order.materialized() && i >= kSnapshotAfter) order.materialize();
-      const std::size_t j = i + sweep_rng.index(n - i);
-      const std::size_t d = order.draw(i, j);
-      ++hstats_.sweep_visits;
-      // Offers past this point are provably no-ops once nothing wants
-      // devices (empty candidate set, no randomness consumed), so stopping
-      // — or skipping a device whose cached signature misses every pending
-      // group — is byte-identical to scanning on.
-      if (wants == 0) break;
-      // The index normally mirrors the manager's requirement registration
-      // order (it registers each job's requirement during the solo-JCT
-      // estimate that precedes manager registration), but that is a
-      // convention, not a structural guarantee — a solo_jct_estimate probe
-      // for a category that never becomes a job would shift the index's
-      // bits. The two spaces are verified requirement-by-requirement (each
-      // bit checked once, then cached) and the skip is disabled for any
-      // wanted bit not yet proven aligned, rather than risk a false
-      // negative.
-      if ((wants & ~aligned) == 0 && (sig[d] & wants) == 0) {
-        ++hstats_.sweep_skips;
-        continue;
-      }
-      ++hstats_.sweep_offers;
-      const auto outcome =
-          aligned_bits_ >= mgr_bits
-              ? manager_.offer(devices_[d],
-                               sig[d] & (mgr_bits >= 64
-                                             ? ~0ULL
-                                             : (1ULL << mgr_bits) - 1),
-                               now)
-              : manager_.offer(devices_[d], now);
-      if (outcome) {
-        assigned.push_back(d);
-        handle_outcome(d, *outcome);
-        wants = manager_.wants_mask();
-        aligned = aligned_requirement_mask();
-        mgr_bits = manager_.signatures().size();
-      }
+  // Hoisted filter state. The wants mask and the aligned-bits prefix can
+  // only change inside manager_.offer / handle_outcome — a skipped visit
+  // calls neither — so both are refreshed only after an offer lands
+  // instead of through two out-of-line calls per visit, and the skip test
+  // itself is one AND over the hot store's contiguous signature column.
+  // When every manager requirement bit is proven aligned, the offer also
+  // passes the cached signature down (masked to the manager's bit space —
+  // provably the very bits signature_of would recompute).
+  const std::uint64_t* sig = hot_.signature.data();
+  std::uint64_t wants = manager_.wants_mask();
+  std::uint64_t aligned = aligned_requirement_mask();
+  std::size_t mgr_bits = manager_.signatures().size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!order.materialized() && i >= kSnapshotAfter) order.materialize();
+    const std::size_t j = i + sweep_rng.index(n - i);
+    const std::size_t d = order.draw(i, j);
+    ++hstats_.sweep_visits;
+    // Offers past this point are provably no-ops once nothing wants
+    // devices (empty candidate set, no randomness consumed), so stopping —
+    // or skipping a device whose cached signature misses every pending
+    // group — is byte-identical to offering every visited device.
+    if (wants == 0) break;
+    // The index normally mirrors the manager's requirement registration
+    // order (it registers each job's requirement during the solo-JCT
+    // estimate that precedes manager registration), but that is a
+    // convention, not a structural guarantee — a solo_jct_estimate probe
+    // for a category that never becomes a job would shift the index's
+    // bits. The two spaces are verified requirement-by-requirement (each
+    // bit checked once, then cached) and the skip is disabled for any
+    // wanted bit not yet proven aligned, rather than risk a false
+    // negative.
+    if ((wants & ~aligned) == 0 && (sig[d] & wants) == 0) {
+      ++hstats_.sweep_skips;
+      continue;
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = i + sweep_rng.index(n - i);
-      const std::size_t d = order.draw(i, j);
-      ++hstats_.sweep_visits;
-      ++hstats_.sweep_offers;
-      const auto outcome = manager_.offer(devices_[d], now);
-      if (outcome) {
-        assigned.push_back(d);
-        handle_outcome(d, *outcome);
-      }
+    ++hstats_.sweep_offers;
+    const auto outcome =
+        aligned_bits_ >= mgr_bits
+            ? manager_.offer(devices_[d],
+                             sig[d] & (mgr_bits >= 64
+                                           ? ~0ULL
+                                           : (1ULL << mgr_bits) - 1),
+                             now)
+            : manager_.offer(devices_[d], now);
+    if (outcome) {
+      assigned.push_back(d);
+      handle_outcome(d, *outcome);
+      wants = manager_.wants_mask();
+      aligned = aligned_requirement_mask();
+      mgr_bits = manager_.signatures().size();
     }
   }
   for (const std::size_t d : assigned) idle_erase(d);
@@ -792,14 +675,14 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
   // merge loop below is therefore a branch-light scan over contiguous
   // uint64 arrays.
   const std::uint64_t* sig = hot_.signature.data();
-  std::uint64_t wants = index_ != nullptr ? manager_.wants_mask() : 0;
-  std::uint64_t aligned = index_ != nullptr ? aligned_requirement_mask() : 0;
+  std::uint64_t wants = manager_.wants_mask();
+  std::uint64_t aligned = aligned_requirement_mask();
   std::size_t mgr_bits = manager_.signatures().size();
 
   // Fast path mirroring the serial pass's first iteration: when no request
   // wants devices, the serial sweep visits exactly one device and breaks.
   // Matching that counter here avoids snapshotting the pool for a no-op.
-  if (index_ != nullptr && wants == 0) {
+  if (wants == 0) {
     ++hstats_.sweep_visits;
     return;
   }
@@ -808,12 +691,11 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
   // The draw sequence is the exact serial one (same per-sweep stream, same
   // j = k + index(n - k) draws, same SweepOrder realization); only the
   // batching differs. Short sweeps stay on the displaced-position map;
-  // once a sweep proves long the snapshot is materialized (the scan
-  // fallback starts flat — it visits everything anyway). idle_vec_ cannot
-  // change mid-sweep (the sweeping_/in_sweep_pass_ guards defer
+  // once a sweep proves long the snapshot is materialized. idle_vec_
+  // cannot change mid-sweep (the sweeping_/in_sweep_pass_ guards defer
   // resubmissions and straggler releases), so both flavors emit the same
   // devices.
-  SweepOrder order(idle_vec_, /*flat_upfront=*/!index_);
+  SweepOrder order(idle_vec_);
 
   std::vector<std::size_t> batch_dev;   // devices of the current batch
   std::vector<std::uint64_t> masked;    // per-entry signature & wants0
@@ -840,8 +722,7 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
     // value — not one verdict bit — is stored: wants can *shrink*
     // mid-merge (a round fills), and the remaining bits must still decide.
     const std::uint64_t wants0 = wants;
-    const bool filtered =
-        index_ != nullptr && wants0 != 0 && (wants0 & ~aligned) == 0;
+    const bool filtered = wants0 != 0 && (wants0 & ~aligned) == 0;
     if (filtered) {
       ++sstats_.filter_batches;
       masked.resize(end - i);
@@ -868,58 +749,45 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
     // with a single bulk counter update — the vectorizable inner loop the
     // SoA layout exists for.
     std::size_t k = i;
-    if (index_ != nullptr) {
-      while (k < end) {
-        if (wants == 0) {
-          // The serial pass visits exactly one more device, then breaks.
-          ++hstats_.sweep_visits;
-          for (const std::size_t a : assigned) idle_erase(a);
-          return;
-        }
-        if ((wants & ~aligned) == 0) {
-          // A mask that gained a bit since the snapshot (a round opened
-          // mid-merge) invalidates the batch verdict; fall back to the
-          // live signature column, exactly like the serial pass.
-          const std::size_t run0 = k;
-          if (filtered && (wants & ~wants0) == 0) {
-            while (k < end && (masked[k - i] & wants) == 0) ++k;
-          } else {
-            while (k < end && (sig[batch_dev[k - i]] & wants) == 0) ++k;
-          }
-          hstats_.sweep_visits += k - run0;
-          hstats_.sweep_skips += k - run0;
-          if (k >= end) break;
-        }
-        const std::size_t d = batch_dev[k - i];
+    while (k < end) {
+      if (wants == 0) {
+        // The serial pass visits exactly one more device, then breaks.
         ++hstats_.sweep_visits;
-        ++hstats_.sweep_offers;
-        const auto outcome =
-            aligned_bits_ >= mgr_bits
-                ? manager_.offer(devices_[d],
-                                 sig[d] & (mgr_bits >= 64
-                                               ? ~0ULL
-                                               : (1ULL << mgr_bits) - 1),
-                                 now)
-                : manager_.offer(devices_[d], now);
-        ++k;
-        if (outcome) {
-          assigned.push_back(d);
-          handle_outcome(d, *outcome);
-          wants = manager_.wants_mask();
-          aligned = aligned_requirement_mask();
-          mgr_bits = manager_.signatures().size();
-        }
+        for (const std::size_t a : assigned) idle_erase(a);
+        return;
       }
-    } else {
-      for (; k < end; ++k) {
-        const std::size_t d = batch_dev[k - i];
-        ++hstats_.sweep_visits;
-        ++hstats_.sweep_offers;
-        const auto outcome = manager_.offer(devices_[d], now);
-        if (outcome) {
-          assigned.push_back(d);
-          handle_outcome(d, *outcome);
+      if ((wants & ~aligned) == 0) {
+        // A mask that gained a bit since the snapshot (a round opened
+        // mid-merge) invalidates the batch verdict; fall back to the live
+        // signature column, exactly like the serial pass.
+        const std::size_t run0 = k;
+        if (filtered && (wants & ~wants0) == 0) {
+          while (k < end && (masked[k - i] & wants) == 0) ++k;
+        } else {
+          while (k < end && (sig[batch_dev[k - i]] & wants) == 0) ++k;
         }
+        hstats_.sweep_visits += k - run0;
+        hstats_.sweep_skips += k - run0;
+        if (k >= end) break;
+      }
+      const std::size_t d = batch_dev[k - i];
+      ++hstats_.sweep_visits;
+      ++hstats_.sweep_offers;
+      const auto outcome =
+          aligned_bits_ >= mgr_bits
+              ? manager_.offer(devices_[d],
+                               sig[d] & (mgr_bits >= 64
+                                             ? ~0ULL
+                                             : (1ULL << mgr_bits) - 1),
+                               now)
+              : manager_.offer(devices_[d], now);
+      ++k;
+      if (outcome) {
+        assigned.push_back(d);
+        handle_outcome(d, *outcome);
+        wants = manager_.wants_mask();
+        aligned = aligned_requirement_mask();
+        mgr_bits = manager_.signatures().size();
       }
     }
     i = end;

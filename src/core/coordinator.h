@@ -37,9 +37,9 @@
 //     of coming from a pre-built spec list.
 //
 // Supply estimation and idle-pool sweeps run against an incremental
-// eligibility index (core/elig_index.h) by default; `use_index=false` keeps
-// the original full-fleet-scan paths, and the two modes are byte-identical
-// (asserted by tests/hotpath_index_test.cc).
+// eligibility index (core/elig_index.h). Its supply answers equal a
+// brute-force scan of the fleet's hot-state columns exactly (asserted by
+// tests/supply_oracle_test.cc).
 //
 // Sharded fleet execution: when the engine carries a worker pool
 // (`Engine::set_shards(N)`, the `shards=N` scenario knob), the fleet is
@@ -52,9 +52,8 @@
 //     permutation in batches, filter each batch's devices against a
 //     snapshot of the manager's wants mask in parallel (a pure read of
 //     cached signatures), and replay offers serially in permutation order;
-//   * eligibility-index rebuckets and full-scan supply-rate queries
-//     (`index=0`) split by device range and merge exact per-shard
-//     aggregates in shard order.
+//   * eligibility-index rebuckets split by device range and merge exact
+//     per-shard aggregates in shard order.
 //
 // Sharding is an execution knob, not a semantic one: every parallel phase
 // is pure, every merged quantity is exact (integer counts, integer-valued
@@ -115,15 +114,6 @@ struct CoordinatorConfig {
   // scenario seed (NOT the engine's), so every policy replays the same
   // world.
   std::uint64_t seed = 0;
-
-  // Incremental eligibility index (core/elig_index.h). On by default:
-  // supply-rate queries and idle-pool sweeps consult per-signature atom
-  // buckets instead of rescanning the fleet. The fallback (`index=0` /
-  // `--no-index`) keeps the original full-scan algorithms (same cost
-  // profile, but not bit-exact pre-index trajectories — sweep randomness
-  // comes from a per-sweep derived stream in both modes); index and scan
-  // produce byte-identical simulations, which tests assert.
-  bool use_index = true;
 
   // Durability hook (src/journal/): every external event — check-ins,
   // check-outs, submissions, admissions, assignments, responses,
@@ -207,6 +197,10 @@ class Coordinator {
   // population (rounds x (solo scheduling delay + expected response time)).
   // Used for the §4.4 fairness bound and the Fig. 14b metric.
   [[nodiscard]] double solo_jct_estimate(const trace::JobSpec& spec) const;
+  // Estimated eligible check-in rate (devices/sec, daily average) for a
+  // requirement — the supply term of solo_jct_estimate, answered from the
+  // eligibility index (per-region partials under topology=hier).
+  [[nodiscard]] double supply_rate(const Requirement& req) const;
 
   // --- streaming accounting (churn mode) --------------------------------
   // Total sessions pulled from churn streams so far, and the number of
@@ -232,12 +226,13 @@ class Coordinator {
   };
   [[nodiscard]] const HotpathStats& hotpath_stats() const { return hstats_; }
 
-  // The eligibility index, or nullptr with `use_index=false`. For tests.
-  [[nodiscard]] const EligibilityIndex* index() const { return index_.get(); }
+  // The eligibility index. For tests and the journal inspector.
+  [[nodiscard]] const EligibilityIndex& index() const { return *index_; }
 
   // The struct-of-arrays hot-state store backing the sweep filter, the
-  // `index=0` supply scans and the participation budgets. For tests (the
-  // shard differential wall's SoA-vs-live property checks read it).
+  // eligibility index and the participation budgets. For tests (the
+  // brute-force supply oracle and the shard differential wall's
+  // SoA-vs-live property checks read it).
   [[nodiscard]] const FleetHotState& hot_state() const { return hot_; }
 
   // --- sharded execution ------------------------------------------------
@@ -269,7 +264,6 @@ class Coordinator {
   struct ShardStats {
     std::uint64_t sharded_sweeps = 0;  // sweeps run through the pipeline
     std::uint64_t filter_batches = 0;  // parallel filter dispatches
-    std::uint64_t sharded_supply_scans = 0;  // index=0 fleet scans sharded
     // Wall time spent inside sweep passes (all flavors) — the denominator
     // of the hotpath bench's sweep-throughput metric. Wall time, so shard-
     // and machine-variant by nature.
@@ -373,14 +367,10 @@ class Coordinator {
   // Job object outlives its by_id_ entry.
   std::size_t release_stragglers(Job* job, RequestId rid, SimTime now);
 
-  // Estimated eligible check-in rate (devices/sec, daily average) for a
-  // requirement, computed once from the generated population.
-  [[nodiscard]] double supply_rate(const Requirement& req) const;
-
   // Hier mode: per-region supply partials for a requirement, computed on
   // first sight (the per-device inputs are fixed at init) and re-aggregated
   // across regions on every query. The region-grouped sums equal the flat
-  // scan exactly (integer counts, integer-valued double sums, maxima).
+  // answer exactly (integer counts, integer-valued double sums, maxima).
   [[nodiscard]] const std::vector<topology::RegionSupply>& region_supply(
       const Requirement& req) const;
 
@@ -403,8 +393,9 @@ class Coordinator {
   // Struct-of-arrays hot state (device/fleet_partition.h): eligibility
   // signatures (written by the index), idle-pool positions, participation
   // budgets (Device objects are views over that column), dense spec and
-  // session columns for the `index=0` supply scans. Initialized in the
-  // constructor; array addresses are stable for the run.
+  // session columns for the index rebuckets and the hier region supply
+  // partials. Initialized in the constructor; array addresses are stable
+  // for the run.
   FleetHotState hot_;
 
   // Idle pool as a dense vector + position map (hot_.idle_pos): O(1)
@@ -463,9 +454,9 @@ class Coordinator {
   };
   std::vector<PendingRelease> deferred_releases_;
 
-  // Incremental eligibility/availability index (use_index mode). Mutable
-  // mechanics live behind the pointer: supply_rate() is const but lazily
-  // registers requirements with the index on first sight.
+  // Incremental eligibility/availability index. Mutable mechanics live
+  // behind the pointer: supply_rate() is const but lazily registers
+  // requirements with the index on first sight.
   std::unique_ptr<EligibilityIndex> index_;
   std::size_t aligned_bits_ = 0;  // verified prefix, aligned_requirement_mask
   mutable HotpathStats hstats_;

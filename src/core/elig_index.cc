@@ -120,8 +120,8 @@ std::size_t EligibilityIndex::eligible_count(std::size_t group) const {
 
 double EligibilityIndex::eligible_session_checkins(std::size_t group) const {
   // Each bucket total is an exact integer (sums of session counts), so the
-  // cross-bucket sum equals the scan path's per-device accumulation
-  // regardless of order.
+  // cross-bucket sum equals a per-device accumulation regardless of
+  // order.
   double n = 0.0;
   for (const auto& [sig, atom] : atoms_) {
     if ((sig >> group) & 1ULL) n += atom.session_checkins;

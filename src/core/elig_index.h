@@ -14,9 +14,9 @@
 //     device count and the total materialized-session check-in count, so
 //     eligible-supply queries are O(#atoms) instead of O(devices);
 //   * population session statistics (span, mean session seconds) are
-//     computed once at construction in the exact accumulation order the
-//     legacy scan used, so index-backed estimates are byte-identical to the
-//     scan path (`--no-index` / `index=0`), which tests assert.
+//     computed once at construction in device order, so index-backed
+//     estimates are byte-identical to a brute-force fleet scan, which tests
+//     assert (tests/elig_index_test.cc, tests/supply_oracle_test.cc).
 //
 // Storage note: the per-device columns the index maintains — the signature
 // cache, the dense spec copy the rebucket predicate reads, the per-device
@@ -65,7 +65,7 @@ class EligibilityIndex {
     std::size_t device_count = 0;
     // Total number of materialized sessions (= daily-averaged check-ins
     // numerator) of the bucket's devices. Integer-valued, stored as double
-    // so sums reproduce the scan path's double accumulation exactly.
+    // so sums reproduce a per-device double accumulation exactly.
     double session_checkins = 0.0;
   };
 
@@ -123,14 +123,14 @@ class EligibilityIndex {
   [[nodiscard]] std::size_t eligible_count(std::size_t group) const;
 
   // Total materialized-session count of eligible devices for requirement
-  // bit `group` (the legacy scan's check-in numerator): O(#atoms).
+  // bit `group` (the supply rate's check-in numerator): O(#atoms).
   [[nodiscard]] double eligible_session_checkins(std::size_t group) const;
 
   // --- population session statistics (accumulated once at store init) -----
-  // Latest session end over all devices (the scan path's averaging span).
+  // Latest session end over all devices (the supply rate's averaging span).
   [[nodiscard]] SimTime session_span() const { return hot_->session_span; }
   // Total session time / count over all devices, accumulated in device
-  // order like the scan path.
+  // order.
   [[nodiscard]] double total_session_seconds() const {
     return hot_->session_time;
   }

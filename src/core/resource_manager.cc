@@ -163,27 +163,16 @@ std::optional<AssignOutcome> ResourceManager::try_assign(
   view.signature = signature;
   ++hstats_.offers;
 
+  // Candidate enumeration walks only the (cached, id-ordered) entries whose
+  // request still wants devices — no per-offer materialization.
   std::vector<PendingJob> candidates;
-  if (use_pending_cache_) {
-    // Candidate enumeration walks only the (cached, id-ordered) entries
-    // whose request still wants devices — no per-offer materialization.
-    if (wants_dirty_) refresh_queue_cache();
-    for (const JobEntry* e : wanting_) {
-      ++hstats_.candidates_scanned;
-      const auto& req = e->job->request();
-      if (!req || !req->wants_devices()) continue;
-      if (!((view.signature >> e->group) & 1ULL)) continue;
-      candidates.push_back(make_pending(*e));
-    }
-  } else {
-    // Legacy fallback (`--no-index`): materialize the full pending view per
-    // offer and filter it, exactly like the seed's hot path. Produces the
-    // same candidates as the cached walk above — the cache is precisely the
-    // wants_devices() subset in the same id order.
-    for (const auto& pj : pending_view()) {
-      ++hstats_.candidates_scanned;
-      if ((view.signature >> pj.group) & 1ULL) candidates.push_back(pj);
-    }
+  if (wants_dirty_) refresh_queue_cache();
+  for (const JobEntry* e : wanting_) {
+    ++hstats_.candidates_scanned;
+    const auto& req = e->job->request();
+    if (!req || !req->wants_devices()) continue;
+    if (!((view.signature >> e->group) & 1ULL)) continue;
+    candidates.push_back(make_pending(*e));
   }
   if (candidates.empty()) return std::nullopt;
 

@@ -135,14 +135,6 @@ class ResourceManager {
   }
   [[nodiscard]] bool wants_devices() const { return wants_mask() != 0; }
 
-  // With the cache on (default; the coordinator syncs it to its `use_index`
-  // knob), per-offer candidate enumeration walks only the jobs whose open
-  // request still wants devices, maintained lazily alongside wants_mask().
-  // Off = the `--no-index` fallback: every offer rescans the full job
-  // queue. Both settings yield identical candidates (the cache is exactly
-  // the wants_devices() filter of the full walk, in the same id order).
-  void set_use_pending_cache(bool on) { use_pending_cache_ = on; }
-
   // ----- durability -------------------------------------------------------
   // Journal sink for round submissions (the manager owns request-id
   // assignment, so it emits the kSubmit records). Null = journaling off.
@@ -157,8 +149,7 @@ class ResourceManager {
   }
 
   // Per-event work counters backing the perf-regression harness: the stress
-  // tests assert that index-backed runs bound these independently of fleet
-  // size while `--no-index` runs scale with it.
+  // tests and the hotpath bench's work-counter gate bound them per event.
   struct HotpathStats {
     std::uint64_t offers = 0;             // try_assign invocations
     std::uint64_t candidates_scanned = 0; // job entries examined across offers
@@ -194,10 +185,9 @@ class ResourceManager {
   journal::JournalSink* journal_ = nullptr;
   std::int64_t next_request_id_ = 0;
 
-  bool use_pending_cache_ = true;
   mutable bool wants_dirty_ = true;
   mutable std::uint64_t wants_mask_ = 0;
-  // Entries with a device-wanting open request, ascending id (cache mode).
+  // Entries with a device-wanting open request, ascending id.
   mutable std::vector<JobEntry*> wanting_;
   mutable HotpathStats hstats_;
 

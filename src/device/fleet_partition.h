@@ -19,8 +19,8 @@
 // FleetHotState is the layout half of the same story. `Device` objects
 // carry cold state (id, spec, the materialized session vector) and are
 // ~80 bytes plus a heap allocation each; iterating them for the per-visit
-// sweep filter, the per-registration index rebucket or the `index=0`
-// supply scans strides over memory the loop mostly does not read. The hot
+// sweep filter, the per-registration index rebucket or the hier region
+// supply partials strides over memory the loop mostly does not read. The hot
 // state those loops DO read — the cached eligibility signature, the
 // idle-pool position (the availability flag), the one-job-per-day
 // participation budget, the spec scores and the per-device session
@@ -44,9 +44,10 @@
 //                        the budget API is unchanged while snapshots and
 //                        hot loops read one int32 array.
 //   * `spec[d]`, `session_checkins[d]`, `session_last_end[d]` — the exact
-//                        per-device quantities the `index=0` supply scans
-//                        read, densely packed so the fleet scan never
-//                        touches a Device object.
+//                        per-device quantities behind supply estimation
+//                        (index rebuckets, hier region partials), densely
+//                        packed so those range loops never touch a Device
+//                        object.
 //
 // The arrays are plain data with no invariants of their own: the
 // coordinator owns the store, the eligibility index writes the signature
@@ -95,7 +96,7 @@ struct FleetPartition {
 // Struct-of-arrays hot state of one device fleet. See the file comment for
 // the field-by-field story. Owned by the Coordinator; shared by reference
 // with the EligibilityIndex (which maintains `signature`) and read by the
-// sweep filter and the `index=0` supply scans.
+// sweep filter and the hier region supply partials.
 class FleetHotState {
  public:
   FleetHotState() = default;
@@ -113,9 +114,9 @@ class FleetHotState {
   std::vector<std::uint64_t> signature;   // eligibility signature cache
   std::vector<std::uint32_t> idle_pos;    // pool position + 1; 0 = absent
   std::vector<std::int32_t> participation_day;  // last day participated
-  std::vector<DeviceSpec> spec;           // dense spec copy (scan filters)
+  std::vector<DeviceSpec> spec;           // dense spec copy (eligibility)
   std::vector<double> session_checkins;   // materialized sessions, integer-
-                                          // valued (the scan's numerator)
+                                          // valued (the supply numerator)
   std::vector<SimTime> session_last_end;  // last session end; 0 = none
 
   // --- population session aggregates (device-order accumulation) --------

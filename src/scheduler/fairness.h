@@ -17,7 +17,7 @@
 // dominating forever, usage is taken relative to the time the job has had:
 // the implementation uses t_i / T_i = p / max(elapsed / T_i, δ) * (1 / M)
 // collapsed into the single relative-usage ratio r_i below. See
-// EXPERIMENTS.md (Fig. 14) for the observed knob behaviour.
+// bench/fig14_fairness.cc (Fig. 14) for the observed knob behaviour.
 #pragma once
 
 #include <span>

@@ -35,7 +35,7 @@ class IngestQueue {
     return true;
   }
 
-  // Blocks for the next item; nullopt once closed AND drained.
+  // Blocks for the next item; nullopt once closed.
   std::optional<IngestItem> pop() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
@@ -45,12 +45,18 @@ class IngestQueue {
     return item;
   }
 
-  void close() {
+  // Closes the queue. Items still queued — pushed after the daemon loop
+  // stopped popping — are answered with `leftover_reply`, so no listener
+  // thread waits forever for a reply nobody will send.
+  void close(const std::string& leftover_reply) {
+    std::deque<IngestItem> leftovers;
     {
       std::lock_guard<std::mutex> lock(mu_);
       closed_ = true;
+      leftovers.swap(items_);
     }
     cv_.notify_all();
+    for (IngestItem& item : leftovers) item.reply.set_value(leftover_reply);
   }
 
  private:

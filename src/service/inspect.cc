@@ -59,17 +59,14 @@ void dump_state(std::string& out, const std::string& path,
          " released=" + std::to_string(p.stragglers_released) +
          " wasted=" + std::to_string(p.wasted_responses) + "\n";
 
-  if (const EligibilityIndex* index = coord.index()) {
-    out += "eligibility-index requirements=" +
-           std::to_string(index->num_requirements()) + " devices=" +
-           std::to_string(index->num_devices()) + " eligible";
-    for (std::size_t g = 0; g < index->num_requirements(); ++g) {
-      out += ' ' + std::to_string(index->eligible_count(g));
-    }
-    out += '\n';
-  } else {
-    out += "eligibility-index off\n";
+  const EligibilityIndex& index = coord.index();
+  out += "eligibility-index requirements=" +
+         std::to_string(index.num_requirements()) + " devices=" +
+         std::to_string(index.num_devices()) + " eligible";
+  for (std::size_t g = 0; g < index.num_requirements(); ++g) {
+    out += ' ' + std::to_string(index.eligible_count(g));
   }
+  out += '\n';
 }
 
 }  // namespace

@@ -22,11 +22,14 @@ namespace {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-// write(2) until done; false on a dead peer (the daemon must not care).
+// send(2) until done; false on a dead peer (the daemon must not care).
+// MSG_NOSIGNAL turns a write to a closed connection into EPIPE instead of
+// a process-killing SIGPIPE.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -115,15 +118,20 @@ void LineServer::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Closing the fds kicks accept()/read() out of their blocking calls.
+  // Closing the listener kicks accept() out of its blocking call. The live
+  // connection is shut for reading only: a blocked read() returns, but a
+  // reply the daemon already produced — the ack of the `shutdown` or
+  // `drain` that ended the loop — is still written before the serving
+  // thread lets go of the socket.
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
   const int conn = conn_fd_.exchange(-1);
-  if (conn >= 0) ::shutdown(conn, SHUT_RDWR);
+  if (conn >= 0) ::shutdown(conn, SHUT_RD);
   if (thread_.joinable()) thread_.join();
+  if (conn >= 0) ::close(conn);
 }
 
 void LineServer::serve() {
@@ -134,7 +142,9 @@ void LineServer::serve() {
       break;  // listener closed (stop) or fatal
     }
     conn_fd_.store(fd);
-    serve_connection(fd);
+    // A stop() that ran before the store above found no connection to
+    // shut; it set stopping_ first, so checking it here closes that gap.
+    if (!stopping_.load()) serve_connection(fd);
     const int owned = conn_fd_.exchange(-1);
     if (owned >= 0) ::close(owned);
   }
@@ -157,7 +167,13 @@ void LineServer::serve_connection(int fd) {
         (void)write_all(fd, err_reply("daemon is shutting down") + "\n");
         return;
       }
-      if (!write_all(fd, reply.get() + "\n")) return;
+      std::string out;
+      try {
+        out = reply.get();
+      } catch (const std::future_error&) {
+        return;  // the daemon loop died without answering
+      }
+      if (!write_all(fd, out + "\n")) return;
     }
     if (buf.size() > kMaxLineBytes) {
       // Framing violation: never reaches the daemon loop or the journal.

@@ -15,9 +15,9 @@
 //     modeling timezone spread across a geo-distributed fleet.
 //   * Cross-region supply aggregation — supply-rate queries aggregate
 //     per-region partial sums (eligible counts, session check-ins, span
-//     maxima) instead of one flat fleet scan. The merged quantities are
-//     integer counts, integer-valued double sums and maxima, so the
-//     region-grouped result equals the flat scan EXACTLY — the same
+//     maxima) instead of one flat fleet-wide answer. The merged quantities
+//     are integer counts, integer-valued double sums and maxima, so the
+//     region-grouped result equals the flat one EXACTLY — the same
 //     argument that makes shard merges byte-identical.
 //   * Inter-region sync latency — each region holds a device's result for
 //     `sync_latency` seconds of uplink before the global coordinator sees
@@ -31,7 +31,7 @@
 // shifting is skipped when the offset is exactly zero, and the aggregation
 // identities above cover the supply path. tests/topology_differential_test.cc
 // enforces this point-for-point (RunResult + TSDB streams) across
-// protocols × shards × index modes, with vacuousness guards on
+// protocols × shard counts, with vacuousness guards on
 // TopologyStats so the hier machinery provably ran.
 #pragma once
 

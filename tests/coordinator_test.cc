@@ -236,41 +236,38 @@ TEST(Coordinator, MidSweepRoundCompletionDefersNestedSweep) {
   // offer_idle_pool mid-iteration. The guard must defer that nested sweep;
   // without it the nested sweep re-read the outer sweep's pool snapshot and
   // could re-offer the device the outer sweep had just assigned.
-  for (const bool use_index : {true, false}) {
-    // Devices 0-3 plus the gated device 4, all always-on. Job 0 (demand 5,
-    // 2 rounds) arrives at t=10 and takes devices 0-3; the gate keeps
-    // device 4 parked even though job 0 still wants one more. All four
-    // responses land at t = 10 + exec < 600, so job 0 sits at exactly
-    // needed_responses() with one unit of demand open. Job 1's arrival at
-    // t=600 sweeps the pool (gate now open): device 4's assignment fully
-    // allocates job 0 and completes its round inside the sweep.
-    auto devices = always_on(5, {0.5, 0.5}, 20 * kDay);
-    sim::Engine engine(1);
-    ResourceManager mgr(std::make_unique<GateScheduler>(DeviceId(4), 500.0));
-    AssignmentLog log;
-    mgr.add_observer(&log);
-    CoordinatorConfig cfg;
-    cfg.use_index = use_index;
-    Coordinator coord(engine, mgr, std::move(devices),
-                      {one_job(2, 5, 10.0), one_job(1, 1, 600.0)}, cfg);
-    coord.run();
-    const RunResult r = collect_results(coord, "GATE");
+  //
+  // Devices 0-3 plus the gated device 4, all always-on. Job 0 (demand 5,
+  // 2 rounds) arrives at t=10 and takes devices 0-3; the gate keeps device
+  // 4 parked even though job 0 still wants one more. All four responses
+  // land at t = 10 + exec < 600, so job 0 sits at exactly
+  // needed_responses() with one unit of demand open. Job 1's arrival at
+  // t=600 sweeps the pool (gate now open): device 4's assignment fully
+  // allocates job 0 and completes its round inside the sweep.
+  auto devices = always_on(5, {0.5, 0.5}, 20 * kDay);
+  sim::Engine engine(1);
+  ResourceManager mgr(std::make_unique<GateScheduler>(DeviceId(4), 500.0));
+  AssignmentLog log;
+  mgr.add_observer(&log);
+  Coordinator coord(engine, mgr, std::move(devices),
+                    {one_job(2, 5, 10.0), one_job(1, 1, 600.0)}, {});
+  coord.run();
+  const RunResult r = collect_results(coord, "GATE");
 
-    ASSERT_EQ(r.finished_jobs(), 2u) << "use_index=" << use_index;
-    ASSERT_EQ(r.jobs[0].rounds.size(), 2u);
-    // Round 1 completed the instant it was fully allocated, inside the
-    // t=600 sweep: delay 600-10, zero response-collection time.
-    EXPECT_NEAR(r.jobs[0].rounds[0].scheduling_delay, 590.0, 1e-9);
-    EXPECT_NEAR(r.jobs[0].rounds[0].response_collection, 0.0, 1e-9);
-    // The mid-sweep resubmission hit the reentrancy guard and was deferred.
-    EXPECT_GE(coord.hotpath_stats().resweeps, 1u) << "use_index=" << use_index;
-    // The t=600 sweep made exactly one assignment (device 4 -> job 0); a
-    // nested sweep would have re-offered the already-assigned device 4 to
-    // round 2 at the same timestamp.
-    std::size_t at_600 = 0;
-    for (const auto& [dev, at] : log.entries) at_600 += (at == 600.0) ? 1 : 0;
-    EXPECT_EQ(at_600, 1u) << "use_index=" << use_index;
-  }
+  ASSERT_EQ(r.finished_jobs(), 2u);
+  ASSERT_EQ(r.jobs[0].rounds.size(), 2u);
+  // Round 1 completed the instant it was fully allocated, inside the t=600
+  // sweep: delay 600-10, zero response-collection time.
+  EXPECT_NEAR(r.jobs[0].rounds[0].scheduling_delay, 590.0, 1e-9);
+  EXPECT_NEAR(r.jobs[0].rounds[0].response_collection, 0.0, 1e-9);
+  // The mid-sweep resubmission hit the reentrancy guard and was deferred.
+  EXPECT_GE(coord.hotpath_stats().resweeps, 1u);
+  // The t=600 sweep made exactly one assignment (device 4 -> job 0); a
+  // nested sweep would have re-offered the already-assigned device 4 to
+  // round 2 at the same timestamp.
+  std::size_t at_600 = 0;
+  for (const auto& [dev, at] : log.entries) at_600 += (at == 600.0) ? 1 : 0;
+  EXPECT_EQ(at_600, 1u);
 }
 
 TEST(Coordinator, SoloJctProbeCannotDesyncIndexBits) {
@@ -279,10 +276,10 @@ TEST(Coordinator, SoloJctProbeCannotDesyncIndexBits) {
   // never becomes a job used to shift the index's bit space relative to
   // the manager's (which only sees real jobs), and the idle-sweep skip
   // intersects the two — eligible devices were silently skipped. The
-  // alignment check must degrade to plain offering instead: index and
-  // scan mode must still simulate identically after such a probe.
+  // alignment check must degrade to plain offering instead: a run after
+  // such a probe must simulate exactly like the same run without it.
   RunResult results[2];
-  for (const bool use_index : {true, false}) {
+  for (const bool probed : {false, true}) {
     // {0.4, 0.4}: eligible for General but NOT High-Perf (threshold 0.5),
     // so a desynced index signature has no overlap with the wanted bit.
     auto devices = always_on(10, {0.4, 0.4}, 5 * kDay);
@@ -290,14 +287,17 @@ TEST(Coordinator, SoloJctProbeCannotDesyncIndexBits) {
     ResourceManager mgr(std::make_unique<FifoScheduler>());
     CoordinatorConfig cfg;
     cfg.horizon = 5 * kDay;
-    cfg.use_index = use_index;
     Coordinator coord(engine, mgr, std::move(devices),
                       {one_job(2, 5, 100.0)}, cfg);
-    trace::JobSpec probe = one_job(1, 2);
-    probe.category = ResourceCategory::kHighPerf;
-    (void)coord.solo_jct_estimate(probe);  // HighPerf takes index bit 0
+    if (probed) {
+      trace::JobSpec probe = one_job(1, 2);
+      probe.category = ResourceCategory::kHighPerf;
+      (void)coord.solo_jct_estimate(probe);  // HighPerf takes index bit 0
+      ASSERT_TRUE(coord.index().requirement(0) ==
+                  requirement_for(ResourceCategory::kHighPerf));
+    }
     coord.run();
-    results[use_index ? 1 : 0] = collect_results(coord, "FIFO");
+    results[probed ? 1 : 0] = collect_results(coord, "FIFO");
   }
   ASSERT_EQ(results[1].finished_jobs(), 1u);
   ASSERT_EQ(results[0].finished_jobs(), 1u);

@@ -107,7 +107,7 @@ TEST(EligIndex, SessionStatisticsMatchTheScanAccumulation) {
   const auto devices = random_population(120, 5);
   EligibilityIndex idx(devices);
 
-  // Replicate the legacy Coordinator scan loops exactly.
+  // Brute-force scan over the Device objects, in device order.
   SimTime span = 0.0;
   double time = 0.0, count = 0.0;
   for (const auto& d : devices) {

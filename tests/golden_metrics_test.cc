@@ -268,27 +268,5 @@ TEST(GoldenMetrics, ExplicitSyncProtocolMatchesLegacyDefaultExactly) {
   }
 }
 
-// The golden runs themselves must not depend on the index knob: lock the
-// equivalence at golden granularity too, so a future index change that
-// breaks it is caught by the same harness that pins the metrics.
-TEST(GoldenMetrics, IndexKnobDoesNotChangeGoldenMetrics) {
-  for (const auto& cell : golden_cells()) {
-    SCOPED_TRACE(cell.name);
-    ScenarioSpec scan = cell.scenario;
-    scan.use_index = false;
-    const RunResult a = ExperimentBuilder()
-                            .scenario(cell.scenario)
-                            .policy(cell.policy)
-                            .run();
-    const RunResult b =
-        ExperimentBuilder().scenario(scan).policy(cell.policy).run();
-    const auto ma = collect_metrics(a, cell.scenario.num_devices,
-                                    cell.scenario.horizon);
-    const auto mb = collect_metrics(b, cell.scenario.num_devices,
-                                    cell.scenario.horizon);
-    EXPECT_EQ(ma, mb);  // exact: same process, same arithmetic
-  }
-}
-
 }  // namespace
 }  // namespace venn

@@ -2,7 +2,7 @@
 //
 // The parser is the shared front door of the CLI, benches, sweep grids and
 // config files, and it grew a wide dotted-knob surface (arrival.* / mix.* /
-// churn.* / protocol.* plus the execution knobs index= and shards=). This
+// churn.* / protocol.* plus the execution knob shards=). This
 // test throws a seeded random corpus at it and requires:
 //
 //   * no crash and no UB for ANY input — the only acceptable failure mode
@@ -32,7 +32,7 @@ const std::vector<std::string>& known_keys() {
       "max-rounds",  "min-demand",   "max-demand",    "interarrival-min",
       "base-trace",  "task-s",       "task-cv",       "arrival",
       "mix",         "churn",        "protocol",      "open-loop",
-      "stream",      "index",        "shards",        "horizon-s",
+      "stream",      "shards",       "horizon-s",
       "interarrival-s",              "journal",       "journal.dir",
       "snapshot_every",              "snapshot-every",
       "journal.halt-after",          "topology",      "topo.regions",
@@ -128,7 +128,6 @@ void expect_specs_equal(const api::ScenarioSpec& a, const api::ScenarioSpec& b,
   EXPECT_EQ(a.protocol_gen.params.kv, b.protocol_gen.params.kv);
   EXPECT_EQ(a.open_loop, b.open_loop) << "corpus seed " << seed;
   EXPECT_EQ(a.streaming, b.streaming) << "corpus seed " << seed;
-  EXPECT_EQ(a.use_index, b.use_index) << "corpus seed " << seed;
   EXPECT_EQ(a.shards, b.shards) << "corpus seed " << seed;
   EXPECT_EQ(a.topology, b.topology) << "corpus seed " << seed;
   EXPECT_EQ(a.topo_regions, b.topo_regions) << "corpus seed " << seed;
@@ -280,6 +279,24 @@ TEST(ScenarioFuzz, ShardsKnobBounds) {
   EXPECT_THROW(spec.set("shards", "eight"), std::invalid_argument);
   EXPECT_THROW(spec.set("shards", "8.5"), std::invalid_argument);
   EXPECT_EQ(spec.shards, 1u);  // failed sets leave the value untouched
+}
+
+// `index=` selected a full-fleet-scan fallback of the eligibility index;
+// that mode is gone, and the key is an unknown key like any other — not
+// silently accepted — so a stale override or an old journal header fails
+// loudly, naming the key.
+TEST(ScenarioFuzz, RetiredIndexKeyIsRejected) {
+  for (const char* value : {"0", "1"}) {
+    api::ScenarioSpec spec;
+    EXPECT_FALSE(spec.try_set("index", value));
+    try {
+      spec.set("index", value);
+      FAIL() << "index=" << value << " should throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"index\""), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // The topology knobs: mode-validated, range-validated, conflicts and

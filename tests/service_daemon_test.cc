@@ -363,6 +363,59 @@ service::SocketClient connect_with_retry(const std::string& socket_path) {
   throw std::runtime_error("daemon never came up on " + socket_path);
 }
 
+// Reaps `pid`, killing it after `timeout` so a daemon that hangs on exit
+// fails the test instead of stalling the suite. Returns the wait status.
+int reap_within(pid_t pid, std::chrono::seconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  int status = 0;
+  while (waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+      ADD_FAILURE() << "daemon did not exit within " << timeout.count()
+                    << " s";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return status;
+}
+
+// Teardown regression: the reply to `shutdown` used to race
+// LineServer::stop(), which could shut the connection before the reply was
+// written — the write then raised SIGPIPE and the daemon exited 141, or the
+// client never saw its ack. Daemons started one after another must each
+// ack `shutdown` and exit 0. The client stays connected while the daemon
+// exits, so teardown cannot lean on the peer hanging up first; every
+// other daemon also gets a request pipelined behind the `shutdown`, which
+// the exiting daemon must answer (or drop) without hanging.
+TEST(ServiceDaemon, ShutdownIsAckedAndExitsCleanly) {
+  const std::string socket_path = temp_path("venn_teardown.sock");
+  const std::string journal = temp_path("venn_teardown.vjl");
+  for (int i = 0; i < 20; ++i) {
+    std::filesystem::remove(journal);
+    const DaemonProcess proc =
+        spawn_daemon({"seed=5", "devices=50", "jobs=1", "horizon-s=3600",
+                      "--socket", socket_path, "--journal", journal,
+                      "--quiet"});
+    std::string reply;
+    {
+      auto client = connect_with_retry(socket_path);
+      try {
+        reply = client.request(i % 2 == 0 ? "shutdown" : "shutdown\nping");
+      } catch (const std::exception& e) {
+        reply = e.what();
+      }
+      const int status = reap_within(proc.pid, std::chrono::seconds(10));
+      ASSERT_TRUE(WIFEXITED(status))
+          << "daemon " << i << " killed by signal "
+          << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+      EXPECT_EQ(WEXITSTATUS(status), 0) << "daemon " << i;
+    }
+    EXPECT_EQ(reply, "ok shutting down") << "daemon " << i;
+  }
+}
+
 // The real binary, really SIGKILLed: serve over a Unix socket, ack a
 // prefix of the script, kill -9, restart --resume, ask `seq`, resend the
 // tail, drain — and the result dump equals the uninterrupted in-process

@@ -1,17 +1,17 @@
 // Shard-vs-serial differential wall.
 //
 // `shards=N` is an execution knob: the fleet partition, the worker pool,
-// the batched sweep pipeline, the sharded index rebuckets and the sharded
-// supply scans must all be invisible in the results. This wall runs the
-// gallery axes — policies × round protocols × both index modes ×
-// churn/streaming/open-loop — at shard counts {1, 2, 4, 8} and requires
+// the batched sweep pipeline and the sharded index rebuckets must all be
+// invisible in the results. This wall runs the gallery axes — policies ×
+// round protocols × churn/streaming/open-loop — at shard counts
+// {1, 2, 4, 8} and requires
 // byte-equivalence of the full RunResult (per-job JCTs and round stats,
 // protocol counters, assignment matrix) AND of the recorded TSDB streams,
 // point for point. A property test additionally pins the sharded
 // supply-rate / solo-JCT estimates to the serial values exactly.
 //
 // The fleets are sized so the sharded machinery actually engages (pool
-// above the batching threshold, fleet above the scan threshold); several
+// above the batching threshold); several
 // tests assert via ShardStats that the pipeline ran, so a regression that
 // silently stopped sharding cannot turn this wall vacuous.
 #include <gtest/gtest.h>
@@ -108,28 +108,23 @@ TEST(ShardDifferential, PoliciesByteIdenticalAcrossShardCounts) {
   }
 }
 
-// Round protocols × index modes at shards=4 vs serial. index=0 exercises
-// the sharded full-scan supply queries and the scan-mode sweep pipeline.
+// Round protocols at shards=4 vs serial. (The test keeps its historical
+// name from when it also crossed a second, full-scan index mode.)
 TEST(ShardDifferential, ProtocolsAndIndexModesByteIdentical) {
   for (const char* proto : {"sync", "overcommit", "async"}) {
-    for (const bool use_index : {true, false}) {
-      ScenarioSpec base;
-      base.seed = 53;
-      base.num_devices = 4'000;
-      base.num_jobs = 8;
-      base.horizon = 3.0 * kDay;
-      base.set("churn", "weibull");
-      base.set("protocol", proto);
-      base.use_index = use_index;
+    ScenarioSpec base;
+    base.seed = 53;
+    base.num_devices = 4'000;
+    base.num_jobs = 8;
+    base.horizon = 3.0 * kDay;
+    base.set("churn", "weibull");
+    base.set("protocol", proto);
 
-      ScenarioSpec sharded = base;
-      sharded.shards = 4;
-      const RunResult r1 = ExperimentBuilder().scenario(base).run();
-      const RunResult r4 = ExperimentBuilder().scenario(sharded).run();
-      expect_identical(r1, r4,
-                       std::string(proto) + (use_index ? "/index" : "/scan") +
-                           " shards=4");
-    }
+    ScenarioSpec sharded = base;
+    sharded.shards = 4;
+    const RunResult r1 = ExperimentBuilder().scenario(base).run();
+    const RunResult r4 = ExperimentBuilder().scenario(sharded).run();
+    expect_identical(r1, r4, std::string(proto) + " shards=4");
   }
 }
 
@@ -176,7 +171,7 @@ struct HandRun {
   std::shared_ptr<const workload::GeneratorSet> gens;
   std::unique_ptr<Coordinator> coord;
 
-  HandRun(std::size_t shards, bool use_index, std::size_t devices)
+  HandRun(std::size_t shards, std::size_t devices)
       : engine(Rng::derive(91, "engine")),
         manager(PolicyRegistry::instance().create(
             "venn", {}, Rng::derive(91, "scheduler"))) {
@@ -186,7 +181,6 @@ struct HandRun {
     sc.num_jobs = 6;
     sc.horizon = 2.0 * kDay;
     sc.set("churn", "weibull");
-    sc.use_index = use_index;
     const auto inputs = api::build_inputs(sc);
     gens = std::make_shared<const workload::GeneratorSet>(
         workload::build_generators(sc.arrival_gen, sc.mix_gen, sc.churn_gen,
@@ -196,7 +190,6 @@ struct HandRun {
     ccfg.horizon = sc.horizon;
     ccfg.seed = sc.seed;
     ccfg.churn = gens->churn.get();
-    ccfg.use_index = use_index;
     coord = std::make_unique<Coordinator>(engine, manager, inputs.devices,
                                           inputs.jobs, ccfg);
   }
@@ -206,76 +199,68 @@ struct HandRun {
 // exactly (not approximately): the merged quantities are integer counts,
 // integer-valued double sums and maxima.
 TEST(ShardDifferential, SupplyAndSoloEstimatesExactAtAnyShardCount) {
-  for (const bool use_index : {true, false}) {
-    HandRun serial(1, use_index, 4'000);
-    std::vector<trace::JobSpec> probes;
-    for (const ResourceCategory c : all_categories()) {
-      trace::JobSpec spec;
-      spec.category = c;
-      spec.demand = 24;
-      spec.rounds = 6;
-      spec.nominal_task_s = 120.0;
-      spec.task_cv = 0.3;
-      probes.push_back(spec);
+  HandRun serial(1, 4'000);
+  std::vector<trace::JobSpec> probes;
+  for (const ResourceCategory c : all_categories()) {
+    trace::JobSpec spec;
+    spec.category = c;
+    spec.demand = 24;
+    spec.rounds = 6;
+    spec.nominal_task_s = 120.0;
+    spec.task_cv = 0.3;
+    probes.push_back(spec);
+  }
+  for (const std::size_t shards : {2UL, 3UL, 4UL, 8UL}) {
+    HandRun sharded(shards, 4'000);
+    for (const auto& spec : probes) {
+      EXPECT_EQ(serial.coord->solo_jct_estimate(spec),
+                sharded.coord->solo_jct_estimate(spec))
+          << "shards=" << shards << " category "
+          << category_name(spec.category);
     }
-    for (const std::size_t shards : {2UL, 3UL, 4UL, 8UL}) {
-      HandRun sharded(shards, use_index, 4'000);
-      for (const auto& spec : probes) {
-        EXPECT_EQ(serial.coord->solo_jct_estimate(spec),
-                  sharded.coord->solo_jct_estimate(spec))
-            << "index=" << use_index << " shards=" << shards << " category "
-            << category_name(spec.category);
-      }
-      if (!use_index) {
-        // The estimates above must have gone through the sharded scan, or
-        // this property test is vacuous.
-        EXPECT_GT(sharded.coord->shard_stats().sharded_supply_scans, 0u)
-            << "shards=" << shards;
-      }
-    }
+    // Every probe registered its requirement through the sharded index
+    // rebucket, or this property test is vacuous.
+    EXPECT_EQ(
+        sharded.coord->index().maintenance_stats().requirement_registrations,
+        probes.size())
+        << "shards=" << shards;
   }
 }
 
 // The wall must actually exercise the sweep pipeline: at 6k devices the
 // idle pool crosses the batching threshold and the filter runs.
 TEST(ShardDifferential, ShardedSweepPipelineEngages) {
-  for (const bool use_index : {true, false}) {
-    ScenarioSpec sc;
-    sc.seed = 41;
-    sc.num_devices = 6'000;
-    sc.num_jobs = 10;
-    sc.horizon = 2.0 * kDay;
-    sc.job_trace.min_demand = 3;
-    sc.job_trace.max_demand = 12;
-    sc.set("churn", "weibull");
-    sc.use_index = use_index;
+  ScenarioSpec sc;
+  sc.seed = 41;
+  sc.num_devices = 6'000;
+  sc.num_jobs = 10;
+  sc.horizon = 2.0 * kDay;
+  sc.job_trace.min_demand = 3;
+  sc.job_trace.max_demand = 12;
+  sc.set("churn", "weibull");
 
-    const auto inputs = api::build_inputs(sc);
-    const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
-                                                 sc.churn_gen, sc.seed);
-    sim::Engine engine(Rng::derive(sc.seed, "engine"));
-    engine.set_shards(4);
-    ResourceManager manager(PolicyRegistry::instance().create(
-        "venn", {}, Rng::derive(sc.seed, "scheduler")));
-    CoordinatorConfig ccfg;
-    ccfg.horizon = sc.horizon;
-    ccfg.seed = sc.seed;
-    ccfg.churn = gens.churn.get();
-    ccfg.use_index = use_index;
-    Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
-    coord.run();
+  const auto inputs = api::build_inputs(sc);
+  const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
+                                               sc.churn_gen, sc.seed);
+  sim::Engine engine(Rng::derive(sc.seed, "engine"));
+  engine.set_shards(4);
+  ResourceManager manager(PolicyRegistry::instance().create(
+      "venn", {}, Rng::derive(sc.seed, "scheduler")));
+  CoordinatorConfig ccfg;
+  ccfg.horizon = sc.horizon;
+  ccfg.seed = sc.seed;
+  ccfg.churn = gens.churn.get();
+  Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+  coord.run();
 
-    const auto& ss = coord.shard_stats();
-    EXPECT_GT(ss.sharded_sweeps, 0u) << "use_index=" << use_index;
-    ASSERT_EQ(ss.per_shard.size(), 4u);
-    if (use_index) {
-      EXPECT_GT(ss.filter_batches, 0u);
-      std::uint64_t filtered = 0;
-      for (const auto& sh : ss.per_shard) filtered += sh.filter_entries;
-      EXPECT_GT(filtered, 0u);
-    }
-    EXPECT_TRUE(coord.validate_idle_segments());
-  }
+  const auto& ss = coord.shard_stats();
+  EXPECT_GT(ss.sharded_sweeps, 0u);
+  ASSERT_EQ(ss.per_shard.size(), 4u);
+  EXPECT_GT(ss.filter_batches, 0u);
+  std::uint64_t filtered = 0;
+  for (const auto& sh : ss.per_shard) filtered += sh.filter_entries;
+  EXPECT_GT(filtered, 0u);
+  EXPECT_TRUE(coord.validate_idle_segments());
 }
 
 // SoA-filter-vs-live-signature property. The sweep's batched skip verdict
@@ -290,103 +275,85 @@ TEST(ShardDifferential, ShardedSweepPipelineEngages) {
 //   * straggler re-parks — the overcommit protocol cuts devices off
 //     mid-compute and re-parks them with their day budget refunded, so
 //     filtered pool segments churn while rounds are in flight.
-// Run the same scenario at shards {1, 4, 8} in both index modes, assert
-// those conditions actually occurred, then check per device that the
-// cached column reproduces the live signature bit for bit on the aligned
-// prefix (recomputed here the same way Coordinator::aligned_requirement_mask
+// Run the same scenario at shards {1, 4, 8}, assert those conditions
+// actually occurred, then check per device that the cached column
+// reproduces the live signature bit for bit on the aligned prefix
+// (recomputed here the same way Coordinator::aligned_requirement_mask
 // proves it) — which implies verdict equality for every wants mask the
 // sweep can see. The participation column must likewise match the Device
 // views bound over it.
 TEST(ShardDifferential, SoaFilterVerdictMatchesLiveSignatureFallback) {
-  for (const bool use_index : {true, false}) {
-    for (const std::size_t shards : {1UL, 4UL, 8UL}) {
-      const std::string label = std::string(use_index ? "index" : "scan") +
-                                " shards=" + std::to_string(shards);
-      ScenarioSpec sc;
-      sc.seed = 97;
-      sc.num_devices = 6'000;
-      sc.num_jobs = 10;
-      sc.horizon = 2.0 * kDay;
-      sc.job_trace.min_demand = 3;
-      sc.job_trace.max_demand = 12;
-      sc.set("churn", "weibull");
-      sc.use_index = use_index;
+  for (const std::size_t shards : {1UL, 4UL, 8UL}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    ScenarioSpec sc;
+    sc.seed = 97;
+    sc.num_devices = 6'000;
+    sc.num_jobs = 10;
+    sc.horizon = 2.0 * kDay;
+    sc.job_trace.min_demand = 3;
+    sc.job_trace.max_demand = 12;
+    sc.set("churn", "weibull");
 
-      const auto inputs = api::build_inputs(sc);
-      const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
-                                                   sc.churn_gen, sc.seed);
-      sim::Engine engine(Rng::derive(sc.seed, "engine"));
-      engine.set_shards(shards);
-      ResourceManager manager(PolicyRegistry::instance().create(
-          "venn", {}, Rng::derive(sc.seed, "scheduler")));
-      const protocol::OvercommitProtocol overcommit(1.5);
-      CoordinatorConfig ccfg;
-      ccfg.horizon = sc.horizon;
-      ccfg.seed = sc.seed;
-      ccfg.churn = gens.churn.get();
-      ccfg.use_index = use_index;
-      ccfg.protocol = &overcommit;
-      Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
-      coord.run();
+    const auto inputs = api::build_inputs(sc);
+    const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
+                                                 sc.churn_gen, sc.seed);
+    sim::Engine engine(Rng::derive(sc.seed, "engine"));
+    engine.set_shards(shards);
+    ResourceManager manager(PolicyRegistry::instance().create(
+        "venn", {}, Rng::derive(sc.seed, "scheduler")));
+    const protocol::OvercommitProtocol overcommit(1.5);
+    CoordinatorConfig ccfg;
+    ccfg.horizon = sc.horizon;
+    ccfg.seed = sc.seed;
+    ccfg.churn = gens.churn.get();
+    ccfg.protocol = &overcommit;
+    Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+    coord.run();
 
-      // The dynamic conditions engaged, or the property below is vacuous:
-      // requirements were registered (wants-mask growth), stragglers were
-      // released back into the pool, and at shards > 1 the batched filter
-      // pipeline actually ran.
-      const SignatureSpace& sigs = manager.signatures();
-      ASSERT_GT(sigs.size(), 0u) << label;
-      EXPECT_GT(coord.protocol_stats().stragglers_released, 0u) << label;
-      if (shards > 1) {
-        EXPECT_GT(coord.shard_stats().sharded_sweeps, 0u) << label;
-        if (use_index) {
-          EXPECT_GT(coord.shard_stats().filter_batches, 0u) << label;
-        }
-      }
+    // The dynamic conditions engaged, or the property below is vacuous:
+    // requirements were registered (wants-mask growth), stragglers were
+    // released back into the pool, and at shards > 1 the batched filter
+    // pipeline actually ran.
+    const SignatureSpace& sigs = manager.signatures();
+    ASSERT_GT(sigs.size(), 0u) << label;
+    EXPECT_GT(coord.protocol_stats().stragglers_released, 0u) << label;
+    if (shards > 1) {
+      EXPECT_GT(coord.shard_stats().sharded_sweeps, 0u) << label;
+      EXPECT_GT(coord.shard_stats().filter_batches, 0u) << label;
+    }
 
-      const FleetHotState& hot = coord.hot_state();
-      ASSERT_EQ(hot.size(), sc.num_devices) << label;
+    const FleetHotState& hot = coord.hot_state();
+    ASSERT_EQ(hot.size(), sc.num_devices) << label;
 
-      if (use_index) {
-        const EligibilityIndex* idx = coord.index();
-        ASSERT_NE(idx, nullptr) << label;
-        // Recompute the aligned prefix exactly like the coordinator does.
-        std::size_t aligned = 0;
-        const std::size_t n = std::min(idx->num_requirements(), sigs.size());
-        while (aligned < n &&
-               idx->requirement(aligned) == sigs.requirement(aligned)) {
-          ++aligned;
-        }
-        // In this scenario every manager requirement came through the
-        // register-with-index-first path, so the whole space must align —
-        // otherwise the sweep silently degraded to plain offering and the
-        // equality below would not cover the filter at all.
-        ASSERT_EQ(aligned, sigs.size()) << label;
-        const std::uint64_t amask =
-            aligned >= 64 ? ~0ULL : (1ULL << aligned) - 1;
-        for (std::size_t d = 0; d < hot.size(); ++d) {
-          const std::uint64_t live = sigs.signature_of(hot.spec[d]);
-          ASSERT_EQ(hot.signature[d] & amask, live & amask)
-              << label << " device " << d;
-        }
-      } else {
-        // Scan mode: no index writes the signature column; the sweep's
-        // verdicts come from the live fallback only and the column must
-        // have stayed untouched.
-        for (std::size_t d = 0; d < hot.size(); ++d) {
-          ASSERT_EQ(hot.signature[d], 0u) << label << " device " << d;
-        }
-      }
+    const EligibilityIndex& idx = coord.index();
+    // Recompute the aligned prefix exactly like the coordinator does.
+    std::size_t aligned = 0;
+    const std::size_t n = std::min(idx.num_requirements(), sigs.size());
+    while (aligned < n &&
+           idx.requirement(aligned) == sigs.requirement(aligned)) {
+      ++aligned;
+    }
+    // In this scenario every manager requirement came through the
+    // register-with-index-first path, so the whole space must align —
+    // otherwise the sweep silently degraded to plain offering and the
+    // equality below would not cover the filter at all.
+    ASSERT_EQ(aligned, sigs.size()) << label;
+    const std::uint64_t amask = aligned >= 64 ? ~0ULL : (1ULL << aligned) - 1;
+    for (std::size_t d = 0; d < hot.size(); ++d) {
+      const std::uint64_t live = sigs.signature_of(hot.spec[d]);
+      ASSERT_EQ(hot.signature[d] & amask, live & amask)
+          << label << " device " << d;
+    }
 
-      // The participation column is the backing store of the Device views;
-      // after refunds (straggler releases above) every slot is either the
-      // sentinel or a real day inside the run.
-      const int last_day = Device::day_of(sc.horizon);
-      for (std::size_t d = 0; d < hot.size(); ++d) {
-        const std::int32_t day = hot.participation_day[d];
-        ASSERT_TRUE(day == Device::kNeverParticipated ||
-                    (day >= -1 && day <= last_day))
-            << label << " device " << d << " day " << day;
-      }
+    // The participation column is the backing store of the Device views;
+    // after refunds (straggler releases above) every slot is either the
+    // sentinel or a real day inside the run.
+    const int last_day = Device::day_of(sc.horizon);
+    for (std::size_t d = 0; d < hot.size(); ++d) {
+      const std::int32_t day = hot.participation_day[d];
+      ASSERT_TRUE(day == Device::kNeverParticipated ||
+                  (day >= -1 && day <= last_day))
+          << label << " device " << d << " day " << day;
     }
   }
 }

@@ -6,8 +6,8 @@
 // locked in here: with `topo.sync_latency=0` and no phase spread, the
 // hierarchical run is byte-identical to the flat run — same RunResult
 // (per-job JCTs, round stats, protocol counters, assignment matrix) and
-// the same TSDB streams point for point — across round protocols, shard
-// counts and both index modes. The regional machinery still executes
+// the same TSDB streams point for point — across round protocols and
+// shard counts. The regional machinery still executes
 // (per-region supply aggregation, uplink report accounting); vacuousness
 // guards below assert that via TopologyStats, so a regression that
 // silently bypassed the hier path cannot turn this wall green by accident.
@@ -88,42 +88,38 @@ bool any_round_stat_differs(const RunResult& a, const RunResult& b) {
   return false;
 }
 
-// Zero-latency equivalence: protocols × shard counts × index modes. The
-// region count is fixed at 4 so the regional supply aggregation groups the
-// fleet into genuinely distinct slices.
+// Zero-latency equivalence: protocols × shard counts. The region count is
+// fixed at 4 so the regional supply aggregation groups the fleet into
+// genuinely distinct slices.
 TEST(TopologyDifferential, ZeroLatencyHierByteIdenticalToFlat) {
   for (const char* proto : {"sync", "overcommit", "async"}) {
     for (const std::size_t shards : {1UL, 4UL}) {
-      for (const bool use_index : {true, false}) {
-        ScenarioSpec base;
-        base.seed = 103;
-        base.num_devices = 4'000;
-        base.num_jobs = 8;
-        base.horizon = 3.0 * kDay;
-        base.job_trace.min_demand = 3;
-        base.job_trace.max_demand = 12;
-        base.set("churn", "weibull");
-        base.set("protocol", proto);
-        base.shards = shards;
-        base.use_index = use_index;
+      ScenarioSpec base;
+      base.seed = 103;
+      base.num_devices = 4'000;
+      base.num_jobs = 8;
+      base.horizon = 3.0 * kDay;
+      base.job_trace.min_demand = 3;
+      base.job_trace.max_demand = 12;
+      base.set("churn", "weibull");
+      base.set("protocol", proto);
+      base.shards = shards;
 
-        ScenarioSpec hier = base;
-        hier.set("topology", "hier");
-        hier.set("topo.regions", "4");
-        hier.set("topo.sync_latency", "0");
+      ScenarioSpec hier = base;
+      hier.set("topology", "hier");
+      hier.set("topo.regions", "4");
+      hier.set("topo.sync_latency", "0");
 
-        const std::string label = std::string(proto) +
-                                  (use_index ? "/index" : "/scan") +
-                                  " shards=" + std::to_string(shards);
-        TimeSeriesRecorder flat_rec;
-        TimeSeriesRecorder hier_rec;
-        const RunResult rf =
-            ExperimentBuilder().scenario(base).observe(flat_rec).run();
-        const RunResult rh =
-            ExperimentBuilder().scenario(hier).observe(hier_rec).run();
-        expect_identical(rf, rh, label);
-        expect_identical_streams(flat_rec, hier_rec, label);
-      }
+      const std::string label =
+          std::string(proto) + " shards=" + std::to_string(shards);
+      TimeSeriesRecorder flat_rec;
+      TimeSeriesRecorder hier_rec;
+      const RunResult rf =
+          ExperimentBuilder().scenario(base).observe(flat_rec).run();
+      const RunResult rh =
+          ExperimentBuilder().scenario(hier).observe(hier_rec).run();
+      expect_identical(rf, rh, label);
+      expect_identical_streams(flat_rec, hier_rec, label);
     }
   }
 }
@@ -133,54 +129,48 @@ TEST(TopologyDifferential, ZeroLatencyHierByteIdenticalToFlat) {
 // cross-region supply aggregation answered supply queries, result uplinks
 // were accounted, and every region saw device traffic.
 TEST(TopologyDifferential, HierMachineryEngagesAtZeroLatency) {
-  for (const bool use_index : {true, false}) {
-    ScenarioSpec sc;
-    sc.seed = 103;
-    sc.num_devices = 4'000;
-    sc.num_jobs = 8;
-    sc.horizon = 3.0 * kDay;
-    sc.job_trace.min_demand = 3;
-    sc.job_trace.max_demand = 12;
-    sc.set("churn", "weibull");
-    sc.use_index = use_index;
-    sc.set("topology", "hier");
-    sc.set("topo.regions", "4");
-    sc.set("topo.sync_latency", "0");
+  ScenarioSpec sc;
+  sc.seed = 103;
+  sc.num_devices = 4'000;
+  sc.num_jobs = 8;
+  sc.horizon = 3.0 * kDay;
+  sc.job_trace.min_demand = 3;
+  sc.job_trace.max_demand = 12;
+  sc.set("churn", "weibull");
+  sc.set("topology", "hier");
+  sc.set("topo.regions", "4");
+  sc.set("topo.sync_latency", "0");
 
-    const auto inputs = api::build_inputs(sc);
-    const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
-                                                 sc.churn_gen, sc.seed);
-    sim::Engine engine(Rng::derive(sc.seed, "engine"));
-    ResourceManager manager(PolicyRegistry::instance().create(
-        "venn", {}, Rng::derive(sc.seed, "scheduler")));
-    CoordinatorConfig ccfg;
-    ccfg.horizon = sc.horizon;
-    ccfg.seed = sc.seed;
-    ccfg.churn = gens.churn.get();
-    ccfg.use_index = use_index;
-    ccfg.topo = sc.topology_spec();
-    Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
-    coord.run();
+  const auto inputs = api::build_inputs(sc);
+  const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
+                                               sc.churn_gen, sc.seed);
+  sim::Engine engine(Rng::derive(sc.seed, "engine"));
+  ResourceManager manager(PolicyRegistry::instance().create(
+      "venn", {}, Rng::derive(sc.seed, "scheduler")));
+  CoordinatorConfig ccfg;
+  ccfg.horizon = sc.horizon;
+  ccfg.seed = sc.seed;
+  ccfg.churn = gens.churn.get();
+  ccfg.topo = sc.topology_spec();
+  Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+  coord.run();
 
-    const std::string label = use_index ? "index" : "scan";
-    ASSERT_EQ(coord.region_map().regions(), 4u) << label;
-    const auto& ts = coord.topology_stats();
-    EXPECT_GT(ts.cross_region_supply_aggs, 0u) << label;
-    EXPECT_GT(ts.uplink_reports, 0u) << label;
-    ASSERT_EQ(ts.per_region.size(), 4u) << label;
-    std::uint64_t responses = 0;
-    std::uint64_t stragglers = 0;
-    for (std::size_t r = 0; r < ts.per_region.size(); ++r) {
-      EXPECT_GT(ts.per_region[r].checkins, 0u) << label << " region " << r;
-      responses += ts.per_region[r].responses;
-      stragglers += ts.per_region[r].stragglers_released;
-    }
-    // Regional counters are a decomposition of the global protocol
-    // counters, not an independent tally.
-    EXPECT_EQ(responses, coord.protocol_stats().responses) << label;
-    EXPECT_EQ(stragglers, coord.protocol_stats().stragglers_released)
-        << label;
+  ASSERT_EQ(coord.region_map().regions(), 4u);
+  const auto& ts = coord.topology_stats();
+  EXPECT_GT(ts.cross_region_supply_aggs, 0u);
+  EXPECT_GT(ts.uplink_reports, 0u);
+  ASSERT_EQ(ts.per_region.size(), 4u);
+  std::uint64_t responses = 0;
+  std::uint64_t stragglers = 0;
+  for (std::size_t r = 0; r < ts.per_region.size(); ++r) {
+    EXPECT_GT(ts.per_region[r].checkins, 0u) << "region " << r;
+    responses += ts.per_region[r].responses;
+    stragglers += ts.per_region[r].stragglers_released;
   }
+  // Regional counters are a decomposition of the global protocol counters,
+  // not an independent tally.
+  EXPECT_EQ(responses, coord.protocol_stats().responses);
+  EXPECT_EQ(stragglers, coord.protocol_stats().stragglers_released);
 }
 
 // The knobs must matter: a 5-minute uplink latency shifts response
