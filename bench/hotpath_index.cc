@@ -4,10 +4,11 @@
 // runs a streaming-churn scenario per cell and reports events/sec,
 // per-event µs and the deterministic hot-path work counters — idle-pool
 // sweep visits and offers, supply queries, manager offers and candidate
-// entries scanned — each per event. Results are written to
-// BENCH_hotpath.json, the repo's perf trajectory; CI re-runs the quick
-// cells and fails if any cell's per-event work counter exceeds the
-// checked-in baseline (bench/baselines/hotpath_baseline.json). The
+// entries scanned — each per event, plus the event queue's peak pending
+// count. Results are written to BENCH_hotpath.json, the repo's perf
+// trajectory; CI re-runs the quick cells and fails if any cell's per-event
+// work counter or queue peak exceeds the checked-in baseline
+// (bench/baselines/hotpath_baseline.json). The
 // counters are a pure function of the simulation, not of the machine, so
 // the gate is exact and the baseline does not need to come from the CI
 // runner class (absolute ev/s varies well beyond any useful tolerance
@@ -21,7 +22,8 @@
 //
 //   --quick      CI-sized sweep: {1k, 10k} devices × {4, 16} jobs.
 //   --baseline   compare against a previous output file: exit 1 if any
-//                cell's per-event work counter exceeds the baseline's, if
+//                cell's per-event work counter or event-queue peak
+//                exceeds the baseline's, if
 //                a shard-speedup ratio regressed beyond --tolerance, or if
 //                no cell could be matched against the baseline.
 //   --repeats    run each cell N times and keep the fastest wall time —
@@ -84,6 +86,7 @@ struct CellResult {
   std::uint64_t supply_queries = 0;
   std::uint64_t offers = 0;              // manager offers (all call sites)
   std::uint64_t candidates_scanned = 0;  // manager candidate entries walked
+  std::uint64_t peak_pending = 0;  // event queue high-water mark (entries)
 };
 
 // The work counters the baseline gate bounds per event, by JSON key.
@@ -193,6 +196,7 @@ CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
   r.supply_queries = ch.supply_queries;
   r.offers = mh.offers;
   r.candidates_scanned = mh.candidates_scanned;
+  r.peak_pending = engine.queue().peak_pending();
   return r;
 }
 
@@ -285,6 +289,9 @@ void write_json(const std::string& path, double horizon_days,
                     static_cast<unsigned long long>(c.*w.field));
       out << buf;
     }
+    std::snprintf(buf, sizeof(buf), ", \"peak_pending\": %llu",
+                  static_cast<unsigned long long>(c.peak_pending));
+    out << buf;
     out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -654,6 +661,22 @@ int main(int argc, char** argv) {
                        c.devices, c.jobs, c.mode.c_str(), w.key, now, base);
           ok = false;
         }
+      }
+      // The event queue's high-water mark is a size, not a rate: gated as
+      // a raw count. Pre-scheduling every session start again (O(sessions)
+      // entries instead of O(devices + in-flight)) fails here.
+      double base_peak = 0.0;
+      if (!baseline_metric(text, c.devices, c.jobs, c.mode, "peak_pending",
+                           &base_peak)) {
+        complete = false;
+      } else if (static_cast<double>(c.peak_pending) > base_peak) {
+        std::fprintf(stderr,
+                     "FAIL: %zu devices x %zu jobs (%s): peak_pending %llu "
+                     "exceeds baseline %.0f\n",
+                     c.devices, c.jobs, c.mode.c_str(),
+                     static_cast<unsigned long long>(c.peak_pending),
+                     base_peak);
+        ok = false;
       }
       if (complete) ++work_matched;
     }

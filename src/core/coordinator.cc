@@ -352,14 +352,34 @@ void Coordinator::setup() {
       advance_device(d);
     }
   } else {
+    // Materialized: one pending start per device. Each device reserves a
+    // sequence number for every start at or before the horizon, in the
+    // (device, session) order eager scheduling used, but session k+1 enters
+    // the heap only when session k fires: the heap holds O(devices) starts
+    // instead of O(sessions), with the event order unchanged.
+    session_seq_.resize(devices_.size());
     for (std::size_t d = 0; d < devices_.size(); ++d) {
-      for (const auto& session : devices_[d].sessions()) {
-        const SimTime t = session.start;
-        if (t > cfg_.horizon) break;
-        engine_.at(t, [this, d] { attempt_checkin(d); });
-      }
+      const auto& ss = devices_[d].sessions();
+      const auto starts = std::upper_bound(
+          ss.begin(), ss.end(), cfg_.horizon,
+          [](SimTime h, const Session& s) { return h < s.start; });
+      session_seq_[d] = engine_.queue().reserve_seqs(
+          static_cast<std::uint64_t>(starts - ss.begin()));
+      schedule_session_start(d, 0);
     }
   }
+}
+
+void Coordinator::schedule_session_start(std::size_t dev_idx,
+                                         std::uint32_t k) {
+  const auto& ss = devices_[dev_idx].sessions();
+  if (k >= ss.size() || ss[k].start > cfg_.horizon) return;
+  const auto d = static_cast<std::uint32_t>(dev_idx);
+  engine_.queue().schedule_reserved(ss[k].start, session_seq_[dev_idx] + k,
+                                    [this, d, k] {
+                                      schedule_session_start(d, k + 1);
+                                      attempt_checkin(d);
+                                    });
 }
 
 bool Coordinator::external_checkin(std::size_t dev, double duration) {
@@ -505,11 +525,8 @@ SimTime Coordinator::active_session_end(std::size_t dev_idx,
     if (st.has_session && st.current.contains(now)) return st.current.end;
     return -1.0;
   }
-  for (const auto& s : devices_[dev_idx].sessions()) {
-    if (s.contains(now)) return s.end;
-    if (s.start > now) break;
-  }
-  return -1.0;
+  const Session* s = devices_[dev_idx].session_at(now);
+  return s != nullptr ? s->end : -1.0;
 }
 
 void Coordinator::schedule_job_arrival(std::size_t job_idx) {

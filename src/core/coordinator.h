@@ -331,6 +331,10 @@ class Coordinator {
   // Streaming churn: pull the device's next session and arm its check-in /
   // advance events. Called at setup and at each session end.
   void advance_device(std::size_t dev_idx);
+  // Materialized sessions: puts the check-in of the device's session `k`
+  // (if it starts by the horizon) in the queue under its reserved sequence
+  // number; when it fires it first schedules session k+1.
+  void schedule_session_start(std::size_t dev_idx, std::uint32_t k);
   // End of the session covering `now` for this device (streamed or
   // materialized), or a negative value when the device is offline.
   [[nodiscard]] SimTime active_session_end(std::size_t dev_idx,
@@ -496,6 +500,10 @@ class Coordinator {
   };
   std::vector<DeviceStream> streams_;
   std::uint64_t sessions_streamed_ = 0;
+
+  // Materialized sessions: the reserved sequence number of each device's
+  // first session start (session k uses session_seq_[d] + k).
+  std::vector<std::uint64_t> session_seq_;
 
   // Open-loop state: job specs sampled as arrivals fire.
   Rng mix_rng_{0};

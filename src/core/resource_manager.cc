@@ -164,21 +164,22 @@ std::optional<AssignOutcome> ResourceManager::try_assign(
   ++hstats_.offers;
 
   // Candidate enumeration walks only the (cached, id-ordered) entries whose
-  // request still wants devices — no per-offer materialization.
-  std::vector<PendingJob> candidates;
+  // request still wants devices — no per-offer materialization, and the
+  // buffer's capacity is reused across offers.
+  candidates_.clear();
   if (wants_dirty_) refresh_queue_cache();
   for (const JobEntry* e : wanting_) {
     ++hstats_.candidates_scanned;
     const auto& req = e->job->request();
     if (!req || !req->wants_devices()) continue;
     if (!((view.signature >> e->group) & 1ULL)) continue;
-    candidates.push_back(make_pending(*e));
+    candidates_.push_back(make_pending(*e));
   }
-  if (candidates.empty()) return std::nullopt;
+  if (candidates_.empty()) return std::nullopt;
 
-  const auto pick = scheduler_->assign(view, candidates, now);
+  const auto pick = scheduler_->assign(view, candidates_, now);
   if (!pick) return std::nullopt;
-  const PendingJob& winner = candidates.at(*pick);
+  const PendingJob& winner = candidates_.at(*pick);
 
   JobEntry& e = jobs_.at(winner.job);
   RoundRequest& req = e.job->mutable_request();

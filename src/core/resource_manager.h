@@ -190,6 +190,7 @@ class ResourceManager {
   // Entries with a device-wanting open request, ascending id.
   mutable std::vector<JobEntry*> wanting_;
   mutable HotpathStats hstats_;
+  std::vector<PendingJob> candidates_;  // try_assign's per-offer buffer
 
   void refresh_queue_cache() const;  // recomputes wants_mask_ + wanting_
 };

@@ -1,6 +1,7 @@
 #include "device/device.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace venn {
@@ -15,6 +16,15 @@ Device::Device(DeviceId id, DeviceSpec spec, std::vector<Session> sessions)
       throw std::invalid_argument("Device: overlapping sessions");
     }
   }
+}
+
+const Session* Device::session_at(SimTime t) const {
+  const auto after = std::upper_bound(
+      sessions_.begin(), sessions_.end(), t,
+      [](SimTime x, const Session& s) { return x < s.start; });
+  if (after == sessions_.begin()) return nullptr;
+  const Session& s = *std::prev(after);
+  return s.contains(t) ? &s : nullptr;
 }
 
 double Device::speed() const {

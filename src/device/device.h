@@ -85,6 +85,11 @@ class Device {
     return sessions_;
   }
   [[nodiscard]] bool has_sessions() const { return !sessions_.empty(); }
+  // The session containing `t`, or nullptr when the device is offline.
+  // O(log sessions): the constructor guarantees sorted, non-empty,
+  // non-overlapping sessions, so only the last one starting at or before
+  // `t` can contain it.
+  [[nodiscard]] const Session* session_at(SimTime t) const;
 
   // Relative execution speed in (0, 1]: a speed-1.0 device finishes a task
   // in its nominal duration; slower devices take proportionally longer.

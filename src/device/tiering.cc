@@ -39,21 +39,33 @@ void TierProfile::set_external_thresholds(std::vector<double> thresholds) {
 
 std::vector<double> TierProfile::thresholds() const {
   if (!external_thresholds_.empty()) return external_thresholds_;
+  return quantile_thresholds();
+}
+
+std::vector<double> TierProfile::quantile_thresholds() const {
   if (!ready()) throw std::logic_error("TierProfile not ready");
-  Summary cap{std::span<const double>(capacities_)};
+  std::vector<double> cap = capacities_;
   std::vector<double> th;
   th.reserve(num_tiers_ + 1);
   th.push_back(0.0);
   for (std::size_t v = 1; v < num_tiers_; ++v) {
-    th.push_back(cap.percentile(100.0 * static_cast<double>(v) /
-                                static_cast<double>(num_tiers_)));
+    th.push_back(percentile_select(cap, 100.0 * static_cast<double>(v) /
+                                            static_cast<double>(num_tiers_)));
   }
   th.push_back(1.0 + 1e-12);
   return th;
 }
 
 std::size_t TierProfile::tier_of(double capacity) const {
-  const auto th = thresholds();
+  // Pinned thresholds are read in place: this runs on every accepts().
+  if (external_thresholds_.empty()) {
+    return tier_in(quantile_thresholds(), capacity);
+  }
+  return tier_in(external_thresholds_, capacity);
+}
+
+std::size_t TierProfile::tier_in(const std::vector<double>& th,
+                                 double capacity) const {
   for (std::size_t v = num_tiers_; v-- > 0;) {
     if (capacity >= th[v]) return v;
   }
@@ -63,18 +75,17 @@ std::size_t TierProfile::tier_of(double capacity) const {
 double TierProfile::speedup(std::size_t tier) const {
   if (tier >= num_tiers_) throw std::out_of_range("tier index");
   const auto th = thresholds();
-  Summary in_tier;
-  Summary all;
+  std::vector<double> in_tier;
   for (std::size_t i = 0; i < capacities_.size(); ++i) {
-    all.add(response_times_[i]);
     if (capacities_[i] >= th[tier] && capacities_[i] < th[tier + 1]) {
-      in_tier.add(response_times_[i]);
+      in_tier.push_back(response_times_[i]);
     }
   }
-  if (in_tier.empty() || all.empty()) return 1.0;
-  const double t0 = all.percentile(tail_percentile_);
+  if (in_tier.empty() || response_times_.empty()) return 1.0;
+  std::vector<double> all = response_times_;
+  const double t0 = percentile_select(all, tail_percentile_);
   if (t0 <= 0.0) return 1.0;
-  return in_tier.percentile(tail_percentile_) / t0;
+  return percentile_select(in_tier, tail_percentile_) / t0;
 }
 
 std::optional<double> TierProfile::tail_response_time() const {

@@ -68,6 +68,11 @@ class TierProfile {
   [[nodiscard]] std::optional<double> tail_response_time() const;
 
  private:
+  // thresholds() derived from the observed capacity quantiles.
+  [[nodiscard]] std::vector<double> quantile_thresholds() const;
+  [[nodiscard]] std::size_t tier_in(const std::vector<double>& th,
+                                    double capacity) const;
+
   std::size_t num_tiers_;
   double tail_percentile_;
   std::vector<double> capacities_;

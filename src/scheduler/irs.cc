@@ -20,8 +20,10 @@ struct GroupWork {
 
 }  // namespace
 
-std::vector<std::size_t> IrsPlan::order_for(std::uint64_t signature) const {
-  if (signature == 0) return {};
+const std::vector<std::size_t>& IrsPlan::order_for(
+    std::uint64_t signature, std::vector<std::size_t>& scratch) const {
+  scratch.clear();
+  if (signature == 0) return scratch;
   auto it = atom_order.find(signature);
   if (it != atom_order.end()) return it->second;
 
@@ -31,18 +33,17 @@ std::vector<std::size_t> IrsPlan::order_for(std::uint64_t signature) const {
   // entry — are excluded deliberately: a device can only be ordered across
   // groups the plan knows about. tests/irs_test.cc pins this down for an
   // unseen atom whose signature carries an inactive-group bit.
-  std::vector<std::size_t> order;
   for (std::uint64_t bits = signature; bits != 0; bits &= bits - 1) {
     const auto g = static_cast<std::size_t>(std::countr_zero(bits));
-    if (supply_rate.contains(g)) order.push_back(g);
+    if (supply_rate.contains(g)) scratch.push_back(g);
   }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  std::sort(scratch.begin(), scratch.end(), [&](std::size_t a, std::size_t b) {
     const double sa = supply_rate.at(a);
     const double sb = supply_rate.at(b);
     if (sa != sb) return sa < sb;
     return a < b;
   });
-  return order;
+  return scratch;
 }
 
 IrsPlan compute_irs_plan(std::span<const GroupInput> groups,

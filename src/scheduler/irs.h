@@ -26,9 +26,10 @@
 // due to tier filtering or a queue drained since the last recompute).
 //
 // Complexity: O(n^2 · a) for n groups and a atoms (a <= 2^n but in practice
-// a handful); the per-device lookup is O(1) into the plan. Combined with
-// the O(m log m) intra-group sort this matches the paper's
-// max(O(m log m), O(n^2)) bound.
+// a handful); the per-device lookup is O(1) into the plan. The paper bounds
+// the whole decision by max(O(m log m), O(n^2)) for m jobs; the scheduler's
+// intra-group step needs only each group's two best jobs (the served head
+// and its runner-up), which VennScheduler::assign finds in O(m).
 #pragma once
 
 #include <cstdint>
@@ -59,14 +60,16 @@ struct IrsPlan {
   std::unordered_map<std::size_t, double> supply_rate;
   std::unordered_map<std::size_t, double> allocated_rate;
 
-  // Service order for a device with the given (active-restricted) signature.
-  // Falls back to scarcest-first over the signature's groups when the exact
-  // atom was not part of the plan input (e.g. first device of its kind).
-  // Signature bits referencing groups the plan does not know (inactive
-  // groups — no supply_rate entry) are ignored: only plan groups can be
-  // ordered. Iterates the signature's set bits, not all 64 positions.
-  [[nodiscard]] std::vector<std::size_t> order_for(
-      std::uint64_t signature) const;
+  // Service order for a device with the given (active-restricted) signature:
+  // a reference to the plan's own order for a known atom, no copy. Falls
+  // back to scarcest-first over the signature's groups when the exact atom
+  // was not part of the plan input (e.g. first device of its kind); that
+  // order is built in `scratch` and a reference to it returned. Signature
+  // bits referencing groups the plan does not know (inactive groups — no
+  // supply_rate entry) are ignored: only plan groups can be ordered.
+  // Iterates the signature's set bits, not all 64 positions.
+  [[nodiscard]] const std::vector<std::size_t>& order_for(
+      std::uint64_t signature, std::vector<std::size_t>& scratch) const;
 };
 
 // Computes the IRS plan. `atoms` may include signatures with bits outside

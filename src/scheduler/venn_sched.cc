@@ -1,6 +1,7 @@
 #include "scheduler/venn_sched.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -36,19 +37,21 @@ void VennScheduler::on_device_checkin(const DeviceView& dev, SimTime now) {
   }
 }
 
-std::vector<double> VennScheduler::group_thresholds(std::size_t g) const {
+std::vector<double> VennScheduler::group_thresholds(std::size_t g) {
   auto it = group_caps_.find(g);
   if (it == group_caps_.end() || it->second.size() < 10 * cfg_.num_tiers) {
     return {};
   }
-  std::vector<double> caps(it->second.begin(), it->second.end());
-  Summary s{std::span<const double>(caps)};
+  // Selection, not a sort: each quantile reads at most two order
+  // statistics of the reservoir (bit-equal to Summary::percentile).
+  caps_scratch_.assign(it->second.begin(), it->second.end());
   std::vector<double> th;
   th.reserve(cfg_.num_tiers + 1);
   th.push_back(0.0);
   for (std::size_t v = 1; v < cfg_.num_tiers; ++v) {
-    th.push_back(s.percentile(100.0 * static_cast<double>(v) /
-                              static_cast<double>(cfg_.num_tiers)));
+    th.push_back(percentile_select(caps_scratch_,
+                                   100.0 * static_cast<double>(v) /
+                                       static_cast<double>(cfg_.num_tiers)));
   }
   th.push_back(1.0 + 1e-12);
   // Guard against degenerate (non-ascending) quantiles on flat reservoirs.
@@ -173,87 +176,95 @@ double VennScheduler::sort_key(const PendingJob& pj) const {
   return it != fairness_mult_.end() ? base * it->second : base;
 }
 
+namespace {
+
+// A candidate's position and its order: (key, job id) ascending.
+struct Ranked {
+  std::size_t idx = 0;
+  double key = 0.0;
+  JobId job;
+
+  [[nodiscard]] bool before(const Ranked& o) const {
+    return key != o.key ? key < o.key : job < o.job;
+  }
+};
+
+// The two best candidates of one group: the head (the served job, the only
+// one a tier filter may reject) and its runner-up. Nothing past the
+// runner-up is ever read, so no sort is needed.
+struct BestTwo {
+  Ranked top[2];
+  std::size_t n = 0;
+
+  void offer(const Ranked& r) {
+    if (n == 0) {
+      top[0] = r;
+    } else if (r.before(top[0])) {
+      top[1] = top[0];
+      top[0] = r;
+    } else if (n == 1 || r.before(top[1])) {
+      top[1] = r;
+    }
+    n = std::min<std::size_t>(n + 1, 2);
+  }
+};
+
+}  // namespace
+
 std::optional<std::size_t> VennScheduler::assign(
     const DeviceView& dev, std::span<const PendingJob> candidates,
-    SimTime now) {
+    SimTime /*now*/) {
   if (candidates.empty()) throw std::invalid_argument("no candidates");
 
-  // Candidate indices grouped by job group, each group sorted by the
-  // (fairness-adjusted) remaining demand — Algorithm 1 line 3.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> by_group;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    by_group[candidates[i].group].push_back(i);
-  }
-  for (auto& [g, idxs] : by_group) {
-    (void)g;
-    std::sort(idxs.begin(), idxs.end(), [&](std::size_t a, std::size_t b) {
-      const double ka = sort_key(candidates[a]);
-      const double kb = sort_key(candidates[b]);
-      if (ka != kb) return ka < kb;
-      return candidates[a].job < candidates[b].job;
-    });
-  }
-
-  // Group service order: the IRS plan for this device's atom, or FIFO-ish
-  // (arrival of each group's head job) when scheduling is disabled.
-  std::vector<std::size_t> group_order;
-  if (cfg_.enable_scheduling) {
-    const std::uint64_t sig = dev.signature & active_mask_;
-    for (std::size_t g : plan_.order_for(sig)) {
-      if (by_group.contains(g)) group_order.push_back(g);
-    }
-    // Groups that never appeared in the plan (e.g. stale plan): append.
-    for (const auto& [g, _] : by_group) {
-      if (std::find(group_order.begin(), group_order.end(), g) ==
-          group_order.end()) {
-        group_order.push_back(g);
-      }
-    }
-  } else {
-    // "Venn w/o sched": FIFO across all candidates, ignoring groups.
-    group_order.clear();
-    std::vector<std::size_t> all(candidates.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    std::sort(all.begin(), all.end(), [&](std::size_t a, std::size_t b) {
-      if (candidates[a].job_arrival != candidates[b].job_arrival) {
-        return candidates[a].job_arrival < candidates[b].job_arrival;
-      }
-      return candidates[a].job < candidates[b].job;
-    });
-    // Treat the FIFO order as one flat pseudo-group.
-    const double capacity = dev.spec.capacity();
-    for (std::size_t pos = 0; pos < all.size(); ++pos) {
-      const auto& pj = candidates[all[pos]];
-      if (cfg_.enable_matching && pos == 0) {
-        const auto mit = matchers_.find(pj.job);
-        if (mit != matchers_.end() && !mit->second->accepts(capacity)) {
-          ++mstats_.devices_filtered;
-          continue;  // head job filters; leftovers flow to later jobs
-        }
-      }
-      return all[pos];
-    }
-    return std::nullopt;
-  }
-
+  // Serve a group: its head, unless the head's tier filter rejects this
+  // device (§4.3: "The matching algorithm is activated only for jobs that
+  // are currently served"); then the leftover tier flows to the runner-up.
   const double capacity = dev.spec.capacity();
-  (void)now;
-  for (std::size_t g : group_order) {
-    const auto& idxs = by_group.at(g);
-    for (std::size_t pos = 0; pos < idxs.size(); ++pos) {
-      const auto& pj = candidates[idxs[pos]];
-      // Tier filtering applies to the *served* job — the head of the group
-      // order (§4.3: "The matching algorithm is activated only for jobs that
-      // are currently served"). Leftover tiers flow to subsequent jobs.
-      if (cfg_.enable_matching && pos == 0) {
-        const auto mit = matchers_.find(pj.job);
-        if (mit != matchers_.end() && !mit->second->accepts(capacity)) {
-          ++mstats_.devices_filtered;
-          continue;
-        }
+  const auto serve = [&](const BestTwo& b) -> std::optional<std::size_t> {
+    if (cfg_.enable_matching) {
+      const JobMatcher* m = matcher(b.top[0].job);
+      if (m != nullptr && !m->accepts(capacity)) {
+        ++mstats_.devices_filtered;
+        if (b.n < 2) return std::nullopt;
+        return b.top[1].idx;
       }
-      return idxs[pos];
     }
+    return b.top[0].idx;
+  };
+
+  if (!cfg_.enable_scheduling) {
+    // "Venn w/o sched": FIFO by job arrival across all candidates, as one
+    // flat pseudo-group.
+    BestTwo fifo;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      fifo.offer({i, candidates[i].job_arrival, candidates[i].job});
+    }
+    return serve(fifo);
+  }
+
+  // Each group's two best jobs by (fairness-adjusted) remaining demand —
+  // Algorithm 1 line 3 — with every sort key computed once.
+  std::array<BestTwo, 64> best;  // by group index
+  std::uint64_t present = 0;      // groups with a candidate
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const PendingJob& pj = candidates[i];
+    if (pj.group >= 64) throw std::out_of_range("group index >= 64");
+    best[pj.group].offer({i, sort_key(pj), pj.job});
+    present |= 1ULL << pj.group;
+  }
+
+  // Group service order: the IRS plan for this device's atom.
+  std::uint64_t left = present;
+  const std::uint64_t sig = dev.signature & active_mask_;
+  for (std::size_t g : plan_.order_for(sig, order_scratch_)) {
+    if (!((left >> g) & 1ULL)) continue;
+    left &= ~(1ULL << g);
+    if (const auto pick = serve(best[g])) return pick;
+  }
+  // Groups the plan lacks (a stale plan): ascending group index.
+  for (; left != 0; left &= left - 1) {
+    const auto g = static_cast<std::size_t>(std::countr_zero(left));
+    if (const auto pick = serve(best[g])) return pick;
   }
   return std::nullopt;
 }

@@ -79,13 +79,20 @@ class VennScheduler final : public Scheduler {
     return supply_;
   }
   [[nodiscard]] const VennConfig& config() const { return cfg_; }
+  // Intra-group order of a candidate: its live remaining demand (per the
+  // ordering scope) times the fairness multiplier of the last queue change.
+  [[nodiscard]] double sort_key(const PendingJob& pj) const;
+  // The job's tier matcher, or nullptr before the scheduler has seen it.
+  [[nodiscard]] const JobMatcher* matcher(JobId job) const {
+    const auto it = matchers_.find(job);
+    return it != matchers_.end() ? it->second.get() : nullptr;
+  }
 
  private:
   JobMatcher& matcher_for(JobId job);
-  [[nodiscard]] double sort_key(const PendingJob& pj) const;
   // Tier thresholds partitioning group `g`'s eligible check-in population
   // into num_tiers equal-count bands; empty until enough check-ins.
-  [[nodiscard]] std::vector<double> group_thresholds(std::size_t g) const;
+  [[nodiscard]] std::vector<double> group_thresholds(std::size_t g);
 
   VennConfig cfg_;
   Rng rng_;
@@ -107,6 +114,8 @@ class VennScheduler final : public Scheduler {
   // eligible-population tier thresholds (§4.3).
   static constexpr std::size_t kCapReservoir = 2048;
   std::unordered_map<std::size_t, std::deque<double>> group_caps_;
+  std::vector<double> caps_scratch_;         // group_thresholds' selection
+  std::vector<std::size_t> order_scratch_;  // IrsPlan::order_for fallback
   std::uint64_t queue_changes_ = 0;  // drives periodic tsdb compaction
 };
 

@@ -118,20 +118,21 @@ void LineServer::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Closing the listener kicks accept() out of its blocking call. The live
-  // connection is shut for reading only: a blocked read() returns, but a
-  // reply the daemon already produced — the ack of the `shutdown` or
-  // `drain` that ended the loop — is still written before the serving
-  // thread lets go of the socket.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Shutting the listener down kicks accept() out of its blocking call; it
+  // is closed only after the serving thread, which reads listen_fd_, has
+  // been joined. The live connection is shut for reading only: a blocked
+  // read() returns, but a reply the daemon already produced — the ack of
+  // the `shutdown` or `drain` that ended the loop — is still written
+  // before the serving thread lets go of the socket.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   const int conn = conn_fd_.exchange(-1);
   if (conn >= 0) ::shutdown(conn, SHUT_RD);
   if (thread_.joinable()) thread_.join();
   if (conn >= 0) ::close(conn);
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
 }
 
 void LineServer::serve() {

@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace venn::sim {
@@ -10,21 +11,39 @@ void EventHandle::cancel() {
 
 bool EventHandle::active() const { return cancelled_ && !*cancelled_; }
 
-EventHandle EventQueue::schedule(SimTime t, EventFn fn) {
-  if (t < now_) {
+void EventQueue::push(Entry e) {
+  if (e.t < now_) {
     throw std::invalid_argument("EventQueue::schedule: time in the past");
   }
-  queue_.push({t, next_seq_++, std::move(fn), nullptr});
+  queue_.push(std::move(e));
+  peak_pending_ = std::max(peak_pending_, queue_.size());
+}
+
+EventHandle EventQueue::schedule(SimTime t, EventFn fn) {
+  push({t, next_seq_, std::move(fn), nullptr});
+  ++next_seq_;  // after push: a rejected time consumes no sequence number
   return EventHandle();  // inert: no cancellation state allocated
 }
 
 EventHandle EventQueue::schedule_cancellable(SimTime t, EventFn fn) {
-  if (t < now_) {
-    throw std::invalid_argument("EventQueue::schedule: time in the past");
-  }
   auto flag = std::make_shared<bool>(false);
-  queue_.push({t, next_seq_++, std::move(fn), flag});
+  push({t, next_seq_, std::move(fn), flag});
+  ++next_seq_;
   return EventHandle(std::move(flag));
+}
+
+std::uint64_t EventQueue::reserve_seqs(std::uint64_t n) {
+  const std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
+void EventQueue::schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn) {
+  if (seq >= next_seq_) {
+    throw std::invalid_argument(
+        "EventQueue::schedule_reserved: sequence number not reserved");
+  }
+  push({t, seq, std::move(fn), nullptr});
 }
 
 EventHandle EventQueue::schedule_after(SimTime delay, EventFn fn) {

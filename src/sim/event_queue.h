@@ -49,6 +49,19 @@ class EventQueue {
   // As schedule(), but the handle can cancel the event (lazy deletion).
   EventHandle schedule_cancellable(SimTime t, EventFn fn);
 
+  // Reserves `n` consecutive sequence numbers and returns the first. An
+  // event later scheduled with schedule_reserved(t, first + i, fn) orders
+  // exactly as if schedule(t, fn) had been called at reservation time: a
+  // source with many known future events (a device's trace sessions) keeps
+  // only its next one in the heap yet replays the eager order bit for bit.
+  std::uint64_t reserve_seqs(std::uint64_t n);
+
+  // Schedules `fn` at `t` under a sequence number from reserve_seqs. Each
+  // reserved number must be used at most once, and for an order identical
+  // to eager scheduling, before any event with a larger (t, seq) key runs.
+  // Throws if `t` is in the past or `seq` was never reserved.
+  void schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn);
+
   // Convenience: schedule at now() + delay.
   EventHandle schedule_after(SimTime delay, EventFn fn);
 
@@ -67,6 +80,9 @@ class EventQueue {
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  // Largest number of heap entries held at once (lazily cancelled entries
+  // included): the queue's memory high-water mark.
+  [[nodiscard]] std::size_t peak_pending() const { return peak_pending_; }
 
  private:
   struct Entry {
@@ -83,11 +99,13 @@ class EventQueue {
   };
 
   void drop_cancelled();
+  void push(Entry e);
 
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::size_t peak_pending_ = 0;
 };
 
 }  // namespace venn::sim

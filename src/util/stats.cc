@@ -99,16 +99,46 @@ void Summary::ensure_sorted() const {
   sorted_.store(true, std::memory_order_release);
 }
 
-double Summary::percentile(double p) const {
-  if (samples_.empty()) throw std::logic_error("percentile of empty Summary");
+namespace {
+
+// Where percentile p falls among n sorted samples: the two neighbouring
+// ranks and the interpolation weight of the upper one.
+struct Rank {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+
+Rank rank_of(double p, std::size_t n) {
+  if (n == 0) throw std::logic_error("percentile of empty Summary");
   if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile range");
+  const double rank = (p / 100.0) * static_cast<double>(n - 1);
+  Rank r;
+  r.lo = static_cast<std::size_t>(std::floor(rank));
+  r.hi = static_cast<std::size_t>(std::ceil(rank));
+  r.frac = rank - static_cast<double>(r.lo);
+  return r;
+}
+
+}  // namespace
+
+double Summary::percentile(double p) const {
+  const Rank r = rank_of(p, samples_.size());
   ensure_sorted();
   if (samples_.size() == 1) return samples_.front();
-  const double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  return samples_[r.lo] * (1.0 - r.frac) + samples_[r.hi] * r.frac;
+}
+
+double percentile_select(std::span<double> values, double p) {
+  const Rank r = rank_of(p, values.size());
+  if (values.size() == 1) return values.front();
+  const auto lo = values.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(values.begin(), lo, values.end());
+  // hi is lo or lo + 1; the (lo+1)-th order statistic is the minimum of
+  // the partition above lo.
+  const double hi =
+      r.hi == r.lo ? *lo : *std::min_element(lo + 1, values.end());
+  return *lo * (1.0 - r.frac) + hi * r.frac;
 }
 
 std::vector<CdfPoint> empirical_cdf(std::span<const double> samples,

@@ -66,6 +66,13 @@ class Summary {
   mutable std::atomic<bool> sorted_{true};
 };
 
+// Summary::percentile(p) of `values` without sorting them: selects the one
+// or two order statistics the linear interpolation reads (nth_element, then
+// min_element over the upper partition), so the result is bit-equal to the
+// sorted path in O(n). Reorders `values`; the same buffer may be queried
+// again for another percentile. Requires non-empty, p in [0, 100].
+[[nodiscard]] double percentile_select(std::span<double> values, double p);
+
 // An empirical CDF over the given samples, evaluated at `points` equally
 // spaced quantiles; used to print figure series (e.g. Fig. 8b).
 struct CdfPoint {

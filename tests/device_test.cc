@@ -2,6 +2,8 @@
 // tier profiling (Algorithm 2 substrate).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "device/device.h"
 #include "device/eligibility.h"
 #include "device/tiering.h"
@@ -90,6 +92,37 @@ TEST(Device, ValidatesSessions) {
   // Valid: sorted, non-overlapping.
   const Device d(DeviceId(0), {0.5, 0.5}, {{0.0, 5.0}, {6.0, 8.0}});
   EXPECT_EQ(d.sessions().size(), 2u);
+}
+
+TEST(Device, SessionAtMatchesLinearScan) {
+  // Adjacent sessions (end == next start), gaps and a session before t=0.
+  const std::vector<Session> sessions{{-50.0, 0.0},  {0.0, 10.0},
+                                      {10.0, 25.0},  {40.0, 41.0},
+                                      {100.0, 200.0}, {200.0, 201.0}};
+  const Device d(DeviceId(0), DeviceSpec{0.5, 0.5}, sessions);
+  const auto scan = [&](SimTime t) -> const Session* {
+    for (const auto& s : d.sessions()) {
+      if (s.contains(t)) return &s;
+      if (s.start > t) break;
+    }
+    return nullptr;
+  };
+  std::vector<SimTime> probes{-1e9, 1e9};
+  for (const auto& s : sessions) {
+    for (SimTime t : {s.start, s.end, 0.5 * (s.start + s.end),
+                      std::nextafter(s.start, -1e18),
+                      std::nextafter(s.end, -1e18)}) {
+      probes.push_back(t);
+    }
+  }
+  probes.insert(probes.end(), {30.0, 60.0, 201.5});  // gaps and the tail
+  Rng rng(5);
+  for (int i = 0; i < 500; ++i) probes.push_back(rng.uniform(-60.0, 210.0));
+  for (SimTime t : probes) EXPECT_EQ(d.session_at(t), scan(t)) << "t=" << t;
+  EXPECT_EQ(d.session_at(10.0), &d.sessions()[2]);  // end == next start
+  EXPECT_EQ(d.session_at(30.0), nullptr);           // gap
+  const Device none(DeviceId(1), DeviceSpec{0.5, 0.5}, {});
+  EXPECT_EQ(none.session_at(0.0), nullptr);
 }
 
 TEST(Device, SpeedIncreasesWithCapacity) {

@@ -204,8 +204,9 @@ IrsToyOutcome evaluate_irs_plan(const std::vector<ToyJob>& jobs,
   std::vector<int> remaining;
   remaining.reserve(jobs.size());
   for (const auto& j : jobs) remaining.push_back(j.demand);
+  std::vector<std::size_t> scratch;
   for (std::size_t d = 0; d < devices.size(); ++d) {
-    for (const std::size_t g : plan.order_for(devices[d].eligible)) {
+    for (const std::size_t g : plan.order_for(devices[d].eligible, scratch)) {
       if (remaining[g] <= 0) continue;
       --remaining[g];
       out.assignment[d] = static_cast<int>(g);

@@ -141,19 +141,20 @@ TEST(Irs, OrderForUnseenSignatureIgnoresInactiveGroupBits) {
   const IrsPlan plan = compute_irs_plan(groups, atoms);
 
   // Bit 9 belongs to no active group; {G, C, 9} was never a plan atom.
+  std::vector<std::size_t> scratch;
   const auto order =
-      plan.order_for((1ULL << G) | (1ULL << C) | (1ULL << 9));
+      plan.order_for((1ULL << G) | (1ULL << C) | (1ULL << 9), scratch);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], C);  // scarcest active group first (0.1 < 1.0)
   EXPECT_EQ(order[1], G);
   // Only inactive bits: no group the plan can serve.
-  EXPECT_TRUE(plan.order_for(1ULL << 9).empty());
+  EXPECT_TRUE(plan.order_for(1ULL << 9, scratch).empty());
   // An active group with zero recorded supply still appears (supply_rate
   // carries every plan group, even at rate 0).
   std::vector<GroupInput> groups2{{G, 1.0}, {C, 1.0}};
   std::vector<AtomSupply> atoms2{{(1ULL << G), 0.4}};
   const IrsPlan plan2 = compute_irs_plan(groups2, atoms2);
-  const auto order2 = plan2.order_for((1ULL << C) | (1ULL << 9));
+  const auto order2 = plan2.order_for((1ULL << C) | (1ULL << 9), scratch);
   ASSERT_EQ(order2.size(), 1u);
   EXPECT_EQ(order2[0], C);
 }
@@ -164,10 +165,11 @@ TEST(Irs, OrderForUnseenSignatureFallsBackToScarcity) {
                                 {(1ULL << G) | (1ULL << C), 0.1}};
   const IrsPlan plan = compute_irs_plan(groups, atoms);
   // Signature never seen as an atom: C-only devices.
-  const auto order = plan.order_for(1ULL << C);
+  std::vector<std::size_t> scratch;
+  const auto order = plan.order_for(1ULL << C, scratch);
   ASSERT_EQ(order.size(), 1u);
   EXPECT_EQ(order[0], C);
-  EXPECT_TRUE(plan.order_for(0).empty());
+  EXPECT_TRUE(plan.order_for(0, scratch).empty());
 }
 
 TEST(Irs, MasksAtomsOutsideActiveGroups) {

@@ -115,6 +115,59 @@ TEST(EventQueue, EmptyAfterDrain) {
   EXPECT_FALSE(q.next_time().has_value());
 }
 
+TEST(EventQueue, ReservedSeqOrdersAsIfScheduledEagerly) {
+  // Eager: A and C are scheduled first, B after them, all at t=5; the
+  // sequence numbers break the tie A, C, B.
+  std::vector<char> eager;
+  {
+    EventQueue q;
+    q.schedule(5.0, [&] { eager.push_back('A'); });
+    q.schedule(5.0, [&] { eager.push_back('C'); });
+    q.schedule(1.0, [] {});
+    q.schedule(5.0, [&] { eager.push_back('B'); });
+    q.run();
+  }
+  // Reserved: A takes its number eagerly, C's is reserved up front but C
+  // enters the heap only at t=1, after B was scheduled.
+  std::vector<char> lazy;
+  {
+    EventQueue q;
+    q.schedule(5.0, [&] { lazy.push_back('A'); });
+    const std::uint64_t c = q.reserve_seqs(1);
+    q.schedule(1.0, [&] {
+      q.schedule_reserved(5.0, c, [&] { lazy.push_back('C'); });
+    });
+    q.schedule(5.0, [&] { lazy.push_back('B'); });
+    EXPECT_EQ(q.pending(), 3u);
+    q.run();
+    EXPECT_EQ(q.executed(), 4u);
+  }
+  EXPECT_EQ(lazy, (std::vector<char>{'A', 'C', 'B'}));
+  EXPECT_EQ(lazy, eager);
+}
+
+TEST(EventQueue, ScheduleReservedRejectsPastTimeAndUnreservedSeq) {
+  EventQueue q;
+  const std::uint64_t first = q.reserve_seqs(2);
+  q.schedule(10.0, [] {});
+  q.run();
+  EXPECT_THROW(q.schedule_reserved(9.0, first, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_reserved(11.0, first + 3, [] {}),
+               std::invalid_argument);
+  q.schedule_reserved(10.0, first + 1, [] {});
+  EXPECT_EQ(q.pending(), 1u);
+}
+
+TEST(EventQueue, PeakPendingIsTheHighWaterMark) {
+  EventQueue q;
+  EXPECT_EQ(q.peak_pending(), 0u);
+  for (int i = 0; i < 5; ++i) q.schedule(static_cast<double>(i), [] {});
+  q.run();
+  q.schedule(10.0, [] {});
+  q.run();
+  EXPECT_EQ(q.peak_pending(), 5u);
+}
+
 TEST(Engine, PeriodicTaskStopsOnFalse) {
   Engine e(1);
   int ticks = 0;

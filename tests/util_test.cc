@@ -189,6 +189,41 @@ TEST(Summary, AddAfterPercentileResorts) {
   EXPECT_DOUBLE_EQ(s.median(), 5.0);
 }
 
+TEST(PercentileSelect, BitEqualToSummaryPercentile) {
+  Rng rng(11);
+  const std::vector<double> ps{0.0, 100.0, 50.0, 95.0, 33.3, 66.7, 99.9};
+  for (int round = 0; round < 200; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+    std::vector<double> v(n);
+    for (double& x : v) {
+      // Half the rounds draw from 5 values: heavy duplicates.
+      x = (round % 2 == 0) ? rng.uniform(-10.0, 10.0)
+                           : static_cast<double>(rng.uniform_int(0, 4));
+    }
+    const Summary s{std::span<const double>(v)};
+    std::vector<double> scratch = v;  // re-queried without a reset
+    for (double p : ps) {
+      EXPECT_EQ(percentile_select(scratch, p), s.percentile(p))
+          << "n=" << n << " p=" << p;
+      std::vector<double> fresh = v;
+      EXPECT_EQ(percentile_select(fresh, p), s.percentile(p));
+    }
+    const double p = rng.uniform(0.0, 100.0);
+    EXPECT_EQ(percentile_select(scratch, p), s.percentile(p));
+  }
+  std::vector<double> one{3.5};
+  EXPECT_EQ(percentile_select(one, 0.0), 3.5);
+  EXPECT_EQ(percentile_select(one, 100.0), 3.5);
+}
+
+TEST(PercentileSelect, ChecksInputLikeSummary) {
+  std::vector<double> empty;
+  EXPECT_THROW((void)percentile_select(empty, 50.0), std::logic_error);
+  std::vector<double> v{1.0, 2.0};
+  EXPECT_THROW((void)percentile_select(v, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile_select(v, 100.5), std::invalid_argument);
+}
+
 TEST(EmpiricalCdf, MonotoneAndComplete) {
   std::vector<double> xs{5, 1, 3, 2, 4};
   const auto cdf = empirical_cdf(xs, 5);
