@@ -40,7 +40,6 @@
 
 #include "api/live.h"
 #include "service/client.h"
-#include "service/codec.h"
 #include "service/daemon.h"
 #include "service/dump.h"
 #include "service/server.h"
@@ -127,18 +126,13 @@ int run_serve(int argc, char** argv) {
     opts.resume = resume;
     service::CoordinatorDaemon daemon(std::move(opts));
 
-    service::IngestQueue queue;
-    service::LineServer server({ep.socket_path, ep.tcp_port}, queue);
+    service::LineServer server({ep.socket_path, ep.tcp_port});
     std::printf("READY %s\n", server.endpoint().c_str());
     std::fflush(stdout);
 
-    while (!daemon.done()) {
-      auto item = queue.pop();
-      if (!item) break;
-      item->reply.set_value(daemon.dispatch(item->line));
-    }
-    queue.close(service::err_reply("daemon is shutting down"));
-    server.stop();
+    server.serve(
+        [&daemon](const std::string& line) { return daemon.dispatch(line); },
+        [&daemon] { return daemon.done(); });
     VENN_INFO << "coordinatord exiting; journal " << daemon.journal_path();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "serve error: %s\n", e.what());
@@ -226,13 +220,7 @@ int run_script(int argc, char** argv) {
     if (out_path.empty()) {
       std::fwrite(dump.data(), 1, dump.size(), stdout);
     } else {
-      std::ofstream out(out_path, std::ios::binary);
-      out << dump;
-      if (!out) {
-        std::fprintf(stderr, "run-script: cannot write %s\n",
-                     out_path.c_str());
-        return 1;
-      }
+      service::write_text_file(out_path, dump);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "run-script error: %s\n", e.what());

@@ -72,7 +72,10 @@ std::string SocketClient::request(const std::string& line) {
   const std::string out = line + "\n";
   std::size_t off = 0;
   while (off < out.size()) {
-    const ssize_t n = ::write(fd_, out.data() + off, out.size() - off);
+    // MSG_NOSIGNAL: a daemon that died turns into EPIPE and an exception
+    // here, not a SIGPIPE that kills the client.
+    const ssize_t n =
+        ::send(fd_, out.data() + off, out.size() - off, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       throw std::runtime_error("connection lost while sending request");

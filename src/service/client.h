@@ -22,7 +22,8 @@ class SocketClient {
   SocketClient& operator=(const SocketClient&) = delete;
 
   // Sends `line` (newline appended) and blocks for the reply line.
-  // Throws std::runtime_error if the connection dies mid-request.
+  // Throws std::runtime_error if the connection dies mid-request, including
+  // a peer that closed before the send (never SIGPIPE).
   [[nodiscard]] std::string request(const std::string& line);
 
  private:

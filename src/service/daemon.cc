@@ -1,6 +1,5 @@
 #include "service/daemon.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
@@ -13,25 +12,6 @@
 #include "util/logging.h"
 
 namespace venn::service {
-
-namespace {
-
-std::string write_text_file(const std::string& path,
-                            const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot write " + path);
-  }
-  if (!content.empty() &&
-      std::fwrite(content.data(), 1, content.size(), f) != content.size()) {
-    std::fclose(f);
-    throw std::runtime_error("short write to " + path);
-  }
-  std::fclose(f);
-  return path;
-}
-
-}  // namespace
 
 CoordinatorDaemon::CoordinatorDaemon(DaemonOptions opts) {
   if (opts.resume) {
@@ -197,10 +177,9 @@ std::string CoordinatorDaemon::drain() {
   // the crash-recovery differential compares against an uninterrupted
   // in-process run.
   const RunResult result = session_->finish();
-  const std::string out = write_text_file(result_path(),
-                                          dump_run(result, &recorder_));
+  write_text_file(result_path(), dump_run(result, &recorder_));
   done_ = true;
-  return ok_reply("drained " + out);
+  return ok_reply("drained " + result_path());
 }
 
 std::string CoordinatorDaemon::status_json() const {

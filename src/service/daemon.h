@@ -9,9 +9,9 @@
 // differential test pins this byte-for-byte). Admin verbs (ping, version,
 // status, seq, drain, shutdown) are control surface and never journaled.
 //
-// dispatch() is deliberately socket-free: the line server (server.h) feeds
-// it through an IngestQueue, tests call it directly, and both paths speak
-// identical bytes.
+// dispatch() is deliberately socket-free: the line server (server.h) calls
+// it on the same thread that reads the socket, tests call it directly, and
+// both paths speak identical bytes.
 #pragma once
 
 #include <chrono>

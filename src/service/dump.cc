@@ -1,6 +1,9 @@
 #include "service/dump.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
 
 #include "device/eligibility.h"
 #include "tsdb/timeseries.h"
@@ -75,6 +78,22 @@ std::string dump_run(const RunResult& result,
   out += '\n';
   if (recorder != nullptr) dump_streams(out, *recorder);
   return out;
+}
+
+void write_text_file(const std::string& path, const std::string& content) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    throw std::runtime_error("cannot open " + path + ": " +
+                             std::strerror(errno));
+  }
+  const bool written =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size() &&
+      std::fflush(f) == 0;
+  const int write_errno = errno;
+  if (std::fclose(f) != 0 || !written) {
+    throw std::runtime_error("cannot write " + path + ": " +
+                             std::strerror(written ? errno : write_errno));
+  }
 }
 
 }  // namespace venn::service

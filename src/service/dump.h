@@ -19,4 +19,9 @@ namespace venn::service {
 [[nodiscard]] std::string dump_run(const RunResult& result,
                                    const api::TimeSeriesRecorder* recorder);
 
+// Writes `content` to `path`, replacing it. Throws std::runtime_error naming
+// the path when the file cannot be opened, written, flushed or closed, so a
+// full or failing disk never leaves a truncated dump behind a success.
+void write_text_file(const std::string& path, const std::string& content);
+
 }  // namespace venn::service

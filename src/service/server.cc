@@ -5,10 +5,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -37,6 +37,12 @@ bool write_all(int fd, const std::string& data) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+std::string oversize_reply() {
+  return err_reply("request exceeds " + std::to_string(kMaxLineBytes) +
+                   " bytes") +
+         "\n";
 }
 
 int bind_unix(const std::string& path) {
@@ -83,10 +89,15 @@ int bind_tcp(int port, int* bound_port) {
   return fd;
 }
 
+// Owns an accepted connection for the duration of one serve_connection().
+struct ConnFd {
+  int fd;
+  ~ConnFd() { ::close(fd); }
+};
+
 }  // namespace
 
-LineServer::LineServer(Options opts, IngestQueue& queue)
-    : opts_(std::move(opts)), queue_(queue) {
+LineServer::LineServer(Options opts) : opts_(std::move(opts)) {
   if (!opts_.socket_path.empty()) {
     listen_fd_ = bind_unix(opts_.socket_path);
     endpoint_ = "unix:" + opts_.socket_path;
@@ -102,94 +113,75 @@ LineServer::LineServer(Options opts, IngestQueue& queue)
     ::close(listen_fd_);
     throw_errno("listen");
   }
-  thread_ = std::thread([this] { serve(); });
 }
 
 LineServer::~LineServer() {
-  stop();
+  ::close(listen_fd_);
   if (!opts_.socket_path.empty()) {
     std::error_code ec;
     std::filesystem::remove(opts_.socket_path, ec);
   }
 }
 
-void LineServer::stop() {
-  if (stopping_.exchange(true)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  // Shutting the listener down kicks accept() out of its blocking call; it
-  // is closed only after the serving thread, which reads listen_fd_, has
-  // been joined. The live connection is shut for reading only: a blocked
-  // read() returns, but a reply the daemon already produced — the ack of
-  // the `shutdown` or `drain` that ended the loop — is still written
-  // before the serving thread lets go of the socket.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  const int conn = conn_fd_.exchange(-1);
-  if (conn >= 0) ::shutdown(conn, SHUT_RD);
-  if (thread_.joinable()) thread_.join();
-  if (conn >= 0) ::close(conn);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void LineServer::serve() {
-  while (!stopping_.load()) {
+void LineServer::serve(const Handler& handle,
+                       const std::function<bool()>& done) {
+  while (!done()) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed (stop) or fatal
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      throw_errno("accept");
     }
-    conn_fd_.store(fd);
-    // A stop() that ran before the store above found no connection to
-    // shut; it set stopping_ first, so checking it here closes that gap.
-    if (!stopping_.load()) serve_connection(fd);
-    const int owned = conn_fd_.exchange(-1);
-    if (owned >= 0) ::close(owned);
+    const ConnFd conn{fd};
+    serve_connection(fd, handle, done);
   }
 }
 
-void LineServer::serve_connection(int fd) {
-  std::string buf;
-  char chunk[1024];
-  while (!stopping_.load()) {
-    // Dispatch every complete line currently buffered.
-    std::size_t nl;
-    while ((nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      IngestItem item;
-      item.line = std::move(line);
-      std::future<std::string> reply = item.reply.get_future();
-      if (!queue_.push(std::move(item))) {
-        (void)write_all(fd, err_reply("daemon is shutting down") + "\n");
-        return;
-      }
-      std::string out;
-      try {
-        out = reply.get();
-      } catch (const std::future_error&) {
-        return;  // the daemon loop died without answering
-      }
-      if (!write_all(fd, out + "\n")) return;
-    }
-    if (buf.size() > kMaxLineBytes) {
-      // Framing violation: never reaches the daemon loop or the journal.
-      (void)write_all(fd, err_reply("request exceeds " +
-                                    std::to_string(kMaxLineBytes) +
-                                    " bytes") +
-                              "\n");
-      return;
-    }
+void LineServer::serve_connection(int fd, const Handler& handle,
+                                  const std::function<bool()>& done) {
+  std::string buf;   // bytes read but not yet consumed: at most a partial line
+  std::string line;  // reused across requests, so it stops allocating
+  char chunk[4096];
+  for (;;) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return;  // peer hung up (or stop() shut the socket down)
+      return;  // peer hung up
     }
+    std::size_t from = buf.size();  // the bytes before it hold no newline
     buf.append(chunk, static_cast<std::size_t>(n));
+    // Handle every complete line, advancing a cursor; the consumed prefix
+    // is erased once per read, not once per line.
+    std::size_t start = 0;
+    for (std::size_t nl; (nl = buf.find('\n', from)) != std::string::npos;
+         start = from = nl + 1) {
+      std::size_t len = nl - start;
+      if (len > 0 && buf[nl - 1] == '\r') --len;
+      if (len > kMaxLineBytes) {
+        (void)write_all(fd, oversize_reply());
+        return;
+      }
+      line.assign(buf, start, len);
+      std::string reply = handle(line);
+      reply += '\n';
+      if (!write_all(fd, reply)) return;
+      if (done()) {
+        // Lines pipelined behind the one that ended the loop.
+        const auto behind = std::count(
+            buf.begin() + static_cast<std::ptrdiff_t>(nl + 1), buf.end(), '\n');
+        std::string refusals;
+        for (auto i = behind; i > 0; --i) {
+          refusals += err_reply("daemon is shutting down") + "\n";
+        }
+        (void)write_all(fd, refusals);
+        return;
+      }
+    }
+    buf.erase(0, start);
+    // The partial line may still end in the CR of a CRLF, hence the + 1.
+    if (buf.size() > kMaxLineBytes + 1) {
+      (void)write_all(fd, oversize_reply());
+      return;
+    }
   }
 }
 

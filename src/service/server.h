@@ -2,22 +2,21 @@
 //
 // Listens on a Unix-domain stream socket (preferred: filesystem-scoped,
 // no port allocation) or a loopback TCP port (fallback for filesystems
-// without AF_UNIX support). One connection is served at a time — the
-// coordinator is a single logical client surface; concurrent clients
-// queue at accept(). Each request line is pushed onto the daemon's
-// IngestQueue and the reply future is written back before the next line
-// is read, so the wire preserves dispatch order.
+// without AF_UNIX support). serve() runs on the caller's thread — the
+// daemon's dispatch thread — so a request line goes from read() to the
+// handler and its reply back to send() without crossing threads. One
+// connection is served at a time: the coordinator is a single logical
+// client surface, and concurrent clients wait at accept(). Each reply is
+// written after the handler returns and before the next line is handled,
+// so the wire preserves dispatch order.
 //
 // Framing violations are handled at the transport: a line longer than
 // codec::kMaxLineBytes gets an err reply and the connection is dropped
-// without the bytes ever reaching the daemon loop.
+// without the bytes ever reaching the handler.
 #pragma once
 
-#include <atomic>
+#include <functional>
 #include <string>
-#include <thread>
-
-#include "service/ingest.h"
 
 namespace venn::service {
 
@@ -27,32 +26,36 @@ class LineServer {
     std::string socket_path;  // AF_UNIX path; empty = use tcp_port
     int tcp_port = -1;        // loopback TCP; -1 = use socket_path
   };
+  // One request line (CR/LF stripped) -> one reply line (no newline).
+  using Handler = std::function<std::string(const std::string&)>;
 
-  // Binds and starts the accept thread. Throws std::runtime_error when the
-  // endpoint cannot be bound.
-  LineServer(Options opts, IngestQueue& queue);
+  // Binds and listens. Throws std::runtime_error when the endpoint cannot
+  // be bound.
+  explicit LineServer(Options opts);
+  // Closes the listener and removes the socket file.
   ~LineServer();
 
   LineServer(const LineServer&) = delete;
   LineServer& operator=(const LineServer&) = delete;
 
-  void stop();
+  // Accepts connections one at a time and answers each line with
+  // `handle`, until `done()` holds after a handled line. Complete lines
+  // already read behind that line get an err reply; the connection is then
+  // closed and serve() returns. Throws std::runtime_error when accept()
+  // fails for good.
+  void serve(const Handler& handle, const std::function<bool()>& done);
 
   // Human-readable endpoint ("unix:<path>" or "tcp:<port>"). For TCP with
   // port 0 the kernel-assigned port is reported.
   [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
 
  private:
-  void serve();
-  void serve_connection(int fd);
+  void serve_connection(int fd, const Handler& handle,
+                        const std::function<bool()>& done);
 
   Options opts_;
-  IngestQueue& queue_;
   std::string endpoint_;
   int listen_fd_ = -1;
-  std::atomic<int> conn_fd_{-1};
-  std::atomic<bool> stopping_{false};
-  std::thread thread_;
 };
 
 }  // namespace venn::service

@@ -41,11 +41,9 @@ class Engine {
     return pool_ ? pool_->shards() : 1;
   }
 
-  EventHandle at(SimTime t, EventFn fn) {
-    return queue_.schedule(t, std::move(fn));
-  }
-  EventHandle after(SimTime delay, EventFn fn) {
-    return queue_.schedule_after(delay, std::move(fn));
+  void at(SimTime t, EventFn fn) { queue_.schedule(t, std::move(fn)); }
+  void after(SimTime delay, EventFn fn) {
+    queue_.schedule_after(delay, std::move(fn));
   }
 
   // Invoke `fn` every `period` starting at now() + period, until the engine

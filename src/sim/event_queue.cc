@@ -5,12 +5,6 @@
 
 namespace venn::sim {
 
-void EventHandle::cancel() {
-  if (cancelled_) *cancelled_ = true;
-}
-
-bool EventHandle::active() const { return cancelled_ && !*cancelled_; }
-
 void EventQueue::push(Entry e) {
   if (e.t < now_) {
     throw std::invalid_argument("EventQueue::schedule: time in the past");
@@ -19,17 +13,9 @@ void EventQueue::push(Entry e) {
   peak_pending_ = std::max(peak_pending_, queue_.size());
 }
 
-EventHandle EventQueue::schedule(SimTime t, EventFn fn) {
-  push({t, next_seq_, std::move(fn), nullptr});
+void EventQueue::schedule(SimTime t, EventFn fn) {
+  push({t, next_seq_, std::move(fn)});
   ++next_seq_;  // after push: a rejected time consumes no sequence number
-  return EventHandle();  // inert: no cancellation state allocated
-}
-
-EventHandle EventQueue::schedule_cancellable(SimTime t, EventFn fn) {
-  auto flag = std::make_shared<bool>(false);
-  push({t, next_seq_, std::move(fn), flag});
-  ++next_seq_;
-  return EventHandle(std::move(flag));
 }
 
 std::uint64_t EventQueue::reserve_seqs(std::uint64_t n) {
@@ -43,25 +29,17 @@ void EventQueue::schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn) {
     throw std::invalid_argument(
         "EventQueue::schedule_reserved: sequence number not reserved");
   }
-  push({t, seq, std::move(fn), nullptr});
+  push({t, seq, std::move(fn)});
 }
 
-EventHandle EventQueue::schedule_after(SimTime delay, EventFn fn) {
+void EventQueue::schedule_after(SimTime delay, EventFn fn) {
   if (delay < 0.0) {
     throw std::invalid_argument("EventQueue::schedule_after: negative delay");
   }
-  return schedule(now_ + delay, std::move(fn));
-}
-
-void EventQueue::drop_cancelled() {
-  while (!queue_.empty() && queue_.top().cancelled &&
-         *queue_.top().cancelled) {
-    queue_.pop();
-  }
+  schedule(now_ + delay, std::move(fn));
 }
 
 bool EventQueue::step() {
-  drop_cancelled();
   if (queue_.empty()) return false;
   // Move the entry out before running: the callback may schedule new events.
   // The const_cast+move is safe — the heap's ordering invariant only reads
@@ -76,11 +54,7 @@ bool EventQueue::step() {
 }
 
 void EventQueue::run_until(SimTime t_max) {
-  for (;;) {
-    drop_cancelled();
-    if (queue_.empty() || queue_.top().t > t_max) return;
-    step();
-  }
+  while (!queue_.empty() && queue_.top().t <= t_max) step();
 }
 
 void EventQueue::run() {
@@ -88,22 +62,9 @@ void EventQueue::run() {
   }
 }
 
-std::optional<SimTime> EventQueue::next_time() {
-  drop_cancelled();
+std::optional<SimTime> EventQueue::next_time() const {
   if (queue_.empty()) return std::nullopt;
   return queue_.top().t;
-}
-
-bool EventQueue::empty() const {
-  auto* self = const_cast<EventQueue*>(this);
-  self->drop_cancelled();
-  return queue_.empty();
-}
-
-std::size_t EventQueue::pending() const {
-  auto* self = const_cast<EventQueue*>(this);
-  self->drop_cancelled();
-  return queue_.size();
 }
 
 }  // namespace venn::sim

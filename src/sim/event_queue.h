@@ -1,4 +1,4 @@
-// Discrete-event simulation primitives: a cancellable priority event queue.
+// Discrete-event simulation primitives: a priority event queue.
 //
 // The paper's evaluation is driven by "a high-fidelity simulator that replays
 // client and job traces" (§5.1); this queue is its beating heart. Events are
@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -20,34 +19,11 @@ namespace venn::sim {
 
 using EventFn = std::function<void()>;
 
-// Handle to a scheduled event; allows O(1) cancellation (lazy deletion).
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  // Cancels the event if it has not fired yet. Idempotent.
-  void cancel();
-
-  [[nodiscard]] bool active() const;
-
- private:
-  friend class EventQueue;
-  explicit EventHandle(std::shared_ptr<bool> cancelled)
-      : cancelled_(std::move(cancelled)) {}
-  std::shared_ptr<bool> cancelled_;
-};
-
 class EventQueue {
  public:
-  // Schedule `fn` at absolute time `t` (must be >= now()). The returned
-  // handle is inert (not cancellable): the overwhelming majority of events
-  // are fire-and-forget, and skipping the shared cancellation flag removes
-  // a heap allocation + atomic refcounting from the per-event hot path.
-  // Use schedule_cancellable() when cancellation is actually needed.
-  EventHandle schedule(SimTime t, EventFn fn);
-
-  // As schedule(), but the handle can cancel the event (lazy deletion).
-  EventHandle schedule_cancellable(SimTime t, EventFn fn);
+  // Schedule `fn` at absolute time `t` (must be >= now()). Events are
+  // fire-and-forget: a scheduled event always runs.
+  void schedule(SimTime t, EventFn fn);
 
   // Reserves `n` consecutive sequence numbers and returns the first. An
   // event later scheduled with schedule_reserved(t, first + i, fn) orders
@@ -63,7 +39,7 @@ class EventQueue {
   void schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn);
 
   // Convenience: schedule at now() + delay.
-  EventHandle schedule_after(SimTime delay, EventFn fn);
+  void schedule_after(SimTime delay, EventFn fn);
 
   // Pop and run the earliest pending event; returns false if none remain.
   bool step();
@@ -75,13 +51,13 @@ class EventQueue {
   void run();
 
   [[nodiscard]] SimTime now() const { return now_; }
-  // Timestamp of the earliest pending (non-cancelled) event, if any.
-  [[nodiscard]] std::optional<SimTime> next_time();
-  [[nodiscard]] bool empty() const;
-  [[nodiscard]] std::size_t pending() const;
+  // Timestamp of the earliest pending event, if any.
+  [[nodiscard]] std::optional<SimTime> next_time() const;
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
-  // Largest number of heap entries held at once (lazily cancelled entries
-  // included): the queue's memory high-water mark.
+  // Largest number of heap entries held at once: the queue's memory
+  // high-water mark.
   [[nodiscard]] std::size_t peak_pending() const { return peak_pending_; }
 
  private:
@@ -89,7 +65,6 @@ class EventQueue {
     SimTime t;
     std::uint64_t seq;
     EventFn fn;
-    std::shared_ptr<bool> cancelled;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -98,7 +73,6 @@ class EventQueue {
     }
   };
 
-  void drop_cancelled();
   void push(Entry e);
 
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;

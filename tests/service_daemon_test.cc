@@ -381,11 +381,23 @@ int reap_within(pid_t pid, std::chrono::seconds timeout) {
   return status;
 }
 
-// Teardown regression: the reply to `shutdown` used to race
-// LineServer::stop(), which could shut the connection before the reply was
-// written — the write then raised SIGPIPE and the daemon exited 141, or the
-// client never saw its ack. Daemons started one after another must each
-// ack `shutdown` and exit 0. The client stays connected while the daemon
+// A full disk must fail the dump loudly: fwrite only buffers, so the error
+// surfaces at fflush/fclose, and a write that ignored them would let
+// `drain` ack over a truncated result file.
+TEST(ServiceDump, WriteFailureThrowsNamingThePath) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  try {
+    service::write_text_file("/dev/full", "some dump\n");
+    ADD_FAILURE() << "write to /dev/full succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Teardown: the `shutdown` ack must be written before the daemon lets go
+// of the connection (a lost ack, or a SIGPIPE exit 141, is the failure).
+// Daemons started one after another must each ack `shutdown` and exit 0. The client stays connected while the daemon
 // exits, so teardown cannot lean on the peer hanging up first; every
 // other daemon also gets a request pipelined behind the `shutdown`, which
 // the exiting daemon must answer (or drop) without hanging.

@@ -50,38 +50,6 @@ TEST(EventQueue, CallbackCanScheduleMore) {
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int fired = 0;
-  EventHandle h = q.schedule_cancellable(1.0, [&] { ++fired; });
-  EXPECT_TRUE(h.active());
-  h.cancel();
-  EXPECT_FALSE(h.active());
-  q.run();
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(q.executed(), 0u);
-}
-
-TEST(EventQueue, PlainScheduleHandleIsInertButEventFires) {
-  // Fire-and-forget events skip the cancellation flag allocation entirely;
-  // the returned handle is inert and cancel() on it is a safe no-op.
-  EventQueue q;
-  int fired = 0;
-  EventHandle h = q.schedule(1.0, [&] { ++fired; });
-  EXPECT_FALSE(h.active());
-  h.cancel();
-  q.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelIsIdempotentAndSafeAfterRun) {
-  EventQueue q;
-  EventHandle h = q.schedule_cancellable(1.0, [] {});
-  q.run();
-  h.cancel();  // already executed; must not crash
-  h.cancel();
-}
-
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   EventQueue q;
   std::vector<double> fired;
@@ -95,14 +63,16 @@ TEST(EventQueue, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired.size(), 4u);
 }
 
-TEST(EventQueue, NextTimeSkipsCancelled) {
+TEST(EventQueue, NextTimeIsEarliestPending) {
   EventQueue q;
-  EventHandle h = q.schedule_cancellable(1.0, [] {});
   q.schedule(2.0, [] {});
-  h.cancel();
+  q.schedule(1.0, [] {});
+  q.schedule(3.0, [] {});
   const auto t = q.next_time();
   ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(*t, 2.0);
+  EXPECT_DOUBLE_EQ(*t, 1.0);
+  q.step();
+  EXPECT_DOUBLE_EQ(*q.next_time(), 2.0);
 }
 
 TEST(EventQueue, EmptyAfterDrain) {
