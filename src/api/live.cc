@@ -258,13 +258,15 @@ bool LiveSession::apply(const TrafficCommand& cmd) {
   return accepted;
 }
 
-RunResult LiveSession::finish() {
+RunResult LiveSession::finish(
+    const std::function<void(const RunResult&)>& before_close) {
   if (finished_) throw std::logic_error("LiveSession::finish called twice");
   finished_ = true;
   advance_to(horizon_);
-  if (sink_ != nullptr) sink_->on_run_end(engine_.now());
   RunResult result = collect_results(*coord_, label_);
   result.assignment_matrix = matrix_.matrix();
+  if (before_close) before_close(result);
+  if (sink_ != nullptr) sink_->on_run_end(engine_.now());
   return result;
 }
 

@@ -27,6 +27,7 @@
 // codec property tests pin.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -105,9 +106,14 @@ class LiveSession {
   // queue at the cursor time.
   bool apply(const TrafficCommand& cmd);
 
-  // Advances to the horizon, closes the sink (on_run_end) and collects
-  // results. Call at most once; the session is read-only afterwards.
-  [[nodiscard]] RunResult finish();
+  // Advances to the horizon, collects results, hands them to
+  // `before_close` (where a caller writes its result artifact), then
+  // closes the sink (on_run_end: a journal's completed-run footer). When
+  // `before_close` throws, the sink stays open, so a journal whose
+  // artifact was never written can still be resumed. Call at most once;
+  // the session is read-only afterwards.
+  [[nodiscard]] RunResult finish(
+      const std::function<void(const RunResult&)>& before_close = {});
 
   [[nodiscard]] SimTime cursor() const { return cursor_; }
   [[nodiscard]] SimTime horizon() const { return horizon_; }

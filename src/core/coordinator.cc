@@ -15,61 +15,47 @@ namespace {
 // pipeline replays the canonical serial sequence regardless); they only
 // bound dispatch overhead. Pools below the minimum run the serial pass;
 // batches start small (a sweep that satisfies every request early never
-// pays for the tail) and grow geometrically; the permutation snapshot is
-// materialized only once a sweep proves long.
+// pays for the tail) and grow geometrically.
 constexpr std::size_t kShardedSweepMinPool = 512;
 constexpr std::size_t kShardedBatchMin = 512;
 constexpr std::size_t kShardedBatchMax = 1 << 16;
-constexpr std::size_t kSnapshotAfter = 2048;
+}  // namespace
 
 // One sweep's lazily-drawn Fisher-Yates permutation over a stable pool
 // vector. Both sweep flavors realize the SAME draw sequence through this
 // class — the serial pass visit by visit, the sharded pass batch by batch
-// — so the emitted device order cannot drift between the two loops. Short
-// sweeps keep draw-displaced positions in a side map (no pool copy);
-// materialize() switches to a flat snapshot once a sweep proves long
-// (cheaper per draw from then on, and what the parallel filter reads
-// through batch buffers). The pool vector must not change for the
-// object's lifetime — the sweeping_/in_sweep_pass_ guards ensure that.
-class SweepOrder {
+// — so the emitted device order cannot drift between the two loops.
+// Draw-displaced positions live in the coordinator's side array, valid
+// only where stamped with this sweep's generation: a sweep costs
+// O(devices visited), with no pool copy and no hashing. The pool vector
+// must not change for the object's lifetime — the
+// sweeping_/in_sweep_pass_ guards ensure that.
+class Coordinator::SweepOrder {
  public:
-  explicit SweepOrder(const std::vector<std::size_t>& pool) : pool_(pool) {}
-
-  [[nodiscard]] bool materialized() const { return use_flat_; }
-
-  void materialize() {
-    flat_ = pool_;
-    // Stale entries for already-emitted positions are harmless: positions
-    // before the current draw index are never re-read.
-    for (const auto& [pos, val] : displaced_) flat_[pos] = val;
-    displaced_.clear();
-    use_flat_ = true;
+  SweepOrder(const std::vector<std::size_t>& pool,
+             std::vector<SweepSlot>& slots, std::uint64_t gen)
+      : pool_(pool), slots_(slots), gen_(gen) {
+    if (slots_.size() < pool_.size()) slots_.resize(pool_.size());
   }
 
   // Realizes the swap of positions i and j (j >= i) and returns the
   // device emitted at position i.
   std::size_t draw(std::size_t i, std::size_t j) {
-    if (use_flat_) {
-      std::swap(flat_[i], flat_[j]);
-      return flat_[i];
-    }
-    const auto it = displaced_.find(j);
-    const std::size_t d = it != displaced_.end() ? it->second : pool_[j];
+    SweepSlot& sj = slots_[j];
+    const std::size_t d = sj.gen == gen_ ? sj.dev : pool_[j];
     if (j != i) {  // position i is never re-read; j might be
-      const auto ii = displaced_.find(i);
-      displaced_[j] = ii != displaced_.end() ? ii->second : pool_[i];
+      const SweepSlot& si = slots_[i];
+      sj.dev = si.gen == gen_ ? si.dev : pool_[i];
+      sj.gen = gen_;
     }
     return d;
   }
 
  private:
   const std::vector<std::size_t>& pool_;
-  std::unordered_map<std::size_t, std::size_t> displaced_;
-  std::vector<std::size_t> flat_;
-  bool use_flat_ = false;
+  std::vector<SweepSlot>& slots_;
+  std::uint64_t gen_;
 };
-
-}  // namespace
 
 Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
                          std::vector<Device> devices,
@@ -352,34 +338,71 @@ void Coordinator::setup() {
       advance_device(d);
     }
   } else {
-    // Materialized: one pending start per device. Each device reserves a
-    // sequence number for every start at or before the horizon, in the
-    // (device, session) order eager scheduling used, but session k+1 enters
-    // the heap only when session k fires: the heap holds O(devices) starts
-    // instead of O(sessions), with the event order unchanged.
-    session_seq_.resize(devices_.size());
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
+    // Materialized: each device reserves a sequence number for every start
+    // at or before the horizon, in the (device, session) order eager
+    // scheduling used. The starts then reach the queue through its
+    // presorted lane (sim/event_queue.h), one chunk of simulated time at a
+    // time, from the dense next-start column: at most one pending start
+    // per device instead of one per session, in the eager event order.
+    const std::size_t n = devices_.size();
+    session_seq_.resize(n);
+    next_k_.assign(n, 0);
+    next_start_.resize(n);
+    session_end_.assign(n, -1.0);
+    for (std::size_t d = 0; d < n; ++d) {
       const auto& ss = devices_[d].sessions();
       const auto starts = std::upper_bound(
           ss.begin(), ss.end(), cfg_.horizon,
           [](SimTime h, const Session& s) { return h < s.start; });
       session_seq_[d] = engine_.queue().reserve_seqs(
           static_cast<std::uint64_t>(starts - ss.begin()));
-      schedule_session_start(d, 0);
+      next_start_[d] = start_of(d, 0);
     }
+    engine_.queue().set_lane(
+        [this](SimTime end, std::vector<sim::LaneEvent>& out) {
+          return refill_session_starts(end, out);
+        },
+        [this](std::uint32_t d, std::uint32_t k) { on_session_start(d, k); });
   }
 }
 
-void Coordinator::schedule_session_start(std::size_t dev_idx,
-                                         std::uint32_t k) {
+SimTime Coordinator::start_of(std::size_t dev_idx, std::uint32_t k) const {
   const auto& ss = devices_[dev_idx].sessions();
-  if (k >= ss.size() || ss[k].start > cfg_.horizon) return;
-  const auto d = static_cast<std::uint32_t>(dev_idx);
-  engine_.queue().schedule_reserved(ss[k].start, session_seq_[dev_idx] + k,
-                                    [this, d, k] {
-                                      schedule_session_start(d, k + 1);
-                                      attempt_checkin(d);
-                                    });
+  return k < ss.size() ? ss[k].start : kNoStart;
+}
+
+SimTime Coordinator::refill_session_starts(
+    SimTime end, std::vector<sim::LaneEvent>& out) const {
+  SimTime rest = kNoStart;
+  const SimTime horizon = cfg_.horizon;
+  for (std::size_t d = 0; d < next_start_.size(); ++d) {
+    const SimTime t = next_start_[d];
+    if (t > horizon) continue;  // starts past the horizon never fire
+    if (t < end) {
+      out.push_back({t, session_seq_[d] + next_k_[d],
+                     static_cast<std::uint32_t>(d), next_k_[d]});
+    } else {
+      rest = std::min(rest, t);
+    }
+  }
+  return rest;
+}
+
+void Coordinator::on_session_start(std::uint32_t d, std::uint32_t k) {
+  session_end_[d] = devices_[d].sessions()[k].end;
+  const std::uint32_t next = k + 1;
+  next_k_[d] = next;
+  const SimTime t = start_of(d, next);
+  next_start_[d] = t;
+  // A successor inside the lane's current chunk would be missed by the
+  // next refill (which starts at the chunk end): it goes through the heap
+  // under its reserved number instead, like the whole chain once did.
+  auto& queue = engine_.queue();
+  if (t < queue.lane_end() && t <= cfg_.horizon) {
+    queue.schedule_reserved(t, session_seq_[d] + next,
+                            [this, d, next] { on_session_start(d, next); });
+  }
+  attempt_checkin(d);
 }
 
 bool Coordinator::external_checkin(std::size_t dev, double duration) {
@@ -525,6 +548,13 @@ SimTime Coordinator::active_session_end(std::size_t dev_idx,
     if (st.has_session && st.current.contains(now)) return st.current.end;
     return -1.0;
   }
+  // Before the next start, the session covering `now` can only be the
+  // one whose start fired last. From the next start on (the touching tie:
+  // a session ending exactly where the next begins, probed before that
+  // start's event has run), the trace itself answers.
+  if (now < next_start_[dev_idx]) {
+    return now < session_end_[dev_idx] ? session_end_[dev_idx] : -1.0;
+  }
   const Session* s = devices_[dev_idx].session_at(now);
   return s != nullptr ? s->end : -1.0;
 }
@@ -612,18 +642,16 @@ void Coordinator::sweep_idle_pool(SimTime now) {
     return;
   }
   // The permutation is realized through SweepOrder (shared with the
-  // sharded pipeline, so the two sweep flavors cannot drift). It starts on
-  // the implicit displaced-map snapshot — a sweep costs O(devices
-  // visited), not O(pool), and the usual early break keeps "visited" tiny
-  // — then materializes a flat snapshot once the sweep proves long (a flat
-  // copy beats a hash-map lookup per draw from then on). idle_vec_ itself
-  // must not change mid-sweep for either snapshot to stay valid, so erases
-  // of assigned devices are deferred to the end of the loop. The deferral
-  // is safe because nothing else mutates the pool while the loop runs:
-  // session events are queue-deferred, and the sweeping_ guard in
-  // offer_idle_pool converts any synchronous resubmission (a round
-  // completing mid-sweep) into a follow-up sweep instead of a nested one.
-  SweepOrder order(idle_vec_);
+  // sharded pipeline, so the two sweep flavors cannot drift): a sweep
+  // costs O(devices visited), not O(pool), and the usual early break
+  // keeps "visited" tiny. idle_vec_ itself must not change mid-sweep for
+  // the displaced positions to stay valid, so erases of assigned devices
+  // are deferred to the end of the loop. The deferral is safe because
+  // nothing else mutates the pool while the loop runs: session events are
+  // queue-deferred, and the sweeping_ guard in offer_idle_pool converts
+  // any synchronous resubmission (a round completing mid-sweep) into a
+  // follow-up sweep instead of a nested one.
+  SweepOrder order(idle_vec_, sweep_slots_, ++sweep_gen_);
   std::vector<std::size_t> assigned;
   const std::size_t n = idle_vec_.size();
   // Hoisted filter state. The wants mask and the aligned-bits prefix can
@@ -639,7 +667,6 @@ void Coordinator::sweep_idle_pool(SimTime now) {
   std::uint64_t aligned = aligned_requirement_mask();
   std::size_t mgr_bits = manager_.signatures().size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (!order.materialized() && i >= kSnapshotAfter) order.materialize();
     const std::size_t j = i + sweep_rng.index(n - i);
     const std::size_t d = order.draw(i, j);
     ++hstats_.sweep_visits;
@@ -707,12 +734,10 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
   // --- partition: realize the canonical permutation in batches ------------
   // The draw sequence is the exact serial one (same per-sweep stream, same
   // j = k + index(n - k) draws, same SweepOrder realization); only the
-  // batching differs. Short sweeps stay on the displaced-position map;
-  // once a sweep proves long the snapshot is materialized. idle_vec_
-  // cannot change mid-sweep (the sweeping_/in_sweep_pass_ guards defer
-  // resubmissions and straggler releases), so both flavors emit the same
-  // devices.
-  SweepOrder order(idle_vec_);
+  // batching differs. idle_vec_ cannot change mid-sweep (the
+  // sweeping_/in_sweep_pass_ guards defer resubmissions and straggler
+  // releases), so both flavors emit the same devices.
+  SweepOrder order(idle_vec_, sweep_slots_, ++sweep_gen_);
 
   std::vector<std::size_t> batch_dev;   // devices of the current batch
   std::vector<std::uint64_t> masked;    // per-entry signature & wants0
@@ -720,7 +745,6 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
   std::size_t batch_cap = kShardedBatchMin;
   std::size_t i = 0;
   while (i < n) {
-    if (!order.materialized() && i >= kSnapshotAfter) order.materialize();
     const std::size_t end = std::min(n, i + batch_cap);
     batch_cap = std::min(batch_cap * 2, kShardedBatchMax);
 

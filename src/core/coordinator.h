@@ -67,6 +67,7 @@
 // telemetry lives in ShardStats, deliberately outside RunResult.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -179,6 +180,12 @@ class Coordinator {
   // Delivers the in-flight computation of `dev` early, as if the device
   // responded now. Deterministic no-op when the device is not computing.
   bool external_response(std::size_t dev);
+
+  // End of the session covering the current sim time for `dev` (trace,
+  // streamed or external grant), or a negative value when it is offline.
+  [[nodiscard]] SimTime session_end(std::size_t dev) const {
+    return active_session_end(dev, engine_.now());
+  }
 
   // Status accessors for the daemon's admin surface and the inspector.
   [[nodiscard]] std::size_t idle_pool_size() const { return idle_vec_.size(); }
@@ -331,12 +338,21 @@ class Coordinator {
   // Streaming churn: pull the device's next session and arm its check-in /
   // advance events. Called at setup and at each session end.
   void advance_device(std::size_t dev_idx);
-  // Materialized sessions: puts the check-in of the device's session `k`
-  // (if it starts by the horizon) in the queue under its reserved sequence
-  // number; when it fires it first schedules session k+1.
-  void schedule_session_start(std::size_t dev_idx, std::uint32_t k);
+  // Materialized sessions. Start of the device's session `k`, or kNoStart
+  // when it has none.
+  [[nodiscard]] SimTime start_of(std::size_t dev_idx, std::uint32_t k) const;
+  // The event queue's lane source: appends every device's next start
+  // before `end` (at most one per device) and returns the earliest start
+  // left at or before the horizon (kNoStart when none).
+  SimTime refill_session_starts(SimTime end,
+                                std::vector<sim::LaneEvent>& out) const;
+  // Session `k` of the device starts: updates the session columns, sends
+  // a successor that falls inside the lane's current chunk to the heap,
+  // then attempts the check-in.
+  void on_session_start(std::uint32_t dev_idx, std::uint32_t k);
   // End of the session covering `now` for this device (streamed or
-  // materialized), or a negative value when the device is offline.
+  // materialized), or a negative value when the device is offline. O(1)
+  // for a materialized trace except in the touching-session tie.
   [[nodiscard]] SimTime active_session_end(std::size_t dev_idx,
                                            SimTime now) const;
   // Device checks in if a session covers `now` and today's participation
@@ -439,6 +455,19 @@ class Coordinator {
   double mean_exec_factor_ = 1.0;  // population mean of 1/speed
   std::uint64_t sweep_counter_ = 0;  // seeds the per-sweep selection stream
 
+  // One sweep's lazily drawn permutation of the idle pool (coordinator.cc).
+  class SweepOrder;
+  // One position of its side array: `dev` is the device a draw displaced
+  // into this pool position, valid only while `gen` equals the running
+  // sweep's generation (a new sweep invalidates every slot by bumping the
+  // generation, without clearing).
+  struct SweepSlot {
+    std::uint64_t gen = 0;
+    std::size_t dev = 0;
+  };
+  std::vector<SweepSlot> sweep_slots_;  // grows to the largest pool swept
+  std::uint64_t sweep_gen_ = 0;         // generation 0 never stamps a slot
+
   // Sweep reentrancy guard: a round that completes synchronously mid-sweep
   // (handle_outcome -> maybe_complete -> submit_request) would otherwise
   // start a nested sweep over a pool snapshot the outer sweep still holds.
@@ -501,9 +530,20 @@ class Coordinator {
   std::vector<DeviceStream> streams_;
   std::uint64_t sessions_streamed_ = 0;
 
-  // Materialized sessions: the reserved sequence number of each device's
-  // first session start (session k uses session_seq_[d] + k).
+  // Materialized sessions, one dense column entry per device:
+  //   session_seq_ — the reserved sequence number of the device's first
+  //     session start (session k runs under session_seq_[d] + k, so the
+  //     event order is the eager (device, session) scheduling order);
+  //   next_k_, next_start_ — the next session whose start has not fired,
+  //     and its start (kNoStart when the trace has no further session);
+  //     the lane refill reads these;
+  //   session_end_ — end of the session whose start fired last (-1 before
+  //     the first), which answers active_session_end without a search.
+  static constexpr SimTime kNoStart = std::numeric_limits<SimTime>::infinity();
   std::vector<std::uint64_t> session_seq_;
+  std::vector<std::uint32_t> next_k_;
+  std::vector<SimTime> next_start_;
+  std::vector<SimTime> session_end_;
 
   // Open-loop state: job specs sampled as arrivals fire.
   Rng mix_rng_{0};

@@ -172,12 +172,14 @@ std::string CoordinatorDaemon::dispatch_admin(const std::string& verb) {
 }
 
 std::string CoordinatorDaemon::drain() {
-  // Clean exit: finish the run (horizon), append the kRunEnd footer and
-  // write the deterministic result dump next to the journal — the artifact
-  // the crash-recovery differential compares against an uninterrupted
-  // in-process run.
-  const RunResult result = session_->finish();
-  write_text_file(result_path(), dump_run(result, &recorder_));
+  // Clean exit: finish the run (horizon), write the deterministic result
+  // dump next to the journal — the artifact the crash-recovery
+  // differential compares against an uninterrupted in-process run — and
+  // only then append the kRunEnd footer. A dump that cannot be written
+  // throws before the footer, so the journal stays resumable.
+  (void)session_->finish([this](const RunResult& result) {
+    write_text_file(result_path(), dump_run(result, &recorder_));
+  });
   done_ = true;
   return ok_reply("drained " + result_path());
 }

@@ -5,6 +5,23 @@
 // (time, sequence, callback) triples — the sequence number makes ties
 // deterministic (FIFO among same-time events) so every simulation run is
 // exactly reproducible for a given seed.
+//
+// Two stores feed one (t, seq) order:
+//
+//   heap — std::function events, scheduled at any time from anywhere;
+//   lane — one presorted vector of plain {t, seq, dev, k} events from a
+//          single source whose keys were fixed up front (a materialized
+//          trace fleet's session starts, under seqs from reserve_seqs).
+//          step() and next_time() merge the lane's front with the heap's
+//          top by (t, seq), so an event runs at exactly the position eager
+//          scheduling would have given it.
+//
+// The lane is refilled lazily, one chunk of simulated time at a time: when
+// it is consumed and no heap entry lies before the chunk end, the source
+// appends its events before the next chunk end and the queue sorts that
+// batch. The source contract (see set_lane) keeps at most one pending
+// event per source key (a device), so heap plus lane never hold more than
+// one pending start per device and each refill batch stays small.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +36,21 @@ namespace venn::sim {
 
 using EventFn = std::function<void()>;
 
+// One lane event: the lane's fire handler runs with (dev, k) at (t, seq).
+struct LaneEvent {
+  SimTime t;
+  std::uint64_t seq;
+  std::uint32_t dev;
+  std::uint32_t k;
+};
+
+// Appends to `out` the source's events with t < `end` and returns the
+// earliest t among the events it still holds (+infinity when it holds
+// none). The return value is read only when nothing was appended.
+using LaneRefill =
+    std::function<SimTime(SimTime end, std::vector<LaneEvent>& out)>;
+using LaneFire = std::function<void(std::uint32_t dev, std::uint32_t k)>;
+
 class EventQueue {
  public:
   // Schedule `fn` at absolute time `t` (must be >= now()). Events are
@@ -29,7 +61,7 @@ class EventQueue {
   // event later scheduled with schedule_reserved(t, first + i, fn) orders
   // exactly as if schedule(t, fn) had been called at reservation time: a
   // source with many known future events (a device's trace sessions) keeps
-  // only its next one in the heap yet replays the eager order bit for bit.
+  // only its next one pending yet replays the eager order bit for bit.
   std::uint64_t reserve_seqs(std::uint64_t n);
 
   // Schedules `fn` at `t` under a sequence number from reserve_seqs. Each
@@ -37,6 +69,18 @@ class EventQueue {
   // to eager scheduling, before any event with a larger (t, seq) key runs.
   // Throws if `t` is in the past or `seq` was never reserved.
   void schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn);
+
+  // Installs the lane's source (at most once per queue). Its events must
+  // carry reserved seqs and times >= now() (a refill throws otherwise).
+  // The contract that keeps the merged order identical to eager
+  // scheduling: once lane_end() has passed an event's time, the source
+  // must no longer hold it — it was appended by a refill, or the source
+  // scheduled it into the heap with schedule_reserved when its predecessor
+  // fired (the in-chunk successor case). `fire` may schedule heap events
+  // but must not re-enter the queue's stepping.
+  void set_lane(LaneRefill refill, LaneFire fire);
+  // Exclusive end of the simulated time the lane has been filled up to.
+  [[nodiscard]] SimTime lane_end() const { return lane_end_; }
 
   // Convenience: schedule at now() + delay.
   void schedule_after(SimTime delay, EventFn fn);
@@ -51,13 +95,17 @@ class EventQueue {
   void run();
 
   [[nodiscard]] SimTime now() const { return now_; }
-  // Timestamp of the earliest pending event, if any.
-  [[nodiscard]] std::optional<SimTime> next_time() const;
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  // Timestamp of the earliest pending event, if any. Not const: it may
+  // refill the lane first.
+  [[nodiscard]] std::optional<SimTime> next_time();
+  [[nodiscard]] bool empty() { return !next_time().has_value(); }
+  // Heap entries plus unconsumed lane entries. Events the lane's source
+  // still holds for later refills are not counted.
+  [[nodiscard]] std::size_t pending() const {
+    return heap_.size() + (lane_.size() - lane_pos_);
+  }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
-  // Largest number of heap entries held at once: the queue's memory
-  // high-water mark.
+  // Largest pending() seen at once: the queue's memory high-water mark.
   [[nodiscard]] std::size_t peak_pending() const { return peak_pending_; }
 
  private:
@@ -74,8 +122,17 @@ class EventQueue {
   };
 
   void push(Entry e);
+  // Refills the lane when it is consumed and no heap entry precedes its
+  // end: only then has every source event before lane_end_ run.
+  void settle_lane();
+  void note_peak();
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<LaneEvent> lane_;  // sorted by (t, seq); consumed from lane_pos_
+  std::size_t lane_pos_ = 0;
+  SimTime lane_end_ = 0.0;
+  LaneRefill lane_refill_;  // empty once the source is exhausted
+  LaneFire lane_fire_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

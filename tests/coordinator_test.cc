@@ -3,6 +3,9 @@
 // failures, the one-job-per-day rule and idle-pool behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/metrics.h"
 #include "core/resource_manager.h"
 #include "protocol/builtins.h"
@@ -138,6 +141,70 @@ TEST(Coordinator, FailedPendingAssignmentReopensDemand) {
   ASSERT_EQ(r.finished_jobs(), 1u);
   // Full allocation required the 2 h arrival (the failed unit re-opened).
   EXPECT_GE(r.jobs[0].rounds[0].scheduling_delay, 2 * kHour - 1.0);
+}
+
+// The O(1) session cursor answers exactly what a search of the trace
+// does, at every probe: session starts and ends, just before each, inside
+// gaps, and on touching sessions (end == next start, tests/device_test.cc's
+// case) probed at the shared boundary both before the next start's event
+// has fired (probes scheduled before setup order ahead of every reserved
+// start seq) and after it (probes scheduled after setup). Boundaries on
+// whole hours land on the event queue's lane chunk edges.
+TEST(Coordinator, SessionCursorMatchesTraceSearch) {
+  const SimTime horizon = 2.0 * kDay;
+  std::vector<std::vector<Session>> traces{
+      {{100.0, 200.0}, {200.0, 300.0}, {300.0, 3600.0}, {3600.0, 3700.0},
+       {7200.0, 10800.0}, {10800.0, 10900.0}},
+      {{0.0, 3600.0}, {3600.0, 7200.0}, {7200.0, 7201.0}},
+      // The last session starts exactly at the horizon.
+      {{50.0, 60.0}, {horizon, horizon + 10.0}},
+      {}};
+  Rng rng(17);
+  for (int d = 0; d < 40; ++d) {
+    std::vector<Session> ss;
+    SimTime t = rng.uniform(0.0, 2.0 * kHour);
+    while (t < horizon + kHour) {
+      const SimTime end = t + rng.uniform(60.0, 3.0 * kHour);
+      ss.push_back({t, end});
+      t = rng.uniform() < 0.4 ? end : end + rng.uniform(1.0, 4.0 * kHour);
+    }
+    traces.push_back(std::move(ss));
+  }
+  std::vector<Device> devices;
+  std::vector<SimTime> probes;
+  for (std::size_t d = 0; d < traces.size(); ++d) {
+    for (const Session& s : traces[d]) {
+      for (SimTime t :
+           {s.start, s.end, 0.5 * (s.start + s.end),
+            std::nextafter(s.start, 0.0), std::nextafter(s.end, 0.0)}) {
+        if (t >= 0.0 && t <= horizon) probes.push_back(t);
+      }
+    }
+    devices.emplace_back(DeviceId(static_cast<std::int64_t>(d)),
+                         DeviceSpec{0.5, 0.5}, traces[d]);
+  }
+  std::sort(probes.begin(), probes.end());
+  probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+
+  sim::Engine engine(1);
+  ResourceManager mgr(std::make_unique<FifoScheduler>());
+  CoordinatorConfig cfg;
+  cfg.horizon = horizon;
+  Coordinator coord(engine, mgr, devices, {one_job(2, 5, 600.0)}, cfg);
+  std::size_t checks = 0;
+  auto probe = [&] {
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+      const Session* s = devices[d].session_at(engine.now());
+      EXPECT_EQ(coord.session_end(d), s != nullptr ? s->end : -1.0)
+          << "device " << d << " at t=" << engine.now();
+      ++checks;
+    }
+  };
+  for (SimTime t : probes) engine.at(t, probe);  // ahead of every start
+  coord.setup();
+  for (SimTime t : probes) engine.at(t, probe);  // behind every start
+  engine.run_until(horizon);
+  EXPECT_EQ(checks, 2 * probes.size() * devices.size());
 }
 
 TEST(Coordinator, OneJobPerDayPerDevice) {

@@ -108,9 +108,11 @@ TEST(HotpathStress, SweepOffersDoNotScaleWithFleetSize) {
                             "with fleet size again";
 }
 
-// The event heap of a materialized trace fleet holds one pending session
-// start per device (plus job arrivals), not one entry per session: the
-// starts are chained, each scheduled when its predecessor fires.
+// The event queue of a materialized trace fleet holds at most one pending
+// session start per device (plus job arrivals), not one entry per session:
+// starts reach the queue through its presorted lane an hour of simulated
+// time at a time, each device's next start only, and pending() counts
+// unconsumed lane entries along with the heap's.
 TEST(HotpathStress, MaterializedTraceQueueHoldsOneStartPerDevice) {
   ScenarioSpec sc;
   sc.seed = 5;

@@ -287,6 +287,35 @@ TEST(ServiceDaemon, ResumeRefusesCompletedJournal) {
   EXPECT_THROW((void)resumed_daemon(journal), std::runtime_error);
 }
 
+// A drain whose result dump cannot be written gets no `ok` and leaves the
+// journal without its completed-run footer: the run resumes and drains to
+// the uninterrupted baseline once the path is writable again.
+TEST(ServiceDaemon, FailedDrainLeavesJournalResumable) {
+  const PolicySpec policy = ExperimentBuilder().current_policy();
+  const ScenarioSpec sc = make_scenario("sync", 1, false);
+  const auto script =
+      build_script(23, sc.num_devices, sc.horizon, /*open_loop=*/false);
+  const std::string expected = reference_dump(sc, policy, script);
+  const std::string journal = temp_path("venn_faileddrain.vjl");
+  std::filesystem::create_directory(journal + ".result");  // unwritable dump
+  {
+    service::CoordinatorDaemon daemon = fresh_daemon(sc, policy, journal);
+    play(daemon, script, 0, script.size());
+    std::string reply;
+    try {
+      reply = daemon.dispatch("drain");
+    } catch (const std::exception& e) {
+      reply = std::string("threw: ") + e.what();
+    }
+    EXPECT_NE(reply.rfind("ok", 0), 0u) << reply;
+  }
+  std::filesystem::remove(journal + ".result");
+  service::CoordinatorDaemon daemon = resumed_daemon(journal);
+  ASSERT_EQ(daemon.recovered_seq(), script.size());
+  ASSERT_EQ(daemon.dispatch("drain").rfind("ok drained ", 0), 0u);
+  EXPECT_EQ(read_file(daemon.result_path()), expected);
+}
+
 // ----------------------------------------------- LiveSession == batch run --
 
 // The batch path (Experiment::run) delegates to LiveSession, and a live

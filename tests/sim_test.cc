@@ -1,6 +1,13 @@
 // Unit tests for the discrete-event simulation core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.h"
@@ -235,6 +242,202 @@ TEST(Engine, StreamWithNulloptFirstIsNoop) {
   });
   e.run_until(1000.0);
   EXPECT_EQ(e.events_executed(), 0u);
+}
+
+// --- the presorted start lane ------------------------------------------------
+
+// Per-device start lists fed to the queue through its lane, the way the
+// coordinator feeds a materialized trace fleet: a dense next-start column,
+// refills that take each device's next start before the chunk end, and a
+// successor inside the current chunk sent to the heap when its predecessor
+// fires.
+struct LaneFleet {
+  EventQueue& q;
+  const std::vector<std::vector<SimTime>>& starts;
+  std::function<void(std::uint32_t, std::uint32_t)> body;
+  std::vector<std::uint64_t> base;
+  std::vector<std::uint32_t> next_k;
+
+  LaneFleet(EventQueue& queue, const std::vector<std::vector<SimTime>>& s,
+            std::function<void(std::uint32_t, std::uint32_t)> b)
+      : q(queue), starts(s), body(std::move(b)), next_k(s.size(), 0) {
+    for (const auto& dev : starts) base.push_back(q.reserve_seqs(dev.size()));
+    q.set_lane([this](SimTime end, std::vector<LaneEvent>& out) {
+                 return refill(end, out);
+               },
+               [this](std::uint32_t d, std::uint32_t k) { fire(d, k); });
+  }
+  SimTime start(std::uint32_t d, std::uint32_t k) const {
+    return k < starts[d].size() ? starts[d][k]
+                                : std::numeric_limits<SimTime>::infinity();
+  }
+  SimTime refill(SimTime end, std::vector<LaneEvent>& out) const {
+    SimTime rest = std::numeric_limits<SimTime>::infinity();
+    for (std::uint32_t d = 0; d < starts.size(); ++d) {
+      const SimTime t = start(d, next_k[d]);
+      if (t < end) {
+        out.push_back({t, base[d] + next_k[d], d, next_k[d]});
+      } else {
+        rest = std::min(rest, t);
+      }
+    }
+    return rest;
+  }
+  void fire(std::uint32_t d, std::uint32_t k) {
+    next_k[d] = k + 1;
+    const SimTime t = start(d, k + 1);
+    if (t < q.lane_end()) {
+      q.schedule_reserved(t, base[d] + k + 1, [this, d, k] { fire(d, k + 1); });
+    }
+    body(d, k);
+  }
+};
+
+// The lane replays exactly the order eager scheduling gives the same
+// starts: heap events before and after the starts' seqs tie with them at
+// equal times, start callbacks schedule at now() and later, some hours
+// hold no start, some devices start twice inside one chunk, and the run is
+// driven by run_until stops landing exactly on chunk boundaries and event
+// times, with events scheduled from outside at each stop.
+TEST(EventQueue, LaneReplaysTheEagerOrder) {
+  constexpr SimTime kGrid = 900.0;  // a quarter of the lane's hour chunk
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto grid = [&](int lo, int hi) {
+      return kGrid * std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    // Starts on a coarse grid (ties, chunk boundaries), none in quarters
+    // 40..79 (ten empty hours), several per hour for some devices.
+    const int devices = std::uniform_int_distribution<int>(1, 24)(rng);
+    std::vector<std::vector<SimTime>> starts(devices);
+    for (auto& dev : starts) {
+      const int n = std::uniform_int_distribution<int>(0, 10)(rng);
+      for (int i = 0; i < n; ++i) {
+        SimTime t = grid(0, 120);
+        if (t >= 40 * kGrid && t < 80 * kGrid) t += 40 * kGrid;
+        dev.push_back(t);
+      }
+      std::sort(dev.begin(), dev.end());
+      dev.erase(std::unique(dev.begin(), dev.end()), dev.end());
+    }
+    std::vector<SimTime> pre(std::uniform_int_distribution<int>(0, 12)(rng));
+    std::vector<SimTime> post(std::uniform_int_distribution<int>(0, 12)(rng));
+    for (SimTime& t : pre) t = grid(0, 130);
+    for (SimTime& t : post) t = grid(0, 130);
+    std::vector<SimTime> stops;
+    for (int i = 0; i < 8; ++i) {
+      stops.push_back(i % 2 == 0 ? 3600.0 * (i + 1) : grid(0, 130));
+    }
+    std::sort(stops.begin(), stops.end());
+
+    struct Trace {
+      std::vector<std::tuple<SimTime, char, int, int>> order;
+      std::vector<std::optional<SimTime>> next_at_stop;
+      std::size_t max_pending = 0;
+    };
+    auto run = [&](bool lane) {
+      Trace tr;
+      EventQueue q;
+      auto note = [&](char kind, int a, int b) {
+        tr.order.emplace_back(q.now(), kind, a, b);
+      };
+      // Start side effects keyed by (device, session), identical on both
+      // sides as long as the orders agree.
+      auto body = [&](std::uint32_t d, std::uint32_t k) {
+        note('S', static_cast<int>(d), static_cast<int>(k));
+        const std::uint64_t h = (d * 7919u + k * 104729u + seed) % 15;
+        if (h % 3 == 0) q.schedule(q.now(), [&, d, k] { note('N', d, k); });
+        if (h % 5 == 0) {
+          q.schedule_after(kGrid * static_cast<SimTime>(1 + h % 3),
+                           [&, d, k] { note('L', d, k); });
+        }
+      };
+      for (std::size_t i = 0; i < pre.size(); ++i) {
+        q.schedule(pre[i], [&, i] {
+          note('P', static_cast<int>(i), 0);
+          if (i % 2 == 0) q.schedule(q.now(), [&, i] { note('Q', i, 0); });
+        });
+      }
+      std::optional<LaneFleet> fleet;
+      if (lane) {
+        fleet.emplace(q, starts, body);
+      } else {
+        for (std::uint32_t d = 0; d < starts.size(); ++d) {
+          for (std::uint32_t k = 0; k < starts[d].size(); ++k) {
+            q.schedule(starts[d][k], [&body, d, k] { body(d, k); });
+          }
+        }
+      }
+      for (std::size_t i = 0; i < post.size(); ++i) {
+        q.schedule(post[i], [&, i] { note('A', static_cast<int>(i), 0); });
+      }
+      for (std::size_t i = 0; i < stops.size(); ++i) {
+        q.run_until(stops[i]);
+        tr.max_pending = std::max(tr.max_pending, q.pending());
+        tr.next_at_stop.push_back(q.next_time());
+        if (stops[i] >= q.now()) {
+          q.schedule(stops[i], [&, i] { note('X', static_cast<int>(i), 0); });
+        }
+      }
+      q.run();
+      EXPECT_TRUE(q.empty());
+      EXPECT_EQ(q.executed(), tr.order.size());
+      return tr;
+    };
+    const Trace eager = run(false);
+    const Trace lane = run(true);
+    EXPECT_EQ(lane.order, eager.order);
+    EXPECT_EQ(lane.next_at_stop, eager.next_at_stop);
+    EXPECT_LE(lane.max_pending, eager.max_pending);
+  }
+}
+
+TEST(EventQueue, LaneSkipsEmptyStretchesAndDrains) {
+  EventQueue q;
+  const std::vector<std::vector<SimTime>> starts{{10.0, 50'000.0},
+                                                 {90'000.0}, {}};
+  std::vector<SimTime> fired;
+  LaneFleet fleet(q, starts, [&](std::uint32_t, std::uint32_t) {
+    fired.push_back(q.now());
+  });
+  EXPECT_EQ(q.pending(), 0u);  // nothing is pulled before it is needed
+  ASSERT_TRUE(q.next_time().has_value());
+  EXPECT_DOUBLE_EQ(*q.next_time(), 10.0);
+  EXPECT_EQ(q.pending(), 1u);  // one start in the first hour
+  q.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{10.0, 50'000.0, 90'000.0}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.executed(), 3u);
+  EXPECT_EQ(q.peak_pending(), 1u);
+}
+
+TEST(EventQueue, LaneRejectsPastTimesAndUnreservedSeqs) {
+  {
+    EventQueue q;
+    q.schedule(100.0, [] {});
+    q.run();
+    const std::uint64_t seq = q.reserve_seqs(1);
+    q.set_lane(
+        [seq](SimTime end, std::vector<LaneEvent>& out) {
+          if (end > 100.0) out.push_back({50.0, seq, 0, 0});
+          return std::numeric_limits<SimTime>::infinity();
+        },
+        [](std::uint32_t, std::uint32_t) {});
+    EXPECT_THROW(q.step(), std::invalid_argument);
+  }
+  {
+    EventQueue q;
+    q.set_lane(
+        [](SimTime, std::vector<LaneEvent>& out) {
+          out.push_back({1.0, 0, 0, 0});  // seq 0 was never reserved
+          return std::numeric_limits<SimTime>::infinity();
+        },
+        [](std::uint32_t, std::uint32_t) {});
+    EXPECT_THROW(q.step(), std::invalid_argument);
+    EXPECT_THROW(q.set_lane({}, [](std::uint32_t, std::uint32_t) {}),
+                 std::logic_error);
+  }
 }
 
 }  // namespace
