@@ -120,8 +120,8 @@ struct ScenarioSpec {
   // min-rounds, max-rounds, min-demand, max-demand, interarrival-min,
   // interarrival-s, base-trace, task-s, task-cv, arrival, arrival.<key>,
   // mix, mix.<key>, churn, churn.<key>, protocol (sync|overcommit|async),
-  // protocol.<key>, open-loop (0|1), stream (0|1), index (0|1), shards
-  // (1-64), topology (flat|hier), topo.regions (2-64), topo.sync_latency,
+  // protocol.<key>, open-loop (0|1), stream (0|1), shards (1-64),
+  // topology (flat|hier), topo.regions (2-64), topo.sync_latency,
   // topo.phase_spread, journal (0|1), journal.dir, snapshot_every /
   // snapshot-every, journal.halt-after. Returns false if the key is not a
   // scenario key. Throws std::invalid_argument on a known key with a bad

@@ -126,7 +126,7 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
     devices_[d].bind_participation_slot(&hot_.participation_day[d]);
   }
 
-  index_ = std::make_unique<EligibilityIndex>(hot_);
+  index_ = std::make_unique<EligibilityIndex>(hot_, manager_.signatures());
   if (workers_ != nullptr) index_->set_workers(workers_);
   // Durability: the manager emits the submit records (it owns request-id
   // assignment); everything else journals from here.
@@ -206,9 +206,8 @@ const std::vector<topology::RegionSupply>& Coordinator::region_supply(
 
 double Coordinator::supply_rate(const Requirement& req) const {
   ++hstats_.supply_queries;
-  // Registration is also a side effect the sweep filter relies on
-  // (signature column writes, alignment prefix), so hier mode registers
-  // the requirement too.
+  // Registration also assigns the requirement's bit and rebuckets the
+  // signature column, so hier mode registers the requirement too.
   const std::size_t g = index_->register_requirement(req);
   std::uint64_t eligible = 0;
   double checkins = 0.0;
@@ -654,18 +653,14 @@ void Coordinator::sweep_idle_pool(SimTime now) {
   SweepOrder order(idle_vec_, sweep_slots_, ++sweep_gen_);
   std::vector<std::size_t> assigned;
   const std::size_t n = idle_vec_.size();
-  // Hoisted filter state. The wants mask and the aligned-bits prefix can
-  // only change inside manager_.offer / handle_outcome — a skipped visit
-  // calls neither — so both are refreshed only after an offer lands
-  // instead of through two out-of-line calls per visit, and the skip test
-  // itself is one AND over the hot store's contiguous signature column.
-  // When every manager requirement bit is proven aligned, the offer also
-  // passes the cached signature down (masked to the manager's bit space —
-  // provably the very bits signature_of would recompute).
-  const std::uint64_t* sig = hot_.signature.data();
+  // Hoisted filter state. The wants mask can only change inside
+  // manager_.offer / handle_outcome — a skipped visit calls neither — so it
+  // is refreshed only after an offer lands instead of through an
+  // out-of-line call per visit, and the skip test itself is one AND over
+  // the index's contiguous signature column, whose entries the offer also
+  // passes down.
+  const std::uint64_t* const sig = index_->signatures();
   std::uint64_t wants = manager_.wants_mask();
-  std::uint64_t aligned = aligned_requirement_mask();
-  std::size_t mgr_bits = manager_.signatures().size();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = i + sweep_rng.index(n - i);
     const std::size_t d = order.draw(i, j);
@@ -675,34 +670,16 @@ void Coordinator::sweep_idle_pool(SimTime now) {
     // or skipping a device whose cached signature misses every pending
     // group — is byte-identical to offering every visited device.
     if (wants == 0) break;
-    // The index normally mirrors the manager's requirement registration
-    // order (it registers each job's requirement during the solo-JCT
-    // estimate that precedes manager registration), but that is a
-    // convention, not a structural guarantee — a solo_jct_estimate probe
-    // for a category that never becomes a job would shift the index's
-    // bits. The two spaces are verified requirement-by-requirement (each
-    // bit checked once, then cached) and the skip is disabled for any
-    // wanted bit not yet proven aligned, rather than risk a false
-    // negative.
-    if ((wants & ~aligned) == 0 && (sig[d] & wants) == 0) {
+    if ((sig[d] & wants) == 0) {
       ++hstats_.sweep_skips;
       continue;
     }
     ++hstats_.sweep_offers;
-    const auto outcome =
-        aligned_bits_ >= mgr_bits
-            ? manager_.offer(devices_[d],
-                             sig[d] & (mgr_bits >= 64
-                                           ? ~0ULL
-                                           : (1ULL << mgr_bits) - 1),
-                             now)
-            : manager_.offer(devices_[d], now);
+    const auto outcome = manager_.offer(devices_[d], sig[d], now);
     if (outcome) {
       assigned.push_back(d);
       handle_outcome(d, *outcome);
       wants = manager_.wants_mask();
-      aligned = aligned_requirement_mask();
-      mgr_bits = manager_.signatures().size();
     }
   }
   for (const std::size_t d : assigned) idle_erase(d);
@@ -713,15 +690,12 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
   ++sstats_.sharded_sweeps;
 
   // Hoisted filter state, same discipline as the serial pass: the wants
-  // mask and the aligned-bits prefix can only change inside
-  // manager_.offer / handle_outcome (skipped visits call neither), so
-  // both are refreshed only after an offer lands. Between offers the
-  // merge loop below is therefore a branch-light scan over contiguous
-  // uint64 arrays.
-  const std::uint64_t* sig = hot_.signature.data();
+  // mask can only change inside manager_.offer / handle_outcome (skipped
+  // visits call neither), so it is refreshed only after an offer lands.
+  // Between offers the merge loop below is therefore a branch-light scan
+  // over contiguous uint64 arrays.
+  const std::uint64_t* const sig = index_->signatures();
   std::uint64_t wants = manager_.wants_mask();
-  std::uint64_t aligned = aligned_requirement_mask();
-  std::size_t mgr_bits = manager_.signatures().size();
 
   // Fast path mirroring the serial pass's first iteration: when no request
   // wants devices, the serial sweep visits exactly one device and breaks.
@@ -763,8 +737,7 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
     // value — not one verdict bit — is stored: wants can *shrink*
     // mid-merge (a round fills), and the remaining bits must still decide.
     const std::uint64_t wants0 = wants;
-    const bool filtered = wants0 != 0 && (wants0 & ~aligned) == 0;
-    if (filtered) {
+    if (wants0 != 0) {
       ++sstats_.filter_batches;
       masked.resize(end - i);
       workers_->run_shards([&](std::size_t s) {
@@ -784,11 +757,11 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
 
     // --- merge: replay the canonical offer sequence serially --------------
     // Identical observables to the serial pass: per-visit counters, the
-    // wants==0 early stop, the aligned-bits skip rule, offer order. The
-    // wants mask is constant between offers, so consecutive skips collapse
-    // into one contiguous scan over masked[] (or the signature column)
-    // with a single bulk counter update — the vectorizable inner loop the
-    // SoA layout exists for.
+    // wants==0 early stop, the skip rule, offer order. The wants mask is
+    // constant between offers, so consecutive skips collapse into one
+    // contiguous scan over masked[] (or the signature column) with a single
+    // bulk counter update — the vectorizable inner loop the SoA layout
+    // exists for.
     std::size_t k = i;
     while (k < end) {
       if (wants == 0) {
@@ -797,54 +770,32 @@ void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
         for (const std::size_t a : assigned) idle_erase(a);
         return;
       }
-      if ((wants & ~aligned) == 0) {
-        // A mask that gained a bit since the snapshot (a round opened
-        // mid-merge) invalidates the batch verdict; fall back to the live
-        // signature column, exactly like the serial pass.
-        const std::size_t run0 = k;
-        if (filtered && (wants & ~wants0) == 0) {
-          while (k < end && (masked[k - i] & wants) == 0) ++k;
-        } else {
-          while (k < end && (sig[batch_dev[k - i]] & wants) == 0) ++k;
-        }
-        hstats_.sweep_visits += k - run0;
-        hstats_.sweep_skips += k - run0;
-        if (k >= end) break;
+      // A mask that gained a bit since the snapshot (a round opened
+      // mid-merge) invalidates the batch verdict; fall back to the live
+      // signature column, exactly like the serial pass.
+      const std::size_t run0 = k;
+      if ((wants & ~wants0) == 0) {
+        while (k < end && (masked[k - i] & wants) == 0) ++k;
+      } else {
+        while (k < end && (sig[batch_dev[k - i]] & wants) == 0) ++k;
       }
+      hstats_.sweep_visits += k - run0;
+      hstats_.sweep_skips += k - run0;
+      if (k >= end) break;
       const std::size_t d = batch_dev[k - i];
       ++hstats_.sweep_visits;
       ++hstats_.sweep_offers;
-      const auto outcome =
-          aligned_bits_ >= mgr_bits
-              ? manager_.offer(devices_[d],
-                               sig[d] & (mgr_bits >= 64
-                                             ? ~0ULL
-                                             : (1ULL << mgr_bits) - 1),
-                               now)
-              : manager_.offer(devices_[d], now);
+      const auto outcome = manager_.offer(devices_[d], sig[d], now);
       ++k;
       if (outcome) {
         assigned.push_back(d);
         handle_outcome(d, *outcome);
         wants = manager_.wants_mask();
-        aligned = aligned_requirement_mask();
-        mgr_bits = manager_.signatures().size();
       }
     }
     i = end;
   }
   for (const std::size_t d : assigned) idle_erase(d);
-}
-
-std::uint64_t Coordinator::aligned_requirement_mask() {
-  const std::size_t n =
-      std::min(index_->num_requirements(), manager_.signatures().size());
-  while (aligned_bits_ < n &&
-         index_->requirement(aligned_bits_) ==
-             manager_.signatures().requirement(aligned_bits_)) {
-    ++aligned_bits_;
-  }
-  return aligned_bits_ >= 64 ? ~0ULL : (1ULL << aligned_bits_) - 1;
 }
 
 void Coordinator::attempt_checkin(std::size_t dev_idx) {
@@ -868,7 +819,8 @@ void Coordinator::attempt_checkin(std::size_t dev_idx) {
   // second task while the first is still running — the one-job-per-day
   // rule is a budget, not a mutex.
 
-  const auto outcome = manager_.device_checkin(dev, now);
+  const auto outcome =
+      manager_.device_checkin(dev, index_->signatures()[dev_idx], now);
   if (cfg_.journal != nullptr) {
     cfg_.journal->on_checkin(now, dev_idx, outcome.has_value());
   }
@@ -1275,7 +1227,6 @@ journal::StateSnapshot Coordinator::capture_snapshot() {
     e.u64(static_cast<std::uint64_t>(admitted_));
     e.u64(sessions_streamed_);
     e.u64(static_cast<std::uint64_t>(unfinished_jobs_));
-    e.u64(static_cast<std::uint64_t>(aligned_bits_));
     add("coordinator", e);
   }
   {

@@ -394,13 +394,6 @@ class Coordinator {
   [[nodiscard]] const std::vector<topology::RegionSupply>& region_supply(
       const Requirement& req) const;
 
-  // Bitmask of requirement indices proven identical between the index's and
-  // the manager's registration orders (a prefix; verified incrementally,
-  // each bit once). The sweep skip only trusts index signatures on aligned
-  // bits — alignment is checked structurally, not assumed from the
-  // register-with-index-before-manager call convention.
-  [[nodiscard]] std::uint64_t aligned_requirement_mask();
-
   sim::Engine& engine_;
   ResourceManager& manager_;
   std::vector<Device> devices_;
@@ -491,7 +484,6 @@ class Coordinator {
   // behind the pointer: supply_rate() is const but lazily registers
   // requirements with the index on first sight.
   std::unique_ptr<EligibilityIndex> index_;
-  std::size_t aligned_bits_ = 0;  // verified prefix, aligned_requirement_mask
   mutable HotpathStats hstats_;
 
   // Round protocol in effect: cfg_.protocol or the sync default. Never

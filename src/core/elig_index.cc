@@ -1,18 +1,22 @@
 #include "core/elig_index.h"
 
-#include <stdexcept>
+#include <vector>
 
 #include "sim/worker_pool.h"
 
 namespace venn {
 
 EligibilityIndex::EligibilityIndex(std::span<const Device> devices)
-    : owned_(std::make_unique<FleetHotState>()), hot_(owned_.get()) {
+    : owned_(std::make_unique<FleetHotState>()),
+      owned_space_(std::make_unique<SignatureSpace>()),
+      hot_(owned_.get()),
+      space_(owned_space_.get()) {
   owned_->init(devices, /*shards=*/1);
   seed_zero_bucket();
 }
 
-EligibilityIndex::EligibilityIndex(FleetHotState& hot) : hot_(&hot) {
+EligibilityIndex::EligibilityIndex(FleetHotState& hot, SignatureSpace& space)
+    : hot_(&hot), space_(&space) {
   seed_zero_bucket();
 }
 
@@ -25,45 +29,44 @@ void EligibilityIndex::seed_zero_bucket() {
 }
 
 std::size_t EligibilityIndex::register_requirement(const Requirement& req) {
-  for (std::size_t i = 0; i < reqs_.size(); ++i) {
-    if (reqs_[i] == req) return i;
-  }
-  if (reqs_.size() >= SignatureSpace::kMaxRequirements) {
-    throw std::length_error("EligibilityIndex: too many distinct requirements");
-  }
-  const std::size_t bit = reqs_.size();
-  reqs_.push_back(req);
-  ++mstats_.requirement_registrations;
+  const std::size_t bit = space_->register_requirement(req);
+  sync();
+  return bit;
+}
 
+void EligibilityIndex::sync() {
   // The one full pass this structure ever pays per distinct requirement:
   // flip the new bit on eligible devices and move them between buckets.
   // Dense column scans (spec + signature side by side in the hot store)
   // instead of chasing per-device pointers.
-  const std::uint64_t mask = 1ULL << bit;
-  if (pool_ != nullptr) {
-    rebucket_sharded(req, mask);
-    return bit;
-  }
-  const DeviceSpec* specs = hot_->spec.data();
-  std::uint64_t* sigs = hot_->signature.data();
-  const double* checkins = hot_->session_checkins.data();
-  const std::size_t n = hot_->size();
-  for (std::size_t d = 0; d < n; ++d) {
-    ++mstats_.device_rescans;
-    if (!req.eligible(specs[d])) continue;
-    const std::uint64_t old_sig = sigs[d];
-    const std::uint64_t new_sig = old_sig | mask;
-    sigs[d] = new_sig;
+  for (; bucketed_ < space_->size(); ++bucketed_) {
+    const Requirement& req = space_->requirement(bucketed_);
+    const std::uint64_t mask = 1ULL << bucketed_;
+    ++mstats_.requirement_registrations;
+    if (pool_ != nullptr) {
+      rebucket_sharded(req, mask);
+      continue;
+    }
+    const DeviceSpec* specs = hot_->spec.data();
+    std::uint64_t* sigs = hot_->signature.data();
+    const double* checkins = hot_->session_checkins.data();
+    const std::size_t n = hot_->size();
+    for (std::size_t d = 0; d < n; ++d) {
+      ++mstats_.device_rescans;
+      if (!req.eligible(specs[d])) continue;
+      const std::uint64_t old_sig = sigs[d];
+      const std::uint64_t new_sig = old_sig | mask;
+      sigs[d] = new_sig;
 
-    Atom& from = atoms_.at(old_sig);
-    --from.device_count;
-    from.session_checkins -= checkins[d];
-    Atom& to = atoms_[new_sig];
-    ++to.device_count;
-    to.session_checkins += checkins[d];
-    if (from.device_count == 0) atoms_.erase(old_sig);
+      Atom& from = atoms_.at(old_sig);
+      --from.device_count;
+      from.session_checkins -= checkins[d];
+      Atom& to = atoms_[new_sig];
+      ++to.device_count;
+      to.session_checkins += checkins[d];
+      if (from.device_count == 0) atoms_.erase(old_sig);
+    }
   }
-  return bit;
 }
 
 void EligibilityIndex::rebucket_sharded(const Requirement& req,

@@ -28,25 +28,19 @@
 // private store instead. Either way the index is the sole writer of the
 // signature column.
 //
-// Requirement bit indices are assigned in first-seen order, exactly like
-// `SignatureSpace::register_requirement`; when the coordinator registers
-// each job's requirement here immediately before the resource manager
-// registers the same requirement in its own space (which the job
-// registration path does), the two bit spaces stay aligned and a device
-// signature from this index can be intersected directly with the manager's
-// pending-group mask. The coordinator does not trust that call-order
-// convention blindly: it compares the two spaces requirement-by-requirement
-// (`Coordinator::aligned_requirement_mask`) and only applies the sweep skip
-// to bits proven aligned, so a stray registration (e.g. a solo-JCT probe
-// for a category that never becomes a job) degrades to plain offering
-// instead of silently skipping eligible devices.
+// Requirement bits come from one SignatureSpace (device/eligibility.h):
+// the coordinator's index registers into the resource manager's space, so
+// a bit means the same requirement to both, and a standalone index owns a
+// private space the way it owns a private store. Requirements the space
+// gains from another registrant are rebucketed before the column is read
+// (`signatures()`), so the column carries every bit of the space however
+// the registrations were ordered.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "device/device.h"
 #include "device/eligibility.h"
@@ -75,23 +69,32 @@ class EligibilityIndex {
   };
 
   // Builds the index over a fixed population with a privately owned
-  // hot-state store. Devices are identified by their position in `devices`
-  // for the index's lifetime; specs and session vectors must not change
-  // afterwards (sessions may be absent for streaming-churn populations).
+  // hot-state store and requirement space. Devices are identified by their
+  // position in `devices` for the index's lifetime; specs and session
+  // vectors must not change afterwards (sessions may be absent for
+  // streaming-churn populations).
   explicit EligibilityIndex(std::span<const Device> devices);
 
   // Builds the index over an externally owned, already-initialized store
-  // (the coordinator's FleetHotState). The index becomes the sole writer of
-  // `hot.signature` and reads `hot.spec` / `hot.session_checkins`; `hot`
-  // must outlive the index and must have been init'ed over the same device
-  // population.
-  explicit EligibilityIndex(FleetHotState& hot);
+  // (the coordinator's FleetHotState) and requirement space (the resource
+  // manager's). The index becomes the sole writer of `hot.signature` and
+  // reads `hot.spec` / `hot.session_checkins`; both must outlive the index,
+  // and `hot` must have been init'ed over the same device population.
+  EligibilityIndex(FleetHotState& hot, SignatureSpace& space);
 
-  // Registers `req` (idempotent), returns its bit index. A new distinct
-  // requirement rebuckets the population once — O(devices) per *distinct*
-  // requirement, O(#requirements) afterwards — instead of every supply
-  // query paying a fleet scan.
+  // Registers `req` in the space (idempotent), returns its bit index. A new
+  // distinct requirement rebuckets the population once — O(devices) per
+  // *distinct* requirement, O(#requirements) afterwards — instead of every
+  // supply query paying a fleet scan.
   std::size_t register_requirement(const Requirement& req);
+
+  // The signature column, after rebucketing every bit the space gained
+  // since the last call (a requirement the manager registered first).
+  // O(1) when the space is unchanged.
+  [[nodiscard]] const std::uint64_t* signatures() {
+    if (bucketed_ < space_->size()) sync();
+    return hot_->signature.data();
+  }
 
   // Shard the per-registration rebucket across `pool`: each shard owns a
   // contiguous slice of the signature array (the per-shard index slice of
@@ -104,12 +107,14 @@ class EligibilityIndex {
   // path. The pool must outlive the index.
   void set_workers(sim::WorkerPool* pool) { pool_ = pool; }
 
-  [[nodiscard]] std::size_t num_requirements() const { return reqs_.size(); }
+  [[nodiscard]] std::size_t num_requirements() const {
+    return space_->size();
+  }
   [[nodiscard]] const Requirement& requirement(std::size_t idx) const {
-    return reqs_.at(idx);
+    return space_->requirement(idx);
   }
 
-  // Cached signature of the device at `dev_idx` over the registered
+  // Cached signature of the device at `dev_idx` over the bucketed
   // requirements (bit g set iff requirement g is satisfied).
   [[nodiscard]] std::uint64_t signature(std::size_t dev_idx) const {
     return hot_->signature[dev_idx];
@@ -157,12 +162,17 @@ class EligibilityIndex {
   // starts eligible for no requirement).
   void seed_zero_bucket();
 
-  // The sharded flavor of register_requirement's rebucket pass.
+  // Rebuckets the space's bits [bucketed_, size()), one pass each.
+  void sync();
+  // The sharded flavor of sync's rebucket pass.
   void rebucket_sharded(const Requirement& req, std::uint64_t mask);
 
-  std::vector<Requirement> reqs_;
-  std::unique_ptr<FleetHotState> owned_;  // standalone-construction fallback
-  FleetHotState* hot_ = nullptr;          // the store (owned_ or external)
+  // Standalone-construction fallbacks.
+  std::unique_ptr<FleetHotState> owned_;
+  std::unique_ptr<SignatureSpace> owned_space_;
+  FleetHotState* hot_ = nullptr;     // the store (owned_ or external)
+  SignatureSpace* space_ = nullptr;  // the bits (owned_space_ or external)
+  std::size_t bucketed_ = 0;         // space bits already in the column
   std::unordered_map<std::uint64_t, Atom> atoms_;
 
   sim::WorkerPool* pool_ = nullptr;  // not owned; null = serial rebuckets

@@ -150,13 +150,9 @@ DeviceView ResourceManager::device_view(const Device& dev) const {
   return v;
 }
 
-std::optional<AssignOutcome> ResourceManager::try_assign(const Device& dev,
-                                                         SimTime now) {
-  return try_assign(dev, sigs_.signature_of(dev.spec()), now);
-}
-
-std::optional<AssignOutcome> ResourceManager::try_assign(
-    const Device& dev, std::uint64_t signature, SimTime now) {
+std::optional<AssignOutcome> ResourceManager::offer(const Device& dev,
+                                                    std::uint64_t signature,
+                                                    SimTime now) {
   DeviceView view;
   view.id = dev.id();
   view.spec = dev.spec();
@@ -206,15 +202,10 @@ std::optional<AssignOutcome> ResourceManager::try_assign(
   return out;
 }
 
-std::optional<AssignOutcome> ResourceManager::device_checkin(const Device& dev,
-                                                             SimTime now) {
-  scheduler_->on_device_checkin(device_view(dev), now);
-  return try_assign(dev, now);
-}
-
-std::optional<AssignOutcome> ResourceManager::offer(const Device& dev,
-                                                    SimTime now) {
-  return try_assign(dev, now);
+std::optional<AssignOutcome> ResourceManager::device_checkin(
+    const Device& dev, std::uint64_t signature, SimTime now) {
+  scheduler_->on_device_checkin({dev.id(), dev.spec(), signature}, now);
+  return offer(dev, signature, now);
 }
 
 void ResourceManager::notify_response(JobId job, double capacity,

@@ -71,27 +71,25 @@ class ResourceManager {
   void release_assignment(JobId id, SimTime now);
 
   // ----- device flow -----------------------------------------------------
+  // `signature` is the device's eligibility signature over this manager's
+  // space, read by the coordinator from its index's signature column; it
+  // must carry every bit signatures().signature_of(dev.spec()) would.
+  //
   // A device checks in (session start). Records supply with the policy and
   // attempts an assignment.
+  [[nodiscard]] std::optional<AssignOutcome> device_checkin(
+      const Device& dev, std::uint64_t signature, SimTime now);
+  // The same for a manager driven without an eligibility index: the
+  // signature is computed from the device's spec.
   [[nodiscard]] std::optional<AssignOutcome> device_checkin(const Device& dev,
-                                                            SimTime now);
+                                                            SimTime now) {
+    return device_checkin(dev, sigs_.signature_of(dev.spec()), now);
+  }
 
   // Re-offer an idle device (no supply re-recording).
   [[nodiscard]] std::optional<AssignOutcome> offer(const Device& dev,
-                                                   SimTime now);
-
-  // Presigned re-offer: `signature` is the device's eligibility signature
-  // over THIS manager's requirement space, precomputed by the caller (the
-  // coordinator's sweep passes it from the hot store's signature column
-  // once every requirement bit is proven aligned — see
-  // Coordinator::aligned_requirement_mask). Must equal
-  // signatures().signature_of(dev.spec()) bit for bit; skips only the
-  // per-offer recomputation, nothing else.
-  [[nodiscard]] std::optional<AssignOutcome> offer(const Device& dev,
                                                    std::uint64_t signature,
-                                                   SimTime now) {
-    return try_assign(dev, signature, now);
-  }
+                                                   SimTime now);
 
   // ----- policy notifications passed through ------------------------------
   // `staleness` (round commits between assignment and response; 0 under
@@ -113,6 +111,9 @@ class ResourceManager {
 
   // ----- introspection ----------------------------------------------------
   [[nodiscard]] const SignatureSpace& signatures() const { return sigs_; }
+  // The run's one requirement space, shared with the coordinator's
+  // eligibility index (which registers into it).
+  [[nodiscard]] SignatureSpace& signatures() { return sigs_; }
   [[nodiscard]] Scheduler& scheduler() { return *scheduler_; }
   [[nodiscard]] std::size_t num_pending_jobs() const;
   [[nodiscard]] DeviceView device_view(const Device& dev) const;
@@ -151,7 +152,7 @@ class ResourceManager {
   // Per-event work counters backing the perf-regression harness: the stress
   // tests and the hotpath bench's work-counter gate bound them per event.
   struct HotpathStats {
-    std::uint64_t offers = 0;             // try_assign invocations
+    std::uint64_t offers = 0;             // offers, check-ins included
     std::uint64_t candidates_scanned = 0; // job entries examined across offers
     std::uint64_t view_builds = 0;        // full pending_view materializations
   };
@@ -165,12 +166,6 @@ class ResourceManager {
     double random_priority = 0.0;  // of the currently open request
   };
 
-  std::optional<AssignOutcome> try_assign(const Device& dev, SimTime now);
-  // Core assignment with a caller-supplied signature (the presigned offer
-  // path); the two-argument flavor recomputes it from the device's spec.
-  std::optional<AssignOutcome> try_assign(const Device& dev,
-                                          std::uint64_t signature,
-                                          SimTime now);
   void notify_queue_change(SimTime now);
   [[nodiscard]] PendingJob make_pending(const JobEntry& e) const;
 
@@ -190,7 +185,7 @@ class ResourceManager {
   // Entries with a device-wanting open request, ascending id.
   mutable std::vector<JobEntry*> wanting_;
   mutable HotpathStats hstats_;
-  std::vector<PendingJob> candidates_;  // try_assign's per-offer buffer
+  std::vector<PendingJob> candidates_;  // offer's per-call buffer
 
   void refresh_queue_cache() const;  // recomputes wants_mask_ + wanting_
 };

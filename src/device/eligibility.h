@@ -74,8 +74,10 @@ inline constexpr double kRichThreshold = 0.5;
 // ⊂ General). Used to stratify assignment accounting by device scarcity.
 [[nodiscard]] ResourceCategory finest_region(const DeviceSpec& spec);
 
-// Registry of distinct requirements, assigning each a stable bit index.
-// Signatures are bitmasks over these indices.
+// Registry of distinct requirements, assigning each a stable bit index in
+// first-seen order. Signatures are bitmasks over these indices. A run has
+// one: the resource manager owns it and the coordinator's eligibility index
+// registers into it, so a bit names the same requirement everywhere.
 class SignatureSpace {
  public:
   using Signature = std::uint64_t;
@@ -91,11 +93,6 @@ class SignatureSpace {
 
   // Bitmask of registered requirements that `spec` satisfies.
   [[nodiscard]] Signature signature_of(const DeviceSpec& spec) const;
-
-  // Bitmask restricted to the given subset of requirement indices.
-  [[nodiscard]] static Signature restrict(Signature s, Signature mask) {
-    return s & mask;
-  }
 
  private:
   std::vector<Requirement> reqs_;

@@ -339,12 +339,10 @@ TEST(Coordinator, MidSweepRoundCompletionDefersNestedSweep) {
 
 TEST(Coordinator, SoloJctProbeCannotDesyncIndexBits) {
   // solo_jct_estimate() is public and lazily registers requirements with
-  // the eligibility index on first sight. A probe for a category that
-  // never becomes a job used to shift the index's bit space relative to
-  // the manager's (which only sees real jobs), and the idle-sweep skip
-  // intersects the two — eligible devices were silently skipped. The
-  // alignment check must degrade to plain offering instead: a run after
-  // such a probe must simulate exactly like the same run without it.
+  // the eligibility index on first sight. The index registers into the
+  // manager's space, so a probe for a category that never becomes a job
+  // only takes a bit no job group uses: a run after such a probe must
+  // simulate exactly like the same run without it.
   RunResult results[2];
   for (const bool probed : {false, true}) {
     // {0.4, 0.4}: eligible for General but NOT High-Perf (threshold 0.5),
@@ -371,6 +369,55 @@ TEST(Coordinator, SoloJctProbeCannotDesyncIndexBits) {
   EXPECT_EQ(results[1].jobs[0].jct, results[0].jobs[0].jct);
   EXPECT_EQ(results[1].jobs[0].rounds[0].scheduling_delay,
             results[0].jobs[0].rounds[0].scheduling_delay);
+}
+
+TEST(Coordinator, SweepOffersEveryDeviceOfAManagerFirstRequirement) {
+  // The coordinator registers each job's requirement with the index (the
+  // solo-JCT estimate) before the manager. Reverse that: job 1's
+  // Memory-Rich requirement enters the shared space through the manager
+  // alone, after every device parked idle, so no index registration ever
+  // rebuckets its bit. The sweep of job 0's second round must still read
+  // a column carrying that bit and offer job 1 every eligible device.
+  constexpr int kPerKind = 5;
+  std::vector<Device> devices;
+  for (int i = 0; i < 2 * kPerKind; ++i) {
+    const DeviceSpec spec =
+        i < kPerKind ? DeviceSpec{0.9, 0.1} : DeviceSpec{0.1, 0.9};
+    devices.emplace_back(DeviceId(i), spec, std::vector<Session>{{0.0, kDay}});
+  }
+  trace::JobSpec compute = one_job(2, 1, 10.0, 300.0, 3000.0);
+  compute.category = ResourceCategory::kComputeRich;
+  // Arrives past the horizon: the coordinator never registers it itself.
+  trace::JobSpec memory = one_job(1, kPerKind, kDay);
+  memory.category = ResourceCategory::kMemoryRich;
+
+  sim::Engine engine(1);
+  ResourceManager mgr(std::make_unique<FifoScheduler>());
+  AssignmentLog log;
+  mgr.add_observer(&log);
+  CoordinatorConfig cfg;
+  cfg.horizon = 0.5 * kDay;
+  Coordinator coord(engine, mgr, std::move(devices), {compute, memory}, cfg);
+  coord.setup();
+  constexpr SimTime kManagerFirst = 20.0;
+  engine.at(kManagerFirst, [&] {
+    Job* job = coord.jobs()[1].get();
+    mgr.register_job(job, 1.0);
+    (void)mgr.open_request(job->id(), engine.now(), 0.5);
+  });
+  engine.run_until(cfg.horizon);
+
+  // Check-ins all happen at t=0, so assignments after the manager-first
+  // registration come from sweeps: one sweep took every Memory-Rich device.
+  std::vector<SimTime> memory_at;
+  for (const auto& [dev, at] : log.entries) {
+    if (dev.value() >= kPerKind) memory_at.push_back(at);
+  }
+  ASSERT_EQ(memory_at.size(), static_cast<std::size_t>(kPerKind));
+  EXPECT_GT(memory_at[0], kManagerFirst);
+  for (const SimTime at : memory_at) EXPECT_EQ(at, memory_at[0]);
+  EXPECT_EQ(coord.jobs()[1]->completed_rounds(), 1);
+  EXPECT_EQ(coord.index().maintenance_stats().requirement_registrations, 2u);
 }
 
 TEST(Coordinator, ResponseLandingExactlyAtDeadlineCompletes) {

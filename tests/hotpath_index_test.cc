@@ -134,8 +134,12 @@ TEST(HotpathStress, MaterializedTraceQueueHoldsOneStartPerDevice) {
   for (const Device& d : session.coordinator().devices()) {
     for (const Session& s : d.sessions()) starts += s.start <= sc.horizon;
   }
+  // The lane fills lazily, on the first step() or next_time(): peek once
+  // so its first chunk of starts is counted.
+  ASSERT_TRUE(session.engine().queue().next_time().has_value());
   const std::size_t pending = session.engine().queue().pending();
   EXPECT_GT(starts, 3 * sc.num_devices);  // eager scheduling would hold these
+  EXPECT_GT(pending, sc.num_jobs);        // the lane's starts are counted
   EXPECT_LE(pending, sc.num_devices + sc.num_jobs + 4);
 
   // Over the whole run a device holds at most a few entries at once (its

@@ -265,10 +265,10 @@ TEST(ShardDifferential, ShardedSweepPipelineEngages) {
 
 // SoA-filter-vs-live-signature property. The sweep's batched skip verdict
 // reads the hot store's cached signature column: skip device d iff
-// (hot.signature[d] & wants) == 0 on bits proven aligned with the
-// manager's requirement space; the fallback recomputes the signature live
-// from the spec per offer (SignatureSpace::signature_of). The two must
-// agree under exactly the dynamic conditions that invalidate caches:
+// (hot.signature[d] & wants) == 0; the live signature is the one
+// SignatureSpace::signature_of computes from the spec over the manager's
+// requirement space. The two must agree under exactly the dynamic
+// conditions that invalidate caches:
 //   * the wants mask GROWS mid-sweep — staggered job arrivals register new
 //     requirement bits between (and during) sweeps, and a successful offer
 //     can re-open a queue the filter snapshot considered satisfied;
@@ -277,11 +277,9 @@ TEST(ShardDifferential, ShardedSweepPipelineEngages) {
 //     filtered pool segments churn while rounds are in flight.
 // Run the same scenario at shards {1, 4, 8}, assert those conditions
 // actually occurred, then check per device that the cached column
-// reproduces the live signature bit for bit on the aligned prefix
-// (recomputed here the same way Coordinator::aligned_requirement_mask
-// proves it) — which implies verdict equality for every wants mask the
-// sweep can see. The participation column must likewise match the Device
-// views bound over it.
+// reproduces the live signature on all bits — which implies verdict
+// equality for every wants mask the sweep can see. The participation
+// column must likewise match the Device views bound over it.
 TEST(ShardDifferential, SoaFilterVerdictMatchesLiveSignatureFallback) {
   for (const std::size_t shards : {1UL, 4UL, 8UL}) {
     const std::string label = "shards=" + std::to_string(shards);
@@ -325,23 +323,8 @@ TEST(ShardDifferential, SoaFilterVerdictMatchesLiveSignatureFallback) {
     const FleetHotState& hot = coord.hot_state();
     ASSERT_EQ(hot.size(), sc.num_devices) << label;
 
-    const EligibilityIndex& idx = coord.index();
-    // Recompute the aligned prefix exactly like the coordinator does.
-    std::size_t aligned = 0;
-    const std::size_t n = std::min(idx.num_requirements(), sigs.size());
-    while (aligned < n &&
-           idx.requirement(aligned) == sigs.requirement(aligned)) {
-      ++aligned;
-    }
-    // In this scenario every manager requirement came through the
-    // register-with-index-first path, so the whole space must align —
-    // otherwise the sweep silently degraded to plain offering and the
-    // equality below would not cover the filter at all.
-    ASSERT_EQ(aligned, sigs.size()) << label;
-    const std::uint64_t amask = aligned >= 64 ? ~0ULL : (1ULL << aligned) - 1;
     for (std::size_t d = 0; d < hot.size(); ++d) {
-      const std::uint64_t live = sigs.signature_of(hot.spec[d]);
-      ASSERT_EQ(hot.signature[d] & amask, live & amask)
+      ASSERT_EQ(hot.signature[d], sigs.signature_of(hot.spec[d]))
           << label << " device " << d;
     }
 

@@ -1,7 +1,11 @@
 // Unit tests for the assembled Venn scheduler (§4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "scheduler/venn_sched.h"
+#include "util/stats.h"
 
 namespace venn {
 namespace {
@@ -217,6 +221,34 @@ TEST(VennSched, MatchingFiltersHeadJobOnly) {
     if (pending[*pick].job == JobId(2)) filtered_once = true;
   }
   EXPECT_TRUE(filtered_once);
+}
+
+TEST(VennSched, FlatCapacityReservoirYieldsAscendingThresholds) {
+  // Linear interpolation between two equal order statistics can miss their
+  // value by one ulp (x*(1-f) + x*f != x), so the tier quantiles of a flat
+  // reservoir need not ascend. The matcher rejects non-ascending
+  // thresholds; the scheduler's guard must flatten them first.
+  constexpr double kX = 0.123456789;
+  constexpr std::size_t kCheckins = 50;
+  VennConfig cfg;
+  cfg.num_tiers = 3;
+  const DeviceView dev = device_with_signature(1ULL << G, kX, kX);
+  std::vector<double> caps(kCheckins, dev.spec.capacity());
+  ASSERT_GT(percentile_select(caps, 100.0 / 3.0),
+            percentile_select(caps, 200.0 / 3.0))
+      << "the raw quantiles ascend: the guard is not exercised";
+
+  VennScheduler s(cfg, Rng(1));
+  for (std::size_t i = 0; i < kCheckins; ++i) {
+    s.on_device_checkin(dev, static_cast<double>(i));
+  }
+  const std::vector<PendingJob> pending{make_pending(1, G, 5)};
+  ASSERT_NO_THROW(s.on_queue_change(pending, 100.0));
+  const JobMatcher* m = s.matcher(JobId(1));
+  ASSERT_NE(m, nullptr);
+  const std::vector<double> th = m->profile().thresholds();
+  ASSERT_EQ(th.size(), cfg.num_tiers + 1);
+  EXPECT_TRUE(std::is_sorted(th.begin(), th.end()));
 }
 
 TEST(VennSched, SupplyStoreRecordsCheckins) {
