@@ -120,12 +120,12 @@ struct ShardCell {
   std::vector<double> jcts;          // per-job trajectory, for identity
 };
 
-// One devices × jobs cell, with the durability sink on or off. Materialized
-// sessions (stream=0): session generation happens in the untimed input
-// build, so the timed window measures the scheduling hot path, not world
-// generation. The journal-on window covers the run INCLUDING the journal's
-// round-boundary flushes and the footer — the steady-state cost a
-// coordinator daemon would pay.
+// One devices × jobs cell, with the durability sink on or off. The churn
+// sessions stream inside the timed window, as in any churn run, so the
+// window includes creating every device's churn stream and drawing its
+// sessions, not only the scheduling hot path. The journal-on window covers
+// the run INCLUDING the journal's round-boundary flushes and the footer —
+// the steady-state cost a coordinator daemon would pay.
 CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
                     std::uint64_t seed, bool journal_on, std::string mode) {
   ScenarioSpec sc;
@@ -150,7 +150,6 @@ CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
   ccfg.horizon = sc.horizon;
   ccfg.seed = sc.seed;
   ccfg.churn = gens.churn.get();
-  ccfg.stream_sessions = sc.streaming;
 
   std::unique_ptr<journal::JournalWriter> writer;
   if (journal_on) {
@@ -171,7 +170,8 @@ CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
                                                       header);
     ccfg.journal = writer.get();
   }
-  Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+  Coordinator coord(engine, manager, inputs.devices, inputs.sessions,
+                    inputs.jobs, ccfg);
 
   const auto t0 = std::chrono::steady_clock::now();
   coord.run();
@@ -319,17 +319,19 @@ bool baseline_metric(const std::string& text, std::size_t devices,
 // Always-on low-spec fleet (eligible for General only). One serial stream
 // independent of the shard count, so every shard cell replays the
 // identical world.
-std::vector<Device> make_shard_fleet(std::size_t devices, SimTime horizon,
-                                    std::uint64_t seed) {
+ExperimentInputs make_shard_fleet(std::size_t devices, SimTime horizon,
+                                  std::uint64_t seed) {
   Rng rng(Rng::derive(seed, "shard-fleet"));
-  std::vector<Device> fleet;
-  fleet.reserve(devices);
+  ExperimentInputs fleet;
+  fleet.devices.reserve(devices);
+  fleet.sessions.reserve(devices);
+  const Session always_on{0.0, horizon};
   for (std::size_t i = 0; i < devices; ++i) {
     // Below the rich thresholds on both axes: General-only signatures.
     const DeviceSpec spec{0.05 + 0.4 * rng.uniform(),
                           0.05 + 0.4 * rng.uniform()};
-    fleet.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec,
-                       std::vector<Session>{{0.0, horizon}});
+    fleet.devices.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec);
+    fleet.sessions.push_device({&always_on, 1});
   }
   return fleet;
 }
@@ -343,7 +345,7 @@ ShardCell run_shard_cell(std::size_t devices, std::size_t shards,
   const SimTime horizon =
       spacing * static_cast<double>(general_jobs + 2) + 2.0 * kHour;
 
-  std::vector<Device> fleet = make_shard_fleet(devices, horizon, seed);
+  ExperimentInputs fleet = make_shard_fleet(devices, horizon, seed);
 
   std::vector<trace::JobSpec> jobs;
   {
@@ -372,7 +374,8 @@ ShardCell run_shard_cell(std::size_t devices, std::size_t shards,
   CoordinatorConfig ccfg;
   ccfg.horizon = horizon;
   ccfg.seed = seed;
-  Coordinator coord(engine, manager, std::move(fleet), std::move(jobs), ccfg);
+  Coordinator coord(engine, manager, std::move(fleet.devices),
+                    std::move(fleet.sessions), std::move(jobs), ccfg);
 
   const auto t0 = std::chrono::steady_clock::now();
   coord.run();

@@ -4,7 +4,7 @@
 // Sweeps arrival × churn (× mix × protocol) combinations far outside the
 // paper's two worlds — bursty MMPP arrivals over Weibull churn, flash
 // crowds under a compute-biased mix, over-selection and buffered-async
-// aggregation regimes, a fully open-loop streaming scenario — and runs
+// aggregation regimes, a fully open-loop scenario — and runs
 // venn vs. random on each shared trace. Every cell is run twice at the
 // same seed and checked byte-identical, so generator or protocol
 // nondeterminism fails this bench loudly.
@@ -91,9 +91,8 @@ int main(int argc, char** argv) {
       {"bursty × flash-crowd, heavy-tail mix",
        {"arrival=bursty", "churn=flash-crowd", "mix=heavy-tail",
         "mix.alpha=1.4"}},
-      {"open-loop poisson × weibull (streaming)",
-       {"arrival=poisson", "mix=even", "churn=weibull", "open-loop=1",
-        "stream=1"}},
+      {"open-loop poisson × weibull",
+       {"arrival=poisson", "mix=even", "churn=weibull", "open-loop=1"}},
       // --- round-protocol cells (src/protocol/) --------------------------
       {"poisson × diurnal, overcommit 1.5",
        {"arrival=poisson", "churn=diurnal", "protocol=overcommit",
@@ -103,9 +102,9 @@ int main(int argc, char** argv) {
         "protocol.buffer=8", "protocol.concurrency=24"}},
       {"static × diurnal, async (defaults)",
        {"arrival=static", "churn=diurnal", "protocol=async"}},
-      {"open-loop poisson × weibull, overcommit (streaming)",
+      {"open-loop poisson × weibull, overcommit",
        {"arrival=poisson", "mix=even", "churn=weibull", "open-loop=1",
-        "stream=1", "protocol=overcommit"}},
+        "protocol=overcommit"}},
       // --- hierarchical-topology cells (src/topology/) -------------------
       {"hier 4-region × diurnal, sync 30s",
        {"arrival=poisson", "churn=diurnal", "topology=hier",

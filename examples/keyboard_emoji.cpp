@@ -50,15 +50,16 @@ int main() {
   trace::AvailabilityConfig avail;
   avail.horizon = 7 * kDay;
   std::vector<Device> devices;
+  SessionColumn sessions;
   for (int i = 0; i < 1500; ++i) {
-    devices.emplace_back(DeviceId(i), trace::sample_spec(hw, rng),
-                         trace::generate_sessions(avail, rng));
+    sessions.push_device(trace::generate_sessions(avail, rng));
+    devices.emplace_back(DeviceId(i), trace::sample_spec(hw, rng));
   }
 
   const auto ex = ExperimentBuilder()
                       .seed(99)
                       .horizon(28 * kDay)
-                      .use_devices(std::move(devices))
+                      .use_devices(std::move(devices), std::move(sessions))
                       .use_jobs(build_jobs())
                       .build();
 

@@ -19,9 +19,9 @@
 //       grid on a thread pool with deterministic per-cell seeding.
 //   workload generator registries        — string-keyed arrival processes,
 //       job-mix samplers and device-churn models (src/workload/), wired
-//       through `arrival=`/`mix=`/`churn=` scenario keys; `stream=1`
-//       streams sessions lazily (O(devices) memory), `open-loop=1` admits
-//       jobs mid-run.
+//       through `arrival=`/`mix=`/`churn=` scenario keys; a churn model's
+//       sessions always stream lazily (O(devices) memory), `open-loop=1`
+//       admits jobs mid-run.
 //   RoundProtocol / ProtocolRegistry     — string-keyed round-aggregation
 //       regimes (src/protocol/): `sync` (the paper's §5.1 rounds),
 //       `overcommit` (over-selection with straggler release) and `async`

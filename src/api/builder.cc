@@ -34,7 +34,7 @@ ExperimentConfig to_config(const ScenarioSpec& s) {
   return cfg;
 }
 
-// The open-loop / streaming flags only make sense with the matching
+// The open-loop flag and the dotted knobs only make sense with the matching
 // generator families configured; catch the mismatch before a run.
 void validate_modes(const ScenarioSpec& s) {
   // Dotted knobs without a family name would otherwise be dropped silently
@@ -71,9 +71,6 @@ void validate_modes(const ScenarioSpec& s) {
     throw std::invalid_argument(
         "open-loop=1 with unspaced arrival=static requires a jobs=N cap "
         "(or arrival.spacing-min>0)");
-  }
-  if (s.streaming && !s.churn_gen.configured()) {
-    throw std::invalid_argument("stream=1 requires churn=<name>");
   }
   // Same rule for the topology knobs: a `topo.*` override with
   // topology=hier forgotten would otherwise silently model a flat run.
@@ -147,30 +144,20 @@ workload::GeneratorSet build_scenario_generators(const ScenarioSpec& s) {
 
 // Hierarchical topology: shift each device's availability sessions by its
 // region's diurnal phase offset (timezone spread across a geo-distributed
-// fleet). Sessions pushed wholly past the horizon are dropped. Skipped
-// entirely at phase_spread=0 — the zero-offset case must leave the world
-// bit-for-bit untouched (the flat-equivalence contract), and streaming
-// devices carry no materialized sessions (the coordinator applies the
-// offset as it pulls from the churn stream instead).
-void apply_region_phases(std::vector<Device>& devices,
+// fleet), in place in the session column. Sessions pushed wholly past the
+// horizon are dropped. Skipped entirely at phase_spread=0 — the
+// zero-offset case must leave the world bit-for-bit untouched (the
+// flat-equivalence contract). A streamed churn fleet has no column to
+// shift: the coordinator applies the offset as it pulls from the stream.
+void apply_region_phases(SessionColumn& sessions,
                          const topology::TopologySpec& topo, SimTime horizon) {
   if (!topo.hier || topo.phase_spread_h == 0.0) return;
-  const topology::RegionMap map(devices.size(), topo.regions);
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (!devices[i].has_sessions()) continue;
-    const double off = topology::phase_offset(topo, map.region_of(i));
-    if (off == 0.0) continue;
-    std::vector<Session> shifted;
-    shifted.reserve(devices[i].sessions().size());
-    for (Session session : devices[i].sessions()) {
-      session.start += off;
-      session.end += off;
-      if (session.start >= horizon) break;  // sessions are ordered
-      shifted.push_back(session);
-    }
-    devices[i] =
-        Device(devices[i].id(), devices[i].spec(), std::move(shifted));
-  }
+  const topology::RegionMap map(sessions.devices(), topo.regions);
+  sessions.shift(
+      [&](std::size_t d) {
+        return topology::phase_offset(topo, map.region_of(d));
+      },
+      horizon);
 }
 
 }  // namespace
@@ -190,12 +177,16 @@ std::uint64_t inputs_digest(const ExperimentInputs& in) {
     mix_u64(bits);
   };
   mix_u64(static_cast<std::uint64_t>(in.devices.size()));
-  for (const Device& d : in.devices) {
+  for (std::size_t i = 0; i < in.devices.size(); ++i) {
+    const Device& d = in.devices[i];
     mix_u64(static_cast<std::uint64_t>(d.id().value()));
     mix_f64(d.spec().cpu_score);
     mix_f64(d.spec().mem_score);
-    mix_u64(static_cast<std::uint64_t>(d.sessions().size()));
-    for (const Session& s : d.sessions()) {
+    const std::span<const Session> ss =
+        i < in.sessions.devices() ? in.sessions.of(i)
+                                  : std::span<const Session>{};
+    mix_u64(static_cast<std::uint64_t>(ss.size()));
+    for (const Session& s : ss) {
       mix_f64(s.start);
       mix_f64(s.end);
     }
@@ -226,7 +217,7 @@ ExperimentInputs build_inputs(const ScenarioSpec& s,
   if (!s.uses_generators()) {
     // Legacy single-model path, byte-identical to pre-generator scenarios.
     ExperimentInputs in = venn::build_inputs(to_config(s));
-    apply_region_phases(in.devices, s.topology_spec(), s.horizon);
+    apply_region_phases(in.sessions, s.topology_spec(), s.horizon);
     return in;
   }
 
@@ -235,30 +226,24 @@ ExperimentInputs build_inputs(const ScenarioSpec& s,
   Rng dev_rng = root.fork();
   Rng job_rng = root.fork();
 
-  // Devices: hardware specs from the mixture; sessions from the churn
-  // model (materialized here, or streamed at run time), else the legacy
-  // diurnal generator. Per-device stream identity comes from
-  // workload::device_stream_ctx — the same derivation the streaming
-  // coordinator uses — so stream=0 and stream=1 see the same world.
+  // Devices: hardware specs from the mixture. A churn model's sessions
+  // stream from it at run time, so its fleet gets no session column; the
+  // legacy diurnal generator draws from the same sequential dev_rng as the
+  // specs, so its sessions are generated here.
   trace::AvailabilityConfig avail = s.availability;
   avail.horizon = s.horizon;
   in.devices.reserve(s.num_devices);
-  for (std::size_t i = 0; i < s.num_devices; ++i) {
-    const DeviceSpec spec = trace::sample_spec(s.hardware, dev_rng);
-    if (gens.churn != nullptr && s.streaming) {
-      in.devices.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec);
-      continue;
-    }
-    std::vector<Session> sessions =
-        gens.churn != nullptr
-            ? workload::materialize_sessions(
-                  *gens.churn,
-                  workload::device_stream_ctx(s.seed, i, s.horizon))
-            : trace::generate_sessions(avail, dev_rng);
-    in.devices.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec,
-                            std::move(sessions));
+  if (gens.churn == nullptr) {
+    in.sessions.reserve(s.num_devices * trace::max_sessions(avail));
   }
-  apply_region_phases(in.devices, s.topology_spec(), s.horizon);
+  for (std::size_t i = 0; i < s.num_devices; ++i) {
+    in.devices.emplace_back(DeviceId(static_cast<std::int64_t>(i)),
+                            trace::sample_spec(s.hardware, dev_rng));
+    if (gens.churn == nullptr) {
+      in.sessions.push_device(trace::generate_sessions(avail, dev_rng));
+    }
+  }
+  apply_region_phases(in.sessions, s.topology_spec(), s.horizon);
 
   // Jobs: open-loop scenarios admit them at run time.
   if (s.open_loop) return in;
@@ -465,8 +450,10 @@ ExperimentBuilder& ExperimentBuilder::override_kv(const std::string& token) {
   return set(token.substr(0, eq), token.substr(eq + 1));
 }
 
-ExperimentBuilder& ExperimentBuilder::use_devices(std::vector<Device> devices) {
+ExperimentBuilder& ExperimentBuilder::use_devices(std::vector<Device> devices,
+                                                  SessionColumn sessions) {
   devices_override_ = std::move(devices);
+  sessions_override_ = std::move(sessions);
   return *this;
 }
 
@@ -488,7 +475,10 @@ Experiment ExperimentBuilder::build() const {
   if (!devices_override_ || !jobs_override_) {
     inputs = build_inputs(scenario_, *generators);
   }
-  if (devices_override_) inputs.devices = *devices_override_;
+  if (devices_override_) {
+    inputs.devices = *devices_override_;
+    inputs.sessions = *sessions_override_;
+  }
   if (jobs_override_) inputs.jobs = *jobs_override_;
   return Experiment(scenario_, std::move(inputs), std::move(generators),
                     observers_);

@@ -31,10 +31,11 @@ namespace venn::api {
 
 // Input generation for a scenario (trace depends only on the seed — never
 // on the policy). Scenarios with workload generators configured build
-// through them: churn models materialize (or, with stream=1, defer) device
-// sessions, mix samplers draw the job list, arrival processes assign
-// submission times. Unconfigured families keep the legacy single-model
-// path byte-identically.
+// through them: a churn model leaves the session column empty (its
+// sessions stream from the model at run time), mix samplers draw the job
+// list, arrival processes assign submission times. Unconfigured families
+// keep the legacy single-model path byte-identically, sessions in the
+// column.
 [[nodiscard]] ExperimentInputs build_inputs(const ScenarioSpec& scenario);
 
 // As above with the generator set already instantiated (avoids rebuilding
@@ -185,8 +186,10 @@ class ExperimentBuilder {
   ExperimentBuilder& override_kv(const std::string& token);  // "key=value"
 
   // Replaces the generated population / workload with explicit inputs
-  // (lower-level scenarios like the Fig. 3 toy example).
-  ExperimentBuilder& use_devices(std::vector<Device> devices);
+  // (lower-level scenarios like the Fig. 3 toy example). `sessions` is the
+  // devices' trace, one column entry per device.
+  ExperimentBuilder& use_devices(std::vector<Device> devices,
+                                 SessionColumn sessions);
   ExperimentBuilder& use_jobs(std::vector<trace::JobSpec> jobs);
 
   // Subscribes an observer to every run of the built experiment. The caller
@@ -208,6 +211,7 @@ class ExperimentBuilder {
   ScenarioSpec scenario_;
   PolicySpec policy_;
   std::optional<std::vector<Device>> devices_override_;
+  std::optional<SessionColumn> sessions_override_;
   std::optional<std::vector<trace::JobSpec>> jobs_override_;
   std::vector<RunObserver*> observers_;
 };

@@ -162,10 +162,7 @@ LiveSession::LiveSession(const Experiment& ex,
   ccfg.seed = ex.scenario().seed;
   ccfg.protocol = &ex.round_protocol();
   const auto& gen = ex.generators();
-  if (gen.churn) {
-    ccfg.churn = gen.churn.get();
-    ccfg.stream_sessions = ex.scenario().streaming;
-  }
+  ccfg.churn = gen.churn.get();
   if (ex.scenario().open_loop) {
     ccfg.arrival = gen.arrival.get();
     ccfg.mix = gen.mix.get();
@@ -174,9 +171,9 @@ LiveSession::LiveSession(const Experiment& ex,
   ccfg.journal = sink;
   ccfg.snapshot_every = ex.scenario().snapshot_every;
   ccfg.topo = ex.scenario().topology_spec();
-  coord_ = std::make_unique<Coordinator>(engine_, manager_,
-                                         ex.inputs().devices, ex.inputs().jobs,
-                                         ccfg);
+  coord_ = std::make_unique<Coordinator>(
+      engine_, manager_, ex.inputs().devices, ex.inputs().sessions,
+      ex.inputs().jobs, ccfg);
 }
 
 LiveSession::~LiveSession() = default;

@@ -100,8 +100,6 @@ bool ScenarioSpec::try_set(const std::string& key, const std::string& value) {
     protocol_gen.params.kv[key.substr(9)] = value;
   } else if (key == "open-loop") {
     open_loop = parse_long(key, value) != 0;
-  } else if (key == "stream") {
-    streaming = parse_long(key, value) != 0;
   } else if (key == "shards") {
     const std::size_t n = parse_size(key, value);
     if (n < 1 || n > 64) {
@@ -228,7 +226,6 @@ std::string ScenarioSpec::to_kv() const {
   emit_generator(out, "churn", churn_gen);
   emit_generator(out, "protocol", protocol_gen);
   out += "open-loop=" + std::string(open_loop ? "1" : "0") + "\n";
-  out += "stream=" + std::string(streaming ? "1" : "0") + "\n";
   out += "shards=" + std::to_string(shards) + "\n";
   // Topology shapes the world (phases, uplink latency), so a journaled
   // hier run must replay hier. Only configured knobs are emitted; flat

@@ -68,9 +68,6 @@ struct ScenarioSpec {
   // open-loop=1: jobs are admitted mid-run from the arrival stream
   // (requires arrival= and mix=); `jobs` caps admissions, 0 = unbounded.
   bool open_loop = false;
-  // stream=1: device sessions are pulled lazily from the churn model
-  // (requires churn=) — O(devices) memory instead of O(devices × horizon).
-  bool streaming = false;
 
   // Simulation.
   SimTime horizon = 28.0 * kDay;
@@ -120,7 +117,7 @@ struct ScenarioSpec {
   // min-rounds, max-rounds, min-demand, max-demand, interarrival-min,
   // interarrival-s, base-trace, task-s, task-cv, arrival, arrival.<key>,
   // mix, mix.<key>, churn, churn.<key>, protocol (sync|overcommit|async),
-  // protocol.<key>, open-loop (0|1), stream (0|1), shards (1-64),
+  // protocol.<key>, open-loop (0|1), shards (1-64),
   // topology (flat|hier), topo.regions (2-64), topo.sync_latency,
   // topo.phase_spread, journal (0|1), journal.dir, snapshot_every /
   // snapshot-every, journal.halt-after. Returns false if the key is not a

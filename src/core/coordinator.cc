@@ -58,12 +58,13 @@ class Coordinator::SweepOrder {
 };
 
 Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
-                         std::vector<Device> devices,
+                         std::vector<Device> devices, SessionColumn sessions,
                          std::vector<trace::JobSpec> specs,
                          CoordinatorConfig cfg)
     : engine_(engine),
       manager_(manager),
       devices_(std::move(devices)),
+      sessions_(std::move(sessions)),
       specs_(std::move(specs)),
       cfg_(cfg),
       protocol_(cfg.protocol != nullptr ? cfg.protocol
@@ -72,14 +73,12 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
     throw std::invalid_argument(
         "Coordinator: open-loop arrivals require a job-mix sampler");
   }
-  if (streaming_churn()) {
-    for (const auto& d : devices_) {
-      if (d.has_sessions()) {
-        throw std::invalid_argument(
-            "Coordinator: streaming churn requires devices without "
-            "pre-materialized sessions");
-      }
-    }
+  // A column covering no device means the sessions stream from the churn
+  // model; without one the fleet is sessionless, which an all-empty column
+  // describes.
+  streamed_ = cfg_.churn != nullptr && sessions_.devices() == 0;
+  if (!streamed_ && sessions_.devices() == 0) {
+    for (std::size_t d = 0; d < devices_.size(); ++d) sessions_.push_device({});
   }
   if (!devices_.empty()) {
     double acc = 0.0;
@@ -121,7 +120,7 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
   // loops touch. Devices become views over the participation column (their
   // budget API now reads/writes hot_.participation_day), and the
   // eligibility index below maintains hot_.signature in place.
-  hot_.init(std::span<const Device>(devices_), shards);
+  hot_.init(std::span<const Device>(devices_), sessions_, shards);
   for (std::size_t d = 0; d < devices_.size(); ++d) {
     devices_[d].bind_participation_slot(&hot_.participation_day[d]);
   }
@@ -166,14 +165,10 @@ bool Coordinator::validate_idle_segments() const {
 }
 
 std::size_t Coordinator::resident_session_count() const {
-  if (streaming_churn()) {
-    // Actual measurement: streams currently holding a session (≤ 1 each).
-    std::size_t n = 0;
-    for (const auto& st : streams_) n += st.has_session ? 1 : 0;
-    return n;
-  }
+  if (!streamed_) return sessions_.size();
+  // Cursors currently holding a pending session (at most one each).
   std::size_t n = 0;
-  for (const auto& d : devices_) n += d.sessions().size();
+  for (const SimTime t : next_start_) n += t != kNoStart ? 1 : 0;
   return n;
 }
 
@@ -235,8 +230,8 @@ double Coordinator::supply_rate(const Requirement& req) const {
     span = index_->session_span();
   }
   if (cfg_.churn != nullptr) {
-    // Analytic rate from the churn model — used whether or not sessions
-    // are streamed, so stream=0 and stream=1 estimate identically.
+    // Analytic rate from the churn model — used whether the sessions
+    // stream or replay from a column, so the two estimate identically.
     const double rate = static_cast<double>(eligible) *
                         cfg_.churn->mean_sessions_per_day() / kDay;
     return std::max(rate, 1e-9);
@@ -327,47 +322,61 @@ void Coordinator::setup() {
     });
   }
 
-  // Device session starts.
-  if (streaming_churn()) {
-    // Streaming: one lazy stream per device, advanced session by session.
-    streams_.resize(devices_.size());
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-      streams_[d].stream = cfg_.churn->stream(
+  // Device session starts reach the queue through its presorted lane
+  // (sim/event_queue.h), one chunk of simulated time at a time, from the
+  // cursors' dense next-start column: at most one pending start per
+  // device, in the order eager scheduling would give them.
+  const std::size_t n = devices_.size();
+  lane_seq_ = engine_.queue().reserve_seqs(n);
+  next_start_.assign(n, kNoStart);
+  next_end_.assign(n, kNoStart);
+  session_end_.assign(n, -1.0);
+  if (streamed_) {
+    streams_.resize(n);
+    for (std::size_t d = 0; d < n; ++d) {
+      streams_[d] = cfg_.churn->stream(
           workload::device_stream_ctx(cfg_.seed, d, cfg_.horizon));
-      advance_device(d);
     }
   } else {
-    // Materialized: each device reserves a sequence number for every start
-    // at or before the horizon, in the (device, session) order eager
-    // scheduling used. The starts then reach the queue through its
-    // presorted lane (sim/event_queue.h), one chunk of simulated time at a
-    // time, from the dense next-start column: at most one pending start
-    // per device instead of one per session, in the eager event order.
-    const std::size_t n = devices_.size();
-    session_seq_.resize(n);
     next_k_.assign(n, 0);
-    next_start_.resize(n);
-    session_end_.assign(n, -1.0);
-    for (std::size_t d = 0; d < n; ++d) {
-      const auto& ss = devices_[d].sessions();
-      const auto starts = std::upper_bound(
-          ss.begin(), ss.end(), cfg_.horizon,
-          [](SimTime h, const Session& s) { return h < s.start; });
-      session_seq_[d] = engine_.queue().reserve_seqs(
-          static_cast<std::uint64_t>(starts - ss.begin()));
-      next_start_[d] = start_of(d, 0);
-    }
-    engine_.queue().set_lane(
-        [this](SimTime end, std::vector<sim::LaneEvent>& out) {
-          return refill_session_starts(end, out);
-        },
-        [this](std::uint32_t d, std::uint32_t k) { on_session_start(d, k); });
   }
+  for (std::size_t d = 0; d < n; ++d) load_next_session(d);
+  engine_.queue().set_lane(
+      [this](SimTime end, std::vector<sim::LaneEvent>& out) {
+        return refill_session_starts(end, out);
+      },
+      [this](std::uint32_t d) { on_session_start(d); });
 }
 
-SimTime Coordinator::start_of(std::size_t dev_idx, std::uint32_t k) const {
-  const auto& ss = devices_[dev_idx].sessions();
-  return k < ss.size() ? ss[k].start : kNoStart;
+void Coordinator::load_next_session(std::size_t d) {
+  Session next{kNoStart, kNoStart};
+  if (!streamed_) {
+    const std::span<const Session> ss = sessions_.of(d);
+    if (next_k_[d] < ss.size()) next = ss[next_k_[d]++];
+  } else if (auto& stream = streams_[d]) {
+    std::optional<Session> s = stream->next();
+    if (s && cfg_.topo.hier) {
+      // Hierarchical topology: the region's diurnal phase shifts every
+      // streamed session, as apply_region_phases (api/builder.cc) shifts
+      // a column. Exactly 0.0 at phase_spread=0.
+      const double phase =
+          topology::phase_offset(cfg_.topo, regions_.region_of(d));
+      s->start += phase;
+      s->end += phase;
+    }
+    if (!s || s->start >= cfg_.horizon) {
+      stream.reset();
+    } else if (s->end <= s->start || s->start < session_end_[d]) {
+      throw std::logic_error(
+          "Coordinator: churn stream of device " + std::to_string(d) +
+          " yielded an empty, inverted or overlapping session");
+    } else {
+      ++sessions_streamed_;
+      next = *s;
+    }
+  }
+  next_start_[d] = next.start;
+  next_end_[d] = next.end;
 }
 
 SimTime Coordinator::refill_session_starts(
@@ -378,8 +387,7 @@ SimTime Coordinator::refill_session_starts(
     const SimTime t = next_start_[d];
     if (t > horizon) continue;  // starts past the horizon never fire
     if (t < end) {
-      out.push_back({t, session_seq_[d] + next_k_[d],
-                     static_cast<std::uint32_t>(d), next_k_[d]});
+      out.push_back({t, lane_seq_ + d, static_cast<std::uint32_t>(d)});
     } else {
       rest = std::min(rest, t);
     }
@@ -387,19 +395,17 @@ SimTime Coordinator::refill_session_starts(
   return rest;
 }
 
-void Coordinator::on_session_start(std::uint32_t d, std::uint32_t k) {
-  session_end_[d] = devices_[d].sessions()[k].end;
-  const std::uint32_t next = k + 1;
-  next_k_[d] = next;
-  const SimTime t = start_of(d, next);
-  next_start_[d] = t;
+void Coordinator::on_session_start(std::uint32_t d) {
+  session_end_[d] = next_end_[d];
+  load_next_session(d);
+  const SimTime t = next_start_[d];
   // A successor inside the lane's current chunk would be missed by the
   // next refill (which starts at the chunk end): it goes through the heap
-  // under its reserved number instead, like the whole chain once did.
+  // under the device's reserved number instead.
   auto& queue = engine_.queue();
   if (t < queue.lane_end() && t <= cfg_.horizon) {
-    queue.schedule_reserved(t, session_seq_[d] + next,
-                            [this, d, next] { on_session_start(d, next); });
+    queue.schedule_reserved(t, lane_seq_ + d,
+                            [this, d] { on_session_start(d); });
   }
   attempt_checkin(d);
 }
@@ -412,8 +418,8 @@ bool Coordinator::external_checkin(std::size_t dev, double duration) {
   ext_session_end_[dev] = now + duration;
   attempt_checkin(dev);
   // The grant expires on its own clock: clear the slot and retire any pool
-  // entry. attempt_checkin's non-streaming retire covers the pool, but the
-  // slot itself (and streaming mode) needs this event.
+  // entry. attempt_checkin's park-time retire covers the pool, but the slot
+  // itself needs this event.
   engine_.at(std::min(now + duration, cfg_.horizon), [this, dev] {
     if (ext_session_end_[dev] >= 0.0 && ext_session_end_[dev] <= engine_.now()) {
       ext_session_end_[dev] = -1.0;
@@ -497,44 +503,6 @@ void Coordinator::admit_job() {
   submit_request(job);
 }
 
-void Coordinator::advance_device(std::size_t dev_idx) {
-  auto& st = streams_[dev_idx];
-  st.has_session = false;
-  // Hierarchical topology: the region's diurnal phase shifts every
-  // streamed session — the streaming twin of the materialized path's
-  // apply_region_phases (api/builder.cc), so stream=0 and stream=1 see
-  // the same shifted world. Exactly 0.0 at phase_spread=0, leaving the
-  // flat trajectory bit-for-bit untouched.
-  const double phase =
-      cfg_.topo.hier
-          ? topology::phase_offset(cfg_.topo, regions_.region_of(dev_idx))
-          : 0.0;
-  while (st.stream) {
-    auto s = st.stream->next();
-    if (s && phase != 0.0) {
-      s->start += phase;
-      s->end += phase;
-    }
-    if (!s || s->start >= cfg_.horizon) {
-      st.stream.reset();
-      return;
-    }
-    if (s->end <= s->start) continue;
-    ++sessions_streamed_;
-    st.current = *s;
-    st.has_session = true;
-    engine_.at(std::max(s->start, engine_.now()),
-               [this, dev_idx] { attempt_checkin(dev_idx); });
-    // One event retires the session AND pulls the next one — the stream
-    // stays one session ahead, never materialized.
-    engine_.at(std::min(s->end, cfg_.horizon), [this, dev_idx] {
-      retire_idle(dev_idx);
-      advance_device(dev_idx);
-    });
-    return;
-  }
-}
-
 SimTime Coordinator::active_session_end(std::size_t dev_idx,
                                         SimTime now) const {
   // External grants (live service mode) take precedence over the trace.
@@ -542,20 +510,15 @@ SimTime Coordinator::active_session_end(std::size_t dev_idx,
   if (!ext_session_end_.empty() && ext_session_end_[dev_idx] > now) {
     return ext_session_end_[dev_idx];
   }
-  if (streaming_churn()) {
-    const auto& st = streams_[dev_idx];
-    if (st.has_session && st.current.contains(now)) return st.current.end;
-    return -1.0;
-  }
   // Before the next start, the session covering `now` can only be the
-  // one whose start fired last. From the next start on (the touching tie:
-  // a session ending exactly where the next begins, probed before that
-  // start's event has run), the trace itself answers.
+  // one whose start fired last. At the next start (the touching tie: a
+  // session ending exactly where the next begins, probed before that
+  // start's event has run) it is the pending one; the clock never passes
+  // a start that has not fired.
   if (now < next_start_[dev_idx]) {
     return now < session_end_[dev_idx] ? session_end_[dev_idx] : -1.0;
   }
-  const Session* s = devices_[dev_idx].session_at(now);
-  return s != nullptr ? s->end : -1.0;
+  return next_end_[dev_idx];
 }
 
 void Coordinator::schedule_job_arrival(std::size_t job_idx) {
@@ -836,13 +799,10 @@ void Coordinator::attempt_checkin(std::size_t dev_idx) {
     handle_outcome(dev_idx, *outcome);
     return;
   }
-  // Park in the idle pool until the session ends. In streaming mode the
-  // session's advance event retires the pool entry.
+  // Park in the idle pool until the session ends.
   idle_insert(dev_idx);
-  if (!streaming_churn()) {
-    engine_.at(std::min(session_end, cfg_.horizon),
-               [this, dev_idx] { retire_idle(dev_idx); });
-  }
+  engine_.at(std::min(session_end, cfg_.horizon),
+             [this, dev_idx] { retire_idle(dev_idx); });
 }
 
 void Coordinator::handle_outcome(std::size_t dev_idx,
@@ -1154,13 +1114,11 @@ std::size_t Coordinator::release_stragglers(Job* job, RequestId rid,
             std::to_string(shard_of(entry.dev)) + ")");
       }
       idle_insert(entry.dev);
-      if (!streaming_churn()) {
-        // Mirror attempt_checkin's parking rule: the pool entry retires
-        // with the session. (Streaming mode's advance event does this.)
-        const std::size_t d = entry.dev;
-        engine_.at(std::min(session_end, cfg_.horizon),
-                   [this, d] { retire_idle(d); });
-      }
+      // Mirror attempt_checkin's parking rule: the pool entry retires with
+      // the session.
+      const std::size_t d = entry.dev;
+      engine_.at(std::min(session_end, cfg_.horizon),
+                 [this, d] { retire_idle(d); });
     }
   }
   if (entries.empty()) inflight_.erase(it);
@@ -1327,14 +1285,16 @@ journal::StateSnapshot Coordinator::capture_snapshot() {
     e.i64(manager_.next_request_id());
     add("manager", e);
   }
-  if (streaming_churn()) {
+  if (streamed_) {
+    // A streamed run's cursors: where each device's stream stands. A trace
+    // run's cursors follow from the clock, so its snapshots carry none.
     journal::Encoder e;
     e.u64(static_cast<std::uint64_t>(streams_.size()));
-    for (const auto& st : streams_) {
-      e.u8(st.stream != nullptr ? 1 : 0);
-      e.u8(st.has_session ? 1 : 0);
-      e.f64(st.current.start);
-      e.f64(st.current.end);
+    for (std::size_t d = 0; d < streams_.size(); ++d) {
+      e.u8(streams_[d] != nullptr ? 1 : 0);
+      e.f64(next_start_[d]);
+      e.f64(next_end_[d]);
+      e.f64(session_end_[d]);
     }
     add("streams", e);
   }

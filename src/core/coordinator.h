@@ -25,16 +25,17 @@
 // FedBuff-style buffered aggregation (continuous admission, a commit every
 // B responses, per-response staleness tracked, no deadline).
 //
-// Two workload modes compose with the closed-loop replay above:
+// Sessions have one path into the run: each device's cursor (its next
+// session, and the end of its running one) feeds the event queue's
+// presorted start lane. A trace run fills the cursors from a SessionColumn
+// covering the fleet; a churn run (`CoordinatorConfig::churn` set, a
+// column covering no device) pulls each device's sessions lazily from its
+// workload::ChurnStream (seeded per device via Rng::derive), one ahead of
+// the running one — O(devices) memory, not O(devices × horizon).
 //
-//   streaming churn — when `CoordinatorConfig::churn` is set, devices carry
-//     NO pre-materialized session vectors; each device pulls its next
-//     session lazily from a workload::ChurnStream (seeded per device via
-//     Rng::derive) and self-reschedules through the engine. Memory is
-//     O(devices), not O(devices × horizon).
-//   open loop — when `arrival` + `mix` are set, jobs are admitted mid-run
-//     from the arrival stream (the paper's dynamic-arrival setting) instead
-//     of coming from a pre-built spec list.
+// Open loop composes with either: when `arrival` + `mix` are set, jobs are
+// admitted mid-run from the arrival stream (the paper's dynamic-arrival
+// setting) instead of coming from a pre-built spec list.
 //
 // Supply estimation and idle-pool sweeps run against an incremental
 // eligibility index (core/elig_index.h). Its supply answers equal a
@@ -98,12 +99,11 @@ struct CoordinatorConfig {
 
   // Churn model of the device population, when one is configured. Always
   // used for the analytic supply-rate / session statistics behind
-  // solo_jct_estimate, so stream_sessions=0 and =1 estimate identically.
-  // With `stream_sessions` set, sessions are additionally pulled lazily
-  // from the model and the devices passed to the constructor must carry
-  // empty session vectors (specs only).
+  // solo_jct_estimate. When the constructor's session column covers no
+  // device, the sessions also stream from this model; a column covering
+  // the fleet (a drained stream, say) is replayed under the same
+  // estimates.
   const workload::ChurnModel* churn = nullptr;
-  bool stream_sessions = false;
 
   // Round protocol driving the request lifecycle (src/protocol/). Null
   // keeps the paper's synchronous protocol (protocol::sync_protocol()),
@@ -131,7 +131,7 @@ struct CoordinatorConfig {
   // split into contiguous regional ranges: supply-rate queries aggregate
   // exact per-region partials, per-region protocol activity is counted in
   // TopologyStats, device results ride a region→global uplink of
-  // `topo.sync_latency` seconds, and (in streaming mode) each region's
+  // `topo.sync_latency` seconds, and (for streamed churn) each region's
   // sessions are shifted by its diurnal phase offset. At sync_latency=0
   // and phase_spread=0 a hier run is byte-identical to flat — the
   // equivalence the topology differential wall enforces.
@@ -140,11 +140,14 @@ struct CoordinatorConfig {
 
 class Coordinator {
  public:
-  // `devices` are fully generated (specs + sessions). `specs` define the
-  // workload. The coordinator owns the resulting Job objects.
+  // `devices` are the fleet and `sessions` their trace, one column entry
+  // per device — or a column covering no device, when the sessions stream
+  // from `cfg.churn` (without a churn model the fleet is then sessionless).
+  // `specs` define the workload. The coordinator owns the resulting Job
+  // objects.
   Coordinator(sim::Engine& engine, ResourceManager& manager,
-              std::vector<Device> devices, std::vector<trace::JobSpec> specs,
-              CoordinatorConfig cfg = {});
+              std::vector<Device> devices, SessionColumn sessions,
+              std::vector<trace::JobSpec> specs, CoordinatorConfig cfg = {});
 
   // Non-movable: the devices are bound as views over the hot-state store's
   // participation column (stable addresses for the run's lifetime).
@@ -209,10 +212,11 @@ class Coordinator {
   // eligibility index (per-region partials under topology=hier).
   [[nodiscard]] double supply_rate(const Requirement& req) const;
 
-  // --- streaming accounting (churn mode) --------------------------------
+  // --- session accounting -----------------------------------------------
   // Total sessions pulled from churn streams so far, and the number of
-  // Session objects resident at once (one per device) — the allocation-count
-  // evidence that streaming never materializes per-device session vectors.
+  // Session objects resident: the whole column for a trace run, the
+  // cursors' pending sessions (at most one per device) for streamed churn
+  // — the evidence that streaming never materializes a device's sessions.
   [[nodiscard]] std::uint64_t sessions_streamed() const {
     return sessions_streamed_;
   }
@@ -335,24 +339,21 @@ class Coordinator {
   void submit_request(Job* job);
   // Open-loop admission: create + register a job sampled from the mix.
   void admit_job();
-  // Streaming churn: pull the device's next session and arm its check-in /
-  // advance events. Called at setup and at each session end.
-  void advance_device(std::size_t dev_idx);
-  // Materialized sessions. Start of the device's session `k`, or kNoStart
-  // when it has none.
-  [[nodiscard]] SimTime start_of(std::size_t dev_idx, std::uint32_t k) const;
+  // Loads the device's next session into its cursor, from the column or
+  // its churn stream (kNoStart when it has none left).
+  void load_next_session(std::size_t dev_idx);
   // The event queue's lane source: appends every device's next start
   // before `end` (at most one per device) and returns the earliest start
   // left at or before the horizon (kNoStart when none).
   SimTime refill_session_starts(SimTime end,
                                 std::vector<sim::LaneEvent>& out) const;
-  // Session `k` of the device starts: updates the session columns, sends
-  // a successor that falls inside the lane's current chunk to the heap,
-  // then attempts the check-in.
-  void on_session_start(std::uint32_t dev_idx, std::uint32_t k);
-  // End of the session covering `now` for this device (streamed or
-  // materialized), or a negative value when the device is offline. O(1)
-  // for a materialized trace except in the touching-session tie.
+  // The device's pending session starts: advances its cursor, sends a
+  // successor that falls inside the lane's current chunk to the heap, then
+  // attempts the check-in.
+  void on_session_start(std::uint32_t dev_idx);
+  // End of the session covering `now` for this device, or a negative value
+  // when the device is offline. O(1): the cursor holds both the running
+  // and the pending session.
   [[nodiscard]] SimTime active_session_end(std::size_t dev_idx,
                                            SimTime now) const;
   // Device checks in if a session covers `now` and today's participation
@@ -397,6 +398,7 @@ class Coordinator {
   sim::Engine& engine_;
   ResourceManager& manager_;
   std::vector<Device> devices_;
+  SessionColumn sessions_;  // covers the fleet unless streamed_
   std::vector<trace::JobSpec> specs_;
   CoordinatorConfig cfg_;
 
@@ -421,7 +423,7 @@ class Coordinator {
   void idle_erase(std::size_t d);
   // Session-end retirement of a pool entry — the journal's check-out
   // event. Assignment-side erases are NOT check-outs (they are recorded
-  // as assignments), so the three session-end sites call this instead.
+  // as assignments), so the session-end sites call this instead.
   void retire_idle(std::size_t d);
 
   // --- sharded execution state ------------------------------------------
@@ -508,34 +510,23 @@ class Coordinator {
   std::unordered_map<JobId, std::vector<InFlight>> inflight_;
   bool inflight_remove(JobId jid, RequestId rid, std::size_t dev);
 
-  [[nodiscard]] bool streaming_churn() const {
-    return cfg_.churn != nullptr && cfg_.stream_sessions;
-  }
-
-  // Streaming-churn state: one lazy stream and at most one resident
-  // session per device.
-  struct DeviceStream {
-    std::unique_ptr<workload::ChurnStream> stream;
-    Session current{0.0, 0.0};
-    bool has_session = false;
-  };
-  std::vector<DeviceStream> streams_;
-  std::uint64_t sessions_streamed_ = 0;
-
-  // Materialized sessions, one dense column entry per device:
-  //   session_seq_ — the reserved sequence number of the device's first
-  //     session start (session k runs under session_seq_[d] + k, so the
-  //     event order is the eager (device, session) scheduling order);
-  //   next_k_, next_start_ — the next session whose start has not fired,
-  //     and its start (kNoStart when the trace has no further session);
-  //     the lane refill reads these;
-  //   session_end_ — end of the session whose start fired last (-1 before
-  //     the first), which answers active_session_end without a search.
+  // Session cursors, one dense entry per device: the pending session
+  // (next_start_/next_end_, kNoStart when none is left) and the end of the
+  // one whose start fired last (session_end_, -1 before the first). A trace
+  // run reads session next_k_ of the device's column slice; a streamed run
+  // pulls from streams_ (null once exhausted). Every start of device d runs
+  // under the one seq lane_seq_ + d, reserved at setup before any runtime
+  // event: no device has two starts at one instant, so (t, seq) orders the
+  // starts exactly as scheduling them all eagerly at setup would.
   static constexpr SimTime kNoStart = std::numeric_limits<SimTime>::infinity();
-  std::vector<std::uint64_t> session_seq_;
-  std::vector<std::uint32_t> next_k_;
+  bool streamed_ = false;
+  std::uint64_t lane_seq_ = 0;
   std::vector<SimTime> next_start_;
+  std::vector<SimTime> next_end_;
   std::vector<SimTime> session_end_;
+  std::vector<std::uint32_t> next_k_;
+  std::vector<std::unique_ptr<workload::ChurnStream>> streams_;
+  std::uint64_t sessions_streamed_ = 0;
 
   // Open-loop state: job specs sampled as arrivals fire.
   Rng mix_rng_{0};

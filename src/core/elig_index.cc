@@ -6,12 +6,13 @@
 
 namespace venn {
 
-EligibilityIndex::EligibilityIndex(std::span<const Device> devices)
+EligibilityIndex::EligibilityIndex(std::span<const Device> devices,
+                                   const SessionColumn& sessions)
     : owned_(std::make_unique<FleetHotState>()),
       owned_space_(std::make_unique<SignatureSpace>()),
       hot_(owned_.get()),
       space_(owned_space_.get()) {
-  owned_->init(devices, /*shards=*/1);
+  owned_->init(devices, sessions, /*shards=*/1);
   seed_zero_bucket();
 }
 

@@ -11,7 +11,7 @@
 //     `compute_irs_plan` consumes — updated only when a new distinct
 //     requirement arrives (job arrival), never per scheduling decision;
 //   * devices are bucketed per signature into *atom buckets* holding the
-//     device count and the total materialized-session check-in count, so
+//     device count and the total trace-session check-in count, so
 //     eligible-supply queries are O(#atoms) instead of O(devices);
 //   * population session statistics (span, mean session seconds) are
 //     computed once at construction in device order, so index-backed
@@ -57,7 +57,7 @@ class EligibilityIndex {
   // One eligibility atom: the devices sharing a signature.
   struct Atom {
     std::size_t device_count = 0;
-    // Total number of materialized sessions (= daily-averaged check-ins
+    // Total number of trace sessions (= daily-averaged check-ins
     // numerator) of the bucket's devices. Integer-valued, stored as double
     // so sums reproduce a per-device double accumulation exactly.
     double session_checkins = 0.0;
@@ -70,10 +70,10 @@ class EligibilityIndex {
 
   // Builds the index over a fixed population with a privately owned
   // hot-state store and requirement space. Devices are identified by their
-  // position in `devices` for the index's lifetime; specs and session
-  // vectors must not change afterwards (sessions may be absent for
-  // streaming-churn populations).
-  explicit EligibilityIndex(std::span<const Device> devices);
+  // position in `devices` for the index's lifetime; `sessions` is their
+  // trace (a column covering no device for streaming-churn populations).
+  EligibilityIndex(std::span<const Device> devices,
+                   const SessionColumn& sessions);
 
   // Builds the index over an externally owned, already-initialized store
   // (the coordinator's FleetHotState) and requirement space (the resource
@@ -127,7 +127,7 @@ class EligibilityIndex {
   // Eligible-device count for requirement bit `group`: O(#atoms).
   [[nodiscard]] std::size_t eligible_count(std::size_t group) const;
 
-  // Total materialized-session count of eligible devices for requirement
+  // Total trace-session count of eligible devices for requirement
   // bit `group` (the supply rate's check-in numerator): O(#atoms).
   [[nodiscard]] double eligible_session_checkins(std::size_t group) const;
 

@@ -48,9 +48,12 @@ struct ExperimentConfig {
   VennConfig venn;
 };
 
-// Pre-generated inputs, reusable across policies.
+// Pre-generated inputs, reusable across policies. `sessions` is the
+// devices' availability trace, one column entry per device; it covers no
+// device when the sessions stream from a churn model at run time.
 struct ExperimentInputs {
   std::vector<Device> devices;
+  SessionColumn sessions;
   std::vector<trace::JobSpec> jobs;
 };
 [[nodiscard]] ExperimentInputs build_inputs(const ExperimentConfig& cfg);

@@ -1,30 +1,21 @@
 #include "device/device.h"
 
-#include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 namespace venn {
 
-Device::Device(DeviceId id, DeviceSpec spec, std::vector<Session> sessions)
-    : id_(id), spec_(spec), sessions_(std::move(sessions)) {
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i].end <= sessions_[i].start) {
-      throw std::invalid_argument("Device: empty or inverted session");
+void SessionColumn::push_device(std::span<const Session> sessions) {
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    if (sessions[i].end <= sessions[i].start) {
+      throw std::invalid_argument("SessionColumn: empty or inverted session");
     }
-    if (i > 0 && sessions_[i].start < sessions_[i - 1].end) {
-      throw std::invalid_argument("Device: overlapping sessions");
+    if (i > 0 && sessions[i].start < sessions[i - 1].end) {
+      throw std::invalid_argument("SessionColumn: overlapping sessions");
     }
   }
-}
-
-const Session* Device::session_at(SimTime t) const {
-  const auto after = std::upper_bound(
-      sessions_.begin(), sessions_.end(), t,
-      [](SimTime x, const Session& s) { return x < s.start; });
-  if (after == sessions_.begin()) return nullptr;
-  const Session& s = *std::prev(after);
-  return s.contains(t) ? &s : nullptr;
+  Data& d = own();
+  d.sessions.insert(d.sessions.end(), sessions.begin(), sessions.end());
+  d.offsets.push_back(d.sessions.size());
 }
 
 double Device::speed() const {

@@ -7,21 +7,24 @@
 // per day (paper §5.1: "Each unique device trace is limited to one CL job
 // per day for realism").
 //
-// Layout note: Device carries the COLD per-device state (id, spec, the
-// materialized session vector). The hot state the scheduling loops touch
-// per visit — eligibility signature, idle-pool position, the
-// one-job-per-day budget — lives in the struct-of-arrays FleetHotState
-// (device/fleet_partition.h). The participation budget specifically is
-// accessed through this class's API either way: a standalone Device stores
-// it inline, while a fleet Device is *bound* to its FleetHotState slot
-// (bind_participation_slot) and becomes a view over the shared column, so
-// snapshots and hot loops can read the dense int32 array while every call
-// site keeps the same Device-level vocabulary.
+// Layout note: Device carries the COLD per-device state (id, spec). A
+// fleet's availability sessions live in one SessionColumn (below), not in
+// the devices, and the hot state the scheduling loops touch per visit —
+// eligibility signature, idle-pool position, the one-job-per-day budget —
+// lives in the struct-of-arrays FleetHotState (device/fleet_partition.h).
+// The participation budget specifically is accessed through this class's
+// API either way: a standalone Device stores it inline, while a fleet
+// Device is *bound* to its FleetHotState slot (bind_participation_slot)
+// and becomes a view over the shared column, so snapshots and hot loops
+// can read the dense int32 array while every call site keeps the same
+// Device-level vocabulary.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "device/eligibility.h"
@@ -39,41 +42,88 @@ struct Session {
   [[nodiscard]] bool contains(SimTime t) const { return t >= start && t < end; }
 };
 
+// Every device's availability sessions in one CSR column: device d owns
+// one slice of a single Session array, sorted and non-overlapping. One
+// allocation holds a whole fleet's trace, and a coordinator's start
+// handler reads one dense array instead of chasing a per-device vector. A
+// column that covers no device (devices() == 0) is how a run says its
+// sessions stream from a churn model instead.
+class SessionColumn {
+ public:
+  // Copies share the column's storage (a run's copy of an experiment's
+  // trace costs no memory); the first write to a shared column takes a
+  // private copy. No move operations: a move is a copy, so no column is
+  // ever left without storage.
+  SessionColumn() = default;
+  SessionColumn(const SessionColumn&) = default;
+  SessionColumn& operator=(const SessionColumn&) = default;
+
+  // Appends the next device's sessions. Throws std::invalid_argument on an
+  // empty, inverted or overlapping session.
+  void push_device(std::span<const Session> sessions);
+  // Room for `sessions` more sessions, so a builder that knows a bound
+  // allocates once instead of paying for doublings.
+  void reserve(std::size_t sessions) {
+    own().sessions.reserve(size() + sessions);
+  }
+
+  [[nodiscard]] std::size_t devices() const {
+    return data_->offsets.size() - 1;
+  }
+  [[nodiscard]] std::size_t size() const { return data_->sessions.size(); }
+  [[nodiscard]] std::span<const Session> of(std::size_t d) const {
+    const std::vector<std::size_t>& off = data_->offsets;
+    return {data_->sessions.data() + off[d], off[d + 1] - off[d]};
+  }
+
+  // Shifts every device's sessions by offset_of(d) in place, dropping those
+  // that then start at or after `horizon` (hier topology phases).
+  template <typename OffsetOf>
+  void shift(OffsetOf offset_of, SimTime horizon) {
+    Data& data = own();
+    std::size_t out = 0;
+    for (std::size_t d = 0; d + 1 < data.offsets.size(); ++d) {
+      const double off = offset_of(d);
+      const std::size_t b = data.offsets[d];
+      const std::size_t e = data.offsets[d + 1];
+      data.offsets[d] = out;
+      for (std::size_t i = b; i < e; ++i) {
+        Session s = data.sessions[i];
+        s.start += off;
+        s.end += off;
+        if (s.start >= horizon) break;  // sessions are ordered
+        data.sessions[out++] = s;
+      }
+    }
+    data.offsets.back() = out;
+    data.sessions.resize(out);
+  }
+
+ private:
+  struct Data {
+    std::vector<Session> sessions;
+    std::vector<std::size_t> offsets{0};
+  };
+  Data& own() {
+    if (data_.use_count() > 1) data_ = std::make_shared<Data>(*data_);
+    return *data_;
+  }
+  std::shared_ptr<Data> data_ = std::make_shared<Data>();
+};
+
 class Device {
  public:
-  Device(DeviceId id, DeviceSpec spec, std::vector<Session> sessions);
-
-  // Sessionless device for streaming-churn scenarios: availability is
-  // pulled lazily from a workload::ChurnStream instead of being stored
-  // here, so sessions() stays empty for the device's whole lifetime.
-  Device(DeviceId id, DeviceSpec spec) : Device(id, spec, {}) {}
+  Device(DeviceId id, DeviceSpec spec) : id_(id), spec_(spec) {}
 
   // Copies and moves re-point the budget at the destination's own inline
   // slot (carrying the value): a binding into some other fleet's hot-state
   // column must not follow the object around.
   Device(const Device& o)
-      : id_(o.id_),
-        spec_(o.spec_),
-        sessions_(o.sessions_),
-        own_day_(o.last_participation_day()) {}
-  Device(Device&& o) noexcept
-      : id_(o.id_),
-        spec_(o.spec_),
-        sessions_(std::move(o.sessions_)),
-        own_day_(o.last_participation_day()) {}
+      : id_(o.id_), spec_(o.spec_), own_day_(o.last_participation_day()) {}
   Device& operator=(const Device& o) {
     if (this == &o) return *this;
     id_ = o.id_;
     spec_ = o.spec_;
-    sessions_ = o.sessions_;
-    own_day_ = o.last_participation_day();
-    day_ = &own_day_;
-    return *this;
-  }
-  Device& operator=(Device&& o) noexcept {
-    id_ = o.id_;
-    spec_ = o.spec_;
-    sessions_ = std::move(o.sessions_);
     own_day_ = o.last_participation_day();
     day_ = &own_day_;
     return *this;
@@ -81,16 +131,6 @@ class Device {
 
   [[nodiscard]] DeviceId id() const { return id_; }
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
-  [[nodiscard]] const std::vector<Session>& sessions() const {
-    return sessions_;
-  }
-  [[nodiscard]] bool has_sessions() const { return !sessions_.empty(); }
-  // The session containing `t`, or nullptr when the device is offline.
-  // O(log sessions): the constructor guarantees sorted, non-empty,
-  // non-overlapping sessions, so only the last one starting at or before
-  // `t` can contain it.
-  [[nodiscard]] const Session* session_at(SimTime t) const;
-
   // Relative execution speed in (0, 1]: a speed-1.0 device finishes a task
   // in its nominal duration; slower devices take proportionally longer.
   // Affine in capacity so even the weakest devices make progress (the
@@ -150,7 +190,6 @@ class Device {
  private:
   DeviceId id_;
   DeviceSpec spec_;
-  std::vector<Session> sessions_;  // sorted, non-overlapping
   std::int32_t own_day_ = kNeverParticipated;  // budget of an unbound device
   std::int32_t* day_ = &own_day_;  // the active slot (inline or fleet SoA)
 };

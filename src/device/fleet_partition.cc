@@ -1,13 +1,18 @@
 #include "device/fleet_partition.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "device/device.h"
 
 namespace venn {
 
-void FleetHotState::init(std::span<const Device> devices, std::size_t shards) {
+void FleetHotState::init(std::span<const Device> devices,
+                         const SessionColumn& sessions, std::size_t shards) {
   const std::size_t n = devices.size();
+  if (sessions.devices() != 0 && sessions.devices() != n) {
+    throw std::invalid_argument("FleetHotState: session column size mismatch");
+  }
   partition = FleetPartition(n, shards);
 
   signature.assign(n, 0);
@@ -15,28 +20,24 @@ void FleetHotState::init(std::span<const Device> devices, std::size_t shards) {
   participation_day.assign(n, Device::kNeverParticipated);
   spec.clear();
   spec.reserve(n);
-  session_checkins.clear();
-  session_checkins.reserve(n);
-  session_last_end.clear();
-  session_last_end.reserve(n);
+  session_checkins.assign(n, 0.0);
+  session_last_end.assign(n, 0.0);
 
   session_span = 0.0;
   session_time = 0.0;
   session_count = 0.0;
 
-  // One pass in device order: the same accumulation order the legacy
-  // Device-walk loops used, so every double aggregate reproduces the scan
-  // path bit for bit.
-  for (const Device& d : devices) {
-    spec.push_back(d.spec());
-    session_checkins.push_back(static_cast<double>(d.sessions().size()));
-    SimTime last_end = 0.0;
-    if (!d.sessions().empty()) {
-      last_end = d.sessions().back().end;
-      session_span = std::max(session_span, last_end);
+  for (const Device& d : devices) spec.push_back(d.spec());
+  // One pass in device order, so every double aggregate reproduces a
+  // per-device scan bit for bit.
+  for (std::size_t d = 0; d < sessions.devices(); ++d) {
+    const std::span<const Session> ss = sessions.of(d);
+    session_checkins[d] = static_cast<double>(ss.size());
+    if (!ss.empty()) {
+      session_last_end[d] = ss.back().end;
+      session_span = std::max(session_span, ss.back().end);
     }
-    session_last_end.push_back(last_end);
-    for (const Session& s : d.sessions()) {
+    for (const Session& s : ss) {
       session_time += s.duration();
       session_count += 1.0;
     }

@@ -17,10 +17,11 @@
 // decomposes the fleet the same way.
 //
 // FleetHotState is the layout half of the same story. `Device` objects
-// carry cold state (id, spec, the materialized session vector) and are
-// ~80 bytes plus a heap allocation each; iterating them for the per-visit
-// sweep filter, the per-registration index rebucket or the hier region
-// supply partials strides over memory the loop mostly does not read. The hot
+// carry cold state (id, spec, a budget slot pointer); iterating them for
+// the per-visit sweep filter, the per-registration index rebucket or the
+// hier region supply partials strides over memory the loop mostly does not
+// read, and the sessions themselves sit in a separate SessionColumn
+// (device/device.h). The hot
 // state those loops DO read — the cached eligibility signature, the
 // idle-pool position (the availability flag), the one-job-per-day
 // participation budget, the spec scores and the per-device session
@@ -52,9 +53,10 @@
 // The arrays are plain data with no invariants of their own: the
 // coordinator owns the store, the eligibility index writes the signature
 // column, and every consumer indexes by the same device position the
-// partition shards over. Aggregate session statistics are accumulated in
-// device order at init, matching the legacy Device-walk loops bit for bit
-// (double sums are order-sensitive; tests assert byte-identity).
+// partition shards over. Aggregate session statistics are accumulated from
+// the session column in device order at init, matching a per-device scan
+// bit for bit (double sums are order-sensitive; tests assert
+// byte-identity).
 #pragma once
 
 #include <cstddef>
@@ -68,6 +70,7 @@
 namespace venn {
 
 class Device;
+class SessionColumn;
 
 struct FleetPartition {
   std::size_t num_devices = 0;
@@ -102,9 +105,11 @@ class FleetHotState {
   FleetHotState() = default;
 
   // Lays out the arrays for `devices` under `shards` contiguous shards and
-  // accumulates the population session statistics in device order (the
-  // legacy scan order — byte-identical double sums).
-  void init(std::span<const Device> devices, std::size_t shards);
+  // accumulates the population session statistics of `sessions` in device
+  // order (byte-identical double sums). A column that covers no device
+  // (streamed churn) leaves every session statistic zero.
+  void init(std::span<const Device> devices, const SessionColumn& sessions,
+            std::size_t shards);
 
   [[nodiscard]] std::size_t size() const { return spec.size(); }
 
@@ -115,8 +120,8 @@ class FleetHotState {
   std::vector<std::uint32_t> idle_pos;    // pool position + 1; 0 = absent
   std::vector<std::int32_t> participation_day;  // last day participated
   std::vector<DeviceSpec> spec;           // dense spec copy (eligibility)
-  std::vector<double> session_checkins;   // materialized sessions, integer-
-                                          // valued (the supply numerator)
+  std::vector<double> session_checkins;   // trace sessions, integer-valued
+                                          // (the supply numerator)
   std::vector<SimTime> session_last_end;  // last session end; 0 = none
 
   // --- population session aggregates (device-order accumulation) --------

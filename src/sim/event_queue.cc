@@ -104,7 +104,7 @@ bool EventQueue::step() {
     const LaneEvent e = lane_[lane_pos_++];
     now_ = e.t;
     ++executed_;
-    lane_fire_(e.dev, e.k);
+    lane_fire_(e.dev);
     return true;
   }
   if (heap_.empty()) return false;

@@ -9,9 +9,9 @@
 // Two stores feed one (t, seq) order:
 //
 //   heap — std::function events, scheduled at any time from anywhere;
-//   lane — one presorted vector of plain {t, seq, dev, k} events from a
-//          single source whose keys were fixed up front (a materialized
-//          trace fleet's session starts, under seqs from reserve_seqs).
+//   lane — one presorted vector of plain {t, seq, dev} events from a
+//          single source whose keys were fixed up front (a fleet's
+//          session starts, under seqs from reserve_seqs).
 //          step() and next_time() merge the lane's front with the heap's
 //          top by (t, seq), so an event runs at exactly the position eager
 //          scheduling would have given it.
@@ -36,12 +36,11 @@ namespace venn::sim {
 
 using EventFn = std::function<void()>;
 
-// One lane event: the lane's fire handler runs with (dev, k) at (t, seq).
+// One lane event: the lane's fire handler runs with `dev` at (t, seq).
 struct LaneEvent {
   SimTime t;
   std::uint64_t seq;
   std::uint32_t dev;
-  std::uint32_t k;
 };
 
 // Appends to `out` the source's events with t < `end` and returns the
@@ -49,7 +48,7 @@ struct LaneEvent {
 // none). The return value is read only when nothing was appended.
 using LaneRefill =
     std::function<SimTime(SimTime end, std::vector<LaneEvent>& out)>;
-using LaneFire = std::function<void(std::uint32_t dev, std::uint32_t k)>;
+using LaneFire = std::function<void(std::uint32_t dev)>;
 
 class EventQueue {
  public:
@@ -64,10 +63,11 @@ class EventQueue {
   // only its next one pending yet replays the eager order bit for bit.
   std::uint64_t reserve_seqs(std::uint64_t n);
 
-  // Schedules `fn` at `t` under a sequence number from reserve_seqs. Each
-  // reserved number must be used at most once, and for an order identical
-  // to eager scheduling, before any event with a larger (t, seq) key runs.
-  // Throws if `t` is in the past or `seq` was never reserved.
+  // Schedules `fn` at `t` under a sequence number from reserve_seqs. Events
+  // sharing a number must never share a time (a device's successive
+  // session starts, say), and for an order identical to eager scheduling
+  // each must be scheduled before any event with a larger (t, seq) key
+  // runs. Throws if `t` is in the past or `seq` was never reserved.
   void schedule_reserved(SimTime t, std::uint64_t seq, EventFn fn);
 
   // Installs the lane's source (at most once per queue). Its events must

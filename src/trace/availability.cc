@@ -61,14 +61,19 @@ std::vector<Session> generate_sessions(const AvailabilityConfig& cfg,
   return merged;
 }
 
+std::size_t max_sessions(const AvailabilityConfig& cfg) {
+  return 2 * static_cast<std::size_t>(std::ceil(cfg.horizon / kDay));
+}
+
 std::vector<AvailabilityPoint> availability_curve(
-    const std::vector<Device>& devices, SimTime horizon, SimTime step) {
+    const SessionColumn& sessions, SimTime horizon, SimTime step) {
   std::vector<AvailabilityPoint> curve;
-  if (devices.empty() || step <= 0.0) return curve;
+  const std::size_t devices = sessions.devices();
+  if (devices == 0 || step <= 0.0) return curve;
   for (SimTime t = 0.0; t <= horizon; t += step) {
     std::size_t online = 0;
-    for (const auto& d : devices) {
-      for (const auto& s : d.sessions()) {
+    for (std::size_t d = 0; d < devices; ++d) {
+      for (const auto& s : sessions.of(d)) {
         if (s.contains(t)) {
           ++online;
           break;
@@ -77,7 +82,7 @@ std::vector<AvailabilityPoint> availability_curve(
       }
     }
     curve.push_back(
-        {t, static_cast<double>(online) / static_cast<double>(devices.size())});
+        {t, static_cast<double>(online) / static_cast<double>(devices)});
   }
   return curve;
 }

@@ -7,6 +7,9 @@
 // WiFi) whose start hour varies across the population, plus occasional
 // daytime sessions. The scheduler only observes the resulting check-in /
 // leave event stream, so matching the rate shape is sufficient fidelity.
+// The legacy scenario path draws each device's sessions from the Rng its
+// hardware spec uses, so it cannot stream without changing every seeded
+// run: it fills a SessionColumn at setup. `churn=diurnal` streams.
 #pragma once
 
 #include <vector>
@@ -36,6 +39,9 @@ struct AvailabilityConfig {
 // Generates sorted, non-overlapping sessions for one device.
 std::vector<Session> generate_sessions(const AvailabilityConfig& cfg,
                                        Rng& rng);
+// Upper bound on generate_sessions' output size (two sessions a day), so
+// a fleet's session column can be reserved once up front.
+std::size_t max_sessions(const AvailabilityConfig& cfg);
 
 // Building blocks of generate_sessions, shared with the lazy per-day
 // streaming variant (workload/churn.h, `churn=diurnal`): the per-device
@@ -47,13 +53,13 @@ void append_day_sessions(const AvailabilityConfig& cfg, int day,
                          double preferred_hour, Rng& rng,
                          std::vector<Session>& out);
 
-// Fraction of `devices` online at each multiple of `step` over the horizon —
-// the series behind Fig. 2a.
+// Fraction of the column's devices online at each multiple of `step` over
+// the horizon — the series behind Fig. 2a.
 struct AvailabilityPoint {
   SimTime t = 0.0;
   double fraction_online = 0.0;
 };
 std::vector<AvailabilityPoint> availability_curve(
-    const std::vector<Device>& devices, SimTime horizon, SimTime step);
+    const SessionColumn& sessions, SimTime horizon, SimTime step);
 
 }  // namespace venn::trace

@@ -3,11 +3,12 @@
 // The paper drives everything off a diurnal client-availability trace
 // (§2.1, Fig. 2a); this family makes device churn a scenario knob and —
 // crucially — a *lazy* one. A model hands out per-device ChurnStreams that
-// produce one session at a time, so the coordinator can self-reschedule
-// check-in events through sim::Engine and a million-device population costs
-// O(devices) memory instead of O(devices × horizon) pre-materialized
-// session vectors. Closed-loop scenarios still materialize via
-// materialize_sessions.
+// produce one session at a time; the coordinator's per-device session
+// cursor pulls each one when the session before it starts, so a
+// million-device population costs O(devices) memory instead of
+// O(devices × horizon) sessions. Every churn run streams;
+// materialize_sessions drains a stream for analyses and for the tests
+// that replay a drained stream as a trace.
 //
 // Built-ins (churn=<name>, knobs as churn.<key>=<value>):
 //   diurnal      the trace/availability.h model, streamed day by day
@@ -62,7 +63,8 @@ class ChurnModel {
       const DeviceStreamCtx& ctx) const = 0;
 
   // Analytic shape statistics, used for supply-rate estimates (the §4.4
-  // fairness bound) when sessions are streamed rather than materialized.
+  // fairness bound) of churn runs, whose sessions the coordinator never
+  // holds all at once.
   [[nodiscard]] virtual double mean_sessions_per_day() const = 0;
   [[nodiscard]] virtual double mean_session_seconds() const = 0;
 };
@@ -70,15 +72,15 @@ class ChurnModel {
 // The churn-model registry, built-ins pre-registered.
 [[nodiscard]] GeneratorRegistry<ChurnModel>& churn_registry();
 
-// Drains one device's stream into a sorted session vector (closed-loop /
-// replay-style scenarios that want Device objects with full traces).
+// Drains one device's stream into a sorted session vector (analyses, and
+// the reference side of the tests that replay a stream as a trace).
 [[nodiscard]] std::vector<Session> materialize_sessions(
     const ChurnModel& model, const DeviceStreamCtx& ctx);
 
-// THE per-device stream identity for a scenario: both the materialized
-// input builder (stream=0) and the streaming coordinator (stream=1) derive
-// through this one function, which is what makes the two modes replay the
-// identical world byte for byte.
+// THE per-device stream identity for a scenario: the coordinator derives
+// every device's stream through this one function, so anything else that
+// drains a device's sessions (a reference run replaying them as a trace,
+// say) sees the identical world byte for byte.
 [[nodiscard]] inline DeviceStreamCtx device_stream_ctx(
     std::uint64_t scenario_seed, std::size_t index, SimTime horizon) {
   const std::uint64_t churn_seed = Rng::derive(scenario_seed, "churn");

@@ -208,15 +208,16 @@ TEST(KeyValueParsing, ProtocolKnobValuesValidateAtBuild) {
   EXPECT_NO_THROW((void)ExperimentBuilder().scenario(sc).build());
 }
 
+// open-loop is a 0|1 flag; stream= is no key any more (churn sessions
+// always stream), so it is rejected like any unknown key.
 TEST(KeyValueParsing, OpenLoopAndStreamFlagsParse) {
   ScenarioSpec sc;
-  sc.set("churn", "weibull");
-  sc.set("stream", "1");
-  EXPECT_TRUE(sc.streaming);
-  sc.set("stream", "0");
-  EXPECT_FALSE(sc.streaming);
-  expect_rejected("stream", "yes");
+  sc.set("open-loop", "1");
+  EXPECT_TRUE(sc.open_loop);
+  sc.set("open-loop", "0");
+  EXPECT_FALSE(sc.open_loop);
   expect_rejected("open-loop", "true");
+  expect_rejected("stream", "1");
 }
 
 }  // namespace

@@ -168,15 +168,17 @@ TEST(ExperimentBuilder, BuildGeneratesScenarioInputs) {
 
 TEST(ExperimentBuilder, ExplicitInputOverridesSkipGeneration) {
   std::vector<Device> devices;
+  SessionColumn sessions;
+  const Session day{0.0, kDay};
   for (int i = 0; i < 5; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{0.5, 0.5},
-                         std::vector<Session>{{0.0, kDay}});
+    devices.emplace_back(DeviceId(i), DeviceSpec{0.5, 0.5});
+    sessions.push_device({&day, 1});
   }
   trace::JobSpec job;
   job.rounds = 1;
   job.demand = 2;
   const auto ex = ExperimentBuilder()
-                      .use_devices(devices)
+                      .use_devices(devices, sessions)
                       .use_jobs({job})
                       .horizon(2 * kDay)
                       .build();

@@ -8,11 +8,13 @@
 
 #include "core/metrics.h"
 #include "core/resource_manager.h"
+#include "fleet.h"
 #include "protocol/builtins.h"
 #include "scheduler/fifo_sched.h"
 #include "sim/engine.h"
 #include "trace/availability.h"
 #include "trace/hardware.h"
+#include "workload/churn.h"
 
 namespace venn {
 namespace {
@@ -31,22 +33,20 @@ trace::JobSpec one_job(int rounds, int demand, SimTime arrival = 0.0,
 }
 
 // `n` always-on devices of the given spec.
-std::vector<Device> always_on(int n, DeviceSpec spec, SimTime horizon) {
-  std::vector<Device> out;
-  for (int i = 0; i < n; ++i) {
-    out.emplace_back(DeviceId(i), spec,
-                     std::vector<Session>{{0.0, horizon}});
-  }
+Fleet always_on(int n, DeviceSpec spec, SimTime horizon) {
+  Fleet out;
+  for (int i = 0; i < n; ++i) out.add(spec, {{0.0, horizon}});
   return out;
 }
 
-RunResult run(std::vector<Device> devices, std::vector<trace::JobSpec> jobs,
+RunResult run(Fleet fleet, std::vector<trace::JobSpec> jobs,
               SimTime horizon = 14.0 * kDay) {
   sim::Engine engine(1);
   ResourceManager mgr(std::make_unique<FifoScheduler>());
   CoordinatorConfig cfg;
   cfg.horizon = horizon;
-  Coordinator coord(engine, mgr, std::move(devices), std::move(jobs), cfg);
+  Coordinator coord(engine, mgr, std::move(fleet.devices),
+                    std::move(fleet.sessions), std::move(jobs), cfg);
   coord.run();
   return collect_results(coord, "FIFO");
 }
@@ -55,7 +55,7 @@ TEST(Coordinator, SingleRoundCompletesFromIdlePool) {
   // 10 devices online at t=0; job arrives at t=100 needing 5: instant fill,
   // response collection = deterministic exec time of a speed-s device.
   auto devices = always_on(10, {0.5, 0.5}, kDay);
-  const Device probe(DeviceId(99), {0.5, 0.5}, {});
+  const Device probe(DeviceId(99), {0.5, 0.5});
   const double exec = 60.0 / probe.speed();
   const RunResult r = run(std::move(devices), {one_job(1, 5, 100.0)});
   ASSERT_EQ(r.finished_jobs(), 1u);
@@ -68,11 +68,10 @@ TEST(Coordinator, SingleRoundCompletesFromIdlePool) {
 TEST(Coordinator, SchedulingDelayWaitsForCheckins) {
   // Devices come online one per hour; a demand-3 job submitted at t=0 is
   // fully allocated when the third device appears.
-  std::vector<Device> devices;
+  Fleet devices;
   for (int i = 0; i < 5; ++i) {
-    devices.emplace_back(
-        DeviceId(i), DeviceSpec{0.5, 0.5},
-        std::vector<Session>{{(i + 1) * kHour, (i + 1) * kHour + 10 * kHour}});
+    devices.add(DeviceSpec{0.5, 0.5},
+                {{(i + 1) * kHour, (i + 1) * kHour + 10 * kHour}});
   }
   const RunResult r = run(std::move(devices), {one_job(1, 3)});
   ASSERT_EQ(r.finished_jobs(), 1u);
@@ -82,16 +81,14 @@ TEST(Coordinator, SchedulingDelayWaitsForCheckins) {
 TEST(Coordinator, EightyPercentRuleIgnoresStragglers) {
   // 10 devices: 8 fast, 2 very slow. Round of demand 10 completes when the
   // 8th (fast) response arrives; the slow pair never gates completion.
-  std::vector<Device> devices;
+  Fleet devices;
   for (int i = 0; i < 8; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{1.0, 1.0},
-                         std::vector<Session>{{0.0, kDay}});
+    devices.add(DeviceSpec{1.0, 1.0}, {{0.0, kDay}});
   }
   for (int i = 8; i < 10; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{0.0, 0.0},
-                         std::vector<Session>{{0.0, kDay}});
+    devices.add(DeviceSpec{0.0, 0.0}, {{0.0, kDay}});
   }
-  const double fast_exec = 60.0 / Device(DeviceId(0), {1.0, 1.0}, {}).speed();
+  const double fast_exec = 60.0 / Device(DeviceId(0), {1.0, 1.0}).speed();
   const RunResult r = run(std::move(devices), {one_job(1, 10)});
   ASSERT_EQ(r.finished_jobs(), 1u);
   EXPECT_NEAR(r.jobs[0].rounds[0].response_collection, fast_exec, 1e-6);
@@ -102,21 +99,20 @@ TEST(Coordinator, DeadlineAbortsAndRetries) {
   // session ends before it finishes). With <80%*5=4 responses... 4 of 5 is
   // exactly 80%, so make 2 fail: 3 responses < 4 needed -> deadline abort,
   // retry also fails, job never finishes (censored at horizon).
-  std::vector<Device> devices;
+  Fleet devices;
   for (int i = 0; i < 3; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{0.5, 0.5},
-                         std::vector<Session>{{0.0, 30 * kDay}});
+    devices.add(DeviceSpec{0.5, 0.5}, {{0.0, 30 * kDay}});
   }
   // Two ephemeral devices whose sessions end mid-computation (exec ~120 s).
   for (int i = 3; i < 5; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{0.5, 0.5},
-                         std::vector<Session>{{0.0, 10.0}});
+    devices.add(DeviceSpec{0.5, 0.5}, {{0.0, 10.0}});
   }
   sim::Engine engine(1);
   ResourceManager mgr(std::make_unique<FifoScheduler>());
   CoordinatorConfig cfg;
   cfg.horizon = 2.0 * kDay;
-  Coordinator coord(engine, mgr, std::move(devices), {one_job(1, 5)}, cfg);
+  Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions), {one_job(1, 5)}, cfg);
   coord.run();
   const RunResult r = collect_results(coord, "FIFO");
   EXPECT_EQ(r.finished_jobs(), 0u);
@@ -128,28 +124,59 @@ TEST(Coordinator, FailedPendingAssignmentReopensDemand) {
   // ends at t=10 — before it can finish — while the request is still
   // pending (2/3 assigned). The freed unit of demand must be re-openable:
   // devices arriving at 1 h and 2 h complete the allocation.
-  std::vector<Device> devices;
-  devices.emplace_back(DeviceId(0), DeviceSpec{0.5, 0.5},
-                       std::vector<Session>{{0.0, 10.0}});  // dies at t=10
-  devices.emplace_back(DeviceId(1), DeviceSpec{0.5, 0.5},
-                       std::vector<Session>{{0.0, kDay}});
-  devices.emplace_back(DeviceId(2), DeviceSpec{0.5, 0.5},
-                       std::vector<Session>{{kHour, kDay}});
-  devices.emplace_back(DeviceId(3), DeviceSpec{0.5, 0.5},
-                       std::vector<Session>{{2 * kHour, kDay}});
+  Fleet devices;
+  devices.add(DeviceSpec{0.5, 0.5}, {{0.0, 10.0}});  // dies at t=10
+  devices.add(DeviceSpec{0.5, 0.5}, {{0.0, kDay}});
+  devices.add(DeviceSpec{0.5, 0.5}, {{kHour, kDay}});
+  devices.add(DeviceSpec{0.5, 0.5}, {{2 * kHour, kDay}});
   const RunResult r = run(std::move(devices), {one_job(1, 3)});
   ASSERT_EQ(r.finished_jobs(), 1u);
   // Full allocation required the 2 h arrival (the failed unit re-opened).
   EXPECT_GE(r.jobs[0].rounds[0].scheduling_delay, 2 * kHour - 1.0);
 }
 
-// The O(1) session cursor answers exactly what a search of the trace
-// does, at every probe: session starts and ends, just before each, inside
-// gaps, and on touching sessions (end == next start, tests/device_test.cc's
-// case) probed at the shared boundary both before the next start's event
-// has fired (probes scheduled before setup order ahead of every reserved
-// start seq) and after it (probes scheduled after setup). Boundaries on
-// whole hours land on the event queue's lane chunk edges.
+// Replays fixed per-device session lists as churn streams, abutting
+// sessions included (the built-in models never emit those), stopping at
+// the horizon like every churn stream.
+class ReplayChurn final : public workload::ChurnModel {
+ public:
+  explicit ReplayChurn(std::vector<std::vector<Session>> traces)
+      : traces_(std::move(traces)) {}
+  [[nodiscard]] std::string name() const override { return "replay"; }
+  [[nodiscard]] std::unique_ptr<workload::ChurnStream> stream(
+      const workload::DeviceStreamCtx& ctx) const override {
+    class Stream final : public workload::ChurnStream {
+     public:
+      Stream(const std::vector<Session>& ss, SimTime horizon)
+          : ss_(ss), horizon_(horizon) {}
+      std::optional<Session> next() override {
+        if (i_ == ss_.size() || ss_[i_].start >= horizon_) return std::nullopt;
+        return ss_[i_++];
+      }
+
+     private:
+      const std::vector<Session>& ss_;
+      SimTime horizon_;
+      std::size_t i_ = 0;
+    };
+    return std::make_unique<Stream>(traces_[ctx.index], ctx.horizon);
+  }
+  [[nodiscard]] double mean_sessions_per_day() const override { return 1.0; }
+  [[nodiscard]] double mean_session_seconds() const override { return kHour; }
+
+ private:
+  std::vector<std::vector<Session>> traces_;
+};
+
+// The O(1) session cursor answers exactly what a search of the device's
+// sessions does, at every probe: session starts and ends, just before
+// each, inside gaps, and on touching sessions (end == next start) probed
+// at the shared boundary both before the next start's event has fired
+// (probes scheduled before setup order ahead of every reserved start seq)
+// and after it (probes scheduled after setup). Boundaries on whole hours
+// land on the event queue's lane chunk edges. The same sessions run once
+// from a trace column and once streamed from a churn model, searched in
+// the sessions each stream drains to.
 TEST(Coordinator, SessionCursorMatchesTraceSearch) {
   const SimTime horizon = 2.0 * kDay;
   std::vector<std::vector<Session>> traces{
@@ -170,41 +197,65 @@ TEST(Coordinator, SessionCursorMatchesTraceSearch) {
     }
     traces.push_back(std::move(ss));
   }
-  std::vector<Device> devices;
-  std::vector<SimTime> probes;
-  for (std::size_t d = 0; d < traces.size(); ++d) {
-    for (const Session& s : traces[d]) {
-      for (SimTime t :
-           {s.start, s.end, 0.5 * (s.start + s.end),
-            std::nextafter(s.start, 0.0), std::nextafter(s.end, 0.0)}) {
-        if (t >= 0.0 && t <= horizon) probes.push_back(t);
+  const ReplayChurn churn(traces);
+
+  for (const bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "streamed churn" : "trace column");
+    Fleet fleet;
+    std::vector<std::vector<Session>> searched;
+    std::vector<SimTime> probes;
+    std::size_t touching = 0;
+    for (std::size_t d = 0; d < traces.size(); ++d) {
+      fleet.add(DeviceSpec{0.5, 0.5}, traces[d]);
+      searched.push_back(
+          streamed ? workload::materialize_sessions(churn, {d, 0, horizon})
+                   : traces[d]);
+      const std::vector<Session>& ss = searched.back();
+      for (std::size_t k = 0; k < ss.size(); ++k) {
+        const Session& s = ss[k];
+        touching += k > 0 && ss[k - 1].end == s.start ? 1 : 0;
+        for (SimTime t :
+             {s.start, s.end, 0.5 * (s.start + s.end),
+              std::nextafter(s.start, 0.0), std::nextafter(s.end, 0.0)}) {
+          if (t >= 0.0 && t <= horizon) probes.push_back(t);
+        }
       }
     }
-    devices.emplace_back(DeviceId(static_cast<std::int64_t>(d)),
-                         DeviceSpec{0.5, 0.5}, traces[d]);
-  }
-  std::sort(probes.begin(), probes.end());
-  probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+    ASSERT_GT(touching, 20u);
+    std::sort(probes.begin(), probes.end());
+    probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
 
-  sim::Engine engine(1);
-  ResourceManager mgr(std::make_unique<FifoScheduler>());
-  CoordinatorConfig cfg;
-  cfg.horizon = horizon;
-  Coordinator coord(engine, mgr, devices, {one_job(2, 5, 600.0)}, cfg);
-  std::size_t checks = 0;
-  auto probe = [&] {
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-      const Session* s = devices[d].session_at(engine.now());
-      EXPECT_EQ(coord.session_end(d), s != nullptr ? s->end : -1.0)
-          << "device " << d << " at t=" << engine.now();
-      ++checks;
+    sim::Engine engine(1);
+    ResourceManager mgr(std::make_unique<FifoScheduler>());
+    CoordinatorConfig cfg;
+    cfg.horizon = horizon;
+    if (streamed) cfg.churn = &churn;
+    Coordinator coord(engine, mgr, fleet.devices,
+                      streamed ? SessionColumn{} : fleet.sessions,
+                      {one_job(2, 5, 600.0)}, cfg);
+    std::size_t checks = 0;
+    auto probe = [&] {
+      const SimTime now = engine.now();
+      for (std::size_t d = 0; d < searched.size(); ++d) {
+        SimTime expected = -1.0;
+        for (const Session& s : searched[d]) {
+          if (s.contains(now)) expected = s.end;
+        }
+        EXPECT_EQ(coord.session_end(d), expected)
+            << "device " << d << " at t=" << now;
+        ++checks;
+      }
+    };
+    for (SimTime t : probes) engine.at(t, probe);  // ahead of every start
+    coord.setup();
+    for (SimTime t : probes) engine.at(t, probe);  // behind every start
+    engine.run_until(horizon);
+    EXPECT_EQ(checks, 2 * probes.size() * searched.size());
+    if (streamed) {
+      EXPECT_LE(coord.resident_session_count(), searched.size());
+      EXPECT_GT(coord.sessions_streamed(), searched.size());
     }
-  };
-  for (SimTime t : probes) engine.at(t, probe);  // ahead of every start
-  coord.setup();
-  for (SimTime t : probes) engine.at(t, probe);  // behind every start
-  engine.run_until(horizon);
-  EXPECT_EQ(checks, 2 * probes.size() * devices.size());
+  }
 }
 
 TEST(Coordinator, OneJobPerDayPerDevice) {
@@ -237,7 +288,8 @@ TEST(Coordinator, AssignmentMatrixObserverAccountsEveryAssignment) {
   mgr.add_observer(&matrix);
   CoordinatorConfig cfg;
   cfg.horizon = 5 * kDay;
-  Coordinator coord(engine, mgr, std::move(devices), {one_job(2, 8)}, cfg);
+  Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions), {one_job(2, 8)}, cfg);
   coord.run();
   EXPECT_EQ(matrix.total(), 16);  // 2 rounds x 8 devices, no failures
   // A {0.6, 0.6} device sits in the High-Perf region; the job is General.
@@ -250,7 +302,8 @@ TEST(Coordinator, SoloJctEstimateIsPositiveAndScalesWithRounds) {
   auto devices = always_on(50, {0.5, 0.5}, 7 * kDay);
   sim::Engine engine(1);
   ResourceManager mgr(std::make_unique<FifoScheduler>());
-  Coordinator coord(engine, mgr, std::move(devices), {}, {});
+  Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions), {}, {});
   const double one = coord.solo_jct_estimate(one_job(1, 10));
   const double ten = coord.solo_jct_estimate(one_job(10, 10));
   EXPECT_GT(one, 0.0);
@@ -316,7 +369,8 @@ TEST(Coordinator, MidSweepRoundCompletionDefersNestedSweep) {
   ResourceManager mgr(std::make_unique<GateScheduler>(DeviceId(4), 500.0));
   AssignmentLog log;
   mgr.add_observer(&log);
-  Coordinator coord(engine, mgr, std::move(devices),
+  Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions),
                     {one_job(2, 5, 10.0), one_job(1, 1, 600.0)}, {});
   coord.run();
   const RunResult r = collect_results(coord, "GATE");
@@ -352,7 +406,8 @@ TEST(Coordinator, SoloJctProbeCannotDesyncIndexBits) {
     ResourceManager mgr(std::make_unique<FifoScheduler>());
     CoordinatorConfig cfg;
     cfg.horizon = 5 * kDay;
-    Coordinator coord(engine, mgr, std::move(devices),
+    Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions),
                       {one_job(2, 5, 100.0)}, cfg);
     if (probed) {
       trace::JobSpec probe = one_job(1, 2);
@@ -379,11 +434,11 @@ TEST(Coordinator, SweepOffersEveryDeviceOfAManagerFirstRequirement) {
   // rebuckets its bit. The sweep of job 0's second round must still read
   // a column carrying that bit and offer job 1 every eligible device.
   constexpr int kPerKind = 5;
-  std::vector<Device> devices;
+  Fleet devices;
   for (int i = 0; i < 2 * kPerKind; ++i) {
     const DeviceSpec spec =
         i < kPerKind ? DeviceSpec{0.9, 0.1} : DeviceSpec{0.1, 0.9};
-    devices.emplace_back(DeviceId(i), spec, std::vector<Session>{{0.0, kDay}});
+    devices.add(spec, {{0.0, kDay}});
   }
   trace::JobSpec compute = one_job(2, 1, 10.0, 300.0, 3000.0);
   compute.category = ResourceCategory::kComputeRich;
@@ -397,7 +452,8 @@ TEST(Coordinator, SweepOffersEveryDeviceOfAManagerFirstRequirement) {
   mgr.add_observer(&log);
   CoordinatorConfig cfg;
   cfg.horizon = 0.5 * kDay;
-  Coordinator coord(engine, mgr, std::move(devices), {compute, memory}, cfg);
+  Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions), {compute, memory}, cfg);
   coord.setup();
   constexpr SimTime kManagerFirst = 20.0;
   engine.at(kManagerFirst, [&] {
@@ -427,7 +483,7 @@ TEST(Coordinator, ResponseLandingExactlyAtDeadlineCompletes) {
   // the same handle_outcome call, and the event queue is FIFO among
   // same-time events, so the round completes and the deadline is a no-op.
   // This pins the boundary semantics: "at the deadline" counts.
-  const double exec = 60.0 / Device(DeviceId(9), {1.0, 1.0}, {}).speed();
+  const double exec = 60.0 / Device(DeviceId(9), {1.0, 1.0}).speed();
   ASSERT_DOUBLE_EQ(exec, 60.0);
   auto devices = always_on(1, {1.0, 1.0}, kDay);
   const RunResult r = run(std::move(devices),
@@ -449,11 +505,9 @@ TEST(Coordinator, AbortMidComputationStragglerDisposition) {
   //                sweep re-acquires it immediately (>= 3 assignments),
   //                and the release is visible in the wasted-work counters.
   for (const bool overcommit : {false, true}) {
-    std::vector<Device> devices;
-    devices.emplace_back(DeviceId(0), DeviceSpec{1.0, 1.0},
-                         std::vector<Session>{{0.0, kDay}});
-    devices.emplace_back(DeviceId(1), DeviceSpec{0.0, 0.0},
-                         std::vector<Session>{{0.0, kDay}});  // exec 500 s
+    Fleet devices;
+    devices.add(DeviceSpec{1.0, 1.0}, {{0.0, kDay}});
+    devices.add(DeviceSpec{0.0, 0.0}, {{0.0, kDay}});  // exec 500 s
     sim::Engine engine(1);
     ResourceManager mgr(std::make_unique<FifoScheduler>());
     const protocol::SyncProtocol sync_proto;
@@ -465,7 +519,8 @@ TEST(Coordinator, AbortMidComputationStragglerDisposition) {
     cfg.protocol = overcommit
                        ? static_cast<const protocol::RoundProtocol*>(&oc_proto)
                        : &sync_proto;
-    Coordinator coord(engine, mgr, std::move(devices),
+    Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions),
                       {one_job(1, 2, 0.0, 60.0, /*deadline=*/300.0)}, cfg);
     coord.run();
     const RunResult r = collect_results(coord, "FIFO");
@@ -497,10 +552,10 @@ TEST_P(ProtocolInvariantTest, RoundAccountingConsistent) {
   trace::HardwareConfig hw;
   trace::AvailabilityConfig av;
   av.horizon = 14 * kDay;
-  std::vector<Device> devices;
+  Fleet devices;
   for (int i = 0; i < 400; ++i) {
-    devices.emplace_back(DeviceId(i), trace::sample_spec(hw, rng),
-                         trace::generate_sessions(av, rng));
+    const std::vector<Session> sessions = trace::generate_sessions(av, rng);
+    devices.add(trace::sample_spec(hw, rng), sessions);
   }
   std::vector<trace::JobSpec> jobs;
   for (int j = 0; j < 5; ++j) {

@@ -85,49 +85,78 @@ TEST(SignatureSpace, CapacityIsWeightedScore) {
 }
 
 TEST(Device, ValidatesSessions) {
-  EXPECT_THROW(Device(DeviceId(0), {0.5, 0.5}, {{2.0, 1.0}}),
+  SessionColumn col;
+  EXPECT_THROW(col.push_device(std::vector<Session>{{2.0, 1.0}}),
                std::invalid_argument);
-  EXPECT_THROW(Device(DeviceId(0), {0.5, 0.5}, {{0.0, 5.0}, {4.0, 8.0}}),
+  EXPECT_THROW(col.push_device(std::vector<Session>{{0.0, 5.0}, {4.0, 8.0}}),
                std::invalid_argument);
-  // Valid: sorted, non-overlapping.
-  const Device d(DeviceId(0), {0.5, 0.5}, {{0.0, 5.0}, {6.0, 8.0}});
-  EXPECT_EQ(d.sessions().size(), 2u);
+  EXPECT_EQ(col.devices(), 0u);  // a rejected device is not appended
+  // Valid: sorted, non-overlapping; touching sessions are fine.
+  col.push_device(std::vector<Session>{{0.0, 5.0}, {6.0, 8.0}, {8.0, 9.0}});
+  col.push_device({});
+  ASSERT_EQ(col.devices(), 2u);
+  EXPECT_EQ(col.of(0).size(), 3u);
+  EXPECT_TRUE(col.of(1).empty());
+  EXPECT_EQ(col.size(), 3u);
 }
 
-TEST(Device, SessionAtMatchesLinearScan) {
-  // Adjacent sessions (end == next start), gaps and a session before t=0.
-  const std::vector<Session> sessions{{-50.0, 0.0},  {0.0, 10.0},
-                                      {10.0, 25.0},  {40.0, 41.0},
-                                      {100.0, 200.0}, {200.0, 201.0}};
-  const Device d(DeviceId(0), DeviceSpec{0.5, 0.5}, sessions);
-  const auto scan = [&](SimTime t) -> const Session* {
-    for (const auto& s : d.sessions()) {
-      if (s.contains(t)) return &s;
-      if (s.start > t) break;
+// The in-place phase shift (hier topology) moves each device's sessions by
+// its own offset, drops those pushed to or past the horizon, and keeps the
+// per-device slices consistent with shifting each device on its own.
+TEST(Device, SessionColumnShiftsInPlace) {
+  const SimTime horizon = 100.0;
+  const std::vector<std::vector<Session>> traces{
+      {{0.0, 10.0}, {20.0, 30.0}, {90.0, 95.0}},
+      {},
+      {{5.0, 6.0}, {70.0, 99.0}},
+      {{-4.0, 1.0}, {95.0, 100.0}}};
+  const std::vector<double> offsets{0.0, 7.0, 25.0, 4.5};
+  SessionColumn col;
+  for (const auto& ss : traces) col.push_device(ss);
+  col.shift([&](std::size_t d) { return offsets[d]; }, horizon);
+  ASSERT_EQ(col.devices(), traces.size());
+  std::size_t total = 0;
+  for (std::size_t d = 0; d < traces.size(); ++d) {
+    std::vector<Session> expected;
+    for (Session s : traces[d]) {
+      s.start += offsets[d];
+      s.end += offsets[d];
+      if (s.start >= horizon) break;
+      expected.push_back(s);
     }
-    return nullptr;
-  };
-  std::vector<SimTime> probes{-1e9, 1e9};
-  for (const auto& s : sessions) {
-    for (SimTime t : {s.start, s.end, 0.5 * (s.start + s.end),
-                      std::nextafter(s.start, -1e18),
-                      std::nextafter(s.end, -1e18)}) {
-      probes.push_back(t);
+    const auto got = col.of(d);
+    ASSERT_EQ(got.size(), expected.size()) << "device " << d;
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_EQ(got[k].start, expected[k].start) << "device " << d;
+      EXPECT_EQ(got[k].end, expected[k].end) << "device " << d;
     }
+    total += expected.size();
   }
-  probes.insert(probes.end(), {30.0, 60.0, 201.5});  // gaps and the tail
-  Rng rng(5);
-  for (int i = 0; i < 500; ++i) probes.push_back(rng.uniform(-60.0, 210.0));
-  for (SimTime t : probes) EXPECT_EQ(d.session_at(t), scan(t)) << "t=" << t;
-  EXPECT_EQ(d.session_at(10.0), &d.sessions()[2]);  // end == next start
-  EXPECT_EQ(d.session_at(30.0), nullptr);           // gap
-  const Device none(DeviceId(1), DeviceSpec{0.5, 0.5}, {});
-  EXPECT_EQ(none.session_at(0.0), nullptr);
+  EXPECT_EQ(col.size(), total);
+}
+
+// Copies share storage, but a write to one never shows in another: a run's
+// copy of an experiment's column must not see a later builder's edits.
+TEST(Device, SessionColumnCopiesShareUntilWritten) {
+  SessionColumn original;
+  original.push_device(std::vector<Session>{{0.0, 5.0}, {6.0, 8.0}});
+  SessionColumn copy = original;
+  EXPECT_EQ(copy.of(0).data(), original.of(0).data());  // shared storage
+  copy.shift([](std::size_t) { return 1.0; }, 100.0);
+  copy.push_device(std::vector<Session>{{1.0, 2.0}});
+  ASSERT_EQ(original.devices(), 1u);
+  EXPECT_EQ(original.of(0)[0].start, 0.0);
+  EXPECT_EQ(original.of(0)[1].end, 8.0);
+  ASSERT_EQ(copy.devices(), 2u);
+  EXPECT_EQ(copy.of(0)[0].start, 1.0);
+  SessionColumn moved = std::move(copy);  // a move is a copy
+  EXPECT_EQ(copy.devices(), 2u);
+  EXPECT_EQ(moved.devices(), 2u);
 }
 
 TEST(Device, SpeedIncreasesWithCapacity) {
-  const Device slow(DeviceId(0), {0.0, 0.0}, {});
-  const Device fast(DeviceId(1), {1.0, 1.0}, {});
+  const Device slow(DeviceId(0), {0.0, 0.0});
+  const Device fast(DeviceId(1), {1.0, 1.0});
   EXPECT_LT(slow.speed(), fast.speed());
   EXPECT_NEAR(slow.speed(), 0.12, 1e-9);
   EXPECT_NEAR(fast.speed(), 1.0, 1e-9);
@@ -137,8 +166,8 @@ TEST(Device, SpeedIncreasesWithCapacity) {
 
 TEST(Device, ExecTimeScalesInverselyWithSpeed) {
   Rng rng(1);
-  const Device slow(DeviceId(0), {0.0, 0.0}, {});
-  const Device fast(DeviceId(1), {1.0, 1.0}, {});
+  const Device slow(DeviceId(0), {0.0, 0.0});
+  const Device fast(DeviceId(1), {1.0, 1.0});
   double slow_sum = 0.0, fast_sum = 0.0;
   for (int i = 0; i < 5000; ++i) {
     slow_sum += slow.sample_exec_time(60.0, 0.3, rng);
@@ -149,12 +178,12 @@ TEST(Device, ExecTimeScalesInverselyWithSpeed) {
 
 TEST(Device, ExecTimeRejectsBadNominal) {
   Rng rng(1);
-  const Device d(DeviceId(0), {0.5, 0.5}, {});
+  const Device d(DeviceId(0), {0.5, 0.5});
   EXPECT_THROW((void)d.sample_exec_time(0.0, 0.3, rng), std::invalid_argument);
 }
 
 TEST(Device, ParticipationOncePerDay) {
-  Device d(DeviceId(0), {0.5, 0.5}, {});
+  Device d(DeviceId(0), {0.5, 0.5});
   EXPECT_FALSE(d.participated_on_day(0));
   d.mark_participation(0);
   EXPECT_TRUE(d.participated_on_day(0));
@@ -183,7 +212,7 @@ TEST(Device, DayOfUsesFloorSemantics) {
 TEST(Device, NegativeTimeBudgetIsDistinctFromDayZero) {
   // A device that participated on day -1 (a session jittered before t=0)
   // must still have its day-0 budget.
-  Device d(DeviceId(0), {0.5, 0.5}, {});
+  Device d(DeviceId(0), {0.5, 0.5});
   d.mark_participation(Device::day_of(-1.0));
   EXPECT_TRUE(d.participated_on_day(-1));
   EXPECT_FALSE(d.participated_on_day(0));
@@ -196,7 +225,7 @@ TEST(Device, ParticipationSlotBindingIsAView) {
   // A bound device reads and writes the external slot (the fleet hot
   // store's dense column), migrating its current value on bind; copies
   // re-point at their own inline slot carrying the value.
-  Device d(DeviceId(0), {0.5, 0.5}, {});
+  Device d(DeviceId(0), {0.5, 0.5});
   d.mark_participation(3);
   std::int32_t slot = -1;
   d.bind_participation_slot(&slot);
@@ -209,7 +238,7 @@ TEST(Device, ParticipationSlotBindingIsAView) {
   const Device copy = d;  // must not alias `slot`
   slot = 9;
   EXPECT_EQ(copy.last_participation_day(), 7);
-  Device assigned(DeviceId(1), {0.1, 0.1}, {});
+  Device assigned(DeviceId(1), {0.1, 0.1});
   assigned = d;
   EXPECT_EQ(assigned.last_participation_day(), 9);
   slot = 11;

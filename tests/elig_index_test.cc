@@ -7,16 +7,16 @@
 #include <vector>
 
 #include "core/elig_index.h"
+#include "fleet.h"
 #include "util/rng.h"
 
 namespace venn {
 namespace {
 
-std::vector<Device> random_population(std::size_t n, std::uint64_t seed,
-                                      bool with_sessions = true) {
+Fleet random_population(std::size_t n, std::uint64_t seed,
+                        bool with_sessions = true) {
   Rng rng(seed);
-  std::vector<Device> devices;
-  devices.reserve(n);
+  Fleet devices;
   for (std::size_t i = 0; i < n; ++i) {
     DeviceSpec spec{rng.uniform(), rng.uniform()};
     std::vector<Session> sessions;
@@ -29,15 +29,15 @@ std::vector<Device> random_population(std::size_t n, std::uint64_t seed,
         t += dur + rng.uniform(0.0, 12.0 * kHour);
       }
     }
-    devices.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec,
-                         std::move(sessions));
+    devices.add(spec, sessions);
   }
   return devices;
 }
 
 TEST(EligIndex, RegistrationIsIdempotentAndOrdered) {
-  const auto devices = random_population(50, 1);
-  EligibilityIndex idx(devices);
+  const Fleet fleet = random_population(50, 1);
+  const auto& devices = fleet.devices;
+  EligibilityIndex idx(devices, fleet.sessions);
   const Requirement general{0.0, 0.0};
   const Requirement compute{0.5, 0.0};
   EXPECT_EQ(idx.register_requirement(general), 0u);
@@ -51,8 +51,9 @@ TEST(EligIndex, RegistrationIsIdempotentAndOrdered) {
 }
 
 TEST(EligIndex, SignaturesMatchSignatureSpace) {
-  const auto devices = random_population(200, 2);
-  EligibilityIndex idx(devices);
+  const Fleet fleet = random_population(200, 2);
+  const auto& devices = fleet.devices;
+  EligibilityIndex idx(devices, fleet.sessions);
   SignatureSpace sigs;
   for (const auto c : all_categories()) {
     const Requirement req = requirement_for(c);
@@ -65,8 +66,9 @@ TEST(EligIndex, SignaturesMatchSignatureSpace) {
 }
 
 TEST(EligIndex, EligibleCountsMatchBruteForce) {
-  const auto devices = random_population(300, 3);
-  EligibilityIndex idx(devices);
+  const Fleet fleet = random_population(300, 3);
+  const auto& devices = fleet.devices;
+  EligibilityIndex idx(devices, fleet.sessions);
   std::vector<Requirement> reqs = {requirement_for(ResourceCategory::kGeneral),
                                    requirement_for(ResourceCategory::kHighPerf),
                                    {0.25, 0.75},
@@ -75,10 +77,10 @@ TEST(EligIndex, EligibleCountsMatchBruteForce) {
     const std::size_t g = idx.register_requirement(req);
     std::size_t expected = 0;
     double expected_checkins = 0.0;
-    for (const auto& d : devices) {
-      if (!req.eligible(d.spec())) continue;
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+      if (!req.eligible(devices[d].spec())) continue;
       ++expected;
-      expected_checkins += static_cast<double>(d.sessions().size());
+      expected_checkins += static_cast<double>(fleet.sessions.of(d).size());
     }
     EXPECT_EQ(idx.eligible_count(g), expected);
     EXPECT_EQ(idx.eligible_session_checkins(g), expected_checkins);
@@ -86,8 +88,9 @@ TEST(EligIndex, EligibleCountsMatchBruteForce) {
 }
 
 TEST(EligIndex, AtomBucketsPartitionThePopulation) {
-  const auto devices = random_population(250, 4);
-  EligibilityIndex idx(devices);
+  const Fleet fleet = random_population(250, 4);
+  const auto& devices = fleet.devices;
+  EligibilityIndex idx(devices, fleet.sessions);
   for (const auto c : all_categories()) {
     idx.register_requirement(requirement_for(c));
   }
@@ -104,15 +107,17 @@ TEST(EligIndex, AtomBucketsPartitionThePopulation) {
 }
 
 TEST(EligIndex, SessionStatisticsMatchTheScanAccumulation) {
-  const auto devices = random_population(120, 5);
-  EligibilityIndex idx(devices);
+  const Fleet fleet = random_population(120, 5);
+  const auto& devices = fleet.devices;
+  EligibilityIndex idx(devices, fleet.sessions);
 
-  // Brute-force scan over the Device objects, in device order.
+  // Brute-force scan over each device's sessions, in device order.
   SimTime span = 0.0;
   double time = 0.0, count = 0.0;
-  for (const auto& d : devices) {
-    if (!d.sessions().empty()) span = std::max(span, d.sessions().back().end);
-    for (const auto& s : d.sessions()) {
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    const auto ss = fleet.sessions.of(d);
+    if (!ss.empty()) span = std::max(span, ss.back().end);
+    for (const auto& s : ss) {
       time += s.duration();
       count += 1.0;
     }
@@ -125,8 +130,9 @@ TEST(EligIndex, SessionStatisticsMatchTheScanAccumulation) {
 }
 
 TEST(EligIndex, SessionlessPopulation) {
-  const auto devices = random_population(40, 6, /*with_sessions=*/false);
-  EligibilityIndex idx(devices);
+  const Fleet fleet = random_population(40, 6, /*with_sessions=*/false);
+  const auto& devices = fleet.devices;
+  EligibilityIndex idx(devices, fleet.sessions);
   EXPECT_FALSE(idx.has_sessions());
   EXPECT_EQ(idx.session_span(), 0.0);
   const std::size_t g =
@@ -136,8 +142,9 @@ TEST(EligIndex, SessionlessPopulation) {
 }
 
 TEST(EligIndex, RejectsMoreThan64Requirements) {
-  const auto devices = random_population(5, 7);
-  EligibilityIndex idx(devices);
+  const Fleet fleet = random_population(5, 7);
+  const auto& devices = fleet.devices;
+  EligibilityIndex idx(devices, fleet.sessions);
   for (int i = 0; i < 64; ++i) {
     idx.register_requirement({static_cast<double>(i) / 128.0, 0.0});
   }

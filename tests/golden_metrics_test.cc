@@ -163,11 +163,10 @@ std::vector<GoldenCell> golden_cells() {
     c.scenario.set("churn", "diurnal");
     cells.push_back(std::move(c));
   }
-  {  // Poisson arrivals over streamed Weibull churn.
+  {  // Poisson arrivals over Weibull churn (sessions streamed).
     GoldenCell c{"poisson_weibull", base_scenario(102), PolicySpec("venn")};
     c.scenario.set("arrival", "poisson");
     c.scenario.set("churn", "weibull");
-    c.scenario.set("stream", "1");
     cells.push_back(std::move(c));
   }
   {  // Poisson × diurnal with the fairness knob on (exercises solo JCT

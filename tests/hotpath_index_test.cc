@@ -37,7 +37,6 @@ StressRun run_stress(std::size_t devices) {
   sc.job_trace.min_demand = 3;
   sc.job_trace.max_demand = 8;
   sc.set("churn", "weibull");
-  sc.set("stream", "1");
 
   const auto inputs = api::build_inputs(sc);
   sim::Engine engine(Rng::derive(sc.seed, "engine"));
@@ -49,8 +48,8 @@ StressRun run_stress(std::size_t devices) {
   ccfg.horizon = sc.horizon;
   ccfg.seed = sc.seed;
   ccfg.churn = gens.churn.get();
-  ccfg.stream_sessions = true;
-  Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+  Coordinator coord(engine, manager, inputs.devices, inputs.sessions,
+                    inputs.jobs, ccfg);
   coord.run();
 
   StressRun out;
@@ -108,7 +107,7 @@ TEST(HotpathStress, SweepOffersDoNotScaleWithFleetSize) {
                             "with fleet size again";
 }
 
-// The event queue of a materialized trace fleet holds at most one pending
+// The event queue of a trace fleet holds at most one pending
 // session start per device (plus job arrivals), not one entry per session:
 // starts reach the queue through its presorted lane an hour of simulated
 // time at a time, each device's next start only, and pending() counts
@@ -131,8 +130,10 @@ TEST(HotpathStress, MaterializedTraceQueueHoldsOneStartPerDevice) {
   session.start();
 
   std::size_t starts = 0;
-  for (const Device& d : session.coordinator().devices()) {
-    for (const Session& s : d.sessions()) starts += s.start <= sc.horizon;
+  for (std::size_t d = 0; d < sc.num_devices; ++d) {
+    for (const Session& s : ex.inputs().sessions.of(d)) {
+      starts += s.start <= sc.horizon;
+    }
   }
   // The lane fills lazily, on the first step() or next_time(): peek once
   // so its first chunk of starts is counted.

@@ -145,7 +145,10 @@ TEST(PolicyProperty, InputsIndependentOfPolicy) {
   for (std::size_t i = 0; i < a.devices.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.devices[i].spec().cpu_score,
                      b.devices[i].spec().cpu_score);
-    ASSERT_EQ(a.devices[i].sessions().size(), b.devices[i].sessions().size());
+  }
+  ASSERT_EQ(a.sessions.devices(), b.sessions.devices());
+  for (std::size_t i = 0; i < a.sessions.devices(); ++i) {
+    ASSERT_EQ(a.sessions.of(i).size(), b.sessions.of(i).size());
   }
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
   for (std::size_t i = 0; i < a.jobs.size(); ++i) {

@@ -12,6 +12,7 @@
 #include "protocol/registry.h"
 #include "scheduler/fifo_sched.h"
 #include "sim/engine.h"
+#include "fleet.h"
 #include "venn/venn.h"
 
 namespace venn {
@@ -30,17 +31,15 @@ trace::JobSpec one_job(int rounds, int demand, SimTime arrival = 0.0,
   return s;
 }
 
-std::vector<Device> always_on(int n, DeviceSpec spec, SimTime horizon) {
-  std::vector<Device> out;
-  for (int i = 0; i < n; ++i) {
-    out.emplace_back(DeviceId(i), spec, std::vector<Session>{{0.0, horizon}});
-  }
+Fleet always_on(int n, DeviceSpec spec, SimTime horizon) {
+  Fleet out;
+  for (int i = 0; i < n; ++i) out.add(spec, {{0.0, horizon}});
   return out;
 }
 
 // Runs a FIFO-scheduled coordinator under an explicit protocol, returning
 // (results, coordinator protocol stats via the result's counters).
-RunResult run_proto(std::vector<Device> devices,
+RunResult run_proto(Fleet devices,
                     std::vector<trace::JobSpec> jobs,
                     const protocol::RoundProtocol& proto,
                     SimTime horizon = 2.0 * kDay,
@@ -51,7 +50,8 @@ RunResult run_proto(std::vector<Device> devices,
   CoordinatorConfig cfg;
   cfg.horizon = horizon;
   cfg.protocol = &proto;
-  Coordinator coord(engine, mgr, std::move(devices), std::move(jobs), cfg);
+  Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions), std::move(jobs), cfg);
   coord.run();
   return collect_results(coord, proto.name());
 }
@@ -160,13 +160,11 @@ TEST(ProtocolRun, OvercommitReleasesStragglerAndRefundsDayBudget) {
   // so far is wasted, its day budget refunded. Job 1 (demand 1, arrival
   // t=100) can then complete the same day ONLY because of that refund:
   // both devices were charged for day 0 at t=0 and no other device exists.
-  const double exec_fast = 60.0 / Device(DeviceId(8), {1.0, 1.0}, {}).speed();
-  const double exec_med = 60.0 / Device(DeviceId(9), {0.5, 0.5}, {}).speed();
-  std::vector<Device> devices;
-  devices.emplace_back(DeviceId(0), DeviceSpec{1.0, 1.0},
-                       std::vector<Session>{{0.0, kDay}});
-  devices.emplace_back(DeviceId(1), DeviceSpec{0.5, 0.5},
-                       std::vector<Session>{{0.0, kDay}});
+  const double exec_fast = 60.0 / Device(DeviceId(8), {1.0, 1.0}).speed();
+  const double exec_med = 60.0 / Device(DeviceId(9), {0.5, 0.5}).speed();
+  Fleet devices;
+  devices.add(DeviceSpec{1.0, 1.0}, {{0.0, kDay}});
+  devices.add(DeviceSpec{0.5, 0.5}, {{0.0, kDay}});
 
   const protocol::OvercommitProtocol oc(2.0);  // selection 2 for demand 1
   api::TimeSeriesRecorder recorder;
@@ -211,14 +209,12 @@ TEST(ProtocolRun, OvercommitReleasesStragglerReparkedAcrossMidnight) {
   // computing. At kDay every device is re-parked by its day-boundary
   // check-in. The commit at kDay+30 releases the slow straggler — parked,
   // and assigned on the previous day.
-  const double speed_slow = Device(DeviceId(9), {0.5, 0.5}, {}).speed();
-  std::vector<Device> devices;
+  const double speed_slow = Device(DeviceId(9), {0.5, 0.5}).speed();
+  Fleet devices;
   for (int i = 0; i < 2; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{1.0, 1.0},
-                         std::vector<Session>{{0.0, 2.0 * kDay}});
+    devices.add(DeviceSpec{1.0, 1.0}, {{0.0, 2.0 * kDay}});
   }
-  devices.emplace_back(DeviceId(2), DeviceSpec{0.5, 0.5},
-                       std::vector<Session>{{0.0, 2.0 * kDay}});
+  devices.add(DeviceSpec{0.5, 0.5}, {{0.0, 2.0 * kDay}});
 
   const protocol::OvercommitProtocol oc(1.5);  // selection 3 for demand 2
   const RunResult r = run_proto(
@@ -264,14 +260,12 @@ TEST(ProtocolRun, OvercommitArmsDeadlineWithoutFullAllocation) {
   // five responders die mid-computation and the round stalls at 3 < 4
   // responses: without the pending-state deadline it would hang to the
   // horizon instead of aborting and retrying.
-  std::vector<Device> devices;
+  Fleet devices;
   for (int i = 0; i < 3; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{0.5, 0.5},
-                         std::vector<Session>{{0.0, 30 * kDay}});
+    devices.add(DeviceSpec{0.5, 0.5}, {{0.0, 30 * kDay}});
   }
   for (int i = 3; i < 5; ++i) {  // die at t=10, mid-computation
-    devices.emplace_back(DeviceId(i), DeviceSpec{0.5, 0.5},
-                         std::vector<Session>{{0.0, 10.0}});
+    devices.add(DeviceSpec{0.5, 0.5}, {{0.0, 10.0}});
   }
   const protocol::OvercommitProtocol oc(2.0);
   const RunResult r =
@@ -323,7 +317,8 @@ TEST(ProtocolRun, AsyncAdmitsDevicesContinuously) {
   CoordinatorConfig cfg;
   cfg.horizon = kDay;
   cfg.protocol = &async;
-  Coordinator coord(engine, mgr, std::move(devices), {one_job(3, 2)}, cfg);
+  Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions), {one_job(3, 2)}, cfg);
   coord.run();
   const RunResult r = collect_results(coord, "async");
 
@@ -404,7 +399,8 @@ TEST(ProtocolRun, MidSweepCommitDefersStragglerReleaseUntilPoolIsStable) {
   const ReleasingSyncProtocol proto;
   CoordinatorConfig cfg;
   cfg.protocol = &proto;
-  Coordinator coord(engine, mgr, std::move(devices),
+  Coordinator coord(engine, mgr, std::move(devices.devices),
+                    std::move(devices.sessions),
                     {one_job(2, 5, 10.0), one_job(1, 1, 600.0)}, cfg);
   coord.run();
   const RunResult r = collect_results(coord, "GATE");
@@ -466,11 +462,9 @@ TEST(ProtocolRun, ReleasedStragglerAssignedByDayBoundaryRearmLeavesPool) {
   // t=86450   job 2 arrives. Its sweep must NOT find device 1 (busy until
   //           ~86507); pre-fix it did, double-assigning the device.
   // t=172800  device 1's next re-arm serves job 2.
-  std::vector<Device> devices;
-  devices.emplace_back(DeviceId(0), DeviceSpec{1.0, 1.0},
-                       std::vector<Session>{{0.0, 1000.0}});
-  devices.emplace_back(DeviceId(1), DeviceSpec{0.5, 0.5},
-                       std::vector<Session>{{0.0, 3.0 * kDay}});
+  Fleet devices;
+  devices.add(DeviceSpec{1.0, 1.0}, {{0.0, 1000.0}});
+  devices.add(DeviceSpec{0.5, 0.5}, {{0.0, 3.0 * kDay}});
   sim::Engine engine(1);
   ResourceManager mgr(
       std::make_unique<JobGateScheduler>(JobId(1), 86400.0));
@@ -481,7 +475,7 @@ TEST(ProtocolRun, ReleasedStragglerAssignedByDayBoundaryRearmLeavesPool) {
   cfg.horizon = 3.0 * kDay;
   cfg.protocol = &oc;
   Coordinator coord(
-      engine, mgr, std::move(devices),
+      engine, mgr, std::move(devices.devices), std::move(devices.sessions),
       {one_job(1, 1, 0.0), one_job(1, 1, 1000.0), one_job(1, 1, 86450.0)},
       cfg);
   coord.run();

@@ -142,7 +142,6 @@ TEST(ReplayDifferential, StrictReplayReproducesTheRun) {
   sc.num_jobs = 6;
   sc.horizon = 3.0 * kDay;
   sc.set("churn", "weibull");
-  sc.set("stream", "1");
   sc.set("journal", "1");
   const std::string dir = journal_dir("strict");
   sc.set("journal.dir", dir);

@@ -20,7 +20,7 @@ trace::JobSpec make_spec(ResourceCategory cat, int rounds = 2,
 }
 
 Device make_device(int id, double cpu, double mem) {
-  return Device(DeviceId(id), {cpu, mem}, {{0.0, 1e9}});
+  return Device(DeviceId(id), {cpu, mem});
 }
 
 TEST(ResourceManager, RegisterAndPendingView) {

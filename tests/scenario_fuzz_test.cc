@@ -32,7 +32,7 @@ const std::vector<std::string>& known_keys() {
       "max-rounds",  "min-demand",   "max-demand",    "interarrival-min",
       "base-trace",  "task-s",       "task-cv",       "arrival",
       "mix",         "churn",        "protocol",      "open-loop",
-      "stream",      "shards",       "horizon-s",
+      "shards",      "horizon-s",
       "interarrival-s",              "journal",       "journal.dir",
       "snapshot_every",              "snapshot-every",
       "journal.halt-after",          "topology",      "topo.regions",
@@ -127,7 +127,6 @@ void expect_specs_equal(const api::ScenarioSpec& a, const api::ScenarioSpec& b,
   EXPECT_EQ(a.protocol_gen.name, b.protocol_gen.name);
   EXPECT_EQ(a.protocol_gen.params.kv, b.protocol_gen.params.kv);
   EXPECT_EQ(a.open_loop, b.open_loop) << "corpus seed " << seed;
-  EXPECT_EQ(a.streaming, b.streaming) << "corpus seed " << seed;
   EXPECT_EQ(a.shards, b.shards) << "corpus seed " << seed;
   EXPECT_EQ(a.topology, b.topology) << "corpus seed " << seed;
   EXPECT_EQ(a.topo_regions, b.topo_regions) << "corpus seed " << seed;
@@ -240,7 +239,6 @@ TEST(ScenarioFuzz, CanonicalKvRoundTripsExactly) {
   spec.set("horizon-days", "2.7");  // lossy spelling in, exact -s out
   spec.set("interarrival-min", "95.3");
   spec.set("churn", "weibull");
-  spec.set("stream", "1");
   spec.set("shards", "4");
   spec.set("topology", "hier");
   spec.set("topo.regions", "5");
@@ -281,20 +279,25 @@ TEST(ScenarioFuzz, ShardsKnobBounds) {
   EXPECT_EQ(spec.shards, 1u);  // failed sets leave the value untouched
 }
 
-// `index=` selected a full-fleet-scan fallback of the eligibility index;
-// that mode is gone, and the key is an unknown key like any other — not
-// silently accepted — so a stale override or an old journal header fails
-// loudly, naming the key.
-TEST(ScenarioFuzz, RetiredIndexKeyIsRejected) {
-  for (const char* value : {"0", "1"}) {
-    api::ScenarioSpec spec;
-    EXPECT_FALSE(spec.try_set("index", value));
-    try {
-      spec.set("index", value);
-      FAIL() << "index=" << value << " should throw";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("\"index\""), std::string::npos)
-          << e.what();
+// Retired keys are unknown keys like any other — not silently accepted —
+// so a stale override or an old journal header fails loudly, naming the
+// key:
+//   index=  selected a full-fleet-scan fallback of the eligibility index;
+//   stream= chose between replaying and streaming churn sessions, which
+//           always stream now (every earlier journal header carries it).
+TEST(ScenarioFuzz, RetiredKeysAreRejected) {
+  for (const char* key : {"index", "stream"}) {
+    for (const char* value : {"0", "1"}) {
+      api::ScenarioSpec spec;
+      EXPECT_FALSE(spec.try_set(key, value)) << key << "=" << value;
+      try {
+        spec.set(key, value);
+        FAIL() << key << "=" << value << " should throw";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("\"" + std::string(key) + "\""),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
 }

@@ -136,7 +136,6 @@ TEST(ShardDifferential, StreamingAndOpenLoopByteIdentical) {
   streaming.num_jobs = 8;
   streaming.horizon = 3.0 * kDay;
   streaming.set("churn", "weibull");
-  streaming.set("stream", "1");
   const RunResult s1 = ExperimentBuilder().scenario(streaming).run();
   for (const std::size_t shards : {2UL, 8UL}) {
     ScenarioSpec sharded = streaming;
@@ -191,7 +190,7 @@ struct HandRun {
     ccfg.seed = sc.seed;
     ccfg.churn = gens->churn.get();
     coord = std::make_unique<Coordinator>(engine, manager, inputs.devices,
-                                          inputs.jobs, ccfg);
+                                          inputs.sessions, inputs.jobs, ccfg);
   }
 };
 
@@ -250,7 +249,8 @@ TEST(ShardDifferential, ShardedSweepPipelineEngages) {
   ccfg.horizon = sc.horizon;
   ccfg.seed = sc.seed;
   ccfg.churn = gens.churn.get();
-  Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+  Coordinator coord(engine, manager, inputs.devices, inputs.sessions,
+                    inputs.jobs, ccfg);
   coord.run();
 
   const auto& ss = coord.shard_stats();
@@ -305,7 +305,8 @@ TEST(ShardDifferential, SoaFilterVerdictMatchesLiveSignatureFallback) {
     ccfg.seed = sc.seed;
     ccfg.churn = gens.churn.get();
     ccfg.protocol = &overcommit;
-    Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+    Coordinator coord(engine, manager, inputs.devices, inputs.sessions,
+                      inputs.jobs, ccfg);
     coord.run();
 
     // The dynamic conditions engaged, or the property below is vacuous:

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "fleet.h"
 #include "sim/worker_pool.h"
 #include "venn/venn.h"
 
@@ -111,10 +112,9 @@ TEST(Engine, ShardKnobCreatesAndDropsPool) {
 
 // ------------------------------------------- sharded index rebucket -------
 
-std::vector<Device> random_fleet(std::size_t n, std::uint64_t seed) {
+Fleet random_fleet(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<Device> out;
-  out.reserve(n);
+  Fleet out;
   for (std::size_t i = 0; i < n; ++i) {
     const DeviceSpec spec{rng.uniform(), rng.uniform()};
     std::vector<Session> sessions;
@@ -125,8 +125,7 @@ std::vector<Device> random_fleet(std::size_t n, std::uint64_t seed) {
       sessions.push_back({t, t + dur});
       t += dur + rng.uniform(10.0, kHour);
     }
-    out.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec,
-                     std::move(sessions));
+    out.add(spec, sessions);
   }
   return out;
 }
@@ -137,8 +136,8 @@ TEST(ShardedIndex, RebucketMatchesSerialExactly) {
       {0.0, 0.0}, {0.5, 0.0}, {0.0, 0.5}, {0.5, 0.5}, {0.25, 0.75},
   };
   for (const std::size_t shards : {2UL, 3UL, 8UL}) {
-    EligibilityIndex serial{std::span<const Device>(fleet)};
-    EligibilityIndex sharded{std::span<const Device>(fleet)};
+    EligibilityIndex serial{fleet.devices, fleet.sessions};
+    EligibilityIndex sharded{fleet.devices, fleet.sessions};
     sim::WorkerPool pool(shards);
     sharded.set_workers(&pool);
     for (const auto& r : reqs) {
@@ -176,14 +175,13 @@ TEST(ShardedIndex, RebucketMatchesSerialExactly) {
 // sharded, with the segment accounting validated after the run and the
 // trajectory pinned to the serial one.
 TEST(ShardOwnership, StragglerReleaseReparksIntoHomeShardSegment) {
-  const auto make_devices = [] {
-    std::vector<Device> out;
+  const auto make_fleet = [] {
+    Fleet out;
     Rng rng(5);
     for (int i = 0; i < 600; ++i) {
       // Spread of speeds so over-selected cohorts always have stragglers.
       const double score = 0.2 + 0.6 * rng.uniform();
-      out.emplace_back(DeviceId(i), DeviceSpec{score, score},
-                       std::vector<Session>{{0.0, 14.0 * kDay}});
+      out.add(DeviceSpec{score, score}, {{0.0, 14.0 * kDay}});
     }
     return out;
   };
@@ -220,7 +218,9 @@ TEST(ShardOwnership, StragglerReleaseReparksIntoHomeShardSegment) {
     cfg.horizon = 7.0 * kDay;
     cfg.seed = 9;
     cfg.protocol = protocol.get();
-    Coordinator coord(engine, mgr, make_devices(), make_jobs(), cfg);
+    Fleet fleet = make_fleet();
+    Coordinator coord(engine, mgr, std::move(fleet.devices),
+                      std::move(fleet.sessions), make_jobs(), cfg);
     coord.run();
 
     // The regression's premise: stragglers were actually released and

@@ -247,7 +247,7 @@ TEST(Engine, StreamWithNulloptFirstIsNoop) {
 // --- the presorted start lane ------------------------------------------------
 
 // Per-device start lists fed to the queue through its lane, the way the
-// coordinator feeds a materialized trace fleet: a dense next-start column,
+// coordinator feeds a fleet's session starts: a dense next-start column,
 // refills that take each device's next start before the chunk end, and a
 // successor inside the current chunk sent to the heap when its predecessor
 // fires.
@@ -265,7 +265,7 @@ struct LaneFleet {
     q.set_lane([this](SimTime end, std::vector<LaneEvent>& out) {
                  return refill(end, out);
                },
-               [this](std::uint32_t d, std::uint32_t k) { fire(d, k); });
+               [this](std::uint32_t d) { fire(d); });
   }
   SimTime start(std::uint32_t d, std::uint32_t k) const {
     return k < starts[d].size() ? starts[d][k]
@@ -276,18 +276,18 @@ struct LaneFleet {
     for (std::uint32_t d = 0; d < starts.size(); ++d) {
       const SimTime t = start(d, next_k[d]);
       if (t < end) {
-        out.push_back({t, base[d] + next_k[d], d, next_k[d]});
+        out.push_back({t, base[d] + next_k[d], d});
       } else {
         rest = std::min(rest, t);
       }
     }
     return rest;
   }
-  void fire(std::uint32_t d, std::uint32_t k) {
-    next_k[d] = k + 1;
+  void fire(std::uint32_t d) {
+    const std::uint32_t k = next_k[d]++;
     const SimTime t = start(d, k + 1);
     if (t < q.lane_end()) {
-      q.schedule_reserved(t, base[d] + k + 1, [this, d, k] { fire(d, k + 1); });
+      q.schedule_reserved(t, base[d] + k + 1, [this, d] { fire(d); });
     }
     body(d, k);
   }
@@ -420,22 +420,22 @@ TEST(EventQueue, LaneRejectsPastTimesAndUnreservedSeqs) {
     const std::uint64_t seq = q.reserve_seqs(1);
     q.set_lane(
         [seq](SimTime end, std::vector<LaneEvent>& out) {
-          if (end > 100.0) out.push_back({50.0, seq, 0, 0});
+          if (end > 100.0) out.push_back({50.0, seq, 0});
           return std::numeric_limits<SimTime>::infinity();
         },
-        [](std::uint32_t, std::uint32_t) {});
+        [](std::uint32_t) {});
     EXPECT_THROW(q.step(), std::invalid_argument);
   }
   {
     EventQueue q;
     q.set_lane(
         [](SimTime, std::vector<LaneEvent>& out) {
-          out.push_back({1.0, 0, 0, 0});  // seq 0 was never reserved
+          out.push_back({1.0, 0, 0});  // seq 0 was never reserved
           return std::numeric_limits<SimTime>::infinity();
         },
-        [](std::uint32_t, std::uint32_t) {});
+        [](std::uint32_t) {});
     EXPECT_THROW(q.step(), std::invalid_argument);
-    EXPECT_THROW(q.set_lane({}, [](std::uint32_t, std::uint32_t) {}),
+    EXPECT_THROW(q.set_lane({}, [](std::uint32_t) {}),
                  std::logic_error);
   }
 }

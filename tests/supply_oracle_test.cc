@@ -2,9 +2,9 @@
 //
 // The eligibility index is the only supply path the coordinator has; this
 // wall pins it to a plain fleet scan over the hot-state columns, exactly,
-// for every resource category, across the fleet kinds (materialized trace
-// sessions, a churn model with materialized or streamed sessions), shard
-// counts {1, 4} and both coordination topologies. Each cell runs the
+// for every resource category, across the fleet kinds (trace sessions in a
+// column, a churn model with streamed sessions), shard counts {1, 4} and
+// both coordination topologies. Each cell runs the
 // simulation first, so the index is queried after the registrations,
 // rebuckets and sweeps of a real run rather than on a fresh store.
 #include <gtest/gtest.h>
@@ -20,13 +20,10 @@ namespace {
 struct Fleet {
   const char* name;
   const char* churn;  // nullptr = trace sessions, no churn model
-  bool stream;
 };
 
 TEST(SupplyRate, MatchesBruteForceScan) {
-  const Fleet fleets[] = {{"trace", nullptr, false},
-                          {"churn", "weibull", false},
-                          {"churn-stream", "weibull", true}};
+  const Fleet fleets[] = {{"trace", nullptr}, {"churn", "weibull"}};
   for (const Fleet& fleet : fleets) {
     for (const std::size_t shards : {1UL, 4UL}) {
       for (const bool hier : {false, true}) {
@@ -41,7 +38,6 @@ TEST(SupplyRate, MatchesBruteForceScan) {
         sc.job_trace.min_demand = 3;
         sc.job_trace.max_demand = 12;
         if (fleet.churn != nullptr) sc.set("churn", fleet.churn);
-        if (fleet.stream) sc.set("stream", "1");
         if (hier) {
           sc.set("topology", "hier");
           sc.set("topo.regions", "4");
@@ -58,9 +54,9 @@ TEST(SupplyRate, MatchesBruteForceScan) {
         ccfg.horizon = sc.horizon;
         ccfg.seed = sc.seed;
         ccfg.churn = gens.churn.get();
-        ccfg.stream_sessions = sc.streaming;
         ccfg.topo = sc.topology_spec();
-        Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+        Coordinator coord(engine, manager, inputs.devices, inputs.sessions,
+                          inputs.jobs, ccfg);
         coord.run();
         ASSERT_GT(coord.hotpath_stats().supply_queries, 0u) << label;
 

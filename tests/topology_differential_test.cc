@@ -14,10 +14,11 @@
 //
 // Nonzero knobs must matter: sync latency shifts result collection, phase
 // spread staggers regional availability. Both are asserted to produce a
-// divergent trajectory, and the streaming churn path must agree with the
-// materialized path about the per-region phase shifts.
+// divergent trajectory, and the streamed churn sessions must agree with the
+// same sessions drained into a column about the per-region phase shifts.
 #include <gtest/gtest.h>
 
+#include "drained_churn.h"
 #include "protocol/builtins.h"
 #include "venn/venn.h"
 
@@ -152,7 +153,8 @@ TEST(TopologyDifferential, HierMachineryEngagesAtZeroLatency) {
   ccfg.seed = sc.seed;
   ccfg.churn = gens.churn.get();
   ccfg.topo = sc.topology_spec();
-  Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+  Coordinator coord(engine, manager, inputs.devices, inputs.sessions,
+                    inputs.jobs, ccfg);
   coord.run();
 
   ASSERT_EQ(coord.region_map().regions(), 4u);
@@ -199,31 +201,33 @@ TEST(TopologyDifferential, NonzeroLatencyAndPhaseSpreadDiverge) {
   EXPECT_TRUE(any_round_stat_differs(flat, rp)) << "phase_spread=8";
 }
 
-// Streaming churn applies the per-region phase shift on the fly inside the
-// coordinator; the materialized path shifts sessions up front in the
-// builder. The two implementations must agree trajectory-for-trajectory.
+// Streamed churn gets the per-region phase shift on the fly in the
+// coordinator's cursor; a drained column is shifted up front, in place.
+// The two implementations must agree trajectory-for-trajectory.
 TEST(TopologyDifferential, StreamingAndMaterializedPhasePathsAgree) {
-  ScenarioSpec base;
-  base.seed = 109;
-  base.num_devices = 3'000;
-  base.num_jobs = 6;
-  base.horizon = 3.0 * kDay;
-  base.set("churn", "diurnal");
-  base.set("topology", "hier");
-  base.set("topo.regions", "4");
-  base.set("topo.sync_latency", "0");
-  base.set("topo.phase_spread", "8");
+  for (const char* model : {"diurnal", "weibull"}) {
+    ScenarioSpec base;
+    base.seed = 109;
+    base.num_devices = 3'000;
+    base.num_jobs = 6;
+    base.horizon = 3.0 * kDay;
+    base.set("churn", model);
+    base.set("topology", "hier");
+    base.set("topo.regions", "4");
+    base.set("topo.sync_latency", "0");
+    base.set("topo.phase_spread", "8");
 
-  ScenarioSpec streaming = base;
-  streaming.set("stream", "1");
-  TimeSeriesRecorder mat_rec;
-  TimeSeriesRecorder str_rec;
-  const RunResult rm =
-      ExperimentBuilder().scenario(base).observe(mat_rec).run();
-  const RunResult rs =
-      ExperimentBuilder().scenario(streaming).observe(str_rec).run();
-  expect_identical(rm, rs, "materialized vs streaming phase");
-  expect_identical_streams(mat_rec, str_rec, "materialized vs streaming");
+    TimeSeriesRecorder mat_rec;
+    TimeSeriesRecorder str_rec;
+    const RunResult rm =
+        drained_churn(ExperimentBuilder().scenario(base).observe(mat_rec))
+            .run("venn");
+    const RunResult rs =
+        ExperimentBuilder().scenario(base).observe(str_rec).build().run("venn");
+    const std::string label = std::string(model) + " materialized vs streaming";
+    expect_identical(rm, rs, label + " phase");
+    expect_identical_streams(mat_rec, str_rec, label);
+  }
 }
 
 // ------------------------------------------------------------------ knobs --

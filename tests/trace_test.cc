@@ -47,12 +47,12 @@ TEST(Availability, CurveShowsDiurnalOscillation) {
   cfg.horizon = 4 * kDay;
   Rng rng(3);
   HardwareConfig hw;
-  std::vector<Device> devices;
+  SessionColumn sessions;
   for (int i = 0; i < 400; ++i) {
-    devices.emplace_back(DeviceId(i), sample_spec(hw, rng),
-                         generate_sessions(cfg, rng));
+    sessions.push_device(generate_sessions(cfg, rng));
+    (void)sample_spec(hw, rng);
   }
-  const auto curve = availability_curve(devices, cfg.horizon, kHour);
+  const auto curve = availability_curve(sessions, cfg.horizon, kHour);
   ASSERT_FALSE(curve.empty());
   double peak = 0.0, trough = 1.0;
   for (const auto& pt : curve) {
@@ -64,21 +64,19 @@ TEST(Availability, CurveShowsDiurnalOscillation) {
 }
 
 TEST(Availability, EmptyPopulationYieldsEmptyCurve) {
-  EXPECT_TRUE(availability_curve({}, kDay, kHour).empty());
+  EXPECT_TRUE(availability_curve(SessionColumn{}, kDay, kHour).empty());
 }
 
 TEST(Availability, NonPositiveStepYieldsEmptyCurve) {
-  std::vector<Device> devices;
-  devices.emplace_back(DeviceId(0), DeviceSpec{},
-                       std::vector<Session>{{0.0, kHour}});
+  SessionColumn devices;
+  devices.push_device(std::vector<Session>{{0.0, kHour}});
   EXPECT_TRUE(availability_curve(devices, kDay, 0.0).empty());
   EXPECT_TRUE(availability_curve(devices, kDay, -kHour).empty());
 }
 
 TEST(Availability, ZeroLengthHorizonSamplesOnlyT0) {
-  std::vector<Device> devices;
-  devices.emplace_back(DeviceId(0), DeviceSpec{},
-                       std::vector<Session>{{0.0, kHour}});
+  SessionColumn devices;
+  devices.push_device(std::vector<Session>{{0.0, kHour}});
   const auto curve = availability_curve(devices, 0.0, kHour);
   ASSERT_EQ(curve.size(), 1u);
   EXPECT_DOUBLE_EQ(curve[0].t, 0.0);
@@ -86,9 +84,8 @@ TEST(Availability, ZeroLengthHorizonSamplesOnlyT0) {
 }
 
 TEST(Availability, StepLargerThanHorizonSamplesOnlyT0) {
-  std::vector<Device> devices;
-  devices.emplace_back(DeviceId(0), DeviceSpec{},
-                       std::vector<Session>{{kHour, 2 * kHour}});
+  SessionColumn devices;
+  devices.push_device(std::vector<Session>{{kHour, 2 * kHour}});
   const auto curve = availability_curve(devices, kDay, 10 * kDay);
   ASSERT_EQ(curve.size(), 1u);
   EXPECT_DOUBLE_EQ(curve[0].t, 0.0);
@@ -99,11 +96,8 @@ TEST(Availability, CurveFractionsStayInUnitInterval) {
   AvailabilityConfig cfg;
   cfg.horizon = 2 * kDay;
   Rng rng(21);
-  std::vector<Device> devices;
-  for (int i = 0; i < 50; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{},
-                         generate_sessions(cfg, rng));
-  }
+  SessionColumn devices;
+  for (int i = 0; i < 50; ++i) devices.push_device(generate_sessions(cfg, rng));
   for (const auto& pt : availability_curve(devices, cfg.horizon, kHour)) {
     EXPECT_GE(pt.fraction_online, 0.0);
     EXPECT_LE(pt.fraction_online, 1.0);

@@ -1,9 +1,15 @@
-// Streaming-churn and open-loop coordinator tests: equivalence between
-// materialized and streamed sessions, mid-run job admission, determinism,
-// and the allocation-count evidence that a 100k-device streaming scenario
-// never pre-materializes per-device session vectors.
+// Streaming-churn and open-loop coordinator tests: a churn model's
+// sessions stream through each device's cursor and run byte for byte like
+// the same sessions replayed from a column, mid-run job admission,
+// determinism, and the evidence that a 100k-device streaming scenario
+// holds O(devices) sessions, never the whole trace.
 #include <gtest/gtest.h>
 
+#include "api/live.h"
+#include "drained_churn.h"
+#include "journal/format.h"
+#include "journal/sink.h"
+#include "service/dump.h"
 #include "venn/venn.h"
 
 namespace venn {
@@ -23,38 +29,97 @@ ScenarioSpec streaming_scenario(std::size_t devices, double horizon_days) {
   return sc;
 }
 
-// stream=0 and stream=1 must describe the identical world: the per-device
-// churn seeds derive the same way, so the streamed run reproduces the
-// materialized run byte for byte.
-TEST(StreamingChurn, MatchesMaterializedRunByteForByte) {
-  ScenarioSpec materialized = streaming_scenario(400, 8.0);
-  ScenarioSpec streamed = materialized;
-  streamed.streaming = true;
+// Every event record a run emits, framed as the journal writes it, and the
+// (time, device) of each check-in.
+class EventCapture final : public journal::EventEncoderSink {
+ public:
+  void on_snapshot(const journal::StateSnapshot&) override {}
 
-  // epsilon > 0 exercises the fairness path, which consumes the solo JCT
-  // estimates — those must also agree between the modes.
+  std::string bytes;
+  std::vector<std::pair<SimTime, std::uint64_t>> checkins;
+
+ protected:
+  void handle(journal::RecordType type, std::string_view frame) override {
+    bytes.append(frame);
+    if (type != journal::RecordType::kCheckin) return;
+    journal::Decoder d(frame.substr(journal::kFramePayloadOffset), 0);
+    const SimTime t = d.f64();
+    checkins.emplace_back(t, d.u64());
+  }
+};
+
+struct TracedRun {
+  std::string result;  // service::dump_run of the RunResult
+  EventCapture events;
+  std::uint64_t executed = 0;
+  std::size_t peak_pending = 0;
+  std::uint64_t sessions_streamed = 0;
+  std::size_t resident_sessions = 0;
+};
+
+// Runs `ex` under venn with epsilon > 0: the fairness path consumes the
+// solo JCT estimates, so those must agree too.
+TracedRun run_traced(const Experiment& ex) {
   PolicySpec venn("venn");
   venn.set("epsilon", "2");
-  const RunResult a =
-      ExperimentBuilder().scenario(materialized).policy(venn).run();
-  const RunResult b = ExperimentBuilder().scenario(streamed).policy(venn).run();
+  TracedRun out;
+  auto scheduler = PolicyRegistry::instance().create(
+      venn.name, venn.params, ex.stream_seed("scheduler"));
+  api::LiveSession live(ex, std::move(scheduler), "venn", &out.events);
+  live.start();
+  out.result = service::dump_run(live.finish(), nullptr);
+  out.executed = live.engine().events_executed();
+  out.peak_pending = live.engine().queue().peak_pending();
+  out.sessions_streamed = live.coordinator().sessions_streamed();
+  out.resident_sessions = live.coordinator().resident_session_count();
+  return out;
+}
 
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    EXPECT_EQ(a.jobs[i].jct, b.jobs[i].jct) << "job " << i;
-    EXPECT_EQ(a.jobs[i].completed_rounds, b.jobs[i].completed_rounds);
-    EXPECT_EQ(a.jobs[i].total_aborts, b.jobs[i].total_aborts);
-    EXPECT_DOUBLE_EQ(a.jobs[i].solo_jct_estimate, b.jobs[i].solo_jct_estimate);
+// A churn model's sessions stream through the devices' cursors; the same
+// sessions drained into a column replay through the same lane. The two
+// runs must be the same run: identical results, identical event records
+// byte for byte, identical event counts and queue peaks. Starts sharing an
+// instant must also check in in device order, the order scheduling every
+// start eagerly gives them.
+TEST(StreamingChurn, MatchesMaterializedRunByteForByte) {
+  std::size_t at_zero = 0;  // weibull's initially-online devices start at 0
+  for (const char* model : {"weibull", "diurnal"}) {
+    SCOPED_TRACE(model);
+    ScenarioSpec sc = streaming_scenario(400, 8.0);
+    sc.churn_gen = {};
+    sc.set("churn", model);
+    const Experiment streamed = ExperimentBuilder().scenario(sc).build();
+    const Experiment column = drained_churn(ExperimentBuilder().scenario(sc));
+    ASSERT_EQ(streamed.inputs().sessions.size(), 0u);
+    ASSERT_EQ(column.inputs().sessions.devices(), sc.num_devices);
+
+    const TracedRun s = run_traced(streamed);
+    const TracedRun c = run_traced(column);
+    EXPECT_EQ(s.result, c.result);
+    EXPECT_TRUE(s.events.bytes == c.events.bytes)
+        << "event records diverge (" << s.events.bytes.size() << " vs "
+        << c.events.bytes.size() << " bytes)";
+    EXPECT_EQ(s.executed, c.executed);
+    EXPECT_EQ(s.peak_pending, c.peak_pending);
+    // Every drained session was pulled from the streams, one at a time.
+    EXPECT_EQ(s.sessions_streamed, column.inputs().sessions.size());
+    EXPECT_EQ(c.sessions_streamed, 0u);
+    EXPECT_EQ(c.resident_sessions, column.inputs().sessions.size());
+    EXPECT_LE(s.resident_sessions, sc.num_devices);
+
+    for (std::size_t i = 1; i < s.events.checkins.size(); ++i) {
+      const auto& [t0, d0] = s.events.checkins[i - 1];
+      const auto& [t1, d1] = s.events.checkins[i];
+      if (t0 != 0.0 || t1 != 0.0) continue;
+      ++at_zero;
+      EXPECT_LT(d0, d1) << "check-ins at t=0 out of device order";
+    }
   }
-  EXPECT_EQ(a.assignment_matrix, b.assignment_matrix);
+  EXPECT_GT(at_zero, 10u) << "no starts share t=0; the order check is moot";
 }
 
 TEST(StreamingChurn, DeterministicAcrossReruns) {
-  const ScenarioSpec sc = [] {
-    ScenarioSpec s = streaming_scenario(300, 6.0);
-    s.streaming = true;
-    return s;
-  }();
+  const ScenarioSpec sc = streaming_scenario(300, 6.0);
   const RunResult a = ExperimentBuilder().scenario(sc).policy("venn").run();
   const RunResult b = ExperimentBuilder().scenario(sc).policy("venn").run();
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
@@ -63,35 +128,36 @@ TEST(StreamingChurn, DeterministicAcrossReruns) {
   }
 }
 
+// Churn knobs need a churn model to configure.
 TEST(StreamingChurn, RequiresChurnModel) {
   ScenarioSpec sc;
-  sc.streaming = true;  // no churn= configured
+  sc.set("churn.up-scale-h", "4");  // no churn= configured
   EXPECT_THROW((void)api::build_inputs(sc), std::invalid_argument);
 }
 
-TEST(StreamingChurn, CoordinatorRejectsMaterializedDevicesInStreamMode) {
+// A session column must cover the whole fleet (or no device, when the
+// sessions stream): a column of another fleet is rejected, not misread.
+TEST(StreamingChurn, CoordinatorRejectsMisSizedSessionColumn) {
   ScenarioSpec sc = streaming_scenario(50, 4.0);
-  const auto inputs = api::build_inputs(sc);  // materialized sessions
+  const Experiment column = drained_churn(ExperimentBuilder().scenario(sc));
+  std::vector<Device> fewer = column.inputs().devices;
+  fewer.pop_back();
   sim::Engine engine(1);
   ResourceManager manager(PolicyRegistry::instance().create("fifo", {}, 1));
-  const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
-                                               sc.churn_gen, sc.seed);
   CoordinatorConfig ccfg;
-  ccfg.churn = gens.churn.get();
-  ccfg.stream_sessions = true;
+  ccfg.churn = column.generators().churn.get();
   ccfg.seed = sc.seed;
-  EXPECT_THROW(Coordinator(engine, manager, inputs.devices, inputs.jobs, ccfg),
+  EXPECT_THROW(Coordinator(engine, manager, fewer, column.inputs().sessions,
+                           column.inputs().jobs, ccfg),
                std::invalid_argument);
 }
 
-// The acceptance assertion: a 100k-device streaming scenario completes with
-// exactly one resident Session per device (O(devices) memory) while the
-// run consumes far more sessions than are ever resident — the
-// allocation-count proof that nothing pre-materializes O(devices × horizon)
-// session vectors.
+// The acceptance assertion: a 100k-device churn scenario builds no session
+// column, holds at most one pending session per device mid-run (O(devices)
+// memory), and still consumes far more sessions than are ever resident —
+// the evidence that nothing holds the O(devices × horizon) trace.
 TEST(StreamingChurn, HundredThousandDevicesStreamWithoutMaterializing) {
   ScenarioSpec sc = streaming_scenario(100'000, 28.0);
-  sc.streaming = true;
   // Long sessions / gaps keep the event count (and test runtime) sane while
   // still streaming ~10 sessions per device.
   sc.churn_gen.params.kv["up-scale-h"] = "12";
@@ -99,10 +165,9 @@ TEST(StreamingChurn, HundredThousandDevicesStreamWithoutMaterializing) {
 
   const auto inputs = api::build_inputs(sc);
   ASSERT_EQ(inputs.devices.size(), 100'000u);
-  for (std::size_t i = 0; i < inputs.devices.size(); i += 997) {
-    ASSERT_TRUE(inputs.devices[i].sessions().empty())
-        << "streaming build must not materialize sessions";
-  }
+  ASSERT_EQ(inputs.sessions.devices(), 0u)
+      << "a churn build must not materialize sessions";
+  ASSERT_EQ(inputs.sessions.size(), 0u);
 
   sim::Engine engine(Rng::derive(sc.seed, "engine"));
   ResourceManager manager(PolicyRegistry::instance().create(
@@ -112,23 +177,16 @@ TEST(StreamingChurn, HundredThousandDevicesStreamWithoutMaterializing) {
   CoordinatorConfig ccfg;
   ccfg.horizon = sc.horizon;
   ccfg.churn = gens.churn.get();
-  ccfg.stream_sessions = true;
   ccfg.seed = sc.seed;
-  Coordinator coord(engine, manager, inputs.devices, inputs.jobs, ccfg);
+  Coordinator coord(engine, manager, inputs.devices, inputs.sessions,
+                    inputs.jobs, ccfg);
   // Probe coordinator-resident sessions mid-run, when streaming is in full
-  // swing (each live stream holds at most its one pending session).
+  // swing (each cursor holds at most its one pending session).
   std::size_t mid_run_resident = 0;
   engine.at(sc.horizon / 2,
             [&] { mid_run_resident = coord.resident_session_count(); });
   coord.run();
 
-  // Every device's vector stayed empty for the whole run.
-  for (const auto& d : coord.devices()) {
-    ASSERT_TRUE(d.sessions().empty());
-  }
-  // Allocation-count evidence: the run consumed many times more sessions
-  // than were ever resident at once — the O(devices × horizon) set a
-  // materialized build would have held never existed.
   EXPECT_GT(mid_run_resident, 0u);
   EXPECT_LE(mid_run_resident, 100'000u);  // ≤ one per device
   EXPECT_GT(coord.sessions_streamed(), 5u * 100'000u);
@@ -226,7 +284,6 @@ TEST(OpenLoop, RequiresArrivalAndMix) {
 TEST(OpenLoop, CombinesWithStreamingChurn) {
   ScenarioSpec sc = open_loop_scenario();
   sc.set("churn", "weibull");
-  sc.set("stream", "1");
   sc.num_jobs = 8;
   const RunResult a = ExperimentBuilder().scenario(sc).policy("venn").run();
   const RunResult b = ExperimentBuilder().scenario(sc).policy("venn").run();
