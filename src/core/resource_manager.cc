@@ -183,7 +183,6 @@ std::optional<AssignOutcome> ResourceManager::offer(const Device& dev,
     throw std::logic_error("scheduler picked a stale request");
   }
   ++req.assigned;
-  wants_dirty_ = true;  // this assignment may have filled the request
 
   AssignOutcome out;
   out.job = winner.job;
@@ -195,6 +194,9 @@ std::optional<AssignOutcome> ResourceManager::offer(const Device& dev,
     req.state = RequestState::kAllocated;
     req.fully_allocated = now;
     out.fully_allocated = true;
+    // Filling the request is the one way an assignment changes the
+    // wanting set; every path that reopens demand marks it itself.
+    wants_dirty_ = true;
   }
   for (RunObserver* obs : observers_) {
     obs->on_assignment(dev, *e.job, out, now);

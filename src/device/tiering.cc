@@ -18,6 +18,7 @@ TierProfile::TierProfile(std::size_t num_tiers, double tail_percentile)
 void TierProfile::observe(double capacity, double response_time) {
   capacities_.push_back(capacity);
   response_times_.push_back(response_time);
+  quantile_cache_.clear();
 }
 
 bool TierProfile::ready() const {
@@ -25,7 +26,7 @@ bool TierProfile::ready() const {
   return capacities_.size() >= 5 * num_tiers_;
 }
 
-void TierProfile::set_external_thresholds(std::vector<double> thresholds) {
+void TierProfile::set_external_thresholds(std::span<const double> thresholds) {
   if (thresholds.size() != num_tiers_ + 1) {
     throw std::invalid_argument("need num_tiers + 1 thresholds");
   }
@@ -34,64 +35,55 @@ void TierProfile::set_external_thresholds(std::vector<double> thresholds) {
       throw std::invalid_argument("thresholds must be ascending");
     }
   }
-  external_thresholds_ = std::move(thresholds);
+  external_thresholds_.assign(thresholds.begin(), thresholds.end());
+  quantile_cache_.clear();
 }
 
-std::vector<double> TierProfile::thresholds() const {
+const std::vector<double>& TierProfile::active_thresholds() const {
   if (!external_thresholds_.empty()) return external_thresholds_;
-  return quantile_thresholds();
-}
-
-std::vector<double> TierProfile::quantile_thresholds() const {
+  if (!quantile_cache_.empty()) return quantile_cache_;
   if (!ready()) throw std::logic_error("TierProfile not ready");
   std::vector<double> cap = capacities_;
-  std::vector<double> th;
-  th.reserve(num_tiers_ + 1);
-  th.push_back(0.0);
+  quantile_cache_.push_back(0.0);
   for (std::size_t v = 1; v < num_tiers_; ++v) {
-    th.push_back(percentile_select(cap, 100.0 * static_cast<double>(v) /
-                                            static_cast<double>(num_tiers_)));
+    quantile_cache_.push_back(
+        percentile_select(cap, 100.0 * static_cast<double>(v) /
+                                   static_cast<double>(num_tiers_)));
   }
-  th.push_back(1.0 + 1e-12);
-  return th;
+  quantile_cache_.push_back(1.0 + 1e-12);
+  return quantile_cache_;
 }
 
 std::size_t TierProfile::tier_of(double capacity) const {
-  // Pinned thresholds are read in place: this runs on every accepts().
-  if (external_thresholds_.empty()) {
-    return tier_in(quantile_thresholds(), capacity);
-  }
-  return tier_in(external_thresholds_, capacity);
-}
-
-std::size_t TierProfile::tier_in(const std::vector<double>& th,
-                                 double capacity) const {
+  // Runs on every accepts(): pinned and cached thresholds are read in place.
+  const std::vector<double>& th = active_thresholds();
   for (std::size_t v = num_tiers_; v-- > 0;) {
     if (capacity >= th[v]) return v;
   }
   return 0;
 }
 
-double TierProfile::speedup(std::size_t tier) const {
+double TierProfile::speedup(std::size_t tier,
+                            std::vector<double>& scratch) const {
   if (tier >= num_tiers_) throw std::out_of_range("tier index");
-  const auto th = thresholds();
-  std::vector<double> in_tier;
-  for (std::size_t i = 0; i < capacities_.size(); ++i) {
-    if (capacities_[i] >= th[tier] && capacities_[i] < th[tier + 1]) {
-      in_tier.push_back(response_times_[i]);
-    }
+  const std::vector<double>& th = active_thresholds();
+  // One copy of the response times: the tier's own at the front, the rest
+  // at the back. Selecting the tier's tail reorders only the front, so the
+  // whole buffer is still the full sample for t0 afterwards.
+  const std::size_t n = response_times_.size();
+  scratch.resize(n);
+  std::size_t front = 0;
+  std::size_t back = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool in = capacities_[i] >= th[tier] && capacities_[i] < th[tier + 1];
+    scratch[in ? front++ : --back] = response_times_[i];
   }
-  if (in_tier.empty() || response_times_.empty()) return 1.0;
-  std::vector<double> all = response_times_;
+  if (front == 0) return 1.0;
+  const std::span<double> all(scratch.data(), n);
+  const double tail = percentile_select(all.first(front), tail_percentile_);
   const double t0 = percentile_select(all, tail_percentile_);
   if (t0 <= 0.0) return 1.0;
-  return percentile_select(in_tier, tail_percentile_) / t0;
-}
-
-std::optional<double> TierProfile::tail_response_time() const {
-  if (response_times_.empty()) return std::nullopt;
-  Summary s{std::span<const double>(response_times_)};
-  return s.percentile(tail_percentile_);
+  return tail / t0;
 }
 
 bool tiering_beneficial(std::size_t num_tiers, double g_u, double c) {

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "device/eligibility.h"
@@ -47,13 +47,16 @@ class TierProfile {
   // participant sample — important because a tiered job's participants are
   // tier-biased, and self-derived quantiles would drift toward the top of
   // the range until the accepted band is a sliver of the pool. Must contain
-  // num_tiers + 1 ascending values starting at 0.
-  void set_external_thresholds(std::vector<double> thresholds);
+  // num_tiers + 1 ascending values starting at 0. Copies into storage the
+  // profile keeps, so re-pinning every request allocates nothing.
+  void set_external_thresholds(std::span<const double> thresholds);
 
   // Capacity thresholds: tier v (0 = slowest) covers capacities in
   // [threshold[v], threshold[v+1]). External if pinned, otherwise computed
   // from observed participant quantiles. Requires ready().
-  [[nodiscard]] std::vector<double> thresholds() const;
+  [[nodiscard]] std::vector<double> thresholds() const {
+    return active_thresholds();
+  }
 
   // Tier index of a device capacity under the current thresholds.
   // Requires ready().
@@ -62,22 +65,24 @@ class TierProfile {
   // Speed-up factor g_v = t_v / t_0 where t_v is the tail response time of
   // tier v and t_0 the tail over all observations (non-tiered). Values < 1
   // mean tier v responds faster than the mixed population. Requires ready().
-  [[nodiscard]] double speedup(std::size_t tier) const;
-
-  // Tail response time across all observations (t_0).
-  [[nodiscard]] std::optional<double> tail_response_time() const;
+  // `scratch` is the caller's selection buffer (it holds one copy of the
+  // response times; its capacity is reused across calls).
+  [[nodiscard]] double speedup(std::size_t tier,
+                               std::vector<double>& scratch) const;
 
  private:
-  // thresholds() derived from the observed capacity quantiles.
-  [[nodiscard]] std::vector<double> quantile_thresholds() const;
-  [[nodiscard]] std::size_t tier_in(const std::vector<double>& th,
-                                    double capacity) const;
+  // The pinned thresholds, or else the observed capacity quantiles, cached
+  // until the next observe() or pin.
+  [[nodiscard]] const std::vector<double>& active_thresholds() const;
 
   std::size_t num_tiers_;
   double tail_percentile_;
   std::vector<double> capacities_;
   std::vector<double> response_times_;  // parallel to capacities_
   std::vector<double> external_thresholds_;  // empty = derive from samples
+  // Quantile thresholds of capacities_; empty = not computed since the
+  // last observe().
+  mutable std::vector<double> quantile_cache_;
 };
 
 // The activation condition of Algorithm 2 (line 7 / Fig. 7): tier-based

@@ -10,8 +10,8 @@ void JobMatcher::observe_response(double capacity, double response_time) {
   profile_.observe(capacity, response_time);
 }
 
-void JobMatcher::set_thresholds(std::vector<double> thresholds) {
-  profile_.set_external_thresholds(std::move(thresholds));
+void JobMatcher::set_thresholds(std::span<const double> thresholds) {
+  profile_.set_external_thresholds(thresholds);
 }
 
 void JobMatcher::observe_round(SimTime sched_delay, SimTime response_time) {
@@ -32,7 +32,8 @@ std::optional<double> JobMatcher::c_estimate() const {
   return ewma_resp_ / sched;
 }
 
-void JobMatcher::begin_request(RequestId id, SimTime /*now*/) {
+void JobMatcher::begin_request(RequestId id, SimTime /*now*/,
+                               std::vector<double>& scratch) {
   current_request_ = id;
   tier_choice_.reset();
   if (cfg_.num_tiers <= 1) return;  // V = 1: tiering is a no-op
@@ -44,7 +45,7 @@ void JobMatcher::begin_request(RequestId id, SimTime /*now*/) {
   // if the JCT trade-off favours it (line 7).
   const auto u = static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<std::int64_t>(cfg_.num_tiers) - 1));
-  const double g_u = profile_.speedup(u);
+  const double g_u = profile_.speedup(u, scratch);
   if (tiering_beneficial(cfg_.num_tiers, g_u, *c)) {
     tier_choice_ = u;
   }

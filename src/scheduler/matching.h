@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "device/tiering.h"
@@ -45,12 +46,16 @@ class JobMatcher {
   // computed by the resource manager (see TierProfile::
   // set_external_thresholds). Response-time speedups g_v still come from
   // this job's own response observations.
-  void set_thresholds(std::vector<double> thresholds);
+  void set_thresholds(std::span<const double> thresholds);
 
   // --- per-request tier selection ----------------------------------------
   // Called when a new resource request opens. Decides whether tier-based
-  // matching is active for this request and which tier it pins.
-  void begin_request(RequestId id, SimTime now);
+  // matching is active for this request and which tier it pins. `scratch`
+  // is the caller's buffer for the speed-up estimate (TierProfile::speedup).
+  void begin_request(RequestId id, SimTime now, std::vector<double>& scratch);
+
+  // The request of the last begin_request; invalid before the first.
+  [[nodiscard]] RequestId current_request() const { return current_request_; }
 
   // True iff the matcher (for the currently served request) accepts a device
   // of the given capacity. Always true when matching is inactive.

@@ -31,62 +31,115 @@ void VennScheduler::on_device_checkin(const DeviceView& dev, SimTime now) {
   const double cap = dev.spec.capacity();
   for (std::uint64_t bits = dev.signature; bits != 0; bits &= bits - 1) {
     const auto g = static_cast<std::size_t>(std::countr_zero(bits));
-    auto& dq = group_caps_[g];
-    dq.push_back(cap);
-    if (dq.size() > kCapReservoir) dq.pop_front();
+    CapRing& ring = group_caps_[g];
+    if (ring.caps.size() < kCapReservoir) {
+      ring.caps.push_back(cap);
+    } else {
+      ring.caps[ring.oldest] = cap;
+      ring.oldest = (ring.oldest + 1) % kCapReservoir;
+    }
   }
 }
 
-std::vector<double> VennScheduler::group_thresholds(std::size_t g) {
-  auto it = group_caps_.find(g);
-  if (it == group_caps_.end() || it->second.size() < 10 * cfg_.num_tiers) {
-    return {};
+namespace {
+
+// Value bins of the reservoir quantiles. A power of two, so c * kCapBins is
+// exact and the bin is monotone in capacity: every value in a lower bin is
+// smaller than every value in a higher one. Capacities lie in [0, 1];
+// values outside clamp to the end bins, which keeps the order.
+constexpr std::size_t kCapBins = 256;
+
+std::size_t cap_bin(double c) {
+  const double s = c * static_cast<double>(kCapBins);
+  if (!(s > 0.0)) return 0;
+  if (s >= static_cast<double>(kCapBins - 1)) return kCapBins - 1;
+  return static_cast<std::size_t>(s);
+}
+
+}  // namespace
+
+std::span<const double> VennScheduler::group_thresholds(std::size_t g) {
+  if (g >= kMaxGroups) throw std::out_of_range("group index >= 64");
+  const std::vector<double>& caps = group_caps_[g].caps;
+  const std::size_t n = caps.size();
+  const std::size_t tiers = cfg_.num_tiers;
+  if (n < 10 * tiers) return {};
+
+  // Each quantile reads two order statistics of the reservoir (its
+  // percentile_rank). One counting pass finds the bins that hold them; only
+  // those bins are gathered and sorted, and a rank's order statistic sits
+  // in the gather at (rank - values in lower bins + gathered lower values).
+  // Same order statistics, same interpolation: bit-equal to selecting them
+  // from a copy with percentile_select.
+  std::array<std::uint32_t, kCapBins> count{};
+  for (const double c : caps) ++count[cap_bin(c)];
+  std::array<bool, kCapBins> wanted{};
+  std::size_t bin = 0;
+  std::size_t below = 0;     // values in bins before `bin`
+  std::size_t gathered = 0;  // of those, values in wanted bins
+  // Ranks arrive in ascending order: the quantiles ascend.
+  const auto locate = [&](std::size_t rank) {
+    while (rank >= below + count[bin]) {
+      if (wanted[bin]) gathered += count[bin];
+      below += count[bin];
+      ++bin;
+    }
+    wanted[bin] = true;
+    return gathered + (rank - below);
+  };
+  rank_scratch_.clear();
+  for (std::size_t v = 1; v < tiers; ++v) {
+    PercentileRank r = percentile_rank(
+        100.0 * static_cast<double>(v) / static_cast<double>(tiers), n);
+    r.lo = locate(r.lo);  // from here on: indices into bin_scratch_
+    r.hi = locate(r.hi);
+    rank_scratch_.push_back(r);
   }
-  // Selection, not a sort: each quantile reads at most two order
-  // statistics of the reservoir (bit-equal to Summary::percentile).
-  caps_scratch_.assign(it->second.begin(), it->second.end());
-  std::vector<double> th;
-  th.reserve(cfg_.num_tiers + 1);
-  th.push_back(0.0);
-  for (std::size_t v = 1; v < cfg_.num_tiers; ++v) {
-    th.push_back(percentile_select(caps_scratch_,
-                                   100.0 * static_cast<double>(v) /
-                                       static_cast<double>(cfg_.num_tiers)));
+  bin_scratch_.clear();
+  for (const double c : caps) {
+    if (wanted[cap_bin(c)]) bin_scratch_.push_back(c);
   }
-  th.push_back(1.0 + 1e-12);
+  std::sort(bin_scratch_.begin(), bin_scratch_.end());
+
+  th_scratch_.clear();
+  th_scratch_.push_back(0.0);
+  for (const PercentileRank& r : rank_scratch_) {
+    th_scratch_.push_back(
+        r.interpolate(bin_scratch_[r.lo], bin_scratch_[r.hi]));
+  }
+  th_scratch_.push_back(1.0 + 1e-12);
   // Guard against degenerate (non-ascending) quantiles on flat reservoirs.
-  for (std::size_t i = 1; i < th.size(); ++i) {
-    th[i] = std::max(th[i], th[i - 1]);
+  for (std::size_t i = 1; i < th_scratch_.size(); ++i) {
+    th_scratch_[i] = std::max(th_scratch_[i], th_scratch_[i - 1]);
   }
-  return th;
+  return th_scratch_;
 }
 
 JobMatcher& VennScheduler::matcher_for(JobId job) {
-  auto it = matchers_.find(job);
-  if (it == matchers_.end()) {
+  if (job.value() < 0) throw std::invalid_argument("negative job id");
+  const auto j = static_cast<std::size_t>(job.value());
+  if (j >= matchers_.size()) matchers_.resize(j + 1);
+  std::unique_ptr<JobMatcher>& m = matchers_[j];
+  if (!m) {
     MatcherConfig mc;
     mc.num_tiers = cfg_.num_tiers;
     mc.tail_percentile = cfg_.tail_percentile;
     mc.ewma_alpha = cfg_.ewma_alpha;
-    it = matchers_
-             .emplace(job, std::make_unique<JobMatcher>(mc, rng_.fork()))
-             .first;
+    m = std::make_unique<JobMatcher>(mc, rng_.fork());
   }
-  return *it->second;
+  return *m;
 }
 
 void VennScheduler::on_queue_change(std::span<const PendingJob> pending,
                                     SimTime now) {
   // --- group statistics + fairness inputs -------------------------------
-  struct GroupAgg {
-    double queue_len = 0.0;
-    std::vector<JobFairnessInput> jobs;
-  };
-  std::unordered_map<std::size_t, GroupAgg> agg;
   const double num_jobs = std::max<double>(1.0, pending.size());
-
-  fairness_mult_.clear();
+  for (const std::size_t j : mult_written_) fairness_mult_[j] = 1.0;
+  mult_written_.clear();
+  std::uint64_t present = 0;  // groups with a pending job
   for (const auto& pj : pending) {
+    if (pj.group >= kMaxGroups) throw std::out_of_range("group index >= 64");
+    if (pj.job.value() < 0) throw std::invalid_argument("negative job id");
     JobFairnessInput fin;
     fin.progress = pj.total_rounds > 0
                        ? static_cast<double>(pj.completed_rounds) /
@@ -95,51 +148,56 @@ void VennScheduler::on_queue_change(std::span<const PendingJob> pending,
     fin.elapsed = now - pj.job_arrival;
     fin.fair_jct = num_jobs * std::max(pj.solo_jct_estimate, 1.0);
 
-    auto& g = agg[pj.group];
+    GroupAgg& g = agg_[pj.group];
+    if (!((present >> pj.group) & 1ULL)) {
+      present |= 1ULL << pj.group;
+      g.queue_len = 0.0;
+      g.jobs.clear();
+    }
     g.queue_len += 1.0;
     g.jobs.push_back(fin);
 
     // d'_i = d_i * r_i^ε; we store the multiplier and apply it to the live
     // remaining demand at assignment time.
-    fairness_mult_[pj.job] =
+    const auto j = static_cast<std::size_t>(pj.job.value());
+    if (j >= fairness_mult_.size()) fairness_mult_.resize(j + 1, 1.0);
+    fairness_mult_[j] =
         adjusted_demand(1.0, relative_usage(fin), cfg_.epsilon);
+    mult_written_.push_back(j);
   }
 
   // --- tier decision for newly opened requests ---------------------------
+  // A request is new when it is not the one its job's matcher last began.
   for (const auto& pj : pending) {
-    if (seen_requests_.insert(pj.request.value()).second) {
-      JobMatcher& m = matcher_for(pj.job);
-      auto th = group_thresholds(pj.group);
-      if (!th.empty()) m.set_thresholds(std::move(th));
-      m.begin_request(pj.request, now);
-      ++mstats_.requests_seen;
-      if (m.active_tier()) ++mstats_.requests_tiered;
-    }
+    const JobMatcher* seen = matcher(pj.job);
+    if (seen != nullptr && seen->current_request() == pj.request) continue;
+    JobMatcher& m = matcher_for(pj.job);
+    const std::span<const double> th = group_thresholds(pj.group);
+    if (!th.empty()) m.set_thresholds(th);
+    m.begin_request(pj.request, now, speedup_scratch_);
+    ++mstats_.requests_seen;
+    if (m.active_tier()) ++mstats_.requests_tiered;
   }
 
   // --- IRS plan over atoms from the supply store -------------------------
-  active_mask_ = 0;
-  std::vector<GroupInput> groups;
-  groups.reserve(agg.size());
-  for (const auto& [index, g] : agg) {
-    active_mask_ |= (1ULL << index);
+  active_mask_ = present;
+  groups_.clear();
+  for (std::uint64_t left = present; left != 0; left &= left - 1) {
+    const auto index = static_cast<std::size_t>(std::countr_zero(left));
+    const GroupAgg& g = agg_[index];
     GroupInput gi;
     gi.index = index;
     gi.queue_len = adjusted_queue_len(
         g.queue_len, group_relative_usage(g.jobs), cfg_.epsilon);
-    groups.push_back(gi);
+    groups_.push_back(gi);
   }
-  std::sort(groups.begin(), groups.end(),
-            [](const GroupInput& a, const GroupInput& b) {
-              return a.index < b.index;
-            });
 
-  std::vector<AtomSupply> atoms;
+  atoms_.clear();
   for (std::uint64_t key : supply_.keys()) {
     const double rate = supply_.rate(key, now, cfg_.supply_window);
-    if (rate > 0.0) atoms.push_back({key, rate});
+    if (rate > 0.0) atoms_.push_back({key, rate});
   }
-  plan_ = compute_irs_plan(groups, atoms);
+  plan_ = compute_irs_plan(groups_, atoms_);
 
   // Bound the §4.4 time-series store on multi-day runs: points older than
   // twice the averaging window can never influence a rate query.
@@ -172,8 +230,9 @@ double VennScheduler::sort_key(const PendingJob& pj) const {
   const double base = cfg_.order_by_total_remaining
                           ? pj.remaining_service
                           : static_cast<double>(pj.remaining_demand);
-  auto it = fairness_mult_.find(pj.job);
-  return it != fairness_mult_.end() ? base * it->second : base;
+  // A negative id wraps past the end: no queue change ever lists one.
+  const auto j = static_cast<std::uint64_t>(pj.job.value());
+  return j < fairness_mult_.size() ? base * fairness_mult_[j] : base;
 }
 
 namespace {

@@ -9,10 +9,9 @@
 // disables tier filtering ("Venn w/o match").
 #pragma once
 
-#include <deque>
+#include <array>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "scheduler/fairness.h"
@@ -21,6 +20,7 @@
 #include "scheduler/scheduler.h"
 #include "tsdb/timeseries.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace venn {
 
@@ -84,15 +84,18 @@ class VennScheduler final : public Scheduler {
   [[nodiscard]] double sort_key(const PendingJob& pj) const;
   // The job's tier matcher, or nullptr before the scheduler has seen it.
   [[nodiscard]] const JobMatcher* matcher(JobId job) const {
-    const auto it = matchers_.find(job);
-    return it != matchers_.end() ? it->second.get() : nullptr;
+    const auto j = static_cast<std::uint64_t>(job.value());
+    return j < matchers_.size() ? matchers_[j].get() : nullptr;
   }
+  // Tier thresholds partitioning group `g`'s eligible check-in population
+  // into num_tiers equal-count bands, as the next new request in `g` gets
+  // them; empty until enough check-ins. Valid until the next call.
+  [[nodiscard]] std::span<const double> group_thresholds(std::size_t g);
 
  private:
+  static constexpr std::size_t kMaxGroups = 64;  // signature bits
+
   JobMatcher& matcher_for(JobId job);
-  // Tier thresholds partitioning group `g`'s eligible check-in population
-  // into num_tiers equal-count bands; empty until enough check-ins.
-  [[nodiscard]] std::vector<double> group_thresholds(std::size_t g);
 
   VennConfig cfg_;
   Rng rng_;
@@ -101,21 +104,42 @@ class VennScheduler final : public Scheduler {
   IrsPlan plan_;
   std::uint64_t active_mask_ = 0;
 
-  // Fairness multiplier r_i^ε per pending job, refreshed on every queue
-  // change. The intra-group sort key is (live remaining demand) x multiplier
-  // so that demand drained between plan recomputes is reflected immediately.
-  std::unordered_map<JobId, double> fairness_mult_;
+  // Fairness multiplier r_i^ε by job id value, refreshed on every queue
+  // change; 1 for a job the last change did not list. The intra-group sort
+  // key is (live remaining demand) x multiplier so that demand drained
+  // between plan recomputes is reflected immediately.
+  std::vector<double> fairness_mult_;
+  std::vector<std::size_t> mult_written_;  // ids the last change set
 
-  std::unordered_map<JobId, std::unique_ptr<JobMatcher>> matchers_;
-  std::unordered_set<std::int64_t> seen_requests_;  // RequestId values
+  // By job id value; created on a job's first request or observation.
+  std::vector<std::unique_ptr<JobMatcher>> matchers_;
   MatchingStats mstats_;
 
-  // Sliding reservoir of recent check-in capacities per job group; feeds
-  // eligible-population tier thresholds (§4.3).
+  // Sliding reservoir of the last kCapReservoir check-in capacities per job
+  // group; feeds eligible-population tier thresholds (§4.3). A ring: the
+  // quantiles read it as a multiset, so only which value leaves matters
+  // (the oldest). group_thresholds reads it in place, without copying it.
   static constexpr std::size_t kCapReservoir = 2048;
-  std::unordered_map<std::size_t, std::deque<double>> group_caps_;
-  std::vector<double> caps_scratch_;         // group_thresholds' selection
-  std::vector<std::size_t> order_scratch_;  // IrsPlan::order_for fallback
+  struct CapRing {
+    std::vector<double> caps;
+    std::size_t oldest = 0;  // next slot to overwrite once full
+  };
+  std::array<CapRing, kMaxGroups> group_caps_;
+
+  // Per-queue-change scratch, reused so the request path allocates
+  // nothing once warm.
+  struct GroupAgg {
+    double queue_len = 0.0;
+    std::vector<JobFairnessInput> jobs;
+  };
+  std::array<GroupAgg, kMaxGroups> agg_;      // by group index
+  std::vector<GroupInput> groups_;            // IRS inputs, ascending index
+  std::vector<AtomSupply> atoms_;
+  std::vector<double> th_scratch_;            // group_thresholds' result
+  std::vector<double> bin_scratch_;           // its gathered rank bins
+  std::vector<PercentileRank> rank_scratch_;  // its wanted ranks
+  std::vector<double> speedup_scratch_;       // JobMatcher::begin_request
+  std::vector<std::size_t> order_scratch_;    // IrsPlan::order_for fallback
   std::uint64_t queue_changes_ = 0;  // drives periodic tsdb compaction
 };
 

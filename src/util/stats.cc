@@ -99,38 +99,26 @@ void Summary::ensure_sorted() const {
   sorted_.store(true, std::memory_order_release);
 }
 
-namespace {
-
-// Where percentile p falls among n sorted samples: the two neighbouring
-// ranks and the interpolation weight of the upper one.
-struct Rank {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  double frac = 0.0;
-};
-
-Rank rank_of(double p, std::size_t n) {
+PercentileRank percentile_rank(double p, std::size_t n) {
   if (n == 0) throw std::logic_error("percentile of empty Summary");
   if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile range");
   const double rank = (p / 100.0) * static_cast<double>(n - 1);
-  Rank r;
+  PercentileRank r;
   r.lo = static_cast<std::size_t>(std::floor(rank));
   r.hi = static_cast<std::size_t>(std::ceil(rank));
   r.frac = rank - static_cast<double>(r.lo);
   return r;
 }
 
-}  // namespace
-
 double Summary::percentile(double p) const {
-  const Rank r = rank_of(p, samples_.size());
+  const PercentileRank r = percentile_rank(p, samples_.size());
   ensure_sorted();
   if (samples_.size() == 1) return samples_.front();
-  return samples_[r.lo] * (1.0 - r.frac) + samples_[r.hi] * r.frac;
+  return r.interpolate(samples_[r.lo], samples_[r.hi]);
 }
 
 double percentile_select(std::span<double> values, double p) {
-  const Rank r = rank_of(p, values.size());
+  const PercentileRank r = percentile_rank(p, values.size());
   if (values.size() == 1) return values.front();
   const auto lo = values.begin() + static_cast<std::ptrdiff_t>(r.lo);
   std::nth_element(values.begin(), lo, values.end());
@@ -138,7 +126,7 @@ double percentile_select(std::span<double> values, double p) {
   // the partition above lo.
   const double hi =
       r.hi == r.lo ? *lo : *std::min_element(lo + 1, values.end());
-  return *lo * (1.0 - r.frac) + hi * r.frac;
+  return r.interpolate(*lo, hi);
 }
 
 std::vector<CdfPoint> empirical_cdf(std::span<const double> samples,

@@ -66,6 +66,25 @@ class Summary {
   mutable std::atomic<bool> sorted_{true};
 };
 
+// The rank math every percentile here shares: where percentile p falls
+// among n ascending samples, as the two neighbouring 0-based ranks and the
+// interpolation weight of the upper one. A percentile reads exactly two
+// order statistics, x[lo] and x[hi] (hi is lo or lo + 1), and combines them
+// with interpolate(); code that finds those two order statistics another
+// way (VennScheduler's binned reservoir quantiles) is bit-equal to
+// Summary::percentile as long as it goes through both. Throws on n == 0 or
+// p outside [0, 100].
+struct PercentileRank {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+
+  [[nodiscard]] double interpolate(double x_lo, double x_hi) const {
+    return x_lo * (1.0 - frac) + x_hi * frac;
+  }
+};
+[[nodiscard]] PercentileRank percentile_rank(double p, std::size_t n);
+
 // Summary::percentile(p) of `values` without sorting them: selects the one
 // or two order statistics the linear interpolation reads (nth_element, then
 // min_element over the upper partition), so the result is bit-equal to the

@@ -1,6 +1,8 @@
 // Unit tests for the resource manager (Fig. 6 workflow, steps 0-2).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/resource_manager.h"
 #include "scheduler/fifo_sched.h"
 #include "scheduler/srsf_sched.h"
@@ -170,6 +172,79 @@ TEST(ResourceManager, DeviceViewSignatureMatchesRegistry) {
   const Device weak = make_device(1, 0.1, 0.1);
   EXPECT_EQ(mgr.device_view(strong).signature, 0b11ULL);
   EXPECT_EQ(mgr.device_view(weak).signature, 0b01ULL);
+}
+
+// Brute force: the groups of the jobs whose request still wants devices.
+std::uint64_t wanting_groups(ResourceManager& mgr,
+                             const std::vector<Job*>& jobs) {
+  std::uint64_t mask = 0;
+  for (const Job* j : jobs) {
+    const auto& req = j->request();
+    if (!req || !req->wants_devices()) continue;
+    mask |= 1ULL << mgr.signatures().register_requirement(
+                requirement_for(j->spec().category));
+  }
+  return mask;
+}
+
+TEST(ResourceManager, WantsMaskFollowsFillsAndReopens) {
+  // Partial fills leave the wanting set as it is, the fill that completes a
+  // request takes its group out, and a reopen brings it back. A synchronous
+  // round reopens through assignment_failed (a pre-allocation failure), an
+  // asynchronous one through release_assignment (a response frees a slot
+  // of its long-lived request).
+  for (const bool async : {false, true}) {
+    ResourceManager mgr(std::make_unique<FifoScheduler>());
+    Job general(JobId(1), make_spec(ResourceCategory::kGeneral, 5, 3));
+    Job high(JobId(2), make_spec(ResourceCategory::kHighPerf, 5, 2));
+    const std::vector<Job*> jobs{&general, &high};
+    for (Job* j : jobs) {
+      mgr.register_job(j, 1.0);
+      mgr.open_request(j->id(), 0.0, 0.1);
+    }
+    SimTime now = 1.0;
+    const auto check = [&](const char* step) {
+      EXPECT_EQ(mgr.wants_mask(), wanting_groups(mgr, jobs))
+          << (async ? "async, " : "sync, ") << step;
+    };
+    const auto checkin = [&](double score) {
+      // Weak devices are eligible for the General job only.
+      const Device dev = make_device(static_cast<int>(now), score, score);
+      (void)mgr.device_checkin(dev, now);
+      now += 1.0;
+    };
+    const auto reopen = [&](Job& job) {
+      RoundRequest& req = job.mutable_request();
+      --req.assigned;
+      req.state = RequestState::kPending;
+      if (async) {
+        mgr.release_assignment(job.id(), now);
+      } else {
+        mgr.assignment_failed(job.id(), now);
+      }
+    };
+    check("opened");
+    checkin(0.1);
+    check("general 1/3");
+    checkin(0.1);
+    check("general 2/3");
+    checkin(0.1);
+    EXPECT_EQ(general.request()->state, RequestState::kAllocated);
+    check("general filled");
+    checkin(0.9);
+    check("high 1/2");
+    reopen(general);
+    check("general reopened");
+    checkin(0.1);
+    check("general filled again");
+    checkin(0.9);
+    EXPECT_EQ(high.request()->state, RequestState::kAllocated);
+    check("high filled");
+    EXPECT_EQ(mgr.wants_mask(), 0u);
+    reopen(high);
+    check("high reopened");
+    EXPECT_NE(mgr.wants_mask(), 0u);
+  }
 }
 
 TEST(ResourceManager, NullSchedulerRejected) {

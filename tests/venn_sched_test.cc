@@ -251,6 +251,32 @@ TEST(VennSched, FlatCapacityReservoirYieldsAscendingThresholds) {
   EXPECT_TRUE(std::is_sorted(th.begin(), th.end()));
 }
 
+TEST(VennSched, RequestIsNewOnlyWhenItDiffersFromTheMatchersCurrent) {
+  VennScheduler s(no_matching_cfg(), Rng(1));
+  std::vector<PendingJob> pending{make_pending(1, G, 5),
+                                  make_pending(2, G, 7)};
+  s.on_queue_change(pending, 10.0);
+  EXPECT_EQ(s.matching_stats().requests_seen, 2);
+  // The same pending set again: no request is new.
+  s.on_queue_change(pending, 20.0);
+  EXPECT_EQ(s.matching_stats().requests_seen, 2);
+  // Job 1's next request is new; job 2's is still the one it began.
+  pending[0].request = RequestId(100);
+  s.on_queue_change(pending, 30.0);
+  EXPECT_EQ(s.matching_stats().requests_seen, 3);
+  ASSERT_NE(s.matcher(JobId(1)), nullptr);
+  EXPECT_EQ(s.matcher(JobId(1))->current_request(), RequestId(100));
+  s.on_queue_change(pending, 40.0);
+  EXPECT_EQ(s.matching_stats().requests_seen, 3);
+}
+
+TEST(VennSched, NegativeJobIdThrows) {
+  VennScheduler s(VennConfig{}, Rng(1));
+  const std::vector<PendingJob> pending{make_pending(-1, G, 5)};
+  EXPECT_THROW(s.on_queue_change(pending, 1.0), std::invalid_argument);
+  EXPECT_EQ(s.sort_key(pending[0]), pending[0].remaining_service);
+}
+
 TEST(VennSched, SupplyStoreRecordsCheckins) {
   VennScheduler s(VennConfig{}, Rng(1));
   s.on_device_checkin(device_with_signature(0b11), 1.0);
