@@ -18,7 +18,6 @@ TierProfile::TierProfile(std::size_t num_tiers, double tail_percentile)
 void TierProfile::observe(double capacity, double response_time) {
   capacities_.push_back(capacity);
   response_times_.push_back(response_time);
-  quantile_cache_.clear();
 }
 
 bool TierProfile::ready() const {
@@ -36,27 +35,33 @@ void TierProfile::set_external_thresholds(std::span<const double> thresholds) {
     }
   }
   external_thresholds_.assign(thresholds.begin(), thresholds.end());
-  quantile_cache_.clear();
 }
 
-const std::vector<double>& TierProfile::active_thresholds() const {
+std::vector<double> TierProfile::thresholds() const {
+  std::vector<double> local;
+  const std::span<const double> th = active_thresholds(local);
+  return {th.begin(), th.end()};
+}
+
+std::span<const double> TierProfile::active_thresholds(
+    std::vector<double>& local) const {
   if (!external_thresholds_.empty()) return external_thresholds_;
-  if (!quantile_cache_.empty()) return quantile_cache_;
   if (!ready()) throw std::logic_error("TierProfile not ready");
   std::vector<double> cap = capacities_;
-  quantile_cache_.push_back(0.0);
+  local.clear();
+  local.push_back(0.0);
   for (std::size_t v = 1; v < num_tiers_; ++v) {
-    quantile_cache_.push_back(
-        percentile_select(cap, 100.0 * static_cast<double>(v) /
-                                   static_cast<double>(num_tiers_)));
+    local.push_back(percentile_select(
+        cap, 100.0 * static_cast<double>(v) / static_cast<double>(num_tiers_)));
   }
-  quantile_cache_.push_back(1.0 + 1e-12);
-  return quantile_cache_;
+  local.push_back(1.0 + 1e-12);
+  return local;
 }
 
 std::size_t TierProfile::tier_of(double capacity) const {
-  // Runs on every accepts(): pinned and cached thresholds are read in place.
-  const std::vector<double>& th = active_thresholds();
+  // Pinned thresholds are read in place: this runs on every accepts().
+  std::vector<double> local;
+  const std::span<const double> th = active_thresholds(local);
   for (std::size_t v = num_tiers_; v-- > 0;) {
     if (capacity >= th[v]) return v;
   }
@@ -66,7 +71,8 @@ std::size_t TierProfile::tier_of(double capacity) const {
 double TierProfile::speedup(std::size_t tier,
                             std::vector<double>& scratch) const {
   if (tier >= num_tiers_) throw std::out_of_range("tier index");
-  const std::vector<double>& th = active_thresholds();
+  std::vector<double> local;
+  const std::span<const double> th = active_thresholds(local);
   // One copy of the response times: the tier's own at the front, the rest
   // at the back. Selecting the tier's tail reorders only the front, so the
   // whole buffer is still the full sample for t0 afterwards.

@@ -54,9 +54,7 @@ class TierProfile {
   // Capacity thresholds: tier v (0 = slowest) covers capacities in
   // [threshold[v], threshold[v+1]). External if pinned, otherwise computed
   // from observed participant quantiles. Requires ready().
-  [[nodiscard]] std::vector<double> thresholds() const {
-    return active_thresholds();
-  }
+  [[nodiscard]] std::vector<double> thresholds() const;
 
   // Tier index of a device capacity under the current thresholds.
   // Requires ready().
@@ -71,18 +69,16 @@ class TierProfile {
                                std::vector<double>& scratch) const;
 
  private:
-  // The pinned thresholds, or else the observed capacity quantiles, cached
-  // until the next observe() or pin.
-  [[nodiscard]] const std::vector<double>& active_thresholds() const;
+  // The pinned thresholds in place, or else the observed capacity quantiles
+  // computed into `local`.
+  [[nodiscard]] std::span<const double> active_thresholds(
+      std::vector<double>& local) const;
 
   std::size_t num_tiers_;
   double tail_percentile_;
   std::vector<double> capacities_;
   std::vector<double> response_times_;  // parallel to capacities_
   std::vector<double> external_thresholds_;  // empty = derive from samples
-  // Quantile thresholds of capacities_; empty = not computed since the
-  // last observe().
-  mutable std::vector<double> quantile_cache_;
 };
 
 // The activation condition of Algorithm 2 (line 7 / Fig. 7): tier-based

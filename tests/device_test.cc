@@ -275,37 +275,6 @@ TEST(TierProfile, TierOfRespectsThresholds) {
   EXPECT_EQ(p.tier_of(0.9), 1u);
 }
 
-TEST(TierProfile, ObserveDropsCachedThresholds) {
-  // Unpinned thresholds are cached between observations; after an
-  // observe(), tier_of must answer what a fresh profile over the same
-  // samples answers.
-  TierProfile p(2);
-  std::vector<double> caps;
-  const auto observe = [&](double cap) {
-    p.observe(cap, 60.0);
-    caps.push_back(cap);
-  };
-  const auto fresh = [&] {
-    TierProfile f(2);
-    for (const double c : caps) f.observe(c, 60.0);
-    return f;
-  };
-  for (int i = 0; i < 10; ++i) observe(0.2);
-  ASSERT_EQ(p.tier_of(0.5), 1u);  // median 0.2; this call fills the cache
-  for (int i = 0; i < 20; ++i) observe(0.8);
-  EXPECT_EQ(p.tier_of(0.5), fresh().tier_of(0.5));
-  EXPECT_EQ(p.tier_of(0.5), 0u);  // median 0.8 now
-  EXPECT_EQ(p.thresholds(), fresh().thresholds());
-
-  // Interleaved at random, one observation at a time.
-  Rng rng(12);
-  for (int i = 0; i < 200; ++i) {
-    observe(rng.uniform() * (0.2 + 0.004 * i));
-    const double probe = rng.uniform();
-    ASSERT_EQ(p.tier_of(probe), fresh().tier_of(probe)) << "sample " << i;
-  }
-}
-
 TEST(TierProfile, FastTierHasSpeedupBelowOne) {
   std::vector<double> scratch;
   TierProfile p(2);
