@@ -15,12 +15,9 @@
 //                   max-demand, interarrival-min, base-trace, task-s, task-cv
 //   generator keys  arrival=<name> + arrival.<key>, mix=<name> + mix.<key>,
 //                   churn=<name> + churn.<key> (see --list for names/keys),
-//                   open-loop (0|1, admit jobs mid-run), stream (0|1, lazy
-//                   device sessions — O(devices) memory)
+//                   open-loop (0|1, admit jobs mid-run)
 //   protocol keys   protocol=<sync|overcommit|async> + protocol.<key>
 //                   (round-aggregation regime; see --list for knobs)
-//   execution keys  shards (1-64, sharded fleet execution on a bounded
-//                   worker pool; byte-identical at any value)
 //   topology keys   topology (flat|hier), topo.regions (2-64),
 //                   topo.sync_latency (region->global uplink seconds;
 //                   0 is byte-identical to flat), topo.phase_spread
@@ -45,7 +42,7 @@
 //   venn_sim_cli inspect <file.vjl> [--seek-commit N]
 //
 //   Replays the journal to commit N (default: the last commit) and prints
-//   a read-only state dump: sim clock, idle-pool segments, per-job
+//   a read-only state dump: sim clock, idle-pool size, per-job
 //   progress and open requests, protocol counters, eligibility-index
 //   summary. When a snapshot is stored at commit N the replayed state is
 //   compared against it byte for byte. Seeking past the last commit
@@ -246,12 +243,6 @@ int main(int argc, char** argv) {
           "order-total param.<key>\n");
       std::printf("%s", workload::describe_generators().c_str());
       std::printf("%s", protocol::describe_protocols().c_str());
-      std::printf(
-          "execution (scenario keys):\n"
-          "  shards=<1-64> sharded fleet execution: partition/execute/merge "
-          "sweeps\n"
-          "                and index slices on a bounded worker pool;\n"
-          "                byte-identical results at any shard count\n");
       std::printf(
           "topology (scenario keys):\n"
           "  topology=<flat|hier>    coordination topology (default flat: "

@@ -147,10 +147,8 @@ LiveSession::LiveSession(const Experiment& ex,
       engine_(ex.stream_seed("engine")),
       manager_(require_scheduler(std::move(scheduler), &label_)) {
   // Construction mirrors the historical run_with_sink body step for step —
-  // shards before the coordinator, matrix before user observers, observers
-  // notified before the coordinator exists. Byte-identity of batch runs
-  // rides on this order.
-  engine_.set_shards(ex.scenario().shards);
+  // matrix before user observers, observers notified before the
+  // coordinator exists. Byte-identity of batch runs rides on this order.
   manager_.add_observer(&matrix_);
   for (RunObserver* obs : ex.observers()) {
     obs->on_run_start();

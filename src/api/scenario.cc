@@ -100,13 +100,6 @@ bool ScenarioSpec::try_set(const std::string& key, const std::string& value) {
     protocol_gen.params.kv[key.substr(9)] = value;
   } else if (key == "open-loop") {
     open_loop = parse_long(key, value) != 0;
-  } else if (key == "shards") {
-    const std::size_t n = parse_size(key, value);
-    if (n < 1 || n > 64) {
-      throw std::invalid_argument("shards must be in [1, 64], got \"" + value +
-                                  "\"");
-    }
-    shards = n;
   } else if (key == "topology") {
     if (value != "flat" && value != "hier") {
       throw std::invalid_argument("unknown topology \"" + value +
@@ -226,7 +219,6 @@ std::string ScenarioSpec::to_kv() const {
   emit_generator(out, "churn", churn_gen);
   emit_generator(out, "protocol", protocol_gen);
   out += "open-loop=" + std::string(open_loop ? "1" : "0") + "\n";
-  out += "shards=" + std::to_string(shards) + "\n";
   // Topology shapes the world (phases, uplink latency), so a journaled
   // hier run must replay hier. Only configured knobs are emitted; flat
   // specs serialize byte-identically to pre-topology journals.

@@ -72,14 +72,6 @@ struct ScenarioSpec {
   // Simulation.
   SimTime horizon = 28.0 * kDay;
 
-  // shards=N: sharded fleet execution (1-64). The fleet is partitioned
-  // into N contiguous device shards and the fleet-proportional passes
-  // (idle-pool sweep filtering, eligibility-index rebuckets) run on a
-  // bounded worker pool with shard-ordered merges.
-  // Purely an execution knob: results are byte-identical for any value,
-  // and the default 1 runs the serial path with no pool at all.
-  std::size_t shards = 1;
-
   // Coordination topology (src/topology/). topology=flat (the default,
   // spelled "" here) is the paper's single coordinator loop; topology=hier
   // models regional edge coordinators, each owning a contiguous
@@ -117,13 +109,13 @@ struct ScenarioSpec {
   // min-rounds, max-rounds, min-demand, max-demand, interarrival-min,
   // interarrival-s, base-trace, task-s, task-cv, arrival, arrival.<key>,
   // mix, mix.<key>, churn, churn.<key>, protocol (sync|overcommit|async),
-  // protocol.<key>, open-loop (0|1), shards (1-64),
-  // topology (flat|hier), topo.regions (2-64), topo.sync_latency,
-  // topo.phase_spread, journal (0|1), journal.dir, snapshot_every /
-  // snapshot-every, journal.halt-after. Returns false if the key is not a
-  // scenario key. Throws std::invalid_argument on a known key with a bad
-  // value, on an unknown `topo.*` key, and on a `protocol=` or `topology=`
-  // value conflicting with one set earlier.
+  // protocol.<key>, open-loop (0|1), topology (flat|hier), topo.regions
+  // (2-64), topo.sync_latency, topo.phase_spread, journal (0|1),
+  // journal.dir, snapshot_every / snapshot-every, journal.halt-after.
+  // Returns false if the key is not a scenario key. Throws
+  // std::invalid_argument on a known key with a bad value, on an unknown
+  // `topo.*` key, and on a `protocol=` or `topology=` value conflicting
+  // with one set earlier.
   bool try_set(const std::string& key, const std::string& value);
 
   // As try_set, but an unknown key throws std::invalid_argument.

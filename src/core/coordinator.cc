@@ -10,22 +10,8 @@
 
 namespace venn {
 
-namespace {
-// Sharded-sweep tuning. None of these affect observable behavior (the
-// pipeline replays the canonical serial sequence regardless); they only
-// bound dispatch overhead. Pools below the minimum run the serial pass;
-// batches start small (a sweep that satisfies every request early never
-// pays for the tail) and grow geometrically.
-constexpr std::size_t kShardedSweepMinPool = 512;
-constexpr std::size_t kShardedBatchMin = 512;
-constexpr std::size_t kShardedBatchMax = 1 << 16;
-}  // namespace
-
 // One sweep's lazily-drawn Fisher-Yates permutation over a stable pool
-// vector. Both sweep flavors realize the SAME draw sequence through this
-// class — the serial pass visit by visit, the sharded pass batch by batch
-// — so the emitted device order cannot drift between the two loops.
-// Draw-displaced positions live in the coordinator's side array, valid
+// vector, realized visit by visit. Draw-displaced positions live in the coordinator's side array, valid
 // only where stamped with this sweep's generation: a sweep costs
 // O(devices visited), with no pool copy and no hashing. The pool vector
 // must not change for the object's lifetime — the
@@ -85,28 +71,8 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
     for (const auto& d : devices_) acc += 1.0 / d.speed();
     mean_exec_factor_ = acc / static_cast<double>(devices_.size());
   }
-  // Sharded execution: adopt the engine's worker pool (if any) and lay the
-  // immutable contiguous device partition over the fleet. shard_of_ is
-  // materialized per device so segment accounting and ownership checks are
-  // plain loads, with no boundary arithmetic on the hot path.
-  workers_ = engine.workers();
-  const std::size_t shards = workers_ != nullptr ? workers_->shards() : 1;
-  segment_size_.assign(shards, 0);
-  sstats_.per_shard.assign(shards, {});
-  if (workers_ != nullptr) {
-    const FleetPartition partition(devices_.size(), shards);
-    shard_of_.resize(devices_.size());
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t end = partition.end(s);
-      for (std::size_t d = partition.begin(s); d < end; ++d) {
-        shard_of_[d] = static_cast<std::uint32_t>(s);
-      }
-    }
-  }
-
   // Hierarchical topology: the immutable contiguous device→region
-  // partition (independent of the shard partition above — regions model
-  // geography, shards model execution), the region→global uplink latency,
+  // partition, the region→global uplink latency,
   // and per-region telemetry. Flat mode keeps one region and a 0.0 uplink;
   // both are also exactly what hier mode resolves to at regions'
   // boundaries (x + 0.0 == x), which is the zero-latency equivalence
@@ -120,13 +86,12 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
   // loops touch. Devices become views over the participation column (their
   // budget API now reads/writes hot_.participation_day), and the
   // eligibility index below maintains hot_.signature in place.
-  hot_.init(std::span<const Device>(devices_), sessions_, shards);
+  hot_.init(std::span<const Device>(devices_), sessions_);
   for (std::size_t d = 0; d < devices_.size(); ++d) {
     devices_[d].bind_participation_slot(&hot_.participation_day[d]);
   }
 
   index_ = std::make_unique<EligibilityIndex>(hot_, manager_.signatures());
-  if (workers_ != nullptr) index_->set_workers(workers_);
   // Durability: the manager emits the submit records (it owns request-id
   // assignment); everything else journals from here.
   manager_.set_journal(cfg_.journal);
@@ -136,7 +101,6 @@ void Coordinator::idle_insert(std::size_t d) {
   if (hot_.idle_pos[d] != 0) return;
   idle_vec_.push_back(d);
   hot_.idle_pos[d] = static_cast<std::uint32_t>(idle_vec_.size());
-  ++segment_size_[shard_of(d)];
 }
 
 void Coordinator::idle_erase(std::size_t d) {
@@ -147,7 +111,6 @@ void Coordinator::idle_erase(std::size_t d) {
   hot_.idle_pos[last] = pos;
   idle_vec_.pop_back();
   hot_.idle_pos[d] = 0;
-  --segment_size_[shard_of(d)];
 }
 
 void Coordinator::retire_idle(std::size_t d) {
@@ -156,12 +119,6 @@ void Coordinator::retire_idle(std::size_t d) {
     cfg_.journal->on_checkout(engine_.now(), d);
   }
   idle_erase(d);
-}
-
-bool Coordinator::validate_idle_segments() const {
-  std::vector<std::size_t> recount(segment_size_.size(), 0);
-  for (const std::size_t d : idle_vec_) ++recount[shard_of(d)];
-  return recount == segment_size_;
 }
 
 std::size_t Coordinator::resident_session_count() const {
@@ -599,14 +556,9 @@ void Coordinator::sweep_idle_pool(SimTime now) {
   // subsystem: the engine stream never sees sweep draws.
   Rng sweep_rng(
       Rng::derive(Rng::derive(cfg_.seed, "idle-sweep"), sweep_counter_++));
-  if (workers_ != nullptr && idle_vec_.size() >= kShardedSweepMinPool) {
-    sweep_idle_pool_sharded(now, sweep_rng);
-    return;
-  }
-  // The permutation is realized through SweepOrder (shared with the
-  // sharded pipeline, so the two sweep flavors cannot drift): a sweep
-  // costs O(devices visited), not O(pool), and the usual early break
-  // keeps "visited" tiny. idle_vec_ itself must not change mid-sweep for
+  // The permutation is realized through SweepOrder: a sweep costs
+  // O(devices visited), not O(pool), and the usual early break keeps
+  // "visited" tiny. idle_vec_ itself must not change mid-sweep for
   // the displaced positions to stay valid, so erases of assigned devices
   // are deferred to the end of the loop. The deferral is safe because
   // nothing else mutates the pool while the loop runs: session events are
@@ -644,119 +596,6 @@ void Coordinator::sweep_idle_pool(SimTime now) {
       handle_outcome(d, *outcome);
       wants = manager_.wants_mask();
     }
-  }
-  for (const std::size_t d : assigned) idle_erase(d);
-}
-
-void Coordinator::sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng) {
-  const std::size_t n = idle_vec_.size();
-  ++sstats_.sharded_sweeps;
-
-  // Hoisted filter state, same discipline as the serial pass: the wants
-  // mask can only change inside manager_.offer / handle_outcome (skipped
-  // visits call neither), so it is refreshed only after an offer lands.
-  // Between offers the merge loop below is therefore a branch-light scan
-  // over contiguous uint64 arrays.
-  const std::uint64_t* const sig = index_->signatures();
-  std::uint64_t wants = manager_.wants_mask();
-
-  // Fast path mirroring the serial pass's first iteration: when no request
-  // wants devices, the serial sweep visits exactly one device and breaks.
-  // Matching that counter here avoids snapshotting the pool for a no-op.
-  if (wants == 0) {
-    ++hstats_.sweep_visits;
-    return;
-  }
-
-  // --- partition: realize the canonical permutation in batches ------------
-  // The draw sequence is the exact serial one (same per-sweep stream, same
-  // j = k + index(n - k) draws, same SweepOrder realization); only the
-  // batching differs. idle_vec_ cannot change mid-sweep (the
-  // sweeping_/in_sweep_pass_ guards defer resubmissions and straggler
-  // releases), so both flavors emit the same devices.
-  SweepOrder order(idle_vec_, sweep_slots_, ++sweep_gen_);
-
-  std::vector<std::size_t> batch_dev;   // devices of the current batch
-  std::vector<std::uint64_t> masked;    // per-entry signature & wants0
-  std::vector<std::size_t> assigned;
-  std::size_t batch_cap = kShardedBatchMin;
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t end = std::min(n, i + batch_cap);
-    batch_cap = std::min(batch_cap * 2, kShardedBatchMax);
-
-    batch_dev.resize(end - i);
-    for (std::size_t k = i; k < end; ++k) {
-      const std::size_t j = k + sweep_rng.index(n - k);
-      batch_dev[k - i] = order.draw(k, j);
-    }
-
-    // --- execute: parallel filter against a wants-mask snapshot -----------
-    // Pure phase: workers gather from the hot store's contiguous signature
-    // column through immutable batch entries and write disjoint slices of
-    // `masked`. The verdict (signature ∩ wants0) stays exact for any later
-    // live mask that is a subset of the snapshot, because registered bits
-    // never flip inside wants0's universe mid-sweep. The full masked
-    // value — not one verdict bit — is stored: wants can *shrink*
-    // mid-merge (a round fills), and the remaining bits must still decide.
-    const std::uint64_t wants0 = wants;
-    if (wants0 != 0) {
-      ++sstats_.filter_batches;
-      masked.resize(end - i);
-      workers_->run_shards([&](std::size_t s) {
-        const std::size_t b = workers_->range_begin(end - i, s);
-        const std::size_t e = workers_->range_end(end - i, s);
-        std::uint64_t hits = 0;
-        for (std::size_t k = b; k < e; ++k) {
-          const std::uint64_t m = sig[batch_dev[k]] & wants0;
-          masked[k] = m;
-          hits += m != 0 ? 1 : 0;
-        }
-        auto& sh = sstats_.per_shard[s];
-        sh.filter_entries += e - b;
-        sh.filter_hits += hits;
-      });
-    }
-
-    // --- merge: replay the canonical offer sequence serially --------------
-    // Identical observables to the serial pass: per-visit counters, the
-    // wants==0 early stop, the skip rule, offer order. The wants mask is
-    // constant between offers, so consecutive skips collapse into one
-    // contiguous scan over masked[] (or the signature column) with a single
-    // bulk counter update — the vectorizable inner loop the SoA layout
-    // exists for.
-    std::size_t k = i;
-    while (k < end) {
-      if (wants == 0) {
-        // The serial pass visits exactly one more device, then breaks.
-        ++hstats_.sweep_visits;
-        for (const std::size_t a : assigned) idle_erase(a);
-        return;
-      }
-      // A mask that gained a bit since the snapshot (a round opened
-      // mid-merge) invalidates the batch verdict; fall back to the live
-      // signature column, exactly like the serial pass.
-      const std::size_t run0 = k;
-      if ((wants & ~wants0) == 0) {
-        while (k < end && (masked[k - i] & wants) == 0) ++k;
-      } else {
-        while (k < end && (sig[batch_dev[k - i]] & wants) == 0) ++k;
-      }
-      hstats_.sweep_visits += k - run0;
-      hstats_.sweep_skips += k - run0;
-      if (k >= end) break;
-      const std::size_t d = batch_dev[k - i];
-      ++hstats_.sweep_visits;
-      ++hstats_.sweep_offers;
-      const auto outcome = manager_.offer(devices_[d], sig[d], now);
-      ++k;
-      if (outcome) {
-        assigned.push_back(d);
-        handle_outcome(d, *outcome);
-        wants = manager_.wants_mask();
-      }
-    }
-    i = end;
   }
   for (const std::size_t d : assigned) idle_erase(d);
 }
@@ -1093,25 +932,19 @@ std::size_t Coordinator::release_stragglers(Job* job, RequestId rid,
     manager_.notify_straggler_released(dev, *job, now);
     const SimTime session_end = active_session_end(entry.dev, now);
     if (session_end >= 0.0 && !dev.participated_on_day(Device::day_of(now))) {
-      // Shard-local pool ownership: the re-park must land in the segment
-      // of the device's home shard, which idle_insert guarantees
-      // structurally (it keys segment accounting off the immutable
-      // partition). The disjointness invariant — a computing straggler
-      // cannot already be parked — holds only within the assignment's own
-      // day: the midnight-budget rule (see attempt_checkin) re-parks a
+      // The disjointness invariant — a computing straggler cannot already
+      // be parked — holds only within the assignment's own day: the midnight-budget rule (see attempt_checkin) re-parks a
       // device whose computation spans a day boundary, so a release after
       // that boundary legitimately finds the pool entry already there,
       // with its retire timer armed by whoever parked it. Keep that entry.
       // Same-day, a pool entry can only mean this InFlight entry went
-      // stale, and the silent no-op insert would corrupt the released
-      // device's segment accounting story. Throw instead.
+      // stale, and a silent no-op insert would hide it. Throw instead.
       if (hot_.idle_pos[entry.dev] != 0) {
         if (Device::day_of(now) > Device::day_of(entry.started)) continue;
         throw std::logic_error(
-            "Coordinator: straggler release found the device already parked "
-            "(stale in-flight entry; re-park would be misattributed to "
-            "shard " +
-            std::to_string(shard_of(entry.dev)) + ")");
+            "Coordinator: straggler release found device " +
+            std::to_string(entry.dev) +
+            " already parked (stale in-flight entry)");
       }
       idle_insert(entry.dev);
       // Mirror attempt_checkin's parking rule: the pool entry retires with
@@ -1216,10 +1049,6 @@ journal::StateSnapshot Coordinator::capture_snapshot() {
     journal::Encoder e;
     e.u64(static_cast<std::uint64_t>(idle_vec_.size()));
     for (const std::size_t d : idle_vec_) e.u64(static_cast<std::uint64_t>(d));
-    e.u64(static_cast<std::uint64_t>(segment_size_.size()));
-    for (const std::size_t s : segment_size_) {
-      e.u64(static_cast<std::uint64_t>(s));
-    }
     add("idle-pool", e);
   }
   {

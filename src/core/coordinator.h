@@ -42,30 +42,9 @@
 // brute-force scan of the fleet's hot-state columns exactly (asserted by
 // tests/supply_oracle_test.cc).
 //
-// Sharded fleet execution: when the engine carries a worker pool
-// (`Engine::set_shards(N)`, the `shards=N` scenario knob), the fleet is
-// partitioned into N contiguous device shards, each owning a slice of the
-// eligibility index and a segment of the idle pool, and the heavy
-// fleet-proportional passes run shard-parallel through a
-// partition/execute/merge pipeline:
-//
-//   * idle-pool sweeps realize the canonical per-sweep Fisher–Yates
-//     permutation in batches, filter each batch's devices against a
-//     snapshot of the manager's wants mask in parallel (a pure read of
-//     cached signatures), and replay offers serially in permutation order;
-//   * eligibility-index rebuckets split by device range and merge exact
-//     per-shard aggregates in shard order.
-//
-// Sharding is an execution knob, not a semantic one: every parallel phase
-// is pure, every merged quantity is exact (integer counts, integer-valued
-// double sums, maxima), and every observable action (offers, RNG draws on
-// live streams, counters) replays in the canonical serial order — so
-// results are byte-identical for ANY shard count, and shards=1 runs
-// today's serial code untouched. The sweep *selection* stream in
-// particular stays the single canonical per-sweep derived stream: a
-// per-shard selection stream would tie the permutation to the shard count
-// and break the any-N identity contract. Shard-variant execution
-// telemetry lives in ShardStats, deliberately outside RunResult.
+// Sweeps and index rebuckets run serially on the event loop: one check-in
+// or request arrival triggers one sweep and one offer sequence, as in the
+// paper. Sweep wall time is kept in ShardStats, outside RunResult.
 #pragma once
 
 #include <limits>
@@ -242,44 +221,17 @@ class Coordinator {
 
   // The struct-of-arrays hot-state store backing the sweep filter, the
   // eligibility index and the participation budgets. For tests (the
-  // brute-force supply oracle and the shard differential wall's
-  // SoA-vs-live property checks read it).
+  // brute-force supply oracle and the SoA-vs-live signature property
+  // check read it).
   [[nodiscard]] const FleetHotState& hot_state() const { return hot_; }
 
-  // --- sharded execution ------------------------------------------------
-  // Shard count in effect (the engine's worker pool, 1 when serial).
-  [[nodiscard]] std::size_t shards() const {
-    return workers_ != nullptr ? workers_->shards() : 1;
-  }
-  // Home shard of a device (contiguous device-range partition).
-  [[nodiscard]] std::size_t shard_of(std::size_t dev_idx) const {
-    return workers_ != nullptr ? shard_of_[dev_idx] : 0;
-  }
-  // Current per-shard idle-pool segment sizes (sums to the pool size).
-  [[nodiscard]] const std::vector<std::size_t>& idle_segment_sizes() const {
-    return segment_size_;
-  }
-  // Full recount of the segment accounting against the pool — O(pool).
-  // Test hook for the shard-local ownership invariant.
-  [[nodiscard]] bool validate_idle_segments() const;
-
-  // Shard-variant execution telemetry. Unlike HotpathStats (whose sweep
-  // visit/skip/offer counters are canonical and identical at any shard
-  // count), these describe how the work was decomposed — they necessarily
-  // differ across shard counts and are therefore NOT part of RunResult or
-  // any byte-identity surface.
-  struct ShardCounters {
-    std::uint64_t filter_entries = 0;  // batch entries this shard filtered
-    std::uint64_t filter_hits = 0;     // entries whose masked signature hit
-  };
+  // Sweep wall time, the denominator of the sweep-throughput metric that
+  // bench/hotpath_index and perfbench report. Wall time, so machine-variant
+  // and never part of RunResult. The struct keeps the name it had when it
+  // also held sharded-execution counters, because perfbench/ reads
+  // `shard_stats().sweep_wall_s`.
   struct ShardStats {
-    std::uint64_t sharded_sweeps = 0;  // sweeps run through the pipeline
-    std::uint64_t filter_batches = 0;  // parallel filter dispatches
-    // Wall time spent inside sweep passes (all flavors) — the denominator
-    // of the hotpath bench's sweep-throughput metric. Wall time, so shard-
-    // and machine-variant by nature.
-    double sweep_wall_s = 0.0;
-    std::vector<ShardCounters> per_shard;    // one slot per shard
+    double sweep_wall_s = 0.0;  // wall time spent inside sweep passes
   };
   [[nodiscard]] const ShardStats& shard_stats() const { return sstats_; }
 
@@ -305,7 +257,7 @@ class Coordinator {
 
   // --- durability -------------------------------------------------------
   // Serializes the coordinator's full mutable state — engine clock + RNG,
-  // idle pool and segment accounting, per-device participation budgets,
+  // idle pool, per-device participation budgets,
   // per-job round/request state, protocol and hot-path counters, open-loop
   // and streaming progress — into named snapshot sections. Called at the
   // `snapshot_every` cadence during journaled runs; public so tests can
@@ -367,12 +319,6 @@ class Coordinator {
   void offer_idle_pool(SimTime now);
   // One pass over the idle pool. Only offer_idle_pool may call this.
   void sweep_idle_pool(SimTime now);
-  // The sharded partition/execute/merge flavor of one sweep pass: batches
-  // of the canonical permutation are drawn serially, filtered in parallel
-  // against a wants-mask snapshot, and offered serially. Byte-identical to
-  // the serial pass (same visits/skips/offers/draw stream); only reached
-  // with a worker pool and a pool large enough to batch.
-  void sweep_idle_pool_sharded(SimTime now, Rng& sweep_rng);
   void on_response(JobId job, RequestId request, std::size_t dev_idx,
                    int assigned_round, double response_time);
   void maybe_complete(Job* job);
@@ -426,14 +372,7 @@ class Coordinator {
   // as assignments), so the session-end sites call this instead.
   void retire_idle(std::size_t d);
 
-  // --- sharded execution state ------------------------------------------
-  // Engine worker pool (null = serial) and the fleet partition it implies.
-  // The pool must be configured on the engine before the coordinator is
-  // constructed and must outlive the run.
-  sim::WorkerPool* workers_ = nullptr;
-  std::vector<std::uint32_t> shard_of_;     // device -> home shard
-  std::vector<std::size_t> segment_size_;   // per-shard idle-segment sizes
-  mutable ShardStats sstats_;
+  ShardStats sstats_;
 
   // --- hierarchical topology state --------------------------------------
   // Region partition (1 region in flat mode), the uplink latency every

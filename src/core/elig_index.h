@@ -46,10 +46,6 @@
 #include "device/eligibility.h"
 #include "device/fleet_partition.h"
 
-namespace venn::sim {
-class WorkerPool;
-}  // namespace venn::sim
-
 namespace venn {
 
 class EligibilityIndex {
@@ -95,17 +91,6 @@ class EligibilityIndex {
     if (bucketed_ < space_->size()) sync();
     return hot_->signature.data();
   }
-
-  // Shard the per-registration rebucket across `pool`: each shard owns a
-  // contiguous slice of the signature array (the per-shard index slice of
-  // sharded fleet execution), computes its slice's new-bit flips and
-  // per-source-signature movement aggregates, and the caller folds the
-  // aggregates in shard order. Every merged quantity is exact (device
-  // counts, and session check-in totals that are integer-valued doubles),
-  // so the sharded rebucket is byte-identical to the serial one at any
-  // shard count — tests assert this. Null (the default) keeps the serial
-  // path. The pool must outlive the index.
-  void set_workers(sim::WorkerPool* pool) { pool_ = pool; }
 
   [[nodiscard]] std::size_t num_requirements() const {
     return space_->size();
@@ -164,8 +149,6 @@ class EligibilityIndex {
 
   // Rebuckets the space's bits [bucketed_, size()), one pass each.
   void sync();
-  // The sharded flavor of sync's rebucket pass.
-  void rebucket_sharded(const Requirement& req, std::uint64_t mask);
 
   // Standalone-construction fallbacks.
   std::unique_ptr<FleetHotState> owned_;
@@ -174,9 +157,6 @@ class EligibilityIndex {
   SignatureSpace* space_ = nullptr;  // the bits (owned_space_ or external)
   std::size_t bucketed_ = 0;         // space bits already in the column
   std::unordered_map<std::uint64_t, Atom> atoms_;
-
-  sim::WorkerPool* pool_ = nullptr;  // not owned; null = serial rebuckets
-
   MaintenanceStats mstats_;
 };
 

@@ -71,8 +71,8 @@ PendingJob ResourceManager::make_pending(const JobEntry& e) const {
 
 std::vector<PendingJob> ResourceManager::pending_view() const {
   // job_order_ is kept sorted by job id, so the walk is deterministic
-  // without a per-call sort.
-  ++hstats_.view_builds;
+  // without a per-call sort. A fresh scan, independent of the wanting
+  // cache, so tests can hold the policy's queue view against it.
   std::vector<PendingJob> out;
   out.reserve(job_order_.size());
   for (const JobEntry* e : job_order_) {
@@ -96,12 +96,18 @@ void ResourceManager::refresh_queue_cache() const {
 }
 
 std::size_t ResourceManager::num_pending_jobs() const {
-  return pending_view().size();
+  if (wants_dirty_) refresh_queue_cache();
+  return wanting_.size();
 }
 
 void ResourceManager::notify_queue_change(SimTime now) {
-  const auto pending = pending_view();
-  scheduler_->on_queue_change(pending, now);
+  // The view is filled from the id-ordered wanting cache into one reused
+  // buffer: no allocation once its capacity covers the queue.
+  ++hstats_.view_builds;
+  if (wants_dirty_) refresh_queue_cache();
+  queue_view_.clear();
+  for (const JobEntry* e : wanting_) queue_view_.push_back(make_pending(*e));
+  scheduler_->on_queue_change(queue_view_, now);
 }
 
 RoundRequest& ResourceManager::open_request(JobId id, SimTime now,

@@ -118,7 +118,8 @@ class ResourceManager {
   [[nodiscard]] std::size_t num_pending_jobs() const;
   [[nodiscard]] DeviceView device_view(const Device& dev) const;
 
-  // The pending-job view handed to policies; public for tests.
+  // The pending-job view, built fresh from the registered jobs: what every
+  // queue change hands the policy. For tests.
   [[nodiscard]] std::vector<PendingJob> pending_view() const;
 
   // ----- hot-path queries -------------------------------------------------
@@ -154,7 +155,7 @@ class ResourceManager {
   struct HotpathStats {
     std::uint64_t offers = 0;             // offers, check-ins included
     std::uint64_t candidates_scanned = 0; // job entries examined across offers
-    std::uint64_t view_builds = 0;        // full pending_view materializations
+    std::uint64_t view_builds = 0;        // queue views handed to the policy
   };
   [[nodiscard]] const HotpathStats& hotpath_stats() const { return hstats_; }
 
@@ -186,6 +187,7 @@ class ResourceManager {
   mutable std::vector<JobEntry*> wanting_;
   mutable HotpathStats hstats_;
   std::vector<PendingJob> candidates_;  // offer's per-call buffer
+  std::vector<PendingJob> queue_view_;  // notify_queue_change's buffer
 
   void refresh_queue_cache() const;  // recomputes wants_mask_ + wanting_
 };

@@ -8,12 +8,11 @@
 namespace venn {
 
 void FleetHotState::init(std::span<const Device> devices,
-                         const SessionColumn& sessions, std::size_t shards) {
+                         const SessionColumn& sessions) {
   const std::size_t n = devices.size();
   if (sessions.devices() != 0 && sessions.devices() != n) {
     throw std::invalid_argument("FleetHotState: session column size mismatch");
   }
-  partition = FleetPartition(n, shards);
 
   signature.assign(n, 0);
   idle_pos.assign(n, 0);

@@ -1,39 +1,28 @@
-// FleetPartition: the immutable device→shard map of sharded execution —
-// and FleetHotState, the struct-of-arrays store of the per-device state the
+// FleetPartition: the contiguous range math of topology::RegionMap — and
+// FleetHotState, the struct-of-arrays store of the per-device state the
 // scheduling hot path actually touches.
 //
-// Sharded fleet execution partitions the device population into
-// `shards` contiguous index ranges — shard s owns
-// [num_devices·s/shards, num_devices·(s+1)/shards). Contiguity is what
-// makes the per-shard structures slices rather than scatter sets: a
-// shard's cut of the eligibility-index signature array is a subrange, its
-// idle-pool segment is countable with one load, and range loops stay
-// prefetch-friendly.
+// FleetPartition splits the device population into `parts` contiguous
+// index ranges — part p owns [num_devices·p/parts, num_devices·(p+1)/parts).
+// It is a pure function of (num_devices, parts), so every subsystem that
+// mentions a device's home region agrees by construction.
 //
-// The partition is a pure function of (num_devices, shards) — no state,
-// no registration order — so every subsystem that mentions a home shard
-// (coordinator segment accounting, straggler-release ownership checks,
-// index rebuckets) agrees by construction, and a given shard count always
-// decomposes the fleet the same way.
-//
-// FleetHotState is the layout half of the same story. `Device` objects
-// carry cold state (id, spec, a budget slot pointer); iterating them for
-// the per-visit sweep filter, the per-registration index rebucket or the
-// hier region supply partials strides over memory the loop mostly does not
-// read, and the sessions themselves sit in a separate SessionColumn
-// (device/device.h). The hot
-// state those loops DO read — the cached eligibility signature, the
-// idle-pool position (the availability flag), the one-job-per-day
-// participation budget, the spec scores and the per-device session
-// statistics — lives here instead, one dense array per field, indexed by
-// device position:
+// FleetHotState is the layout store. `Device` objects carry cold state
+// (id, spec, a budget slot pointer); iterating them for the per-visit
+// sweep filter, the per-registration index rebucket or the hier region
+// supply partials strides over memory the loop mostly does not read, and
+// the sessions themselves sit in a separate SessionColumn
+// (device/device.h). The hot state those loops DO read — the cached
+// eligibility signature, the idle-pool position (the availability flag),
+// the one-job-per-day participation budget, the spec scores and the
+// per-device session statistics — lives here instead, one dense array per
+// field, indexed by device position:
 //
 //   * `signature[d]`   — the ≤64-bit requirement bitmask the eligibility
 //                        index maintains (core/elig_index.cc writes it on
 //                        registration rebuckets; the sweep filter ANDs it
 //                        against the manager's wants mask). Contiguous
-//                        uint64s, so the batched signature∩wants pass is a
-//                        branch-light scan the compiler can vectorize.
+//                        uint64s, so the sweep's skip test is one AND.
 //   * `idle_pos[d]`    — idle-pool position + 1; 0 = not parked. The
 //                        coordinator's dense pool keeps its vector of
 //                        members; this is the membership/position side.
@@ -52,11 +41,10 @@
 //
 // The arrays are plain data with no invariants of their own: the
 // coordinator owns the store, the eligibility index writes the signature
-// column, and every consumer indexes by the same device position the
-// partition shards over. Aggregate session statistics are accumulated from
-// the session column in device order at init, matching a per-device scan
-// bit for bit (double sums are order-sensitive; tests assert
-// byte-identity).
+// column, and every consumer indexes by the same device position.
+// Aggregate session statistics are accumulated from the session column in
+// device order at init, matching a per-device scan bit for bit (double
+// sums are order-sensitive; tests assert byte-identity).
 #pragma once
 
 #include <cstddef>
@@ -74,25 +62,25 @@ class SessionColumn;
 
 struct FleetPartition {
   std::size_t num_devices = 0;
-  std::size_t shards = 1;
+  std::size_t parts = 1;
 
   FleetPartition() = default;
-  FleetPartition(std::size_t devices, std::size_t shard_count)
-      : num_devices(devices), shards(shard_count) {}
+  FleetPartition(std::size_t devices, std::size_t part_count)
+      : num_devices(devices), parts(part_count) {}
 
-  // Device-index range owned by shard s: [begin(s), end(s)).
-  [[nodiscard]] std::size_t begin(std::size_t s) const {
-    return num_devices * s / shards;
+  // Device-index range owned by part p: [begin(p), end(p)).
+  [[nodiscard]] std::size_t begin(std::size_t p) const {
+    return num_devices * p / parts;
   }
-  [[nodiscard]] std::size_t end(std::size_t s) const {
-    return num_devices * (s + 1) / shards;
+  [[nodiscard]] std::size_t end(std::size_t p) const {
+    return num_devices * (p + 1) / parts;
   }
 
-  // Home shard of device d — the inverse of begin/end: shard_of(d) == s
-  // exactly when begin(s) <= d < end(s) (tests/shard_pool_test.cc checks
+  // Home part of device d — the inverse of begin/end: part_of(d) == p
+  // exactly when begin(p) <= d < end(p) (tests/topology_differential_test.cc checks
   // the two agree over degenerate and non-dividing sizes).
-  [[nodiscard]] std::size_t shard_of(std::size_t d) const {
-    return ((d + 1) * shards - 1) / num_devices;
+  [[nodiscard]] std::size_t part_of(std::size_t d) const {
+    return ((d + 1) * parts - 1) / num_devices;
   }
 };
 
@@ -104,16 +92,12 @@ class FleetHotState {
  public:
   FleetHotState() = default;
 
-  // Lays out the arrays for `devices` under `shards` contiguous shards and
-  // accumulates the population session statistics of `sessions` in device
+  // Lays out the arrays for `devices` and accumulates the population session statistics of `sessions` in device
   // order (byte-identical double sums). A column that covers no device
   // (streamed churn) leaves every session statistic zero.
-  void init(std::span<const Device> devices, const SessionColumn& sessions,
-            std::size_t shards);
+  void init(std::span<const Device> devices, const SessionColumn& sessions);
 
   [[nodiscard]] std::size_t size() const { return spec.size(); }
-
-  FleetPartition partition;
 
   // --- hot columns, indexed by device position --------------------------
   std::vector<std::uint64_t> signature;   // eligibility signature cache

@@ -1,11 +1,10 @@
 // State snapshots: the durability anchor of journaled runs.
 //
 // Every `snapshot_every` round commits the coordinator captures its full
-// mutable state — engine clock and RNG, idle-pool vector and per-shard
-// segment sizes, per-device participation budgets, per-job round/request
-// state, protocol and hot-path counters, open-loop progress and the
-// streamed-churn session cursors — into a StateSnapshot of named binary
-// sections, written next
+// mutable state — engine clock and RNG, idle-pool vector, per-device
+// participation budgets, per-job round/request state, protocol and
+// hot-path counters, open-loop progress and the streamed-churn session
+// cursors — into a StateSnapshot of named binary sections, written next
 // to the journal and marked in it with a kSnapshotMark record.
 //
 // Capture serializes *logical* state, not memory layout: the per-device

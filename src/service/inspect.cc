@@ -25,11 +25,7 @@ void dump_state(std::string& out, const std::string& path,
   out += "commit " + std::to_string(commit) + "\n";
   out += "clock " + fmt_double(live.engine().now()) + "\n";
 
-  out += "idle-pool " + std::to_string(coord.idle_pool_size()) + " segments";
-  for (const std::size_t n : coord.idle_segment_sizes()) {
-    out += ' ' + std::to_string(n);
-  }
-  out += '\n';
+  out += "idle-pool " + std::to_string(coord.idle_pool_size()) + "\n";
 
   out += "jobs " + std::to_string(coord.jobs().size()) + " unfinished " +
          std::to_string(coord.unfinished_jobs()) + " ext-submitted " +

@@ -4,14 +4,6 @@
 
 namespace venn::sim {
 
-void Engine::set_shards(std::size_t shards) {
-  if (shards == 0) {
-    throw std::invalid_argument("Engine: shards must be >= 1");
-  }
-  if (shards == this->shards()) return;
-  pool_ = shards > 1 ? std::make_unique<WorkerPool>(shards) : nullptr;
-}
-
 void Engine::every(SimTime period, std::function<bool()> fn) {
   if (period <= 0.0) throw std::invalid_argument("period must be > 0");
   // Shared state + member relay, like stream() below: the previous

@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "sim/event_queue.h"
-#include "sim/worker_pool.h"
 #include "util/rng.h"
 
 namespace venn::sim {
@@ -24,22 +23,6 @@ class Engine {
   [[nodiscard]] SimTime now() const { return queue_.now(); }
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
-
-  // ----- sharded execution ------------------------------------------------
-  // Bounded worker pool backing sharded fleet execution (`shards=N`). The
-  // pool is an execution resource, not simulation state: consumers
-  // (Coordinator sweeps, EligibilityIndex rebuckets, supply scans) only
-  // run pure phases on it and merge shard-ordered, so any shard count —
-  // including the default 1, which never creates a pool — replays
-  // byte-identically. Re-setting the count replaces the pool; the previous
-  // pool must be quiescent (no run in flight), which the event-driven
-  // single-threaded engine loop guarantees.
-  void set_shards(std::size_t shards);
-  // The pool, or nullptr when shards <= 1 (the serial path).
-  [[nodiscard]] WorkerPool* workers() const { return pool_.get(); }
-  [[nodiscard]] std::size_t shards() const {
-    return pool_ ? pool_->shards() : 1;
-  }
 
   void at(SimTime t, EventFn fn) { queue_.schedule(t, std::move(fn)); }
   void after(SimTime delay, EventFn fn) {
@@ -74,7 +57,6 @@ class Engine {
 
   EventQueue queue_;
   Rng rng_;
-  std::unique_ptr<WorkerPool> pool_;
   std::uint64_t event_budget_ = 200'000'000;
 };
 

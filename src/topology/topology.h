@@ -8,8 +8,6 @@
 //   * RegionMap — the immutable device→region partition. It reuses the
 //     FleetPartition math, so region r owns [n·r/R, n·(r+1)/R) and every
 //     subsystem that mentions a home region agrees by construction.
-//     Regions are a MODELING axis and shards an EXECUTION axis; the two
-//     partitions are independent (regions=3 × shards=4 is legal).
 //   * Per-region diurnal phase — region r's devices have their availability
 //     sessions shifted by phase_offset(r) = phase_spread_h·kHour·r/R,
 //     modeling timezone spread across a geo-distributed fleet.
@@ -17,8 +15,7 @@
 //     per-region partial sums (eligible counts, session check-ins, span
 //     maxima) instead of one flat fleet-wide answer. The merged quantities
 //     are integer counts, integer-valued double sums and maxima, so the
-//     region-grouped result equals the flat one EXACTLY — the same
-//     argument that makes shard merges byte-identical.
+//     region-grouped result equals the flat one EXACTLY.
 //   * Inter-region sync latency — each region holds a device's result for
 //     `sync_latency` seconds of uplink before the global coordinator sees
 //     it (success responses and end-of-session failure reports). The
@@ -31,7 +28,7 @@
 // shifting is skipped when the offset is exactly zero, and the aggregation
 // identities above cover the supply path. tests/topology_differential_test.cc
 // enforces this point-for-point (RunResult + TSDB streams) across
-// protocols × shard counts, with vacuousness guards on
+// protocols and churn models, with vacuousness guards on
 // TopologyStats so the hier machinery provably ran.
 #pragma once
 
@@ -61,14 +58,14 @@ class RegionMap {
   RegionMap(std::size_t num_devices, std::size_t regions)
       : part_(num_devices, regions) {}
 
-  [[nodiscard]] std::size_t regions() const { return part_.shards; }
+  [[nodiscard]] std::size_t regions() const { return part_.parts; }
   [[nodiscard]] std::size_t num_devices() const { return part_.num_devices; }
   [[nodiscard]] std::size_t begin(std::size_t r) const {
     return part_.begin(r);
   }
   [[nodiscard]] std::size_t end(std::size_t r) const { return part_.end(r); }
   [[nodiscard]] std::size_t region_of(std::size_t dev) const {
-    return part_.shard_of(dev);
+    return part_.part_of(dev);
   }
 
  private:

@@ -50,7 +50,7 @@ class Series {
   [[nodiscard]] SimTime last_timestamp() const;
 
   // Materialized copy of the raw points, in append order. Byte-identity
-  // tests (shard/index differential walls) compare recorded streams
+  // tests (topology and replay differential walls) compare recorded streams
   // point-for-point through this.
   [[nodiscard]] std::vector<std::pair<SimTime, double>> snapshot() const;
 

@@ -4,7 +4,7 @@
 //
 //   1. journal=1 is a pure observer — a journaled run produces the SAME
 //      RunResult and TSDB streams, byte for byte, as the same scenario
-//      with journaling off (across round protocols and shard counts).
+//      with journaling off (across round protocols).
 //   2. Experiment::replay re-executes a journal byte-identically: every
 //      event matches its record, and the replayed RunResult equals the
 //      original.
@@ -12,7 +12,7 @@
 //      (journal.halt-after) leaves a journal that resume-replay completes
 //      to the EXACT results of the uninterrupted run — verified prefix,
 //      snapshot compared field-for-field at its marked commit, live tail.
-//      Pinned across shards {1,4} × protocols {sync, overcommit, async}.
+//      Pinned across protocols {sync, overcommit, async}.
 //
 // Plus the guard rails: tampered journals fail replay loudly, runs whose
 // inputs are not kv-expressible are refused at replay, and the journal
@@ -92,42 +92,38 @@ std::string journal_dir(const std::string& tag) {
 
 // journal=1 (with snapshots) changes nothing about the results: RunResult
 // and TSDB streams are byte-identical to the unjournaled run, across
-// protocols and shard counts.
-TEST(ReplayDifferential, JournalingIsInvisibleAcrossProtocolsAndShards) {
+// protocols.
+TEST(ReplayDifferential, JournalingIsInvisibleAcrossProtocols) {
   for (const char* proto : {"sync", "overcommit", "async"}) {
-    for (const std::size_t shards : {1UL, 4UL}) {
-      ScenarioSpec base;
-      base.seed = 53;
-      base.num_devices = 3'000;
-      base.num_jobs = 6;
-      base.horizon = 3.0 * kDay;
-      base.shards = shards;
-      base.set("churn", "weibull");
-      base.set("protocol", proto);
-      const std::string label =
-          std::string(proto) + " shards=" + std::to_string(shards);
+    ScenarioSpec base;
+    base.seed = 53;
+    base.num_devices = 3'000;
+    base.num_jobs = 6;
+    base.horizon = 3.0 * kDay;
+    base.set("churn", "weibull");
+    base.set("protocol", proto);
+    const std::string label = proto;
 
-      TimeSeriesRecorder plain_rec;
-      const RunResult plain = [&] {
-        ExperimentBuilder b;
-        b.scenario(base).observe(plain_rec);
-        return b.run();
-      }();
+    TimeSeriesRecorder plain_rec;
+    const RunResult plain = [&] {
+      ExperimentBuilder b;
+      b.scenario(base).observe(plain_rec);
+      return b.run();
+    }();
 
-      ScenarioSpec journaled = base;
-      journaled.set("journal", "1");
-      journaled.set("journal.dir", journal_dir("invis_" + label));
-      journaled.set("snapshot_every", "4");
-      TimeSeriesRecorder jrec;
-      const RunResult jrun = [&] {
-        ExperimentBuilder b;
-        b.scenario(journaled).observe(jrec);
-        return b.run();
-      }();
+    ScenarioSpec journaled = base;
+    journaled.set("journal", "1");
+    journaled.set("journal.dir", journal_dir("invis_" + label));
+    journaled.set("snapshot_every", "4");
+    TimeSeriesRecorder jrec;
+    const RunResult jrun = [&] {
+      ExperimentBuilder b;
+      b.scenario(journaled).observe(jrec);
+      return b.run();
+    }();
 
-      expect_identical(plain, jrun, label);
-      expect_identical_streams(plain_rec, jrec, label);
-    }
+    expect_identical(plain, jrun, label);
+    expect_identical_streams(plain_rec, jrec, label);
   }
 }
 
@@ -233,62 +229,58 @@ TEST(ReplayDifferential, TamperedJournalFailsReplay) {
 
 // The tentpole guarantee: kill a journaled run at a deterministic commit,
 // resume-replay the journal, and land on the EXACT results of the
-// uninterrupted run — across shards {1,4} × all three round protocols.
+// uninterrupted run — across all three round protocols.
 TEST(ReplayDifferential, CrashRecoveryMatchesUninterruptedRun) {
   for (const char* proto : {"sync", "overcommit", "async"}) {
-    for (const std::size_t shards : {1UL, 4UL}) {
-      ScenarioSpec base;
-      base.seed = 53;
-      base.num_devices = 2'500;
-      base.num_jobs = 6;
-      base.horizon = 3.0 * kDay;
-      base.shards = shards;
-      base.set("churn", "weibull");
-      base.set("protocol", proto);
-      const std::string label = std::string("crash ") + proto + " shards=" +
-                                std::to_string(shards);
+    ScenarioSpec base;
+    base.seed = 53;
+    base.num_devices = 2'500;
+    base.num_jobs = 6;
+    base.horizon = 3.0 * kDay;
+    base.set("churn", "weibull");
+    base.set("protocol", proto);
+    const std::string label = std::string("crash ") + proto;
 
-      const RunResult uninterrupted =
-          ExperimentBuilder().scenario(base).run();
+    const RunResult uninterrupted =
+        ExperimentBuilder().scenario(base).run();
 
-      ScenarioSpec crashed = base;
-      crashed.set("journal", "1");
-      crashed.set("journal.dir", journal_dir("crash_" + label));
-      crashed.set("snapshot_every", "2");
-      crashed.set("journal.halt-after", "5");
-      bool halted = false;
-      std::string path;
-      try {
-        (void)ExperimentBuilder().scenario(crashed).run();
-      } catch (const SimulationHalted& h) {
-        halted = true;
-        EXPECT_EQ(h.commits_flushed, 5u) << label;
-      }
-      ASSERT_TRUE(halted) << label << ": run finished before commit 5";
+    ScenarioSpec crashed = base;
+    crashed.set("journal", "1");
+    crashed.set("journal.dir", journal_dir("crash_" + label));
+    crashed.set("snapshot_every", "2");
+    crashed.set("journal.halt-after", "5");
+    bool halted = false;
+    std::string path;
+    try {
+      (void)ExperimentBuilder().scenario(crashed).run();
+    } catch (const SimulationHalted& h) {
+      halted = true;
+      EXPECT_EQ(h.commits_flushed, 5u) << label;
+    }
+    ASSERT_TRUE(halted) << label << ": run finished before commit 5";
 
-      // The journal ends at the 5th flushed commit, no footer. Resume
-      // replay verifies the prefix, checks the stored snapshot at its
-      // marked commit, then continues live to the end of the run.
-      path = api::journal_file_path(crashed, uninterrupted.scheduler);
-      ReplayOptions opts;
-      opts.resume = true;
-      const ReplayReport report = Experiment::replay(path, opts);
-      EXPECT_TRUE(report.resumed_past_journal) << label;
-      EXPECT_TRUE(report.snapshot_verified) << label;
-      EXPECT_EQ(report.snapshot_commits, 4u) << label;
-      EXPECT_GT(report.events_verified, 0u) << label;
-      expect_identical(uninterrupted, report.result, label);
+    // The journal ends at the 5th flushed commit, no footer. Resume
+    // replay verifies the prefix, checks the stored snapshot at its
+    // marked commit, then continues live to the end of the run.
+    path = api::journal_file_path(crashed, uninterrupted.scheduler);
+    ReplayOptions opts;
+    opts.resume = true;
+    const ReplayReport report = Experiment::replay(path, opts);
+    EXPECT_TRUE(report.resumed_past_journal) << label;
+    EXPECT_TRUE(report.snapshot_verified) << label;
+    EXPECT_EQ(report.snapshot_commits, 4u) << label;
+    EXPECT_GT(report.events_verified, 0u) << label;
+    expect_identical(uninterrupted, report.result, label);
 
-      // Strict replay of a crashed journal refuses: the re-execution
-      // outruns the journal mid-run.
-      try {
-        (void)Experiment::replay(path);
-        FAIL() << label << ": strict replay accepted a crashed journal";
-      } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("journal ended early"),
-                  std::string::npos)
-            << e.what();
-      }
+    // Strict replay of a crashed journal refuses: the re-execution
+    // outruns the journal mid-run.
+    try {
+      (void)Experiment::replay(path);
+      FAIL() << label << ": strict replay accepted a crashed journal";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("journal ended early"),
+                std::string::npos)
+          << e.what();
     }
   }
 }

@@ -4,8 +4,10 @@
 #include <vector>
 
 #include "core/resource_manager.h"
+#include "protocol/builtins.h"
 #include "scheduler/fifo_sched.h"
 #include "scheduler/srsf_sched.h"
+#include "venn/venn.h"
 
 namespace venn {
 namespace {
@@ -249,6 +251,117 @@ TEST(ResourceManager, WantsMaskFollowsFillsAndReopens) {
 
 TEST(ResourceManager, NullSchedulerRejected) {
   EXPECT_THROW(ResourceManager(nullptr), std::invalid_argument);
+}
+
+// ------------------------------------------------- queue-change view --
+
+bool same_pending(const PendingJob& a, const PendingJob& b) {
+  return a.job == b.job && a.request == b.request && a.group == b.group &&
+         a.remaining_demand == b.remaining_demand &&
+         a.request_demand == b.request_demand &&
+         a.remaining_service == b.remaining_service &&
+         a.total_rounds == b.total_rounds &&
+         a.completed_rounds == b.completed_rounds &&
+         a.job_arrival == b.job_arrival &&
+         a.request_submitted == b.request_submitted &&
+         a.solo_jct_estimate == b.solo_jct_estimate &&
+         a.random_priority == b.random_priority;
+}
+
+// Wraps a real policy and, at every queue change, holds the span the
+// manager hands it against a fresh pending_view() of the same manager.
+class ViewCheckingScheduler final : public Scheduler {
+ public:
+  explicit ViewCheckingScheduler(std::unique_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+
+  const ResourceManager* manager = nullptr;
+  std::size_t calls = 0;
+  std::size_t nonempty = 0;
+  std::size_t mismatches = 0;
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void on_device_checkin(const DeviceView& dev, SimTime now) override {
+    inner_->on_device_checkin(dev, now);
+  }
+  void on_queue_change(std::span<const PendingJob> pending,
+                       SimTime now) override {
+    ++calls;
+    if (!pending.empty()) ++nonempty;
+    const std::vector<PendingJob> fresh = manager->pending_view();
+    bool same = pending.size() == fresh.size();
+    for (std::size_t i = 0; same && i < fresh.size(); ++i) {
+      same = same_pending(pending[i], fresh[i]);
+    }
+    if (!same) ++mismatches;
+    inner_->on_queue_change(pending, now);
+  }
+  void on_response(JobId job, double capacity, double response_time,
+                   SimTime now) override {
+    inner_->on_response(job, capacity, response_time, now);
+  }
+  void on_round_complete(JobId job, SimTime sched_delay,
+                         SimTime response_time, SimTime now) override {
+    inner_->on_round_complete(job, sched_delay, response_time, now);
+  }
+  [[nodiscard]] std::optional<std::size_t> assign(
+      const DeviceView& dev, std::span<const PendingJob> candidates,
+      SimTime now) override {
+    return inner_->assign(dev, candidates, now);
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+};
+
+// The queue view is filled from the manager's wanting cache into a reused
+// buffer; at every queue change of a real run it must equal a fresh build,
+// across the round protocols (each reopens demand on its own paths:
+// deadline aborts, straggler releases, continuous admission).
+TEST(ResourceManager, QueueChangeViewEqualsFreshPendingView) {
+  const protocol::SyncProtocol sync;
+  const protocol::OvercommitProtocol overcommit(1.5);
+  const protocol::AsyncProtocol async;
+  const std::pair<const char*, const protocol::RoundProtocol*> protocols[] = {
+      {"sync", &sync}, {"overcommit", &overcommit}, {"async", &async}};
+  for (const auto& [label, proto] : protocols) {
+    ScenarioSpec sc;
+    sc.seed = 61;
+    sc.num_devices = 2'000;
+    sc.num_jobs = 8;
+    sc.horizon = 2.0 * kDay;
+    sc.job_trace.min_demand = 3;
+    sc.job_trace.max_demand = 12;
+    sc.set("churn", "weibull");
+    const auto inputs = api::build_inputs(sc);
+    const auto gens = workload::build_generators(sc.arrival_gen, sc.mix_gen,
+                                                 sc.churn_gen, sc.seed);
+
+    sim::Engine engine(Rng::derive(sc.seed, "engine"));
+    auto checking = std::make_unique<ViewCheckingScheduler>(
+        PolicyRegistry::instance().create("venn", {},
+                                          Rng::derive(sc.seed, "scheduler")));
+    ViewCheckingScheduler* checker = checking.get();
+    ResourceManager manager(std::move(checking));
+    checker->manager = &manager;
+    CoordinatorConfig ccfg;
+    ccfg.horizon = sc.horizon;
+    ccfg.seed = sc.seed;
+    ccfg.churn = gens.churn.get();
+    ccfg.protocol = proto;
+    Coordinator coord(engine, manager, inputs.devices, inputs.sessions,
+                      inputs.jobs, ccfg);
+    coord.run();
+
+    // Not vacuous: queue changes happened, with jobs in the view, and the
+    // counter behind the snapshot's hotpath section counts exactly them.
+    EXPECT_GT(checker->calls, 0u) << label;
+    EXPECT_GT(checker->nonempty, 0u) << label;
+    EXPECT_EQ(manager.hotpath_stats().view_builds, checker->calls) << label;
+    EXPECT_EQ(checker->mismatches, 0u) << label;
+    EXPECT_EQ(manager.num_pending_jobs(), manager.pending_view().size())
+        << label;
+  }
 }
 
 }  // namespace

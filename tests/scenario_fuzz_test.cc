@@ -2,8 +2,7 @@
 //
 // The parser is the shared front door of the CLI, benches, sweep grids and
 // config files, and it grew a wide dotted-knob surface (arrival.* / mix.* /
-// churn.* / protocol.* plus the execution knob shards=). This
-// test throws a seeded random corpus at it and requires:
+// churn.* / protocol.* / topo.* / journal.*). This test throws a seeded random corpus at it and requires:
 //
 //   * no crash and no UB for ANY input — the only acceptable failure mode
 //     is std::invalid_argument (std::exception for registry lookups);
@@ -32,9 +31,8 @@ const std::vector<std::string>& known_keys() {
       "max-rounds",  "min-demand",   "max-demand",    "interarrival-min",
       "base-trace",  "task-s",       "task-cv",       "arrival",
       "mix",         "churn",        "protocol",      "open-loop",
-      "shards",      "horizon-s",
-      "interarrival-s",              "journal",       "journal.dir",
-      "snapshot_every",              "snapshot-every",
+      "horizon-s",   "interarrival-s",                "journal",
+      "journal.dir", "snapshot_every",                "snapshot-every",
       "journal.halt-after",          "topology",      "topo.regions",
       "topo.sync_latency",           "topo.phase_spread",
   };
@@ -127,7 +125,6 @@ void expect_specs_equal(const api::ScenarioSpec& a, const api::ScenarioSpec& b,
   EXPECT_EQ(a.protocol_gen.name, b.protocol_gen.name);
   EXPECT_EQ(a.protocol_gen.params.kv, b.protocol_gen.params.kv);
   EXPECT_EQ(a.open_loop, b.open_loop) << "corpus seed " << seed;
-  EXPECT_EQ(a.shards, b.shards) << "corpus seed " << seed;
   EXPECT_EQ(a.topology, b.topology) << "corpus seed " << seed;
   EXPECT_EQ(a.topo_regions, b.topo_regions) << "corpus seed " << seed;
   EXPECT_EQ(a.topo_sync_latency, b.topo_sync_latency)
@@ -239,7 +236,6 @@ TEST(ScenarioFuzz, CanonicalKvRoundTripsExactly) {
   spec.set("horizon-days", "2.7");  // lossy spelling in, exact -s out
   spec.set("interarrival-min", "95.3");
   spec.set("churn", "weibull");
-  spec.set("shards", "4");
   spec.set("topology", "hier");
   spec.set("topo.regions", "5");
   spec.set("topo.sync_latency", "33.5");
@@ -263,31 +259,18 @@ TEST(ScenarioFuzz, CanonicalKvRoundTripsExactly) {
   EXPECT_EQ(back.to_kv(), kv);  // fixed point
 }
 
-// The shards knob specifically: range-validated, exact bounds.
-TEST(ScenarioFuzz, ShardsKnobBounds) {
-  api::ScenarioSpec spec;
-  EXPECT_EQ(spec.shards, 1u);
-  spec.set("shards", "64");
-  EXPECT_EQ(spec.shards, 64u);
-  spec.set("shards", "1");
-  EXPECT_EQ(spec.shards, 1u);
-  EXPECT_THROW(spec.set("shards", "0"), std::invalid_argument);
-  EXPECT_THROW(spec.set("shards", "65"), std::invalid_argument);
-  EXPECT_THROW(spec.set("shards", "-4"), std::invalid_argument);
-  EXPECT_THROW(spec.set("shards", "eight"), std::invalid_argument);
-  EXPECT_THROW(spec.set("shards", "8.5"), std::invalid_argument);
-  EXPECT_EQ(spec.shards, 1u);  // failed sets leave the value untouched
-}
-
 // Retired keys are unknown keys like any other — not silently accepted —
 // so a stale override or an old journal header fails loudly, naming the
 // key:
 //   index=  selected a full-fleet-scan fallback of the eligibility index;
 //   stream= chose between replaying and streaming churn sessions, which
-//           always stream now (every earlier journal header carries it).
+//           always stream now (every earlier journal header carries it);
+//   shards= ran sweeps and index rebuckets on a worker pool, with results
+//           byte-identical at every value (every earlier journal header
+//           carries shards=1).
 TEST(ScenarioFuzz, RetiredKeysAreRejected) {
-  for (const char* key : {"index", "stream"}) {
-    for (const char* value : {"0", "1"}) {
+  for (const char* key : {"index", "stream", "shards"}) {
+    for (const char* value : {"0", "1", "4"}) {
       api::ScenarioSpec spec;
       EXPECT_FALSE(spec.try_set(key, value)) << key << "=" << value;
       try {

@@ -13,8 +13,8 @@
 //      on the same journal, remaining script resent from recovered_seq,
 //      drained. The drain dump (RunResult + TSDB streams at %.17g) must
 //      equal an uninterrupted in-process LiveSession run of the same
-//      script, across protocols {sync, overcommit, async} x shards {1,4},
-//      at seeded random crash points — plus a double-crash cycle and an
+//      script, across protocols {sync, overcommit, async} x two traffic
+//      scripts, at seeded random crash points — plus a double-crash cycle and an
 //      open-loop (admit) variant.
 //   2. Process-level: the REAL venn_coordinatord binary, driven over its
 //      Unix socket and killed with SIGKILL between acked requests, then
@@ -66,14 +66,12 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-ScenarioSpec make_scenario(const std::string& proto, std::size_t shards,
-                           bool open_loop) {
+ScenarioSpec make_scenario(const std::string& proto, bool open_loop) {
   ScenarioSpec sc;
   sc.seed = 91;
   sc.num_devices = 500;
   sc.num_jobs = 3;
   sc.horizon = 2.0 * kDay;
-  sc.shards = shards;
   sc.set("churn", "weibull");
   sc.set("protocol", proto);
   if (open_loop) {
@@ -183,14 +181,13 @@ TEST(ServiceDaemon, CrashResumeDrainMatchesUninterruptedRun) {
   std::mt19937_64 crash_rng(0xDEADD0E5);
   const PolicySpec policy = ExperimentBuilder().current_policy();
   for (const char* proto : {"sync", "overcommit", "async"}) {
-    for (const std::size_t shards : {1UL, 4UL}) {
+    for (const std::uint64_t script_seed : {1001ULL, 1004ULL}) {
       const std::string tag =
-          std::string(proto) + "_s" + std::to_string(shards);
+          std::string(proto) + "_seed" + std::to_string(script_seed);
       SCOPED_TRACE(tag);
-      const ScenarioSpec sc = make_scenario(proto, shards, false);
-      const auto script =
-          build_script(/*seed=*/1000 + shards, sc.num_devices, sc.horizon,
-                       /*open_loop=*/false);
+      const ScenarioSpec sc = make_scenario(proto, false);
+      const auto script = build_script(script_seed, sc.num_devices,
+                                       sc.horizon, /*open_loop=*/false);
       const std::string expected = reference_dump(sc, policy, script);
 
       const std::string journal = temp_path("venn_crash_" + tag + ".vjl");
@@ -228,7 +225,7 @@ TEST(ServiceDaemon, CrashResumeDrainMatchesUninterruptedRun) {
 // again, drain. The journal absorbs both tears.
 TEST(ServiceDaemon, DoubleCrashStillConverges) {
   const PolicySpec policy = ExperimentBuilder().current_policy();
-  const ScenarioSpec sc = make_scenario("async", 4, false);
+  const ScenarioSpec sc = make_scenario("async", false);
   const auto script =
       build_script(7, sc.num_devices, sc.horizon, /*open_loop=*/false);
   const std::string expected = reference_dump(sc, policy, script);
@@ -256,7 +253,7 @@ TEST(ServiceDaemon, DoubleCrashStillConverges) {
 // crosses the crash boundary exactly too.
 TEST(ServiceDaemon, OpenLoopAdmissionsSurviveCrash) {
   const PolicySpec policy = ExperimentBuilder().current_policy();
-  const ScenarioSpec sc = make_scenario("sync", 1, /*open_loop=*/true);
+  const ScenarioSpec sc = make_scenario("sync", /*open_loop=*/true);
   const auto script =
       build_script(11, sc.num_devices, sc.horizon, /*open_loop=*/true);
   const std::string expected = reference_dump(sc, policy, script);
@@ -277,7 +274,7 @@ TEST(ServiceDaemon, OpenLoopAdmissionsSurviveCrash) {
 // A drained (complete) journal refuses to resume: there is nothing left.
 TEST(ServiceDaemon, ResumeRefusesCompletedJournal) {
   const PolicySpec policy = ExperimentBuilder().current_policy();
-  const ScenarioSpec sc = make_scenario("sync", 1, false);
+  const ScenarioSpec sc = make_scenario("sync", false);
   const std::string journal = temp_path("venn_complete.vjl");
   {
     service::CoordinatorDaemon daemon = fresh_daemon(sc, policy, journal);
@@ -292,7 +289,7 @@ TEST(ServiceDaemon, ResumeRefusesCompletedJournal) {
 // the uninterrupted baseline once the path is writable again.
 TEST(ServiceDaemon, FailedDrainLeavesJournalResumable) {
   const PolicySpec policy = ExperimentBuilder().current_policy();
-  const ScenarioSpec sc = make_scenario("sync", 1, false);
+  const ScenarioSpec sc = make_scenario("sync", false);
   const auto script =
       build_script(23, sc.num_devices, sc.horizon, /*open_loop=*/false);
   const std::string expected = reference_dump(sc, policy, script);
@@ -463,8 +460,8 @@ TEST(ServiceDaemon, ShutdownIsAckedAndExitsCleanly) {
 // baseline byte for byte.
 TEST(ServiceDaemon, ProcessLevelSigkillRecovery) {
   const std::vector<std::string> kv = {
-      "seed=97",  "devices=400",         "jobs=3", "horizon-s=86400",
-      "shards=2", "protocol=overcommit", "churn=weibull"};
+      "seed=97", "devices=400", "jobs=3", "horizon-s=86400",
+      "protocol=overcommit", "churn=weibull"};
   ExperimentBuilder builder;
   for (const std::string& s : kv) builder.override_kv(s);
   const ScenarioSpec sc = builder.current_scenario();

@@ -6,8 +6,8 @@
 // locked in here: with `topo.sync_latency=0` and no phase spread, the
 // hierarchical run is byte-identical to the flat run — same RunResult
 // (per-job JCTs, round stats, protocol counters, assignment matrix) and
-// the same TSDB streams point for point — across round protocols and
-// shard counts. The regional machinery still executes
+// the same TSDB streams point for point — across round protocols. The
+// regional machinery still executes
 // (per-region supply aggregation, uplink report accounting); vacuousness
 // guards below assert that via TopologyStats, so a regression that
 // silently bypassed the hier path cannot turn this wall green by accident.
@@ -18,6 +18,7 @@
 // same sessions drained into a column about the per-region phase shifts.
 #include <gtest/gtest.h>
 
+#include "device/fleet_partition.h"
 #include "drained_churn.h"
 #include "protocol/builtins.h"
 #include "venn/venn.h"
@@ -89,39 +90,60 @@ bool any_round_stat_differs(const RunResult& a, const RunResult& b) {
   return false;
 }
 
-// Zero-latency equivalence: protocols × shard counts. The region count is
-// fixed at 4 so the regional supply aggregation groups the fleet into
-// genuinely distinct slices.
+// part_of must be the exact inverse of the begin/end ranges, including
+// non-dividing and degenerate sizes (parts > devices → empty ranges). The
+// test is named for the method's former name, from when the same math also
+// partitioned execution shards.
+TEST(FleetPartitionTest, ShardOfAgreesWithRanges) {
+  for (const std::size_t n : {1UL, 2UL, 3UL, 5UL, 7UL, 64UL, 1000UL, 1003UL}) {
+    for (const std::size_t parts : {1UL, 2UL, 3UL, 4UL, 7UL, 8UL, 64UL}) {
+      const FleetPartition p(n, parts);
+      std::size_t covered = 0;
+      for (std::size_t s = 0; s < parts; ++s) {
+        ASSERT_LE(p.begin(s), p.end(s));
+        if (s > 0) ASSERT_EQ(p.begin(s), p.end(s - 1));
+        for (std::size_t d = p.begin(s); d < p.end(s); ++d) {
+          ASSERT_EQ(p.part_of(d), s)
+              << "n=" << n << " parts=" << parts << " d=" << d;
+        }
+        covered += p.end(s) - p.begin(s);
+      }
+      EXPECT_EQ(p.begin(0), 0u);
+      EXPECT_EQ(p.end(parts - 1), n);
+      EXPECT_EQ(covered, n);
+    }
+  }
+}
+
+// Zero-latency equivalence across protocols. The region count is fixed at
+// 4 so the regional supply aggregation groups the fleet into genuinely
+// distinct slices.
 TEST(TopologyDifferential, ZeroLatencyHierByteIdenticalToFlat) {
   for (const char* proto : {"sync", "overcommit", "async"}) {
-    for (const std::size_t shards : {1UL, 4UL}) {
-      ScenarioSpec base;
-      base.seed = 103;
-      base.num_devices = 4'000;
-      base.num_jobs = 8;
-      base.horizon = 3.0 * kDay;
-      base.job_trace.min_demand = 3;
-      base.job_trace.max_demand = 12;
-      base.set("churn", "weibull");
-      base.set("protocol", proto);
-      base.shards = shards;
+    ScenarioSpec base;
+    base.seed = 103;
+    base.num_devices = 4'000;
+    base.num_jobs = 8;
+    base.horizon = 3.0 * kDay;
+    base.job_trace.min_demand = 3;
+    base.job_trace.max_demand = 12;
+    base.set("churn", "weibull");
+    base.set("protocol", proto);
 
-      ScenarioSpec hier = base;
-      hier.set("topology", "hier");
-      hier.set("topo.regions", "4");
-      hier.set("topo.sync_latency", "0");
+    ScenarioSpec hier = base;
+    hier.set("topology", "hier");
+    hier.set("topo.regions", "4");
+    hier.set("topo.sync_latency", "0");
 
-      const std::string label =
-          std::string(proto) + " shards=" + std::to_string(shards);
-      TimeSeriesRecorder flat_rec;
-      TimeSeriesRecorder hier_rec;
-      const RunResult rf =
-          ExperimentBuilder().scenario(base).observe(flat_rec).run();
-      const RunResult rh =
-          ExperimentBuilder().scenario(hier).observe(hier_rec).run();
-      expect_identical(rf, rh, label);
-      expect_identical_streams(flat_rec, hier_rec, label);
-    }
+    const std::string label = proto;
+    TimeSeriesRecorder flat_rec;
+    TimeSeriesRecorder hier_rec;
+    const RunResult rf =
+        ExperimentBuilder().scenario(base).observe(flat_rec).run();
+    const RunResult rh =
+        ExperimentBuilder().scenario(hier).observe(hier_rec).run();
+    expect_identical(rf, rh, label);
+    expect_identical_streams(flat_rec, hier_rec, label);
   }
 }
 
