@@ -298,11 +298,66 @@ void Coordinator::setup() {
     next_k_.assign(n, 0);
   }
   for (std::size_t d = 0; d < n; ++d) load_next_session(d);
+  engine_.queue().set_handler(this);
   engine_.queue().set_lane(
       [this](SimTime end, std::vector<sim::LaneEvent>& out) {
         return refill_session_starts(end, out);
       },
-      [this](std::uint32_t d) { on_session_start(d); });
+      kSessionStart);
+}
+
+void Coordinator::post(SimTime t, sim::EventKind kind, std::size_t dev,
+                       std::uint32_t payload) {
+  engine_.queue().schedule(t, kind, static_cast<std::uint32_t>(dev), payload);
+}
+
+std::uint32_t Coordinator::put_report(const Report& r) {
+  if (free_reports_.empty()) {
+    reports_.push_back(r);
+    return static_cast<std::uint32_t>(reports_.size() - 1);
+  }
+  const std::uint32_t slot = free_reports_.back();
+  free_reports_.pop_back();
+  reports_[slot] = r;
+  return slot;
+}
+
+Coordinator::Report Coordinator::take_report(std::uint32_t slot) {
+  free_reports_.push_back(slot);
+  return reports_[slot];
+}
+
+void Coordinator::on_event(sim::EventKind kind, std::uint32_t dev,
+                           std::uint32_t payload) {
+  switch (kind) {
+    case kSessionStart:
+      on_session_start(dev);
+      return;
+    case kRearm:
+      attempt_checkin(dev);
+      return;
+    case kRetireIdle:
+      retire_idle(dev);
+      return;
+    case kResponse: {
+      const Report r = take_report(payload);
+      on_response(r.job, r.request, dev, r.round, r.exec);
+      return;
+    }
+    case kFailure: {
+      const Report r = take_report(payload);
+      on_failure(r.job, r.request, dev);
+      return;
+    }
+    case kDeadline: {
+      const Report r = take_report(payload);
+      on_deadline(r.job, r.request);
+      return;
+    }
+    default:
+      throw std::logic_error("Coordinator: unknown event kind " +
+                             std::to_string(kind));
+  }
 }
 
 void Coordinator::load_next_session(std::size_t d) {
@@ -338,16 +393,24 @@ void Coordinator::load_next_session(std::size_t d) {
 
 SimTime Coordinator::refill_session_starts(
     SimTime end, std::vector<sim::LaneEvent>& out) const {
-  SimTime rest = kNoStart;
+  // Starts past the horizon never fire: t <= horizon is t < the next
+  // double above it, so one compare per device decides an append.
   const SimTime horizon = cfg_.horizon;
+  const SimTime limit = std::min(end, std::nextafter(horizon, kNoStart));
+  const std::size_t before = out.size();
   for (std::size_t d = 0; d < next_start_.size(); ++d) {
     const SimTime t = next_start_[d];
-    if (t > horizon) continue;  // starts past the horizon never fire
-    if (t < end) {
+    if (t < limit) {
       out.push_back({t, lane_seq_ + d, static_cast<std::uint32_t>(d)});
-    } else {
-      rest = std::min(rest, t);
     }
+  }
+  // The earliest start left is read only after an empty refill (an empty
+  // stretch to skip), so the running minimum, a chain of dependent
+  // compares across the fleet, is folded only then.
+  if (out.size() != before) return kNoStart;
+  SimTime rest = kNoStart;
+  for (const SimTime t : next_start_) {
+    if (t <= horizon) rest = std::min(rest, t);
   }
   return rest;
 }
@@ -361,8 +424,7 @@ void Coordinator::on_session_start(std::uint32_t d) {
   // under the device's reserved number instead.
   auto& queue = engine_.queue();
   if (t < queue.lane_end() && t <= cfg_.horizon) {
-    queue.schedule_reserved(t, lane_seq_ + d,
-                            [this, d] { on_session_start(d); });
+    queue.schedule_reserved(t, lane_seq_ + d, kSessionStart, d);
   }
   attempt_checkin(d);
 }
@@ -611,7 +673,7 @@ void Coordinator::attempt_checkin(std::size_t dev_idx) {
     // Budget spent: re-arm when it resets, if the session is still open.
     const SimTime next_day = (Device::day_of(now) + 1) * kDay;
     if (next_day < session_end && next_day < cfg_.horizon) {
-      engine_.at(next_day, [this, dev_idx] { attempt_checkin(dev_idx); });
+      post(next_day, kRearm, dev_idx);
     }
     return;
   }
@@ -640,8 +702,7 @@ void Coordinator::attempt_checkin(std::size_t dev_idx) {
   }
   // Park in the idle pool until the session ends.
   idle_insert(dev_idx);
-  engine_.at(std::min(session_end, cfg_.horizon),
-             [this, dev_idx] { retire_idle(dev_idx); });
+  post(std::min(session_end, cfg_.horizon), kRetireIdle, dev_idx);
 }
 
 void Coordinator::handle_outcome(std::size_t dev_idx,
@@ -659,8 +720,7 @@ void Coordinator::handle_outcome(std::size_t dev_idx,
 
   // A device whose session outlasts today regains its participation budget
   // at the next day boundary.
-  engine_.at((Device::day_of(now) + 1) * kDay,
-             [this, dev_idx] { attempt_checkin(dev_idx); });
+  post((Device::day_of(now) + 1) * kDay, kRearm, dev_idx);
 
   Job* job = by_id_.at(outcome.job);
   const double exec = dev.sample_exec_time(job->spec().nominal_task_s,
@@ -687,34 +747,11 @@ void Coordinator::handle_outcome(std::size_t dev_idx,
   // the report's delivery is delayed.
   if (cfg_.topo.hier) ++tstats_.uplink_reports;
   if (now + exec <= session_end) {
-    engine_.after(exec + uplink_,
-                  [this, jid, rid, dev_idx, assigned_round, exec] {
-      on_response(jid, rid, dev_idx, assigned_round, exec);
-    });
+    // now + (exec + uplink_): the sum Engine::after formed.
+    post(now + (exec + uplink_), kResponse, dev_idx,
+         put_report({jid, rid, assigned_round, exec}));
   } else {
-    engine_.at(session_end + uplink_, [this, jid, rid, dev_idx] {
-      // Untracked = the computation already resolved (straggler release or
-      // an early external response); this timer is then a phantom.
-      if (!inflight_remove(jid, rid, dev_idx)) return;
-      Job* j = by_id_.count(jid) ? by_id_.at(jid) : nullptr;
-      if (j == nullptr || !j->request() || j->request()->id != rid) return;
-      RoundRequest& req = j->mutable_request();
-      if (req.state == RequestState::kCompleted ||
-          req.state == RequestState::kAborted) {
-        return;
-      }
-      ++req.failures;
-      // A pre-allocation failure reopens one unit of demand; under
-      // continuous admission an allocated slot frees the same way.
-      if (req.state == RequestState::kPending ||
-          (protocol_->continuous_admission() &&
-           req.state == RequestState::kAllocated)) {
-        --req.assigned;  // reopen one unit of demand
-        req.state = RequestState::kPending;
-        manager_.assignment_failed(jid, engine_.now());
-        offer_idle_pool(engine_.now());
-      }
-    });
+    post(session_end + uplink_, kFailure, dev_idx, put_report({jid, rid}));
   }
 
   if (outcome.fully_allocated) {
@@ -736,8 +773,7 @@ void Coordinator::handle_outcome(std::size_t dev_idx,
          req.assigned >= req.needed_responses());
     if (ready && !req.deadline_armed) {
       req.deadline_armed = true;
-      engine_.after(outcome.deadline,
-                    [this, jid, rid] { on_deadline(jid, rid); });
+      post(now + outcome.deadline, kDeadline, 0, put_report({jid, rid}));
     }
   }
 }
@@ -863,6 +899,30 @@ void Coordinator::maybe_complete(Job* job) {
   }
 }
 
+void Coordinator::on_failure(JobId jid, RequestId rid, std::size_t dev_idx) {
+  // Untracked = the computation already resolved (straggler release or an
+  // early external response); this timer is then a phantom.
+  if (!inflight_remove(jid, rid, dev_idx)) return;
+  Job* j = by_id_.count(jid) ? by_id_.at(jid) : nullptr;
+  if (j == nullptr || !j->request() || j->request()->id != rid) return;
+  RoundRequest& req = j->mutable_request();
+  if (req.state == RequestState::kCompleted ||
+      req.state == RequestState::kAborted) {
+    return;
+  }
+  ++req.failures;
+  // A pre-allocation failure reopens one unit of demand; under continuous
+  // admission an allocated slot frees the same way.
+  if (req.state == RequestState::kPending ||
+      (protocol_->continuous_admission() &&
+       req.state == RequestState::kAllocated)) {
+    --req.assigned;  // reopen one unit of demand
+    req.state = RequestState::kPending;
+    manager_.assignment_failed(jid, engine_.now());
+    offer_idle_pool(engine_.now());
+  }
+}
+
 void Coordinator::on_deadline(JobId jid, RequestId rid) {
   auto it = by_id_.find(jid);
   if (it == by_id_.end()) return;
@@ -949,9 +1009,7 @@ std::size_t Coordinator::release_stragglers(Job* job, RequestId rid,
       idle_insert(entry.dev);
       // Mirror attempt_checkin's parking rule: the pool entry retires with
       // the session.
-      const std::size_t d = entry.dev;
-      engine_.at(std::min(session_end, cfg_.horizon),
-                 [this, d] { retire_idle(d); });
+      post(std::min(session_end, cfg_.horizon), kRetireIdle, entry.dev);
     }
   }
   if (entries.empty()) inflight_.erase(it);

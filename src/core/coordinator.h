@@ -117,7 +117,7 @@ struct CoordinatorConfig {
   topology::TopologySpec topo;
 };
 
-class Coordinator {
+class Coordinator final : private sim::EventHandler {
  public:
   // `devices` are the fleet and `sessions` their trace, one column entry
   // per device — or a column covering no device, when the sessions stream
@@ -287,6 +287,37 @@ class Coordinator {
   // automatically.
 
  private:
+  // Typed events (sim/event_queue.h), all run by on_event. `dev` is the
+  // event's device; the report kinds carry a reports_ slot as payload.
+  enum : sim::EventKind {
+    kSessionStart = 1,  // a session start: the lane's kind, and its
+                        // in-chunk successor scheduled into the heap
+    kRearm,             // day-boundary check-in re-arm
+    kRetireIdle,        // a parked device's session end
+    kResponse,          // a device's result reaches the coordinator
+    kFailure,           // a computation outlived its session
+    kDeadline,          // a request's reporting deadline (no device)
+  };
+  void on_event(sim::EventKind kind, std::uint32_t dev,
+                std::uint32_t payload) override;
+  // Schedules a typed event for device `dev` at `t`.
+  void post(SimTime t, sim::EventKind kind, std::size_t dev,
+            std::uint32_t payload = 0);
+
+  // What a response, failure or deadline event needs beyond its device.
+  // Kept in a coordinator-owned slab, one slot per pending event, reused
+  // through a free list once the event has run.
+  struct Report {
+    JobId job;
+    RequestId request;
+    int round = 0;
+    double exec = 0.0;
+  };
+  std::uint32_t put_report(const Report& r);
+  Report take_report(std::uint32_t slot);
+  std::vector<Report> reports_;
+  std::vector<std::uint32_t> free_reports_;
+
   void schedule_job_arrival(std::size_t job_idx);
   void submit_request(Job* job);
   // Open-loop admission: create + register a job sampled from the mix.
@@ -322,6 +353,9 @@ class Coordinator {
   void on_response(JobId job, RequestId request, std::size_t dev_idx,
                    int assigned_round, double response_time);
   void maybe_complete(Job* job);
+  // The session ended before the computation did: one failure of the
+  // request, reopening one unit of demand while it is still allocating.
+  void on_failure(JobId job, RequestId request, std::size_t dev_idx);
   void on_deadline(JobId job, RequestId request);
   void finish_job(Job* job);
   // Straggler disposition: release every device still computing for

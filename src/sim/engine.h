@@ -24,6 +24,8 @@ class Engine {
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
 
+  // Closure events (the queue's kClosure kind). Frequent event shapes
+  // belong in typed events through queue() and its handler instead.
   void at(SimTime t, EventFn fn) { queue_.schedule(t, std::move(fn)); }
   void after(SimTime delay, EventFn fn) {
     queue_.schedule_after(delay, std::move(fn));

@@ -66,7 +66,11 @@ std::vector<std::pair<SimTime, double>> Series::snapshot() const {
 }
 
 void TimeSeriesStore::record(std::uint64_t key, SimTime t, double value) {
-  series_[key].append(t, value);
+  const auto [it, created] = series_.try_emplace(key);
+  if (created) {
+    keys_.insert(std::upper_bound(keys_.begin(), keys_.end(), key), key);
+  }
+  it->second.append(t, value);
 }
 
 const Series* TimeSeriesStore::find(std::uint64_t key) const {
@@ -79,14 +83,6 @@ double TimeSeriesStore::rate(std::uint64_t key, SimTime now,
   const Series* s = find(key);
   if (s == nullptr) return 0.0;
   return s->rate_in_window(now, window).value_or(0.0);
-}
-
-std::vector<std::uint64_t> TimeSeriesStore::keys() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(series_.size());
-  for (const auto& [k, _] : series_) out.push_back(k);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void TimeSeriesStore::compact_all(SimTime now, SimTime horizon) {

@@ -77,7 +77,11 @@ class TimeSeriesStore {
   [[nodiscard]] double rate(std::uint64_t key, SimTime now,
                             SimTime window) const;
 
-  [[nodiscard]] std::vector<std::uint64_t> keys() const;
+  // Every key recorded so far, ascending. Kept sorted as record() creates
+  // series (compaction never removes one), so reading it allocates nothing.
+  [[nodiscard]] const std::vector<std::uint64_t>& keys() const {
+    return keys_;
+  }
 
   void compact_all(SimTime now, SimTime horizon);
 
@@ -85,6 +89,7 @@ class TimeSeriesStore {
 
  private:
   std::unordered_map<std::uint64_t, Series> series_;
+  std::vector<std::uint64_t> keys_;  // the keys of series_, ascending
 };
 
 }  // namespace venn::tsdb
