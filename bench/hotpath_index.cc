@@ -249,7 +249,7 @@ ExperimentInputs make_sweep_fleet(std::size_t devices, SimTime horizon,
     // Below the rich thresholds on both axes: General-only signatures.
     const DeviceSpec spec{0.05 + 0.4 * rng.uniform(),
                           0.05 + 0.4 * rng.uniform()};
-    fleet.devices.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec);
+    fleet.devices.push_back(spec);
     fleet.sessions.push_device({&always_on, 1});
   }
   return fleet;

@@ -49,11 +49,11 @@ int main() {
   trace::HardwareConfig hw;
   trace::AvailabilityConfig avail;
   avail.horizon = 7 * kDay;
-  std::vector<Device> devices;
+  std::vector<DeviceSpec> devices;  // device i is devices[i]
   SessionColumn sessions;
   for (int i = 0; i < 1500; ++i) {
     sessions.push_device(trace::generate_sessions(avail, rng));
-    devices.emplace_back(DeviceId(i), trace::sample_spec(hw, rng));
+    devices.push_back(trace::sample_spec(hw, rng));
   }
 
   const auto ex = ExperimentBuilder()

@@ -178,10 +178,9 @@ std::uint64_t inputs_digest(const ExperimentInputs& in) {
   };
   mix_u64(static_cast<std::uint64_t>(in.devices.size()));
   for (std::size_t i = 0; i < in.devices.size(); ++i) {
-    const Device& d = in.devices[i];
-    mix_u64(static_cast<std::uint64_t>(d.id().value()));
-    mix_f64(d.spec().cpu_score);
-    mix_f64(d.spec().mem_score);
+    mix_u64(static_cast<std::uint64_t>(i));  // the device id
+    mix_f64(in.devices[i].cpu_score);
+    mix_f64(in.devices[i].mem_score);
     const std::span<const Session> ss =
         i < in.sessions.devices() ? in.sessions.of(i)
                                   : std::span<const Session>{};
@@ -237,8 +236,7 @@ ExperimentInputs build_inputs(const ScenarioSpec& s,
     in.sessions.reserve(s.num_devices * trace::max_sessions(avail));
   }
   for (std::size_t i = 0; i < s.num_devices; ++i) {
-    in.devices.emplace_back(DeviceId(static_cast<std::int64_t>(i)),
-                            trace::sample_spec(s.hardware, dev_rng));
+    in.devices.push_back(trace::sample_spec(s.hardware, dev_rng));
     if (gens.churn == nullptr) {
       in.sessions.push_device(trace::generate_sessions(avail, dev_rng));
     }
@@ -450,8 +448,8 @@ ExperimentBuilder& ExperimentBuilder::override_kv(const std::string& token) {
   return set(token.substr(0, eq), token.substr(eq + 1));
 }
 
-ExperimentBuilder& ExperimentBuilder::use_devices(std::vector<Device> devices,
-                                                  SessionColumn sessions) {
+ExperimentBuilder& ExperimentBuilder::use_devices(
+    std::vector<DeviceSpec> devices, SessionColumn sessions) {
   devices_override_ = std::move(devices);
   sessions_override_ = std::move(sessions);
   return *this;
@@ -476,6 +474,14 @@ Experiment ExperimentBuilder::build() const {
     inputs = build_inputs(scenario_, *generators);
   }
   if (devices_override_) {
+    const std::size_t covered = sessions_override_->devices();
+    if (covered != 0 && covered != devices_override_->size()) {
+      throw std::invalid_argument(
+          "use_devices: the session column covers " + std::to_string(covered) +
+          " devices but " + std::to_string(devices_override_->size()) +
+          " device specs were given (it must cover all of them, or none "
+          "when the sessions stream from a churn model)");
+    }
     inputs.devices = *devices_override_;
     inputs.sessions = *sessions_override_;
   }

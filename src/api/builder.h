@@ -186,9 +186,12 @@ class ExperimentBuilder {
   ExperimentBuilder& override_kv(const std::string& token);  // "key=value"
 
   // Replaces the generated population / workload with explicit inputs
-  // (lower-level scenarios like the Fig. 3 toy example). `sessions` is the
-  // devices' trace, one column entry per device.
-  ExperimentBuilder& use_devices(std::vector<Device> devices,
+  // (lower-level scenarios like the Fig. 3 toy example). `devices` are the
+  // hardware specs, device d being devices[d]. `sessions` is their trace,
+  // one column entry per device, or a column covering no device when the
+  // sessions stream from the scenario's churn model; build() rejects any
+  // other device count.
+  ExperimentBuilder& use_devices(std::vector<DeviceSpec> devices,
                                  SessionColumn sessions);
   ExperimentBuilder& use_jobs(std::vector<trace::JobSpec> jobs);
 
@@ -210,7 +213,7 @@ class ExperimentBuilder {
  private:
   ScenarioSpec scenario_;
   PolicySpec policy_;
-  std::optional<std::vector<Device>> devices_override_;
+  std::optional<std::vector<DeviceSpec>> devices_override_;
   std::optional<SessionColumn> sessions_override_;
   std::optional<std::vector<trace::JobSpec>> jobs_override_;
   std::vector<RunObserver*> observers_;

@@ -36,7 +36,7 @@ class TimeSeriesRecorder final : public RunObserver {
   // zero, so carrying points across runs would break series monotonicity.
   void on_run_start() override { store_ = {}; }
 
-  void on_assignment(const Device&, const Job&, const AssignOutcome&,
+  void on_assignment(const DeviceView&, const Job&, const AssignOutcome&,
                      SimTime now) override {
     store_.record(kAssignments, now);
   }
@@ -46,7 +46,8 @@ class TimeSeriesRecorder final : public RunObserver {
     store_.record(kResponses, now, static_cast<double>(staleness));
   }
 
-  void on_straggler_released(const Device&, const Job&, SimTime now) override {
+  void on_straggler_released(const DeviceView&, const Job&,
+                             SimTime now) override {
     store_.record(kStragglersReleased, now);
   }
 

@@ -44,12 +44,12 @@ class Coordinator::SweepOrder {
 };
 
 Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
-                         std::vector<Device> devices, SessionColumn sessions,
+                         std::vector<DeviceSpec> devices,
+                         SessionColumn sessions,
                          std::vector<trace::JobSpec> specs,
                          CoordinatorConfig cfg)
     : engine_(engine),
       manager_(manager),
-      devices_(std::move(devices)),
       sessions_(std::move(sessions)),
       specs_(std::move(specs)),
       cfg_(cfg),
@@ -59,17 +59,22 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
     throw std::invalid_argument(
         "Coordinator: open-loop arrivals require a job-mix sampler");
   }
+  const std::size_t n = devices.size();
   // A column covering no device means the sessions stream from the churn
   // model; without one the fleet is sessionless, which an all-empty column
   // describes.
   streamed_ = cfg_.churn != nullptr && sessions_.devices() == 0;
   if (!streamed_ && sessions_.devices() == 0) {
-    for (std::size_t d = 0; d < devices_.size(); ++d) sessions_.push_device({});
+    for (std::size_t d = 0; d < n; ++d) sessions_.push_device({});
   }
-  if (!devices_.empty()) {
+  // Struct-of-arrays hot state, the run's only per-device store: the specs
+  // move in, the budgets are its participation column, and the
+  // eligibility index below maintains hot_.signature in place.
+  hot_.init(std::move(devices), sessions_);
+  if (n > 0) {
     double acc = 0.0;
-    for (const auto& d : devices_) acc += 1.0 / d.speed();
-    mean_exec_factor_ = acc / static_cast<double>(devices_.size());
+    for (const DeviceSpec& spec : hot_.spec) acc += 1.0 / speed(spec);
+    mean_exec_factor_ = acc / static_cast<double>(n);
   }
   // Hierarchical topology: the immutable contiguous device→region
   // partition, the region→global uplink latency,
@@ -77,19 +82,9 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
   // both are also exactly what hier mode resolves to at regions'
   // boundaries (x + 0.0 == x), which is the zero-latency equivalence
   // contract the topology differential wall pins.
-  regions_ = topology::RegionMap(devices_.size(),
-                                 cfg_.topo.hier ? cfg_.topo.regions : 1);
+  regions_ = topology::RegionMap(n, cfg_.topo.hier ? cfg_.topo.regions : 1);
   uplink_ = cfg_.topo.hier ? cfg_.topo.sync_latency : 0.0;
   if (cfg_.topo.hier) tstats_.per_region.assign(regions_.regions(), {});
-
-  // Struct-of-arrays hot state: one dense column per field the scheduling
-  // loops touch. Devices become views over the participation column (their
-  // budget API now reads/writes hot_.participation_day), and the
-  // eligibility index below maintains hot_.signature in place.
-  hot_.init(std::span<const Device>(devices_), sessions_);
-  for (std::size_t d = 0; d < devices_.size(); ++d) {
-    devices_[d].bind_participation_slot(&hot_.participation_day[d]);
-  }
 
   index_ = std::make_unique<EligibilityIndex>(hot_, manager_.signatures());
   // Durability: the manager emits the submit records (it owns request-id
@@ -283,7 +278,7 @@ void Coordinator::setup() {
   // (sim/event_queue.h), one chunk of simulated time at a time, from the
   // cursors' dense next-start column: at most one pending start per
   // device, in the order eager scheduling would give them.
-  const std::size_t n = devices_.size();
+  const std::size_t n = hot_.size();
   lane_seq_ = engine_.queue().reserve_seqs(n);
   next_start_.assign(n, kNoStart);
   next_end_.assign(n, kNoStart);
@@ -431,8 +426,8 @@ void Coordinator::on_session_start(std::uint32_t d) {
 
 bool Coordinator::external_checkin(std::size_t dev, double duration) {
   const SimTime now = engine_.now();
-  if (dev >= devices_.size() || duration <= 0.0) return false;
-  if (ext_session_end_.empty()) ext_session_end_.resize(devices_.size(), -1.0);
+  if (dev >= hot_.size() || duration <= 0.0) return false;
+  if (ext_session_end_.empty()) ext_session_end_.resize(hot_.size(), -1.0);
   if (active_session_end(dev, now) >= 0.0) return false;  // already online
   ext_session_end_[dev] = now + duration;
   attempt_checkin(dev);
@@ -449,7 +444,7 @@ bool Coordinator::external_checkin(std::size_t dev, double duration) {
 }
 
 bool Coordinator::external_checkout(std::size_t dev) {
-  if (dev >= devices_.size()) return false;
+  if (dev >= hot_.size()) return false;
   bool any = false;
   if (ext_sessions_live() && ext_session_end_[dev] > engine_.now()) {
     // End the grant now; the pending expiry event finds the slot cleared.
@@ -488,7 +483,7 @@ bool Coordinator::external_admit() {
 }
 
 bool Coordinator::external_response(std::size_t dev) {
-  if (dev >= devices_.size()) return false;
+  if (dev >= hot_.size()) return false;
   // Find the device's in-flight computation in job-creation order (the
   // inflight_ map's hashing order must not decide anything observable).
   for (const auto& jp : jobs_) {
@@ -652,7 +647,7 @@ void Coordinator::sweep_idle_pool(SimTime now) {
       continue;
     }
     ++hstats_.sweep_offers;
-    const auto outcome = manager_.offer(devices_[d], sig[d], now);
+    const auto outcome = manager_.offer(d, hot_.spec[d], sig[d], now);
     if (outcome) {
       assigned.push_back(d);
       handle_outcome(d, *outcome);
@@ -663,15 +658,14 @@ void Coordinator::sweep_idle_pool(SimTime now) {
 }
 
 void Coordinator::attempt_checkin(std::size_t dev_idx) {
-  Device& dev = devices_[dev_idx];
   const SimTime now = engine_.now();
 
   const SimTime session_end = active_session_end(dev_idx, now);
   if (session_end < 0.0) return;  // no active session
 
-  if (dev.participated_on_day(Device::day_of(now))) {
+  if (hot_.participated_on_day(dev_idx, day_of(now))) {
     // Budget spent: re-arm when it resets, if the session is still open.
-    const SimTime next_day = (Device::day_of(now) + 1) * kDay;
+    const SimTime next_day = (day_of(now) + 1) * kDay;
     if (next_day < session_end && next_day < cfg_.horizon) {
       post(next_day, kRearm, dev_idx);
     }
@@ -683,8 +677,8 @@ void Coordinator::attempt_checkin(std::size_t dev_idx) {
   // second task while the first is still running — the one-job-per-day
   // rule is a budget, not a mutex.
 
-  const auto outcome =
-      manager_.device_checkin(dev, index_->signatures()[dev_idx], now);
+  const auto outcome = manager_.device_checkin(
+      dev_idx, hot_.spec[dev_idx], index_->signatures()[dev_idx], now);
   if (cfg_.journal != nullptr) {
     cfg_.journal->on_checkin(now, dev_idx, outcome.has_value());
   }
@@ -707,9 +701,8 @@ void Coordinator::attempt_checkin(std::size_t dev_idx) {
 
 void Coordinator::handle_outcome(std::size_t dev_idx,
                                  const AssignOutcome& outcome) {
-  Device& dev = devices_[dev_idx];
   const SimTime now = engine_.now();
-  dev.mark_participation(Device::day_of(now));
+  hot_.mark_participation(dev_idx, day_of(now));
   if (cfg_.journal != nullptr) {
     cfg_.journal->on_assignment(now, dev_idx, outcome.job, outcome.request,
                                 outcome.round);
@@ -720,12 +713,12 @@ void Coordinator::handle_outcome(std::size_t dev_idx,
 
   // A device whose session outlasts today regains its participation budget
   // at the next day boundary.
-  post((Device::day_of(now) + 1) * kDay, kRearm, dev_idx);
+  post((day_of(now) + 1) * kDay, kRearm, dev_idx);
 
   Job* job = by_id_.at(outcome.job);
-  const double exec = dev.sample_exec_time(job->spec().nominal_task_s,
-                                           job->spec().task_cv,
-                                           engine_.rng());
+  const double exec =
+      sample_exec_time(hot_.spec[dev_idx], job->spec().nominal_task_s,
+                       job->spec().task_cv, engine_.rng());
 
   // The device's current session must outlast the computation, otherwise the
   // task fails when the device goes offline (ephemerality).
@@ -821,8 +814,8 @@ void Coordinator::on_response(JobId jid, RequestId rid, std::size_t dev_idx,
   if (cfg_.journal != nullptr) {
     cfg_.journal->on_response(engine_.now(), jid, rid, dev_idx, staleness);
   }
-  manager_.notify_response(jid, devices_[dev_idx].spec().capacity(),
-                           response_time, engine_.now(), staleness);
+  manager_.notify_response(jid, hot_.spec[dev_idx].capacity(), response_time,
+                           engine_.now(), staleness);
   if (protocol_->continuous_admission()) {
     // The response frees its slot: the long-lived request re-opens one
     // unit of demand and the scheduler may admit another device.
@@ -984,14 +977,18 @@ std::size_t Coordinator::release_stragglers(Job* job, RequestId rid,
     if (cfg_.journal != nullptr) {
       cfg_.journal->on_straggler_release(now, entry.dev, job->id());
     }
-    Device& dev = devices_[entry.dev];
     // Refund the day budget charged at assignment; the already-scheduled
     // response/failure event for the cut-off computation fires into a
     // stale request id and is ignored.
-    dev.refund_participation(Device::day_of(entry.started));
-    manager_.notify_straggler_released(dev, *job, now);
+    hot_.refund_participation(entry.dev, day_of(entry.started));
+    const DeviceSpec& spec = hot_.spec[entry.dev];
+    manager_.notify_straggler_released(
+        {DeviceId(static_cast<std::int64_t>(entry.dev)), spec,
+         manager_.signatures().signature_of(spec)},
+        *job, now);
     const SimTime session_end = active_session_end(entry.dev, now);
-    if (session_end >= 0.0 && !dev.participated_on_day(Device::day_of(now))) {
+    if (session_end >= 0.0 &&
+        !hot_.participated_on_day(entry.dev, day_of(now))) {
       // The disjointness invariant — a computing straggler cannot already
       // be parked — holds only within the assignment's own day: the midnight-budget rule (see attempt_checkin) re-parks a
       // device whose computation spans a day boundary, so a release after
@@ -1000,7 +997,7 @@ std::size_t Coordinator::release_stragglers(Job* job, RequestId rid,
       // Same-day, a pool entry can only mean this InFlight entry went
       // stale, and a silent no-op insert would hide it. Throw instead.
       if (hot_.idle_pos[entry.dev] != 0) {
-        if (Device::day_of(now) > Device::day_of(entry.started)) continue;
+        if (day_of(now) > day_of(entry.started)) continue;
         throw std::logic_error(
             "Coordinator: straggler release found device " +
             std::to_string(entry.dev) +
@@ -1110,11 +1107,9 @@ journal::StateSnapshot Coordinator::capture_snapshot() {
     add("idle-pool", e);
   }
   {
-    // Participation budgets from the hot store's dense column — the very
-    // slots the devices' budget API reads and writes (they are views over
-    // it), so the bytes are identical to a per-device walk.
+    // Participation budgets: the hot store's dense column, in device order.
     journal::Encoder e;
-    e.u64(static_cast<std::uint64_t>(devices_.size()));
+    e.u64(static_cast<std::uint64_t>(hot_.size()));
     for (const std::int32_t day : hot_.participation_day) e.i32(day);
     add("devices", e);
   }

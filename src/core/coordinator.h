@@ -17,6 +17,13 @@
 //
 // Each device participates in at most one job per day (§5.1 realism rule).
 //
+// A device is its position in the fleet. The constructor moves the fleet's
+// specs into the coordinator's FleetHotState (device/fleet.h), the run's
+// only per-device store: specs, eligibility signatures, idle-pool
+// positions and the one-job-per-day budgets are columns indexed by that
+// position, and every hook below (external_checkin, session_end, ...)
+// names a device by it.
+//
 // The round lifecycle — selection target, completion predicate, deadline
 // behavior, straggler disposition — is pluggable via
 // `CoordinatorConfig::protocol` (src/protocol/): `sync` reproduces the
@@ -54,7 +61,7 @@
 
 #include "core/elig_index.h"
 #include "core/resource_manager.h"
-#include "device/fleet_partition.h"
+#include "device/fleet.h"
 #include "journal/sink.h"
 #include "journal/snapshot.h"
 #include "protocol/protocol.h"
@@ -119,17 +126,18 @@ struct CoordinatorConfig {
 
 class Coordinator final : private sim::EventHandler {
  public:
-  // `devices` are the fleet and `sessions` their trace, one column entry
-  // per device — or a column covering no device, when the sessions stream
-  // from `cfg.churn` (without a churn model the fleet is then sessionless).
-  // `specs` define the workload. The coordinator owns the resulting Job
-  // objects.
+  // `devices` are the fleet's hardware specs (device d is devices[d]; they
+  // move into the hot-state store) and `sessions` their trace, one column
+  // entry per device — or a column covering no device, when the sessions
+  // stream from `cfg.churn` (without a churn model the fleet is then
+  // sessionless). `specs` define the workload. The coordinator owns the
+  // resulting Job objects.
   Coordinator(sim::Engine& engine, ResourceManager& manager,
-              std::vector<Device> devices, SessionColumn sessions,
+              std::vector<DeviceSpec> devices, SessionColumn sessions,
               std::vector<trace::JobSpec> specs, CoordinatorConfig cfg = {});
 
-  // Non-movable: the devices are bound as views over the hot-state store's
-  // participation column (stable addresses for the run's lifetime).
+  // Non-copyable and non-movable: the eligibility index holds the address
+  // of the hot-state store for the run's lifetime.
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
@@ -179,7 +187,6 @@ class Coordinator final : private sim::EventHandler {
   [[nodiscard]] const std::vector<std::unique_ptr<Job>>& jobs() const {
     return jobs_;
   }
-  [[nodiscard]] const std::vector<Device>& devices() const { return devices_; }
   [[nodiscard]] SimTime horizon() const { return cfg_.horizon; }
 
   // Contention-free JCT estimate sd_i for a job spec given this device
@@ -219,10 +226,10 @@ class Coordinator final : private sim::EventHandler {
   // The eligibility index. For tests and the journal inspector.
   [[nodiscard]] const EligibilityIndex& index() const { return *index_; }
 
-  // The struct-of-arrays hot-state store backing the sweep filter, the
-  // eligibility index and the participation budgets. For tests (the
-  // brute-force supply oracle and the SoA-vs-live signature property
-  // check read it).
+  // The struct-of-arrays hot-state store: the fleet's specs, the sweep
+  // filter's signatures, the participation budgets. Its size() is the
+  // fleet size. Also read by tests (the brute-force supply oracle and the
+  // SoA-vs-live signature property check).
   [[nodiscard]] const FleetHotState& hot_state() const { return hot_; }
 
   // Sweep wall time, the denominator of the sweep-throughput metric that
@@ -377,7 +384,6 @@ class Coordinator final : private sim::EventHandler {
 
   sim::Engine& engine_;
   ResourceManager& manager_;
-  std::vector<Device> devices_;
   SessionColumn sessions_;  // covers the fleet unless streamed_
   std::vector<trace::JobSpec> specs_;
   CoordinatorConfig cfg_;
@@ -385,12 +391,11 @@ class Coordinator final : private sim::EventHandler {
   std::vector<std::unique_ptr<Job>> jobs_;
   std::unordered_map<JobId, Job*> by_id_;
 
-  // Struct-of-arrays hot state (device/fleet_partition.h): eligibility
-  // signatures (written by the index), idle-pool positions, participation
-  // budgets (Device objects are views over that column), dense spec and
-  // session columns for the index rebuckets and the hier region supply
-  // partials. Initialized in the constructor; array addresses are stable
-  // for the run.
+  // Struct-of-arrays hot state (device/fleet.h), the only per-device
+  // store: specs, eligibility signatures (written by the index), idle-pool
+  // positions, participation budgets, and the session columns for the
+  // index rebuckets and the hier region supply partials. Initialized in
+  // the constructor; array addresses are stable for the run.
   FleetHotState hot_;
 
   // Idle pool as a dense vector + position map (hot_.idle_pos): O(1)

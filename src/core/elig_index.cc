@@ -2,22 +2,8 @@
 
 namespace venn {
 
-EligibilityIndex::EligibilityIndex(std::span<const Device> devices,
-                                   const SessionColumn& sessions)
-    : owned_(std::make_unique<FleetHotState>()),
-      owned_space_(std::make_unique<SignatureSpace>()),
-      hot_(owned_.get()),
-      space_(owned_space_.get()) {
-  owned_->init(devices, sessions);
-  seed_zero_bucket();
-}
-
 EligibilityIndex::EligibilityIndex(FleetHotState& hot, SignatureSpace& space)
     : hot_(&hot), space_(&space) {
-  seed_zero_bucket();
-}
-
-void EligibilityIndex::seed_zero_bucket() {
   // Everything starts in the signature-0 bucket; requirement registrations
   // move devices to their atoms incrementally.
   Atom& zero = atoms_[0];

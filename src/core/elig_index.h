@@ -19,32 +19,27 @@
 //     assert (tests/elig_index_test.cc, tests/supply_oracle_test.cc).
 //
 // Storage note: the per-device columns the index maintains — the signature
-// cache, the dense spec copy the rebucket predicate reads, the per-device
-// session counts — live in the fleet's struct-of-arrays FleetHotState
-// (device/fleet_partition.h), not in this class. The coordinator owns that
-// store and shares it by reference, so the sweep filter can AND the very
-// same contiguous `signature` array against the manager's wants mask with
-// no per-device indirection; a standalone index (tests, benches) owns a
-// private store instead. Either way the index is the sole writer of the
-// signature column.
+// cache, and the spec and session-count columns the rebucket predicate
+// reads — live in the fleet's struct-of-arrays FleetHotState
+// (device/fleet.h), not in this class. The index works over a store it
+// does not own (the coordinator's, or in tests one built over a test
+// fleet), so the sweep filter can AND the very same contiguous `signature`
+// array against the manager's wants mask with no per-device indirection.
+// The index is the sole writer of the signature column.
 //
-// Requirement bits come from one SignatureSpace (device/eligibility.h):
-// the coordinator's index registers into the resource manager's space, so
-// a bit means the same requirement to both, and a standalone index owns a
-// private space the way it owns a private store. Requirements the space
-// gains from another registrant are rebucketed before the column is read
-// (`signatures()`), so the column carries every bit of the space however
-// the registrations were ordered.
+// Requirement bits come from one SignatureSpace (device/eligibility.h),
+// which the index also does not own: the coordinator's index registers
+// into the resource manager's space, so a bit means the same requirement
+// to both. Requirements the space gains from another registrant are
+// rebucketed before the column is read (`signatures()`), so the column
+// carries every bit of the space however the registrations were ordered.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <unordered_map>
 
-#include "device/device.h"
 #include "device/eligibility.h"
-#include "device/fleet_partition.h"
+#include "device/fleet.h"
 
 namespace venn {
 
@@ -64,18 +59,10 @@ class EligibilityIndex {
     std::uint64_t device_rescans = 0;  // device visits across registrations
   };
 
-  // Builds the index over a fixed population with a privately owned
-  // hot-state store and requirement space. Devices are identified by their
-  // position in `devices` for the index's lifetime; `sessions` is their
-  // trace (a column covering no device for streaming-churn populations).
-  EligibilityIndex(std::span<const Device> devices,
-                   const SessionColumn& sessions);
-
-  // Builds the index over an externally owned, already-initialized store
-  // (the coordinator's FleetHotState) and requirement space (the resource
-  // manager's). The index becomes the sole writer of `hot.signature` and
-  // reads `hot.spec` / `hot.session_checkins`; both must outlive the index,
-  // and `hot` must have been init'ed over the same device population.
+  // Builds the index over an already-initialized store (the coordinator's
+  // FleetHotState) and a requirement space (the resource manager's). The
+  // index becomes the sole writer of `hot.signature` and reads `hot.spec` /
+  // `hot.session_checkins`; both must outlive the index.
   EligibilityIndex(FleetHotState& hot, SignatureSpace& space);
 
   // Registers `req` in the space (idempotent), returns its bit index. A new
@@ -143,18 +130,11 @@ class EligibilityIndex {
   }
 
  private:
-  // Seeds the signature-0 bucket from the store's columns (everything
-  // starts eligible for no requirement).
-  void seed_zero_bucket();
-
   // Rebuckets the space's bits [bucketed_, size()), one pass each.
   void sync();
 
-  // Standalone-construction fallbacks.
-  std::unique_ptr<FleetHotState> owned_;
-  std::unique_ptr<SignatureSpace> owned_space_;
-  FleetHotState* hot_ = nullptr;     // the store (owned_ or external)
-  SignatureSpace* space_ = nullptr;  // the bits (owned_space_ or external)
+  FleetHotState* hot_ = nullptr;
+  SignatureSpace* space_ = nullptr;
   std::size_t bucketed_ = 0;         // space bits already in the column
   std::unordered_map<std::uint64_t, Atom> atoms_;
   MaintenanceStats mstats_;

@@ -15,9 +15,8 @@ ExperimentInputs build_inputs(const ExperimentConfig& cfg) {
   avail.horizon = cfg.horizon;
   in.sessions.reserve(cfg.num_devices * trace::max_sessions(avail));
   for (std::size_t i = 0; i < cfg.num_devices; ++i) {
-    const DeviceSpec spec = trace::sample_spec(cfg.hardware, dev_rng);
+    in.devices.push_back(trace::sample_spec(cfg.hardware, dev_rng));
     in.sessions.push_device(trace::generate_sessions(avail, dev_rng));
-    in.devices.emplace_back(DeviceId(static_cast<std::int64_t>(i)), spec);
   }
 
   const auto base = trace::generate_base_trace(cfg.job_trace, job_rng);

@@ -48,11 +48,12 @@ struct ExperimentConfig {
   VennConfig venn;
 };
 
-// Pre-generated inputs, reusable across policies. `sessions` is the
+// Pre-generated inputs, reusable across policies. `devices` holds each
+// device's hardware spec; a device's id is its position. `sessions` is the
 // devices' availability trace, one column entry per device; it covers no
 // device when the sessions stream from a churn model at run time.
 struct ExperimentInputs {
-  std::vector<Device> devices;
+  std::vector<DeviceSpec> devices;
   SessionColumn sessions;
   std::vector<trace::JobSpec> jobs;
 };

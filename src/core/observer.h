@@ -12,9 +12,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "device/device.h"
 #include "device/eligibility.h"
 #include "job/job.h"
+#include "scheduler/scheduler.h"
 
 namespace venn {
 
@@ -32,8 +32,9 @@ class RunObserver {
 
   // A device was assigned to a job (the assignment may later fail if the
   // device's session ends before the task completes — observers counting
-  // assignments count attempts, exactly like the Fig. 8a matrix).
-  virtual void on_assignment(const Device& /*dev*/, const Job& /*job*/,
+  // assignments count attempts, exactly like the Fig. 8a matrix). `dev` is
+  // the view the scheduler assigned.
+  virtual void on_assignment(const DeviceView& /*dev*/, const Job& /*job*/,
                              const AssignOutcome& /*outcome*/,
                              SimTime /*now*/) {}
 
@@ -47,8 +48,8 @@ class RunObserver {
   // A round committed or aborted while this device was still computing for
   // it, and the protocol released the device back to the idle pool: its
   // in-flight work is wasted and its day-participation budget refunded.
-  virtual void on_straggler_released(const Device& /*dev*/, const Job& /*job*/,
-                                     SimTime /*now*/) {}
+  virtual void on_straggler_released(const DeviceView& /*dev*/,
+                                     const Job& /*job*/, SimTime /*now*/) {}
 
   // A round completed, with its measured scheduling delay and response
   // collection time.
@@ -68,9 +69,9 @@ using AssignmentMatrix =
 
 class AssignmentMatrixObserver final : public RunObserver {
  public:
-  void on_assignment(const Device& dev, const Job& job, const AssignOutcome&,
-                     SimTime) override {
-    ++matrix_[static_cast<int>(finest_region(dev.spec()))]
+  void on_assignment(const DeviceView& dev, const Job& job,
+                     const AssignOutcome&, SimTime) override {
+    ++matrix_[static_cast<int>(finest_region(dev.spec))]
              [static_cast<int>(job.spec().category)];
   }
 

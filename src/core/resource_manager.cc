@@ -148,21 +148,12 @@ void ResourceManager::release_assignment(JobId id, SimTime now) {
   assignment_failed(id, now);
 }
 
-DeviceView ResourceManager::device_view(const Device& dev) const {
-  DeviceView v;
-  v.id = dev.id();
-  v.spec = dev.spec();
-  v.signature = sigs_.signature_of(dev.spec());
-  return v;
-}
-
-std::optional<AssignOutcome> ResourceManager::offer(const Device& dev,
+std::optional<AssignOutcome> ResourceManager::offer(std::size_t dev,
+                                                    const DeviceSpec& spec,
                                                     std::uint64_t signature,
                                                     SimTime now) {
-  DeviceView view;
-  view.id = dev.id();
-  view.spec = dev.spec();
-  view.signature = signature;
+  const DeviceView view{DeviceId(static_cast<std::int64_t>(dev)), spec,
+                        signature};
   ++hstats_.offers;
 
   // Candidate enumeration walks only the (cached, id-ordered) entries whose
@@ -205,15 +196,17 @@ std::optional<AssignOutcome> ResourceManager::offer(const Device& dev,
     wants_dirty_ = true;
   }
   for (RunObserver* obs : observers_) {
-    obs->on_assignment(dev, *e.job, out, now);
+    obs->on_assignment(view, *e.job, out, now);
   }
   return out;
 }
 
 std::optional<AssignOutcome> ResourceManager::device_checkin(
-    const Device& dev, std::uint64_t signature, SimTime now) {
-  scheduler_->on_device_checkin({dev.id(), dev.spec(), signature}, now);
-  return offer(dev, signature, now);
+    std::size_t dev, const DeviceSpec& spec, std::uint64_t signature,
+    SimTime now) {
+  scheduler_->on_device_checkin(
+      {DeviceId(static_cast<std::int64_t>(dev)), spec, signature}, now);
+  return offer(dev, spec, signature, now);
 }
 
 void ResourceManager::notify_response(JobId job, double capacity,
@@ -227,7 +220,7 @@ void ResourceManager::notify_response(JobId job, double capacity,
   }
 }
 
-void ResourceManager::notify_straggler_released(const Device& dev,
+void ResourceManager::notify_straggler_released(const DeviceView& dev,
                                                 const Job& job, SimTime now) {
   // Takes the Job directly (not an id): a straggler release deferred past
   // the job-finish deregistration must still reach observers.

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/observer.h"
-#include "device/device.h"
 #include "device/eligibility.h"
 #include "job/job.h"
 #include "journal/sink.h"
@@ -71,23 +70,20 @@ class ResourceManager {
   void release_assignment(JobId id, SimTime now);
 
   // ----- device flow -----------------------------------------------------
-  // `signature` is the device's eligibility signature over this manager's
-  // space, read by the coordinator from its index's signature column; it
-  // must carry every bit signatures().signature_of(dev.spec()) would.
+  // A device is its fleet position `dev` with hardware `spec`. `signature`
+  // is its eligibility signature over this manager's space, read by the
+  // coordinator from its index's signature column; it must carry every bit
+  // signatures().signature_of(spec) would.
   //
   // A device checks in (session start). Records supply with the policy and
   // attempts an assignment.
   [[nodiscard]] std::optional<AssignOutcome> device_checkin(
-      const Device& dev, std::uint64_t signature, SimTime now);
-  // The same for a manager driven without an eligibility index: the
-  // signature is computed from the device's spec.
-  [[nodiscard]] std::optional<AssignOutcome> device_checkin(const Device& dev,
-                                                            SimTime now) {
-    return device_checkin(dev, sigs_.signature_of(dev.spec()), now);
-  }
+      std::size_t dev, const DeviceSpec& spec, std::uint64_t signature,
+      SimTime now);
 
   // Re-offer an idle device (no supply re-recording).
-  [[nodiscard]] std::optional<AssignOutcome> offer(const Device& dev,
+  [[nodiscard]] std::optional<AssignOutcome> offer(std::size_t dev,
+                                                   const DeviceSpec& spec,
                                                    std::uint64_t signature,
                                                    SimTime now);
 
@@ -101,7 +97,7 @@ class ResourceManager {
                              SimTime response_time, SimTime now);
   // A protocol released `dev` mid-computation (straggler disposition);
   // forwarded to observers for wasted-work accounting.
-  void notify_straggler_released(const Device& dev, const Job& job,
+  void notify_straggler_released(const DeviceView& dev, const Job& job,
                                  SimTime now);
 
   // ----- observers ---------------------------------------------------------
@@ -116,7 +112,6 @@ class ResourceManager {
   [[nodiscard]] SignatureSpace& signatures() { return sigs_; }
   [[nodiscard]] Scheduler& scheduler() { return *scheduler_; }
   [[nodiscard]] std::size_t num_pending_jobs() const;
-  [[nodiscard]] DeviceView device_view(const Device& dev) const;
 
   // The pending-job view, built fresh from the registered jobs: what every
   // queue change hands the policy. For tests.

@@ -18,18 +18,19 @@ void SessionColumn::push_device(std::span<const Session> sessions) {
   d.offsets.push_back(d.sessions.size());
 }
 
-double Device::speed() const {
+double speed(const DeviceSpec& spec) {
   // Map capacity in [0,1] to speed in [0.12, 1.0]: an ~8x spread between the
   // weakest and strongest devices. AI-Benchmark (the paper's Fig. 2b data
   // source) reports on-device inference times spanning roughly an order of
   // magnitude across the smartphone population, which is what makes
   // straggler-aware tier matching (§4.3) worthwhile.
-  return 0.12 + 0.88 * spec_.capacity();
+  return 0.12 + 0.88 * spec.capacity();
 }
 
-SimTime Device::sample_exec_time(double nominal, double cv, Rng& rng) const {
+SimTime sample_exec_time(const DeviceSpec& spec, double nominal, double cv,
+                         Rng& rng) {
   if (nominal <= 0.0) throw std::invalid_argument("nominal must be > 0");
-  const double mean = nominal / speed();
+  const double mean = nominal / speed(spec);
   return rng.lognormal_mean_cv(mean, cv);
 }
 

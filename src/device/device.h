@@ -7,17 +7,13 @@
 // per day (paper §5.1: "Each unique device trace is limited to one CL job
 // per day for realism").
 //
-// Layout note: Device carries the COLD per-device state (id, spec). A
-// fleet's availability sessions live in one SessionColumn (below), not in
-// the devices, and the hot state the scheduling loops touch per visit —
-// eligibility signature, idle-pool position, the one-job-per-day budget —
-// lives in the struct-of-arrays FleetHotState (device/fleet_partition.h).
-// The participation budget specifically is accessed through this class's
-// API either way: a standalone Device stores it inline, while a fleet
-// Device is *bound* to its FleetHotState slot (bind_participation_slot)
-// and becomes a view over the shared column, so snapshots and hot loops
-// can read the dense int32 array while every call site keeps the same
-// Device-level vocabulary.
+// Layout note: a device is its position in the fleet. There is no device
+// object: its spec, its one-job-per-day budget and the rest of the state
+// the scheduling loops touch live in the struct-of-arrays FleetHotState
+// (device/fleet.h), and a fleet's availability sessions live in one
+// SessionColumn (below). This header holds what acts on one device's
+// values: the execution-time model of a spec and the day arithmetic of the
+// budget.
 #pragma once
 
 #include <cmath>
@@ -111,87 +107,38 @@ class SessionColumn {
   std::shared_ptr<Data> data_ = std::make_shared<Data>();
 };
 
-class Device {
- public:
-  Device(DeviceId id, DeviceSpec spec) : id_(id), spec_(spec) {}
+// Relative execution speed in (0, 1] of a device with this spec: a
+// speed-1.0 device finishes a task in its nominal duration; slower devices
+// take proportionally longer. Affine in capacity so even the weakest
+// devices make progress (the long tail of stragglers the matching
+// algorithm of §4.3 targets).
+[[nodiscard]] double speed(const DeviceSpec& spec);
 
-  // Copies and moves re-point the budget at the destination's own inline
-  // slot (carrying the value): a binding into some other fleet's hot-state
-  // column must not follow the object around.
-  Device(const Device& o)
-      : id_(o.id_), spec_(o.spec_), own_day_(o.last_participation_day()) {}
-  Device& operator=(const Device& o) {
-    if (this == &o) return *this;
-    id_ = o.id_;
-    spec_ = o.spec_;
-    own_day_ = o.last_participation_day();
-    day_ = &own_day_;
-    return *this;
-  }
+// Samples the wall-clock execution time on a device with this spec for a
+// task with nominal duration `nominal` (the duration on a speed-1.0
+// device), log-normal noise with coefficient of variation `cv` (paper §4.3
+// cites log-normal response times).
+[[nodiscard]] SimTime sample_exec_time(const DeviceSpec& spec, double nominal,
+                                       double cv, Rng& rng);
 
-  [[nodiscard]] DeviceId id() const { return id_; }
-  [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
-  // Relative execution speed in (0, 1]: a speed-1.0 device finishes a task
-  // in its nominal duration; slower devices take proportionally longer.
-  // Affine in capacity so even the weakest devices make progress (the
-  // long tail of stragglers the matching algorithm of §4.3 targets).
-  [[nodiscard]] double speed() const;
+// --- one-job-per-day budget -----------------------------------------------
+// A device's budget is the last day it participated, one int32 per device
+// in FleetHotState::participation_day (device/fleet.h).
+//
+// Sentinel for "never participated / budget refunded". INT32_MIN rather
+// than -1: with floor day semantics, day -1 is a legitimate participation
+// day (sessions jittered before t=0), and a -1 sentinel would make its
+// refund a no-op.
+inline constexpr std::int32_t kNeverParticipated =
+    std::numeric_limits<std::int32_t>::min();
 
-  // Samples the wall-clock execution time for a task with nominal duration
-  // `nominal` (the duration on a speed-1.0 device), log-normal noise with
-  // coefficient of variation `cv` (paper §4.3 cites log-normal response
-  // times).
-  [[nodiscard]] SimTime sample_exec_time(double nominal, double cv,
-                                         Rng& rng) const;
-
-  // --- one-job-per-day bookkeeping -------------------------------------
-  // Sentinel for "never participated / budget refunded". INT32_MIN rather
-  // than -1: with floor day semantics, day -1 is a legitimate
-  // participation day (sessions jittered before t=0), and a -1 sentinel
-  // would make its refund a no-op.
-  static constexpr std::int32_t kNeverParticipated =
-      std::numeric_limits<std::int32_t>::min();
-
-  // Makes this Device a view over the fleet's shared participation-day
-  // column: all budget reads/writes go through `slot` (which must outlive
-  // the device or any later rebind). The current inline value is migrated
-  // into the slot so binding is state-preserving at any point.
-  void bind_participation_slot(std::int32_t* slot) {
-    *slot = own_day_;
-    day_ = slot;
-  }
-
-  [[nodiscard]] bool participated_on_day(int day) const {
-    return *day_ == day;
-  }
-  // Raw budget state, for coordinator state snapshots
-  // (kNeverParticipated = never/refunded).
-  [[nodiscard]] int last_participation_day() const { return *day_; }
-  void mark_participation(int day) { *day_ = day; }
-
-  // Straggler release (over-selection protocols): a device cut off
-  // mid-computation did not actually spend its participation — refund the
-  // budget it was charged on `day` so it is re-offerable under the usual
-  // one-job-per-day rules. No-op if the device has since been charged for
-  // a different day.
-  void refund_participation(int day) {
-    if (*day_ == day) *day_ = kNeverParticipated;
-  }
-
-  // Day index of a simulation time, floor semantics: day_of(-0.5) == -1
-  // and day_of(k*kDay) == k exactly. (Truncation toward zero would fold
-  // days -1..0 onto day 0 and corrupt one-job-per-day budgeting for
-  // sessions jittered before t=0 — see the churn models' negative-jitter
-  // note in src/workload/churn.cc.)
-  [[nodiscard]] static int day_of(SimTime t) {
-    return static_cast<int>(std::floor(t / kDay));
-  }
-
- private:
-  DeviceId id_;
-  DeviceSpec spec_;
-  std::int32_t own_day_ = kNeverParticipated;  // budget of an unbound device
-  std::int32_t* day_ = &own_day_;  // the active slot (inline or fleet SoA)
-};
+// Day index of a simulation time, floor semantics: day_of(-0.5) == -1 and
+// day_of(k*kDay) == k exactly. (Truncation toward zero would fold days
+// -1..0 onto day 0 and corrupt one-job-per-day budgeting for sessions
+// jittered before t=0 — see the churn models' negative-jitter note in
+// src/workload/churn.cc.)
+[[nodiscard]] inline int day_of(SimTime t) {
+  return static_cast<int>(std::floor(t / kDay));
+}
 
 }  // namespace venn

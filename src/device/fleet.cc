@@ -1,24 +1,23 @@
-#include "device/fleet_partition.h"
+#include "device/fleet.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
-
-#include "device/device.h"
+#include <utility>
 
 namespace venn {
 
-void FleetHotState::init(std::span<const Device> devices,
+void FleetHotState::init(std::vector<DeviceSpec> specs,
                          const SessionColumn& sessions) {
-  const std::size_t n = devices.size();
+  const std::size_t n = specs.size();
   if (sessions.devices() != 0 && sessions.devices() != n) {
     throw std::invalid_argument("FleetHotState: session column size mismatch");
   }
 
+  spec = std::move(specs);
   signature.assign(n, 0);
   idle_pos.assign(n, 0);
-  participation_day.assign(n, Device::kNeverParticipated);
-  spec.clear();
-  spec.reserve(n);
+  participation_day.assign(n, kNeverParticipated);
   session_checkins.assign(n, 0.0);
   session_last_end.assign(n, 0.0);
 
@@ -26,7 +25,6 @@ void FleetHotState::init(std::span<const Device> devices,
   session_time = 0.0;
   session_count = 0.0;
 
-  for (const Device& d : devices) spec.push_back(d.spec());
   // One pass in device order, so every double aggregate reproduces a
   // per-device scan bit for bit.
   for (std::size_t d = 0; d < sessions.devices(); ++d) {

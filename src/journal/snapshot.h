@@ -8,10 +8,9 @@
 // to the journal and marked in it with a kSnapshotMark record.
 //
 // Capture serializes *logical* state, not memory layout: the per-device
-// participation budgets, for instance, are read out of the fleet's
-// struct-of-arrays hot-state column (device/fleet_partition.h) in device
-// order — byte-identical to the days the former per-Device walk produced,
-// since bound Devices are views over that same column.
+// participation budgets, for instance, are the fleet's struct-of-arrays
+// participation column (device/fleet.h, the only place a budget is
+// stored), written in device order.
 //
 // Restore is event-sourced: the simulation's event queue holds closures
 // and cannot be serialized, so a restored coordinator is produced by

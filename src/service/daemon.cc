@@ -197,7 +197,7 @@ std::string CoordinatorDaemon::status_json() const {
   s += "\"resumed\":" + std::string(resumed_ ? "true" : "false") + ",";
   s += "\"cursor\":" + fmt_double(session_->cursor()) + ",";
   s += "\"horizon\":" + fmt_double(session_->horizon()) + ",";
-  s += "\"fleet\":" + std::to_string(coord.devices().size()) + ",";
+  s += "\"fleet\":" + std::to_string(coord.hot_state().size()) + ",";
   s += "\"idle\":" + std::to_string(coord.idle_pool_size()) + ",";
   s += "\"jobs\":" + std::to_string(coord.jobs().size()) + ",";
   s += "\"unfinished_jobs\":" + std::to_string(coord.unfinished_jobs()) + ",";

@@ -2,12 +2,13 @@
 //
 // `topology=flat` (the default) is the paper's single coordinator loop.
 // `topology=hier` models N regional edge coordinators, each owning a
-// contiguous FleetPartition device range with its own diurnal phase,
-// feeding the global coordinator through the round-protocol interface:
+// contiguous device range with its own diurnal phase, feeding the global
+// coordinator through the round-protocol interface:
 //
-//   * RegionMap — the immutable device→region partition. It reuses the
-//     FleetPartition math, so region r owns [n·r/R, n·(r+1)/R) and every
-//     subsystem that mentions a home region agrees by construction.
+//   * RegionMap — the immutable device→region partition over the
+//     FleetPartition range math below, so region r owns [n·r/R, n·(r+1)/R)
+//     and every subsystem that mentions a home region agrees by
+//     construction.
 //   * Per-region diurnal phase — region r's devices have their availability
 //     sessions shifted by phase_offset(r) = phase_spread_h·kHour·r/R,
 //     modeling timezone spread across a geo-distributed fleet.
@@ -36,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "device/fleet_partition.h"
 #include "util/ids.h"
 
 namespace venn::topology {
@@ -49,6 +49,33 @@ struct TopologySpec {
   std::size_t regions = 4;      // regional coordinators (hier), [2, 64]
   double sync_latency = 0.0;    // region→global uplink latency, seconds
   double phase_spread_h = 0.0;  // diurnal peak spread across regions, hours
+};
+
+// Splits `num_devices` device positions into `parts` contiguous ranges:
+// part p owns [num_devices·p/parts, num_devices·(p+1)/parts). A pure
+// function of (num_devices, parts).
+struct FleetPartition {
+  std::size_t num_devices = 0;
+  std::size_t parts = 1;
+
+  FleetPartition() = default;
+  FleetPartition(std::size_t devices, std::size_t part_count)
+      : num_devices(devices), parts(part_count) {}
+
+  // Device-index range owned by part p: [begin(p), end(p)).
+  [[nodiscard]] std::size_t begin(std::size_t p) const {
+    return num_devices * p / parts;
+  }
+  [[nodiscard]] std::size_t end(std::size_t p) const {
+    return num_devices * (p + 1) / parts;
+  }
+
+  // Home part of device d — the inverse of begin/end: part_of(d) == p
+  // exactly when begin(p) <= d < end(p) (tests/topology_differential_test.cc
+  // checks the two agree over degenerate and non-dividing sizes).
+  [[nodiscard]] std::size_t part_of(std::size_t d) const {
+    return ((d + 1) * parts - 1) / num_devices;
+  }
 };
 
 // Immutable device→region map: contiguous FleetPartition ranges.

@@ -167,11 +167,11 @@ TEST(ExperimentBuilder, BuildGeneratesScenarioInputs) {
 }
 
 TEST(ExperimentBuilder, ExplicitInputOverridesSkipGeneration) {
-  std::vector<Device> devices;
+  std::vector<DeviceSpec> devices;
   SessionColumn sessions;
   const Session day{0.0, kDay};
   for (int i = 0; i < 5; ++i) {
-    devices.emplace_back(DeviceId(i), DeviceSpec{0.5, 0.5});
+    devices.push_back({0.5, 0.5});
     sessions.push_device({&day, 1});
   }
   trace::JobSpec job;
@@ -186,6 +186,46 @@ TEST(ExperimentBuilder, ExplicitInputOverridesSkipGeneration) {
   ASSERT_EQ(ex.inputs().jobs.size(), 1u);
   const RunResult r = ex.run("fifo");
   EXPECT_EQ(r.finished_jobs(), 1u);
+}
+
+TEST(ExperimentBuilder, UseDevicesRejectsMisSizedSessionColumn) {
+  // A session column covers every device or none (sessions streamed from a
+  // churn model); any other count is rejected at build, naming both counts.
+  const std::vector<DeviceSpec> devices(5, DeviceSpec{0.5, 0.5});
+  SessionColumn three;
+  const Session day{0.0, kDay};
+  for (int i = 0; i < 3; ++i) three.push_device({&day, 1});
+  trace::JobSpec job;
+  job.rounds = 1;
+  job.demand = 1;
+  const auto builder = ExperimentBuilder().use_jobs({job});
+  try {
+    (void)ExperimentBuilder(builder).use_devices(devices, three).build();
+    ADD_FAILURE() << "a 3-device column for 5 devices was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("covers 3 devices"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("5 device specs"), std::string::npos) << msg;
+  }
+  EXPECT_NO_THROW(
+      (void)ExperimentBuilder(builder).use_devices(devices, {}).build());
+}
+
+// Known answers of inputs_digest, the value a journal header carries and
+// replay checks against freshly built inputs. A digest that moves makes
+// every journal written by an earlier build unreplayable, so the values
+// are pinned: one trace scenario and one streamed-churn scenario (whose
+// digest covers no session).
+TEST(ExperimentBuilder, InputsDigestKnownAnswers) {
+  const auto base = ExperimentBuilder().seed(17).devices(300).jobs(6).horizon(
+      3.0 * kDay);
+  const auto trace = ExperimentBuilder(base).build();
+  ASSERT_EQ(trace.inputs().sessions.devices(), 300u);
+  EXPECT_EQ(api::inputs_digest(trace.inputs()), 0x7BA1AF5C31BC7178ULL);
+
+  const auto churn = ExperimentBuilder(base).set("churn", "weibull").build();
+  ASSERT_EQ(churn.inputs().sessions.devices(), 0u);
+  EXPECT_EQ(api::inputs_digest(churn.inputs()), 0x31EC8CAB22143656ULL);
 }
 
 TEST(ExperimentBuilder, RunWithRejectsNull) {

@@ -55,8 +55,7 @@ TEST(Coordinator, SingleRoundCompletesFromIdlePool) {
   // 10 devices online at t=0; job arrives at t=100 needing 5: instant fill,
   // response collection = deterministic exec time of a speed-s device.
   auto devices = always_on(10, {0.5, 0.5}, kDay);
-  const Device probe(DeviceId(99), {0.5, 0.5});
-  const double exec = 60.0 / probe.speed();
+  const double exec = 60.0 / speed({0.5, 0.5});
   const RunResult r = run(std::move(devices), {one_job(1, 5, 100.0)});
   ASSERT_EQ(r.finished_jobs(), 1u);
   ASSERT_EQ(r.jobs[0].rounds.size(), 1u);
@@ -88,7 +87,7 @@ TEST(Coordinator, EightyPercentRuleIgnoresStragglers) {
   for (int i = 8; i < 10; ++i) {
     devices.add(DeviceSpec{0.0, 0.0}, {{0.0, kDay}});
   }
-  const double fast_exec = 60.0 / Device(DeviceId(0), {1.0, 1.0}).speed();
+  const double fast_exec = 60.0 / speed({1.0, 1.0});
   const RunResult r = run(std::move(devices), {one_job(1, 10)});
   ASSERT_EQ(r.finished_jobs(), 1u);
   EXPECT_NEAR(r.jobs[0].rounds[0].response_collection, fast_exec, 1e-6);
@@ -341,12 +340,38 @@ class GateScheduler final : public Scheduler {
 
 class AssignmentLog final : public RunObserver {
  public:
-  void on_assignment(const Device& dev, const Job&, const AssignOutcome&,
+  void on_assignment(const DeviceView& dev, const Job&, const AssignOutcome&,
                      SimTime now) override {
-    entries.push_back({dev.id(), now});
+    entries.push_back({dev.id, now});
   }
   std::vector<std::pair<DeviceId, SimTime>> entries;
 };
+
+TEST(Coordinator, SpentBudgetBlocksASecondSessionTheSameDay) {
+  // The one-job-per-day budget, not the day-boundary re-arm, is what keeps
+  // a device with two sessions in one day from a second job that day.
+  // Device 0 is assigned job 0 at t=0 and reports long before its first
+  // session ends; its second session opens at 2 h with job 1 waiting, and
+  // the spent day-0 budget turns it away. Its next assignment is at the
+  // first session of day 1.
+  Fleet fleet;
+  fleet.add(DeviceSpec{0.5, 0.5},
+            {{0.0, kHour}, {2.0 * kHour, 3.0 * kHour}, {kDay, kDay + kHour}});
+  sim::Engine engine(1);
+  ResourceManager mgr(std::make_unique<FifoScheduler>());
+  AssignmentLog log;
+  mgr.add_observer(&log);
+  CoordinatorConfig cfg;
+  cfg.horizon = 2.0 * kDay;
+  Coordinator coord(engine, mgr, std::move(fleet.devices),
+                    std::move(fleet.sessions),
+                    {one_job(1, 1), one_job(1, 1, 1.5 * kHour)}, cfg);
+  coord.run();
+  ASSERT_EQ(log.entries.size(), 2u);
+  EXPECT_EQ(log.entries[0].second, 0.0);
+  EXPECT_EQ(log.entries[1].second, kDay);
+  EXPECT_EQ(coord.hot_state().participation_day[0], 1);
+}
 
 TEST(Coordinator, MidSweepRoundCompletionDefersNestedSweep) {
   // Regression test for idle-sweep reentrancy: a round whose last device is
@@ -483,7 +508,7 @@ TEST(Coordinator, ResponseLandingExactlyAtDeadlineCompletes) {
   // the same handle_outcome call, and the event queue is FIFO among
   // same-time events, so the round completes and the deadline is a no-op.
   // This pins the boundary semantics: "at the deadline" counts.
-  const double exec = 60.0 / Device(DeviceId(9), {1.0, 1.0}).speed();
+  const double exec = 60.0 / speed({1.0, 1.0});
   ASSERT_DOUBLE_EQ(exec, 60.0);
   auto devices = always_on(1, {1.0, 1.0}, kDay);
   const RunResult r = run(std::move(devices),

@@ -7,6 +7,7 @@
 
 #include "device/device.h"
 #include "device/eligibility.h"
+#include "device/fleet.h"
 #include "device/tiering.h"
 #include "util/rng.h"
 
@@ -156,94 +157,84 @@ TEST(Device, SessionColumnCopiesShareUntilWritten) {
 }
 
 TEST(Device, SpeedIncreasesWithCapacity) {
-  const Device slow(DeviceId(0), {0.0, 0.0});
-  const Device fast(DeviceId(1), {1.0, 1.0});
-  EXPECT_LT(slow.speed(), fast.speed());
-  EXPECT_NEAR(slow.speed(), 0.12, 1e-9);
-  EXPECT_NEAR(fast.speed(), 1.0, 1e-9);
+  const DeviceSpec slow{0.0, 0.0};
+  const DeviceSpec fast{1.0, 1.0};
+  EXPECT_LT(speed(slow), speed(fast));
+  EXPECT_NEAR(speed(slow), 0.12, 1e-9);
+  EXPECT_NEAR(speed(fast), 1.0, 1e-9);
   // AI-Benchmark-scale spread: the fastest device is ~8x the slowest.
-  EXPECT_NEAR(fast.speed() / slow.speed(), 8.33, 0.1);
+  EXPECT_NEAR(speed(fast) / speed(slow), 8.33, 0.1);
 }
 
 TEST(Device, ExecTimeScalesInverselyWithSpeed) {
   Rng rng(1);
-  const Device slow(DeviceId(0), {0.0, 0.0});
-  const Device fast(DeviceId(1), {1.0, 1.0});
+  const DeviceSpec slow{0.0, 0.0};
+  const DeviceSpec fast{1.0, 1.0};
   double slow_sum = 0.0, fast_sum = 0.0;
   for (int i = 0; i < 5000; ++i) {
-    slow_sum += slow.sample_exec_time(60.0, 0.3, rng);
-    fast_sum += fast.sample_exec_time(60.0, 0.3, rng);
+    slow_sum += sample_exec_time(slow, 60.0, 0.3, rng);
+    fast_sum += sample_exec_time(fast, 60.0, 0.3, rng);
   }
-  EXPECT_NEAR(slow_sum / fast_sum, fast.speed() / slow.speed(), 0.3);
+  EXPECT_NEAR(slow_sum / fast_sum, speed(fast) / speed(slow), 0.3);
 }
 
 TEST(Device, ExecTimeRejectsBadNominal) {
   Rng rng(1);
-  const Device d(DeviceId(0), {0.5, 0.5});
-  EXPECT_THROW((void)d.sample_exec_time(0.0, 0.3, rng), std::invalid_argument);
+  EXPECT_THROW((void)sample_exec_time({0.5, 0.5}, 0.0, 0.3, rng),
+               std::invalid_argument);
+}
+
+// A one-device fleet store: the budgets live in its participation column.
+FleetHotState one_device_store() {
+  FleetHotState hot;
+  hot.init({DeviceSpec{0.5, 0.5}}, SessionColumn{});
+  return hot;
 }
 
 TEST(Device, ParticipationOncePerDay) {
-  Device d(DeviceId(0), {0.5, 0.5});
-  EXPECT_FALSE(d.participated_on_day(0));
-  d.mark_participation(0);
-  EXPECT_TRUE(d.participated_on_day(0));
-  EXPECT_FALSE(d.participated_on_day(1));
-  EXPECT_EQ(Device::day_of(0.0), 0);
-  EXPECT_EQ(Device::day_of(kDay - 1.0), 0);
-  EXPECT_EQ(Device::day_of(kDay), 1);
+  FleetHotState hot = one_device_store();
+  EXPECT_EQ(hot.participation_day[0], kNeverParticipated);
+  EXPECT_FALSE(hot.participated_on_day(0, 0));
+  hot.mark_participation(0, 0);
+  EXPECT_EQ(hot.participation_day[0], 0);
+  EXPECT_TRUE(hot.participated_on_day(0, 0));
+  EXPECT_FALSE(hot.participated_on_day(0, 1));
+  EXPECT_EQ(day_of(0.0), 0);
+  EXPECT_EQ(day_of(kDay - 1.0), 0);
+  EXPECT_EQ(day_of(kDay), 1);
 }
 
 TEST(Device, DayOfUsesFloorSemantics) {
   // Negative times (churn jitter can place a session start before t=0)
   // must land on day -1, not be folded onto day 0 by trunc-toward-zero —
   // otherwise a pre-horizon participation would consume the day-0 budget.
-  EXPECT_EQ(Device::day_of(-0.5), -1);
-  EXPECT_EQ(Device::day_of(-1.0), -1);
-  EXPECT_EQ(Device::day_of(-kDay + 1.0), -1);
-  EXPECT_EQ(Device::day_of(-kDay), -1);
-  EXPECT_EQ(Device::day_of(-kDay - 1.0), -2);
+  EXPECT_EQ(day_of(-0.5), -1);
+  EXPECT_EQ(day_of(-1.0), -1);
+  EXPECT_EQ(day_of(-kDay + 1.0), -1);
+  EXPECT_EQ(day_of(-kDay), -1);
+  EXPECT_EQ(day_of(-kDay - 1.0), -2);
   // Exact day boundaries belong to the starting day, positive or negative.
-  EXPECT_EQ(Device::day_of(2.0 * kDay), 2);
-  EXPECT_EQ(Device::day_of(2.0 * kDay - 1.0), 1);
-  EXPECT_EQ(Device::day_of(7.0 * kDay), 7);
-  EXPECT_EQ(Device::day_of(-2.0 * kDay), -2);
+  EXPECT_EQ(day_of(2.0 * kDay), 2);
+  EXPECT_EQ(day_of(2.0 * kDay - 1.0), 1);
+  EXPECT_EQ(day_of(7.0 * kDay), 7);
+  EXPECT_EQ(day_of(-2.0 * kDay), -2);
 }
 
 TEST(Device, NegativeTimeBudgetIsDistinctFromDayZero) {
   // A device that participated on day -1 (a session jittered before t=0)
   // must still have its day-0 budget.
-  Device d(DeviceId(0), {0.5, 0.5});
-  d.mark_participation(Device::day_of(-1.0));
-  EXPECT_TRUE(d.participated_on_day(-1));
-  EXPECT_FALSE(d.participated_on_day(0));
-  // And the refund path keys on the same floor day.
-  d.refund_participation(Device::day_of(-0.5));
-  EXPECT_FALSE(d.participated_on_day(-1));
-}
-
-TEST(Device, ParticipationSlotBindingIsAView) {
-  // A bound device reads and writes the external slot (the fleet hot
-  // store's dense column), migrating its current value on bind; copies
-  // re-point at their own inline slot carrying the value.
-  Device d(DeviceId(0), {0.5, 0.5});
-  d.mark_participation(3);
-  std::int32_t slot = -1;
-  d.bind_participation_slot(&slot);
-  EXPECT_EQ(slot, 3);  // bind migrated the inline value
-  d.mark_participation(5);
-  EXPECT_EQ(slot, 5);
-  slot = 7;
-  EXPECT_TRUE(d.participated_on_day(7));
-
-  const Device copy = d;  // must not alias `slot`
-  slot = 9;
-  EXPECT_EQ(copy.last_participation_day(), 7);
-  Device assigned(DeviceId(1), {0.1, 0.1});
-  assigned = d;
-  EXPECT_EQ(assigned.last_participation_day(), 9);
-  slot = 11;
-  EXPECT_EQ(assigned.last_participation_day(), 9);
+  FleetHotState hot = one_device_store();
+  hot.mark_participation(0, day_of(-1.0));
+  EXPECT_EQ(hot.participation_day[0], -1);
+  EXPECT_TRUE(hot.participated_on_day(0, -1));
+  EXPECT_FALSE(hot.participated_on_day(0, 0));
+  // A refund for another day leaves the budget alone...
+  hot.refund_participation(0, day_of(0.5));
+  EXPECT_TRUE(hot.participated_on_day(0, -1));
+  // ...and the refund of the charged day keys on the same floor day.
+  hot.refund_participation(0, day_of(-0.5));
+  EXPECT_FALSE(hot.participated_on_day(0, -1));
+  EXPECT_EQ(hot.participation_day[0], kNeverParticipated);
 }
 
 TEST(TierProfile, NotReadyUntilEnoughSamples) {

@@ -37,7 +37,8 @@ Fleet random_population(std::size_t n, std::uint64_t seed,
 TEST(EligIndex, RegistrationIsIdempotentAndOrdered) {
   const Fleet fleet = random_population(50, 1);
   const auto& devices = fleet.devices;
-  EligibilityIndex idx(devices, fleet.sessions);
+  IndexedFleet store(fleet);
+  EligibilityIndex idx(store.hot, store.space);
   const Requirement general{0.0, 0.0};
   const Requirement compute{0.5, 0.0};
   EXPECT_EQ(idx.register_requirement(general), 0u);
@@ -53,14 +54,15 @@ TEST(EligIndex, RegistrationIsIdempotentAndOrdered) {
 TEST(EligIndex, SignaturesMatchSignatureSpace) {
   const Fleet fleet = random_population(200, 2);
   const auto& devices = fleet.devices;
-  EligibilityIndex idx(devices, fleet.sessions);
+  IndexedFleet store(fleet);
+  EligibilityIndex idx(store.hot, store.space);
   SignatureSpace sigs;
   for (const auto c : all_categories()) {
     const Requirement req = requirement_for(c);
     EXPECT_EQ(idx.register_requirement(req), sigs.register_requirement(req));
   }
   for (std::size_t d = 0; d < devices.size(); ++d) {
-    EXPECT_EQ(idx.signature(d), sigs.signature_of(devices[d].spec()))
+    EXPECT_EQ(idx.signature(d), sigs.signature_of(devices[d]))
         << "device " << d;
   }
 }
@@ -68,7 +70,8 @@ TEST(EligIndex, SignaturesMatchSignatureSpace) {
 TEST(EligIndex, EligibleCountsMatchBruteForce) {
   const Fleet fleet = random_population(300, 3);
   const auto& devices = fleet.devices;
-  EligibilityIndex idx(devices, fleet.sessions);
+  IndexedFleet store(fleet);
+  EligibilityIndex idx(store.hot, store.space);
   std::vector<Requirement> reqs = {requirement_for(ResourceCategory::kGeneral),
                                    requirement_for(ResourceCategory::kHighPerf),
                                    {0.25, 0.75},
@@ -78,7 +81,7 @@ TEST(EligIndex, EligibleCountsMatchBruteForce) {
     std::size_t expected = 0;
     double expected_checkins = 0.0;
     for (std::size_t d = 0; d < devices.size(); ++d) {
-      if (!req.eligible(devices[d].spec())) continue;
+      if (!req.eligible(devices[d])) continue;
       ++expected;
       expected_checkins += static_cast<double>(fleet.sessions.of(d).size());
     }
@@ -90,7 +93,8 @@ TEST(EligIndex, EligibleCountsMatchBruteForce) {
 TEST(EligIndex, AtomBucketsPartitionThePopulation) {
   const Fleet fleet = random_population(250, 4);
   const auto& devices = fleet.devices;
-  EligibilityIndex idx(devices, fleet.sessions);
+  IndexedFleet store(fleet);
+  EligibilityIndex idx(store.hot, store.space);
   for (const auto c : all_categories()) {
     idx.register_requirement(requirement_for(c));
   }
@@ -109,7 +113,8 @@ TEST(EligIndex, AtomBucketsPartitionThePopulation) {
 TEST(EligIndex, SessionStatisticsMatchTheScanAccumulation) {
   const Fleet fleet = random_population(120, 5);
   const auto& devices = fleet.devices;
-  EligibilityIndex idx(devices, fleet.sessions);
+  IndexedFleet store(fleet);
+  EligibilityIndex idx(store.hot, store.space);
 
   // Brute-force scan over each device's sessions, in device order.
   SimTime span = 0.0;
@@ -132,7 +137,8 @@ TEST(EligIndex, SessionStatisticsMatchTheScanAccumulation) {
 TEST(EligIndex, SessionlessPopulation) {
   const Fleet fleet = random_population(40, 6, /*with_sessions=*/false);
   const auto& devices = fleet.devices;
-  EligibilityIndex idx(devices, fleet.sessions);
+  IndexedFleet store(fleet);
+  EligibilityIndex idx(store.hot, store.space);
   EXPECT_FALSE(idx.has_sessions());
   EXPECT_EQ(idx.session_span(), 0.0);
   const std::size_t g =
@@ -144,7 +150,8 @@ TEST(EligIndex, SessionlessPopulation) {
 TEST(EligIndex, RejectsMoreThan64Requirements) {
   const Fleet fleet = random_population(5, 7);
   const auto& devices = fleet.devices;
-  EligibilityIndex idx(devices, fleet.sessions);
+  IndexedFleet store(fleet);
+  EligibilityIndex idx(store.hot, store.space);
   for (int i = 0; i < 64; ++i) {
     idx.register_requirement({static_cast<double>(i) / 128.0, 0.0});
   }

@@ -1,24 +1,39 @@
-// Test fleets: a device vector and its session column, built device by
-// device with ids equal to positions — the two halves a Coordinator (or a
-// standalone EligibilityIndex) takes.
+// Test fleets: the device specs and their session column, built device by
+// device (a device's id is its position) — the two halves a Coordinator
+// takes — and the hot-state store and requirement space an
+// EligibilityIndex works over.
 #pragma once
 
 #include <vector>
 
-#include "device/device.h"
+#include "device/eligibility.h"
+#include "device/fleet.h"
 
 namespace venn {
 
 struct Fleet {
-  std::vector<Device> devices;
+  std::vector<DeviceSpec> devices;
   SessionColumn sessions;
 
   Fleet& add(DeviceSpec spec, const std::vector<Session>& ss = {}) {
-    devices.emplace_back(DeviceId(static_cast<std::int64_t>(devices.size())),
-                         spec);
+    devices.push_back(spec);
     sessions.push_device(ss);
     return *this;
   }
+};
+
+// A hot-state store over a fleet, laid out as a coordinator lays it out,
+// and a private requirement space: what a coordinator hands its
+// eligibility index. Non-movable, because the index keeps their addresses.
+struct IndexedFleet {
+  explicit IndexedFleet(const Fleet& fleet) {
+    hot.init(fleet.devices, fleet.sessions);
+  }
+  IndexedFleet(const IndexedFleet&) = delete;
+  IndexedFleet& operator=(const IndexedFleet&) = delete;
+
+  FleetHotState hot;
+  SignatureSpace space;
 };
 
 }  // namespace venn

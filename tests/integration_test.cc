@@ -140,7 +140,7 @@ class CountingObserver final : public RunObserver {
   int rounds = 0;
   int finishes = 0;
 
-  void on_assignment(const Device&, const Job&, const AssignOutcome&,
+  void on_assignment(const DeviceView&, const Job&, const AssignOutcome&,
                      SimTime) override {
     ++assignments;
   }

@@ -143,8 +143,7 @@ TEST(PolicyProperty, InputsIndependentOfPolicy) {
   const ExperimentInputs b = api::build_inputs(sc);
   ASSERT_EQ(a.devices.size(), b.devices.size());
   for (std::size_t i = 0; i < a.devices.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.devices[i].spec().cpu_score,
-                     b.devices[i].spec().cpu_score);
+    EXPECT_DOUBLE_EQ(a.devices[i].cpu_score, b.devices[i].cpu_score);
   }
   ASSERT_EQ(a.sessions.devices(), b.sessions.devices());
   for (std::size_t i = 0; i < a.sessions.devices(); ++i) {

@@ -160,8 +160,8 @@ TEST(ProtocolRun, OvercommitReleasesStragglerAndRefundsDayBudget) {
   // so far is wasted, its day budget refunded. Job 1 (demand 1, arrival
   // t=100) can then complete the same day ONLY because of that refund:
   // both devices were charged for day 0 at t=0 and no other device exists.
-  const double exec_fast = 60.0 / Device(DeviceId(8), {1.0, 1.0}).speed();
-  const double exec_med = 60.0 / Device(DeviceId(9), {0.5, 0.5}).speed();
+  const double exec_fast = 60.0 / speed({1.0, 1.0});
+  const double exec_med = 60.0 / speed({0.5, 0.5});
   Fleet devices;
   devices.add(DeviceSpec{1.0, 1.0}, {{0.0, kDay}});
   devices.add(DeviceSpec{0.5, 0.5}, {{0.0, kDay}});
@@ -209,7 +209,7 @@ TEST(ProtocolRun, OvercommitReleasesStragglerReparkedAcrossMidnight) {
   // computing. At kDay every device is re-parked by its day-boundary
   // check-in. The commit at kDay+30 releases the slow straggler — parked,
   // and assigned on the previous day.
-  const double speed_slow = Device(DeviceId(9), {0.5, 0.5}).speed();
+  const double speed_slow = speed({0.5, 0.5});
   Fleet devices;
   for (int i = 0; i < 2; ++i) {
     devices.add(DeviceSpec{1.0, 1.0}, {{0.0, 2.0 * kDay}});
@@ -231,7 +231,7 @@ TEST(ProtocolRun, OvercommitReleasesStragglerReparkedAcrossMidnight) {
   // computing at the commit, and the release happened on the day AFTER
   // the assignment (the only case where a re-park is legal).
   EXPECT_GT(60.0 / speed_slow, 60.0);
-  EXPECT_EQ(Device::day_of(kDay + 30.0), Device::day_of(kDay - 30.0) + 1);
+  EXPECT_EQ(day_of(kDay + 30.0), day_of(kDay - 30.0) + 1);
 }
 
 TEST(ProtocolRun, OvercommitCommitsWhileAllocationStillPending) {
@@ -373,9 +373,9 @@ class GateScheduler final : public Scheduler {
 
 class AssignmentLog final : public RunObserver {
  public:
-  void on_assignment(const Device& dev, const Job&, const AssignOutcome&,
+  void on_assignment(const DeviceView& dev, const Job&, const AssignOutcome&,
                      SimTime now) override {
-    entries.push_back({dev.id(), now});
+    entries.push_back({dev.id, now});
   }
   std::vector<std::pair<DeviceId, SimTime>> entries;
 };

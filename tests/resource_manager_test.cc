@@ -23,8 +23,13 @@ trace::JobSpec make_spec(ResourceCategory cat, int rounds = 2,
   return s;
 }
 
-Device make_device(int id, double cpu, double mem) {
-  return Device(DeviceId(id), {cpu, mem});
+// Checks device `dev` with scores (cpu, mem) in, its signature computed
+// from the manager's space as a coordinator's index column would hold it.
+std::optional<AssignOutcome> check_in(ResourceManager& mgr, std::size_t dev,
+                                      double cpu, double mem, SimTime now) {
+  const DeviceSpec spec{cpu, mem};
+  return mgr.device_checkin(dev, spec, mgr.signatures().signature_of(spec),
+                            now);
 }
 
 TEST(ResourceManager, RegisterAndPendingView) {
@@ -62,12 +67,10 @@ TEST(ResourceManager, EligibilityFiltersCandidates) {
   mgr.open_request(hp_job.id(), 0.0, 0.1);
 
   // Low-end device: not eligible for the HP job.
-  const Device weak = make_device(0, 0.1, 0.1);
-  EXPECT_FALSE(mgr.device_checkin(weak, 1.0).has_value());
+  EXPECT_FALSE(check_in(mgr, 0, 0.1, 0.1, 1.0).has_value());
 
   // Strong device: assigned.
-  const Device strong = make_device(1, 0.9, 0.9);
-  const auto outcome = mgr.device_checkin(strong, 2.0);
+  const auto outcome = check_in(mgr, 1, 0.9, 0.9, 2.0);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->job, JobId(1));
   EXPECT_FALSE(outcome->fully_allocated);  // demand 3, assigned 1
@@ -79,19 +82,16 @@ TEST(ResourceManager, FullyAllocatedFlagAndSchedulingDelay) {
   mgr.register_job(&job, 1.0);
   mgr.open_request(job.id(), 10.0, 0.1);
 
-  const Device d0 = make_device(0, 0.5, 0.5);
-  const Device d1 = make_device(1, 0.5, 0.5);
-  auto o1 = mgr.device_checkin(d0, 20.0);
+  auto o1 = check_in(mgr, 0, 0.5, 0.5, 20.0);
   ASSERT_TRUE(o1.has_value());
   EXPECT_FALSE(o1->fully_allocated);
-  auto o2 = mgr.device_checkin(d1, 30.0);
+  auto o2 = check_in(mgr, 1, 0.5, 0.5, 30.0);
   ASSERT_TRUE(o2.has_value());
   EXPECT_TRUE(o2->fully_allocated);
   EXPECT_EQ(job.request()->state, RequestState::kAllocated);
   EXPECT_DOUBLE_EQ(job.request()->scheduling_delay(), 20.0);
   // No more demand: next device is not assigned.
-  const Device d2 = make_device(2, 0.5, 0.5);
-  EXPECT_FALSE(mgr.device_checkin(d2, 40.0).has_value());
+  EXPECT_FALSE(check_in(mgr, 2, 0.5, 0.5, 40.0).has_value());
 }
 
 TEST(ResourceManager, SchedulerSeesQueueNotifications) {
@@ -122,8 +122,7 @@ TEST(ResourceManager, SchedulerSeesQueueNotifications) {
   mgr.register_job(&job, 1.0);
   mgr.open_request(job.id(), 0.0, 0.1);
   EXPECT_EQ(raw->queue_changes, 1);
-  const Device d = make_device(0, 0.5, 0.5);
-  (void)mgr.device_checkin(d, 1.0);
+  (void)check_in(mgr, 0, 0.5, 0.5, 1.0);
   EXPECT_EQ(raw->checkins, 1);
   mgr.notify_response(JobId(1), 0.5, 60.0, 2.0);
   EXPECT_EQ(raw->responses, 1);
@@ -170,10 +169,8 @@ TEST(ResourceManager, DeviceViewSignatureMatchesRegistry) {
   Job h(JobId(2), make_spec(ResourceCategory::kHighPerf));
   mgr.register_job(&g, 1.0);
   mgr.register_job(&h, 1.0);
-  const Device strong = make_device(0, 0.9, 0.9);
-  const Device weak = make_device(1, 0.1, 0.1);
-  EXPECT_EQ(mgr.device_view(strong).signature, 0b11ULL);
-  EXPECT_EQ(mgr.device_view(weak).signature, 0b01ULL);
+  EXPECT_EQ(mgr.signatures().signature_of({0.9, 0.9}), 0b11ULL);
+  EXPECT_EQ(mgr.signatures().signature_of({0.1, 0.1}), 0b01ULL);
 }
 
 // Brute force: the groups of the jobs whose request still wants devices.
@@ -211,8 +208,7 @@ TEST(ResourceManager, WantsMaskFollowsFillsAndReopens) {
     };
     const auto checkin = [&](double score) {
       // Weak devices are eligible for the General job only.
-      const Device dev = make_device(static_cast<int>(now), score, score);
-      (void)mgr.device_checkin(dev, now);
+      (void)check_in(mgr, static_cast<std::size_t>(now), score, score, now);
       now += 1.0;
     };
     const auto reopen = [&](Job& job) {

@@ -1,8 +1,4 @@
 // The sweep filter's cached signature column against the live signature.
-//
-// The suite keeps the name of the shard-vs-serial wall it was part of; the
-// cross-shard tests went with sharded execution, and this property is the
-// one that checks the serial sweep filter itself.
 #include <gtest/gtest.h>
 
 #include "protocol/builtins.h"
@@ -25,9 +21,9 @@ namespace {
 // Run the scenario, assert those conditions actually occurred, then check
 // per device that the cached column reproduces the live signature on all
 // bits — which implies verdict equality for every wants mask the sweep can
-// see. The participation
-// column must likewise match the Device views bound over it.
-TEST(ShardDifferential, SoaFilterVerdictMatchesLiveSignatureFallback) {
+// see. The participation column, the only store of the day budgets, must
+// likewise hold only the sentinel or a day inside the run.
+TEST(SoaFilter, VerdictMatchesLiveSignatureFallback) {
   ScenarioSpec sc;
   sc.seed = 97;
   sc.num_devices = 6'000;
@@ -71,13 +67,12 @@ TEST(ShardDifferential, SoaFilterVerdictMatchesLiveSignatureFallback) {
         << "device " << d;
   }
 
-  // The participation column is the backing store of the Device views;
-  // after refunds (straggler releases above) every slot is either the
-  // sentinel or a real day inside the run.
-  const int last_day = Device::day_of(sc.horizon);
+  // After refunds (straggler releases above) every budget slot is either
+  // the sentinel or a real day inside the run.
+  const int last_day = day_of(sc.horizon);
   for (std::size_t d = 0; d < hot.size(); ++d) {
     const std::int32_t day = hot.participation_day[d];
-    ASSERT_TRUE(day == Device::kNeverParticipated ||
+    ASSERT_TRUE(day == kNeverParticipated ||
                 (day >= -1 && day <= last_day))
         << "device " << d << " day " << day;
   }

@@ -18,9 +18,9 @@
 // same sessions drained into a column about the per-region phase shifts.
 #include <gtest/gtest.h>
 
-#include "device/fleet_partition.h"
 #include "drained_churn.h"
 #include "protocol/builtins.h"
+#include "topology/topology.h"
 #include "venn/venn.h"
 
 namespace venn {
@@ -97,7 +97,7 @@ bool any_round_stat_differs(const RunResult& a, const RunResult& b) {
 TEST(FleetPartitionTest, ShardOfAgreesWithRanges) {
   for (const std::size_t n : {1UL, 2UL, 3UL, 5UL, 7UL, 64UL, 1000UL, 1003UL}) {
     for (const std::size_t parts : {1UL, 2UL, 3UL, 4UL, 7UL, 8UL, 64UL}) {
-      const FleetPartition p(n, parts);
+      const topology::FleetPartition p(n, parts);
       std::size_t covered = 0;
       for (std::size_t s = 0; s < parts; ++s) {
         ASSERT_LE(p.begin(s), p.end(s));

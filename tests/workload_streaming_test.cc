@@ -140,7 +140,7 @@ TEST(StreamingChurn, RequiresChurnModel) {
 TEST(StreamingChurn, CoordinatorRejectsMisSizedSessionColumn) {
   ScenarioSpec sc = streaming_scenario(50, 4.0);
   const Experiment column = drained_churn(ExperimentBuilder().scenario(sc));
-  std::vector<Device> fewer = column.inputs().devices;
+  std::vector<DeviceSpec> fewer = column.inputs().devices;
   fewer.pop_back();
   sim::Engine engine(1);
   ResourceManager manager(PolicyRegistry::instance().create("fifo", {}, 1));
