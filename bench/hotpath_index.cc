@@ -53,7 +53,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_util.h"
 #include "orchestrator/metrics.h"
@@ -166,6 +169,19 @@ CellResult summarize(const std::vector<CellResult>& runs, bool* match) {
   return r;
 }
 
+// Removes a directory and its contents when it goes out of scope (nothing
+// while `path` is empty).
+struct ScratchDir {
+  std::filesystem::path path;
+  ScratchDir() = default;
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
+
 // One devices × jobs cell, with the durability sink on or off. The churn
 // sessions stream inside the timed window, as in any churn run, so the
 // window includes creating every device's churn stream and drawing its
@@ -197,17 +213,23 @@ CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
   ccfg.seed = sc.seed;
   ccfg.churn = gens.churn.get();
 
+  // Declared before the writer, so it runs after the writer has closed
+  // the file, on a throwing cell too.
+  ScratchDir journal_dir;
   std::unique_ptr<journal::JournalWriter> writer;
   if (journal_on) {
     // tmpfs when available: the gate measures the coordinator-side cost of
     // journaling (framing, CRC, buffering, the write syscalls) — disk
     // writeback throughput varies too much across runners to gate on.
+    // One directory per process, so concurrent runs never share a file.
     const std::filesystem::path base =
         std::filesystem::is_directory("/dev/shm")
             ? std::filesystem::path("/dev/shm")
             : std::filesystem::temp_directory_path();
-    const std::string dir = (base / "venn_hotpath_journal").string();
-    std::filesystem::create_directories(dir);
+    journal_dir.path =
+        base / ("venn_hotpath_journal-" + std::to_string(::getpid()));
+    std::filesystem::create_directories(journal_dir.path);
+    const std::string dir = journal_dir.path.string();
     journal::JournalHeader header;
     header.seed = sc.seed;
     header.scenario_kv = sc.to_kv();

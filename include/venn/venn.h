@@ -53,7 +53,7 @@
 #include "api/registry.h"
 #include "api/scenario.h"
 #include "api/sweep.h"
-#include "core/experiment.h"
+#include "core/coordinator.h"
 #include "core/metrics.h"
 #include "core/observer.h"
 #include "journal/reader.h"

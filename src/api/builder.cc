@@ -17,23 +17,6 @@ namespace venn::api {
 
 namespace {
 
-// ScenarioSpec carries the same world-description fields as the legacy
-// ExperimentConfig; input generation reuses the core builder so traces stay
-// byte-identical across the old and new entry points.
-ExperimentConfig to_config(const ScenarioSpec& s) {
-  ExperimentConfig cfg;
-  cfg.seed = s.seed;
-  cfg.num_devices = s.num_devices;
-  cfg.availability = s.availability;
-  cfg.hardware = s.hardware;
-  cfg.num_jobs = s.num_jobs;
-  cfg.workload = s.workload;
-  cfg.bias = s.bias;
-  cfg.job_trace = s.job_trace;
-  cfg.horizon = s.horizon;
-  return cfg;
-}
-
 // The open-loop flag and the dotted knobs only make sense with the matching
 // generator families configured; catch the mismatch before a run.
 void validate_modes(const ScenarioSpec& s) {
@@ -213,22 +196,17 @@ std::string journal_file_path(const ScenarioSpec& scenario,
 ExperimentInputs build_inputs(const ScenarioSpec& s,
                               const workload::GeneratorSet& gens) {
   validate_modes(s);
-  if (!s.uses_generators()) {
-    // Legacy single-model path, byte-identical to pre-generator scenarios.
-    ExperimentInputs in = venn::build_inputs(to_config(s));
-    apply_region_phases(in.sessions, s.topology_spec(), s.horizon);
-    return in;
-  }
-
   ExperimentInputs in;
+  // Dedicated streams so population and workload are independent of each
+  // other and of anything the policies draw later.
   Rng root(s.seed);
   Rng dev_rng = root.fork();
   Rng job_rng = root.fork();
 
   // Devices: hardware specs from the mixture. A churn model's sessions
   // stream from it at run time, so its fleet gets no session column; the
-  // legacy diurnal generator draws from the same sequential dev_rng as the
-  // specs, so its sessions are generated here.
+  // diurnal generator draws from the same sequential dev_rng as the specs,
+  // so its sessions are generated here.
   trace::AvailabilityConfig avail = s.availability;
   avail.horizon = s.horizon;
   in.devices.reserve(s.num_devices);

@@ -10,8 +10,7 @@
 // An Experiment is an immutable (scenario, generated inputs) pair; run()
 // instantiates a registered policy against it, installs the standard
 // observers plus any user-supplied ones, and collects results. Seed streams
-// are derived centrally (Rng::derive) so runs are reproducible and the
-// legacy shim produces byte-identical numbers.
+// are derived centrally (Rng::derive) so runs are reproducible.
 #pragma once
 
 #include <memory>
@@ -21,21 +20,34 @@
 #include <vector>
 
 #include "api/scenario.h"
-#include "core/experiment.h"
 #include "core/metrics.h"
 #include "core/observer.h"
 #include "journal/sink.h"
 #include "protocol/registry.h"
 
+namespace venn {
+
+// Pre-generated inputs, reusable across policies. `devices` holds each
+// device's hardware spec; a device's id is its position. `sessions` is the
+// devices' availability trace, one column entry per device; it covers no
+// device when the sessions stream from a churn model at run time.
+struct ExperimentInputs {
+  std::vector<DeviceSpec> devices;
+  SessionColumn sessions;
+  std::vector<trace::JobSpec> jobs;
+};
+
+}  // namespace venn
+
 namespace venn::api {
 
 // Input generation for a scenario (trace depends only on the seed — never
-// on the policy). Scenarios with workload generators configured build
-// through them: a churn model leaves the session column empty (its
-// sessions stream from the model at run time), mix samplers draw the job
-// list, arrival processes assign submission times. Unconfigured families
-// keep the legacy single-model path byte-identically, sessions in the
-// column.
+// on the policy, so every baseline replays the same world). Two streams
+// forked from the seed: the first draws the devices' hardware specs and,
+// without a churn model, their diurnal sessions (a churn model leaves the
+// session column empty; its sessions stream at run time); the second draws
+// the base job trace and samples the workload from it, unless a mix
+// sampler draws the job list. Arrival processes assign submission times.
 [[nodiscard]] ExperimentInputs build_inputs(const ScenarioSpec& scenario);
 
 // As above with the generator set already instantiated (avoids rebuilding

@@ -50,9 +50,9 @@ struct ScenarioSpec {
   trace::JobTraceConfig job_trace;
 
   // Pluggable generators (src/workload/). An unconfigured family (empty
-  // name) keeps the legacy single-model path for that axis, so existing
-  // scenarios reproduce byte-identically. Names are validated against the
-  // family registry when set.
+  // name) keeps the built-in model for that axis: diurnal sessions, the
+  // base-trace workload sample, its own arrival times. Names are validated
+  // against the family registry when set.
   workload::GeneratorSpec arrival_gen;  // arrival=..., arrival.<key>=...
   workload::GeneratorSpec mix_gen;      // mix=...,     mix.<key>=...
   workload::GeneratorSpec churn_gen;    // churn=...,   churn.<key>=...
@@ -133,13 +133,6 @@ struct ScenarioSpec {
   // replayed run must capture at the original cadence). Throws
   // std::invalid_argument if `name` contains a newline.
   [[nodiscard]] std::string to_kv() const;
-
-  // True when any workload generator family is configured (the scenario
-  // leaves the legacy single-model world).
-  [[nodiscard]] bool uses_generators() const {
-    return arrival_gen.configured() || mix_gen.configured() ||
-           churn_gen.configured();
-  }
 
   // Resolved topology configuration (defaults applied). hier iff
   // topology == "hier"; flat specs get an all-default (inactive) spec.

@@ -51,7 +51,6 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
     : engine_(engine),
       manager_(manager),
       sessions_(std::move(sessions)),
-      specs_(std::move(specs)),
       cfg_(cfg),
       protocol_(cfg.protocol != nullptr ? cfg.protocol
                                         : &protocol::sync_protocol()) {
@@ -90,6 +89,9 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
   // Durability: the manager emits the submit records (it owns request-id
   // assignment); everything else journals from here.
   manager_.set_journal(cfg_.journal);
+
+  jobs_.reserve(specs.size());
+  for (trace::JobSpec& spec : specs) create_job(std::move(spec));
 }
 
 void Coordinator::idle_insert(std::size_t d) {
@@ -228,14 +230,8 @@ void Coordinator::run() {
 }
 
 void Coordinator::setup() {
-  // Job arrivals from the pre-built spec list (closed loop).
-  jobs_.reserve(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    jobs_.push_back(std::make_unique<Job>(JobId(static_cast<int64_t>(i)),
-                                          specs_[i]));
-    by_id_[jobs_.back()->id()] = jobs_.back().get();
-  }
-  unfinished_jobs_ = jobs_.size();
+  // Arrivals of the jobs built from the constructor's spec list (closed
+  // loop).
   for (std::size_t i = 0; i < jobs_.size(); ++i) schedule_job_arrival(i);
 
   // Open-loop arrivals: one pending self-rescheduling event pulls the
@@ -460,17 +456,9 @@ bool Coordinator::external_checkout(std::size_t dev) {
 
 JobId Coordinator::external_submit(trace::JobSpec spec) {
   spec.arrival = engine_.now();
-  const auto idx = static_cast<std::int64_t>(jobs_.size());
-  jobs_.push_back(std::make_unique<Job>(JobId(idx), spec));
-  Job* job = jobs_.back().get();
-  by_id_[job->id()] = job;
-  ++unfinished_jobs_;
+  Job* job = create_job(std::move(spec));
   ++ext_submitted_;
-  if (cfg_.journal != nullptr) {
-    cfg_.journal->on_admission(engine_.now(), job->id(), spec);
-  }
-  manager_.register_job(job, solo_jct_estimate(spec));
-  submit_request(job);
+  admit(job);
   return job->id();
 }
 
@@ -484,17 +472,15 @@ bool Coordinator::external_admit() {
 
 bool Coordinator::external_response(std::size_t dev) {
   if (dev >= hot_.size()) return false;
-  // Find the device's in-flight computation in job-creation order (the
-  // inflight_ map's hashing order must not decide anything observable).
-  for (const auto& jp : jobs_) {
-    const auto it = inflight_.find(jp->id());
-    if (it == inflight_.end()) continue;
-    for (const InFlight& f : it->second) {
+  // Find the device's in-flight computation, in job-creation order.
+  for (std::size_t j = 0; j < inflight_.size(); ++j) {
+    for (const InFlight& f : inflight_[j]) {
       if (f.dev != dev) continue;
       // Deliver now. on_response removes the in-flight entry; the
       // originally scheduled response/failure event then finds the
       // computation untracked and returns without double-counting.
-      on_response(jp->id(), f.rid, dev, f.round, engine_.now() - f.started);
+      on_response(JobId(static_cast<std::int64_t>(j)), f.rid, dev, f.round,
+                  engine_.now() - f.started);
       return true;
     }
   }
@@ -504,16 +490,29 @@ bool Coordinator::external_response(std::size_t dev) {
 void Coordinator::admit_job() {
   trace::JobSpec spec = cfg_.mix->sample(mix_rng_);
   spec.arrival = engine_.now();
-  const auto idx = static_cast<std::int64_t>(jobs_.size());
-  jobs_.push_back(std::make_unique<Job>(JobId(idx), spec));
-  Job* job = jobs_.back().get();
-  by_id_[job->id()] = job;
-  ++unfinished_jobs_;
+  Job* job = create_job(std::move(spec));
   ++admitted_;
+  admit(job);
+}
+
+Job* Coordinator::create_job(trace::JobSpec spec) {
+  const JobId id(static_cast<std::int64_t>(jobs_.size()));
+  jobs_.push_back(std::make_unique<Job>(id, std::move(spec)));
+  inflight_.emplace_back();
+  ++unfinished_jobs_;
+  return jobs_.back().get();
+}
+
+Job* Coordinator::live_job(JobId id) const {
+  Job* job = jobs_[static_cast<std::size_t>(id.value())].get();
+  return job->completion_recorded() ? nullptr : job;
+}
+
+void Coordinator::admit(Job* job) {
   if (cfg_.journal != nullptr) {
-    cfg_.journal->on_admission(engine_.now(), job->id(), spec);
+    cfg_.journal->on_admission(engine_.now(), job->id(), job->spec());
   }
-  manager_.register_job(job, solo_jct_estimate(spec));
+  manager_.register_job(job, solo_jct_estimate(job->spec()));
   submit_request(job);
 }
 
@@ -715,7 +714,11 @@ void Coordinator::handle_outcome(std::size_t dev_idx,
   // at the next day boundary.
   post((day_of(now) + 1) * kDay, kRearm, dev_idx);
 
-  Job* job = by_id_.at(outcome.job);
+  Job* job = live_job(outcome.job);
+  if (job == nullptr) {
+    throw std::logic_error("Coordinator: device assigned to finished job " +
+                           std::to_string(outcome.job.value()));
+  }
   const double exec =
       sample_exec_time(hot_.spec[dev_idx], job->spec().nominal_task_s,
                        job->spec().task_cv, engine_.rng());
@@ -728,7 +731,7 @@ void Coordinator::handle_outcome(std::size_t dev_idx,
   const RequestId rid = outcome.request;
   const JobId jid = outcome.job;
   const int assigned_round = outcome.round;
-  inflight_[jid].push_back({rid, dev_idx, now, assigned_round});
+  inflight_of(jid).push_back({rid, dev_idx, now, assigned_round});
   // Hierarchical topology: the result (or the end-of-session failure
   // report) is held by the device's regional coordinator for `uplink_`
   // seconds before the global coordinator sees it. The uplink rides the
@@ -774,8 +777,7 @@ void Coordinator::handle_outcome(std::size_t dev_idx,
 void Coordinator::on_response(JobId jid, RequestId rid, std::size_t dev_idx,
                               int assigned_round, double response_time) {
   const bool tracked = inflight_remove(jid, rid, dev_idx);
-  auto it = by_id_.find(jid);
-  Job* job = it != by_id_.end() ? it->second : nullptr;
+  Job* job = live_job(jid);
   if (job == nullptr || !job->request() || job->request()->id != rid ||
       job->request()->state == RequestState::kCompleted ||
       job->request()->state == RequestState::kAborted) {
@@ -896,7 +898,7 @@ void Coordinator::on_failure(JobId jid, RequestId rid, std::size_t dev_idx) {
   // Untracked = the computation already resolved (straggler release or an
   // early external response); this timer is then a phantom.
   if (!inflight_remove(jid, rid, dev_idx)) return;
-  Job* j = by_id_.count(jid) ? by_id_.at(jid) : nullptr;
+  Job* j = live_job(jid);
   if (j == nullptr || !j->request() || j->request()->id != rid) return;
   RoundRequest& req = j->mutable_request();
   if (req.state == RequestState::kCompleted ||
@@ -917,10 +919,8 @@ void Coordinator::on_failure(JobId jid, RequestId rid, std::size_t dev_idx) {
 }
 
 void Coordinator::on_deadline(JobId jid, RequestId rid) {
-  auto it = by_id_.find(jid);
-  if (it == by_id_.end()) return;
-  Job* job = it->second;
-  if (!job->request() || job->request()->id != rid) return;
+  Job* job = live_job(jid);
+  if (job == nullptr || !job->request() || job->request()->id != rid) return;
   RoundRequest& req = job->mutable_request();
   // Sync deadlines only fire on allocated rounds; commit-while-pending
   // protocols also abort a round still acquiring devices (their deadline
@@ -956,10 +956,9 @@ std::size_t Coordinator::release_stragglers(Job* job, RequestId rid,
     deferred_releases_.push_back({job, rid});
     return 0;
   }
-  auto it = inflight_.find(job->id());
-  if (it == inflight_.end()) return 0;
   std::size_t released = 0;
-  auto& entries = it->second;
+  // Nothing below creates a job, so `entries` stays valid for the loop.
+  auto& entries = inflight_of(job->id());
   for (std::size_t i = 0; i < entries.size();) {
     if (entries[i].rid != rid) {
       ++i;
@@ -1009,25 +1008,19 @@ std::size_t Coordinator::release_stragglers(Job* job, RequestId rid,
       post(std::min(session_end, cfg_.horizon), kRetireIdle, entry.dev);
     }
   }
-  if (entries.empty()) inflight_.erase(it);
   return released;
 }
 
 bool Coordinator::inflight_remove(JobId jid, RequestId rid, std::size_t dev) {
-  auto it = inflight_.find(jid);
-  if (it == inflight_.end()) return false;
-  auto& entries = it->second;
-  bool removed = false;
+  auto& entries = inflight_of(jid);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (entries[i].rid == rid && entries[i].dev == dev) {
       entries[i] = entries.back();
       entries.pop_back();
-      removed = true;
-      break;
+      return true;
     }
   }
-  if (entries.empty()) inflight_.erase(it);
-  return removed;
+  return false;
 }
 
 void Coordinator::finish_job(Job* job) {
@@ -1040,7 +1033,6 @@ void Coordinator::finish_job(Job* job) {
   // inflight_ entries for the finished job stay: each drains when its
   // response/failure event fires, and keeping them classifies the final
   // round's stragglers as wasted responses (they were never released).
-  by_id_.erase(job->id());
   if (unfinished_jobs_ > 0) --unfinished_jobs_;
 }
 
@@ -1145,15 +1137,13 @@ journal::StateSnapshot Coordinator::capture_snapshot() {
     add("jobs", e);
   }
   {
-    // In-flight computations, iterated in job-creation order (inflight_ is
-    // an unordered_map; hashing order must not leak into the bytes).
+    // In-flight computations of the jobs with any, in id order.
     journal::Encoder e;
-    for (const auto& jp : jobs_) {
-      const auto it = inflight_.find(jp->id());
-      if (it == inflight_.end() || it->second.empty()) continue;
-      e.i64(jp->id().value());
-      e.u64(static_cast<std::uint64_t>(it->second.size()));
-      for (const InFlight& f : it->second) {
+    for (std::size_t j = 0; j < inflight_.size(); ++j) {
+      if (inflight_[j].empty()) continue;
+      e.i64(static_cast<std::int64_t>(j));
+      e.u64(static_cast<std::uint64_t>(inflight_[j].size()));
+      for (const InFlight& f : inflight_[j]) {
         e.i64(f.rid.value());
         e.u64(static_cast<std::uint64_t>(f.dev));
         e.f64(f.started);

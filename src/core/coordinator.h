@@ -22,7 +22,10 @@
 // only per-device store: specs, eligibility signatures, idle-pool
 // positions and the one-job-per-day budgets are columns indexed by that
 // position, and every hook below (external_checkin, session_end, ...)
-// names a device by it.
+// names a device by it. Likewise a job is its position in the
+// coordinator's job table: job i has JobId(i), in creation order, and the
+// per-job in-flight lists are indexed the same way. A job is live from
+// creation until finish_job records its completion.
 //
 // The round lifecycle — selection target, completion predicate, deadline
 // behavior, straggler disposition — is pluggable via
@@ -56,10 +59,10 @@
 
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/elig_index.h"
+#include "core/metrics.h"
 #include "core/resource_manager.h"
 #include "device/fleet.h"
 #include "journal/sink.h"
@@ -130,8 +133,9 @@ class Coordinator final : private sim::EventHandler {
   // move into the hot-state store) and `sessions` their trace, one column
   // entry per device — or a column covering no device, when the sessions
   // stream from `cfg.churn` (without a churn model the fleet is then
-  // sessionless). `specs` define the workload. The coordinator owns the
-  // resulting Job objects.
+  // sessionless). `specs` define the workload: spec i becomes job i, created
+  // here and submitted at its arrival time once the run is set up. The
+  // coordinator owns the Job objects.
   Coordinator(sim::Engine& engine, ResourceManager& manager,
               std::vector<DeviceSpec> devices, SessionColumn sessions,
               std::vector<trace::JobSpec> specs, CoordinatorConfig cfg = {});
@@ -162,7 +166,8 @@ class Coordinator final : private sim::EventHandler {
   // when there was nothing to end.
   bool external_checkout(std::size_t dev);
   // Registers and submits a fully specified job now (arrival is forced to
-  // the current sim time). Returns the assigned id.
+  // the current sim time). Returns the assigned id, the job's position in
+  // jobs().
   JobId external_submit(trace::JobSpec spec);
   // One open-loop admission drawn from the configured mix (requires an
   // open-loop scenario; returns false otherwise).
@@ -273,20 +278,13 @@ class Coordinator final : private sim::EventHandler {
   [[nodiscard]] journal::StateSnapshot capture_snapshot();
 
   // --- protocol accounting ----------------------------------------------
-  // Aggregate round-protocol counters: commits, response staleness
-  // (buffered aggregation) and wasted work (over-selection straggler
-  // releases, results discarded after a round ended). Surfaced into
-  // RunResult::protocol by collect_results.
-  struct ProtocolStats {
-    std::uint64_t commits = 0;         // rounds committed across all jobs
-    std::uint64_t responses = 0;       // responses counted toward a round
-    std::uint64_t wasted_responses = 0;  // results discarded (round ended)
-    std::uint64_t stragglers_released = 0;  // devices cut off mid-compute
-    double wasted_work_s = 0.0;        // compute-seconds thrown away
-    std::uint64_t staleness_sum = 0;   // total staleness over responses
-    std::uint64_t stale_responses = 0;  // responses with staleness >= 1
-  };
-  [[nodiscard]] const ProtocolStats& protocol_stats() const { return pstats_; }
+  // Aggregate round-protocol counters (core/metrics.h): commits, response
+  // staleness (buffered aggregation) and wasted work (over-selection
+  // straggler releases, results discarded after a round ended).
+  // collect_results copies them into RunResult::protocol.
+  [[nodiscard]] const ProtocolCounters& protocol_stats() const {
+    return pstats_;
+  }
 
   // Assignment accounting (the Fig. 8a matrix) is no longer baked in here;
   // install an AssignmentMatrixObserver (core/observer.h) on the
@@ -325,7 +323,15 @@ class Coordinator final : private sim::EventHandler {
   std::vector<Report> reports_;
   std::vector<std::uint32_t> free_reports_;
 
+  // Appends job JobId(jobs_.size()) with its (empty) in-flight list.
+  Job* create_job(trace::JobSpec spec);
+  // The job if it is still live (its completion not yet recorded), else
+  // null.
+  [[nodiscard]] Job* live_job(JobId id) const;
   void schedule_job_arrival(std::size_t job_idx);
+  // Mid-run admission of a just-created job: journals it, registers it
+  // with the manager and submits its first request.
+  void admit(Job* job);
   void submit_request(Job* job);
   // Open-loop admission: create + register a job sampled from the mix.
   void admit_job();
@@ -370,9 +376,9 @@ class Coordinator final : private sim::EventHandler {
   // in-flight work counted as wasted). Returns the number released. Only
   // called for protocols with releases_stragglers(), after the request has
   // been committed or aborted (a released device must not be re-offerable
-  // to the round that just cut it off). Takes the Job pointer, not an id:
-  // a release deferred past finish_job must still reach observers, and the
-  // Job object outlives its by_id_ entry.
+  // to the round that just cut it off). Works on finished jobs too: a
+  // release deferred past finish_job must still reach observers, and
+  // jobs_ keeps every Job for the run.
   std::size_t release_stragglers(Job* job, RequestId rid, SimTime now);
 
   // Hier mode: per-region supply partials for a requirement, computed on
@@ -385,11 +391,9 @@ class Coordinator final : private sim::EventHandler {
   sim::Engine& engine_;
   ResourceManager& manager_;
   SessionColumn sessions_;  // covers the fleet unless streamed_
-  std::vector<trace::JobSpec> specs_;
   CoordinatorConfig cfg_;
 
-  std::vector<std::unique_ptr<Job>> jobs_;
-  std::unordered_map<JobId, Job*> by_id_;
+  std::vector<std::unique_ptr<Job>> jobs_;  // job i is jobs_[i]
 
   // Struct-of-arrays hot state (device/fleet.h), the only per-device
   // store: specs, eligibility signatures (written by the index), idle-pool
@@ -469,12 +473,13 @@ class Coordinator final : private sim::EventHandler {
   // Round protocol in effect: cfg_.protocol or the sync default. Never
   // null after construction.
   const protocol::RoundProtocol* protocol_ = nullptr;
-  ProtocolStats pstats_;
+  ProtocolCounters pstats_;
 
-  // Devices currently computing, per job — the straggler set a release
-  // disposition acts on. Entries are added at assignment and removed when
-  // the response or the in-session failure fires; the per-job vector stays
-  // selection-target sized.
+  // Devices currently computing, per job (inflight_[i] is job i's list,
+  // created with the job) — the straggler set a release disposition acts
+  // on. Entries are added at assignment and removed when the response or
+  // the in-session failure fires; each list stays selection-target sized.
+  // Walks over them run in id order, which is job-creation order.
   struct InFlight {
     RequestId rid;
     std::size_t dev = 0;
@@ -485,7 +490,10 @@ class Coordinator final : private sim::EventHandler {
   // cut-off computation's still-scheduled response/failure event then
   // finds nothing to remove and must not be accounted a second time —
   // inflight_remove reports whether the computation was still tracked.
-  std::unordered_map<JobId, std::vector<InFlight>> inflight_;
+  std::vector<std::vector<InFlight>> inflight_;
+  std::vector<InFlight>& inflight_of(JobId jid) {
+    return inflight_[static_cast<std::size_t>(jid.value())];
+  }
   bool inflight_remove(JobId jid, RequestId rid, std::size_t dev);
 
   // Session cursors, one dense entry per device: the pending session

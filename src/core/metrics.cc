@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/coordinator.h"
+
 namespace venn {
 
 double RunResult::avg_jct() const {
@@ -63,14 +65,7 @@ RunResult collect_results(const Coordinator& coord,
   RunResult out;
   out.scheduler = scheduler_name;
   out.horizon = coord.horizon();
-  const Coordinator::ProtocolStats& ps = coord.protocol_stats();
-  out.protocol.commits = ps.commits;
-  out.protocol.responses = ps.responses;
-  out.protocol.wasted_responses = ps.wasted_responses;
-  out.protocol.stragglers_released = ps.stragglers_released;
-  out.protocol.wasted_work_s = ps.wasted_work_s;
-  out.protocol.staleness_sum = ps.staleness_sum;
-  out.protocol.stale_responses = ps.stale_responses;
+  out.protocol = coord.protocol_stats();
   for (const auto& job : coord.jobs()) {
     JobResult jr;
     jr.id = job->id();

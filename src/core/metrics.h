@@ -11,11 +11,13 @@
 #include <string>
 #include <vector>
 
-#include "core/coordinator.h"
 #include "core/observer.h"
+#include "job/job.h"
 #include "util/stats.h"
 
 namespace venn {
+
+class Coordinator;
 
 struct JobResult {
   JobId id;
@@ -28,10 +30,11 @@ struct JobResult {
   std::vector<RoundStats> rounds;
 };
 
-// Aggregate round-protocol accounting for one run (mirrors
-// Coordinator::ProtocolStats): rounds committed, response staleness under
-// buffered aggregation, and wasted work — straggler releases under
-// over-selection plus results discarded after their round ended.
+// Aggregate round-protocol accounting for one run, counted live by the
+// coordinator (Coordinator::protocol_stats()): rounds committed, response
+// staleness under buffered aggregation, and wasted work — straggler
+// releases under over-selection plus results discarded after their round
+// ended.
 struct ProtocolCounters {
   std::uint64_t commits = 0;
   std::uint64_t responses = 0;

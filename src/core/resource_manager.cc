@@ -10,39 +10,47 @@ ResourceManager::ResourceManager(std::unique_ptr<Scheduler> scheduler)
   if (!scheduler_) throw std::invalid_argument("scheduler must not be null");
 }
 
+ResourceManager::JobEntry* ResourceManager::entry(JobId id) {
+  if (!id.valid() || static_cast<std::size_t>(id.value()) >= jobs_.size()) {
+    return nullptr;
+  }
+  JobEntry& e = jobs_[static_cast<std::size_t>(id.value())];
+  return e.job != nullptr ? &e : nullptr;
+}
+
 void ResourceManager::register_job(Job* job, double solo_jct_estimate) {
   if (job == nullptr) throw std::invalid_argument("job must not be null");
-  if (jobs_.contains(job->id())) {
+  const JobId id = job->id();
+  if (!id.valid()) throw std::invalid_argument("job id must not be negative");
+  if (entry(id) != nullptr) {
     throw std::invalid_argument("job already registered");
   }
-  JobEntry e;
+  const auto idx = static_cast<std::size_t>(id.value());
+  if (idx >= jobs_.size()) jobs_.resize(idx + 1);
+  JobEntry& e = jobs_[idx];
   e.job = job;
   e.group =
       sigs_.register_requirement(requirement_for(job->spec().category));
   e.solo_jct_estimate = solo_jct_estimate;
-  JobEntry& stored = jobs_.emplace(job->id(), e).first->second;
-  const auto pos = std::lower_bound(
-      job_order_.begin(), job_order_.end(), job->id(),
-      [](const JobEntry* a, JobId id) { return a->job->id() < id; });
-  job_order_.insert(pos, &stored);
+  job_order_.insert(
+      std::lower_bound(job_order_.begin(), job_order_.end(), id), id);
   wants_dirty_ = true;
 }
 
 void ResourceManager::deregister_job(JobId id) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
+  JobEntry* e = entry(id);
+  if (e == nullptr) {
     throw std::invalid_argument("deregister_job: unknown job");
   }
   // The coordinator deregisters exactly when the job finished its last round
   // (or never; horizon censoring skips deregistration), so this is the
   // job-finish event.
   for (RunObserver* obs : observers_) {
-    obs->on_job_finish(*it->second.job, it->second.job->completion_time());
+    obs->on_job_finish(*e->job, e->job->completion_time());
   }
-  job_order_.erase(std::lower_bound(
-      job_order_.begin(), job_order_.end(), id,
-      [](const JobEntry* a, JobId b) { return a->job->id() < b; }));
-  jobs_.erase(it);
+  job_order_.erase(
+      std::lower_bound(job_order_.begin(), job_order_.end(), id));
+  *e = JobEntry{};
   wants_dirty_ = true;
 }
 
@@ -75,10 +83,11 @@ std::vector<PendingJob> ResourceManager::pending_view() const {
   // cache, so tests can hold the policy's queue view against it.
   std::vector<PendingJob> out;
   out.reserve(job_order_.size());
-  for (const JobEntry* e : job_order_) {
-    const auto& req = e->job->request();
+  for (const JobId id : job_order_) {
+    const JobEntry& e = slot(id);
+    const auto& req = e.job->request();
     if (!req || !req->wants_devices()) continue;
-    out.push_back(make_pending(*e));
+    out.push_back(make_pending(e));
   }
   return out;
 }
@@ -86,11 +95,12 @@ std::vector<PendingJob> ResourceManager::pending_view() const {
 void ResourceManager::refresh_queue_cache() const {
   wants_mask_ = 0;
   wanting_.clear();
-  for (JobEntry* e : job_order_) {
-    const auto& req = e->job->request();
+  for (const JobId id : job_order_) {
+    const JobEntry& e = slot(id);
+    const auto& req = e.job->request();
     if (!req || !req->wants_devices()) continue;
-    wants_mask_ |= (1ULL << e->group);
-    wanting_.push_back(e);
+    wants_mask_ |= (1ULL << e.group);
+    wanting_.push_back(id);
   }
   wants_dirty_ = false;
 }
@@ -106,7 +116,7 @@ void ResourceManager::notify_queue_change(SimTime now) {
   ++hstats_.view_builds;
   if (wants_dirty_) refresh_queue_cache();
   queue_view_.clear();
-  for (const JobEntry* e : wanting_) queue_view_.push_back(make_pending(*e));
+  for (const JobId id : wanting_) queue_view_.push_back(make_pending(slot(id)));
   scheduler_->on_queue_change(queue_view_, now);
 }
 
@@ -114,22 +124,21 @@ RoundRequest& ResourceManager::open_request(JobId id, SimTime now,
                                             double random_priority,
                                             int selection_target,
                                             int commit_threshold) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) throw std::invalid_argument("open_request: unknown job");
-  JobEntry& e = it->second;
-  RoundRequest& req = e.job->open_request(RequestId(next_request_id_++), now,
-                                          selection_target, commit_threshold);
+  JobEntry* e = entry(id);
+  if (e == nullptr) throw std::invalid_argument("open_request: unknown job");
+  RoundRequest& req = e->job->open_request(RequestId(next_request_id_++), now,
+                                           selection_target, commit_threshold);
   if (journal_ != nullptr) {
     journal_->on_submit(now, id, req.round, req.demand, req.target_responses);
   }
-  e.random_priority = random_priority;
+  e->random_priority = random_priority;
   wants_dirty_ = true;
   notify_queue_change(now);
   return req;
 }
 
 void ResourceManager::close_request(JobId id, SimTime now) {
-  if (!jobs_.contains(id)) {
+  if (entry(id) == nullptr) {
     throw std::invalid_argument("close_request: unknown job");
   }
   wants_dirty_ = true;
@@ -137,7 +146,7 @@ void ResourceManager::close_request(JobId id, SimTime now) {
 }
 
 void ResourceManager::assignment_failed(JobId id, SimTime now) {
-  if (!jobs_.contains(id)) return;  // job may have finished meanwhile
+  if (entry(id) == nullptr) return;  // job may have finished meanwhile
   wants_dirty_ = true;
   notify_queue_change(now);
 }
@@ -161,12 +170,13 @@ std::optional<AssignOutcome> ResourceManager::offer(std::size_t dev,
   // buffer's capacity is reused across offers.
   candidates_.clear();
   if (wants_dirty_) refresh_queue_cache();
-  for (const JobEntry* e : wanting_) {
+  for (const JobId id : wanting_) {
     ++hstats_.candidates_scanned;
-    const auto& req = e->job->request();
+    const JobEntry& e = slot(id);
+    const auto& req = e.job->request();
     if (!req || !req->wants_devices()) continue;
-    if (!((view.signature >> e->group) & 1ULL)) continue;
-    candidates_.push_back(make_pending(*e));
+    if (!((view.signature >> e.group) & 1ULL)) continue;
+    candidates_.push_back(make_pending(e));
   }
   if (candidates_.empty()) return std::nullopt;
 
@@ -174,8 +184,8 @@ std::optional<AssignOutcome> ResourceManager::offer(std::size_t dev,
   if (!pick) return std::nullopt;
   const PendingJob& winner = candidates_.at(*pick);
 
-  JobEntry& e = jobs_.at(winner.job);
-  RoundRequest& req = e.job->mutable_request();
+  Job& job = *slot(winner.job).job;
+  RoundRequest& req = job.mutable_request();
   if (req.id != winner.request || !req.wants_devices()) {
     throw std::logic_error("scheduler picked a stale request");
   }
@@ -196,7 +206,7 @@ std::optional<AssignOutcome> ResourceManager::offer(std::size_t dev,
     wants_dirty_ = true;
   }
   for (RunObserver* obs : observers_) {
-    obs->on_assignment(view, *e.job, out, now);
+    obs->on_assignment(view, job, out, now);
   }
   return out;
 }
@@ -213,10 +223,10 @@ void ResourceManager::notify_response(JobId job, double capacity,
                                       double response_time, SimTime now,
                                       int staleness) {
   scheduler_->on_response(job, capacity, response_time, now);
-  auto it = jobs_.find(job);
-  if (it == jobs_.end()) return;
+  const JobEntry* e = entry(job);
+  if (e == nullptr) return;
   for (RunObserver* obs : observers_) {
-    obs->on_response_collected(*it->second.job, staleness, now);
+    obs->on_response_collected(*e->job, staleness, now);
   }
 }
 
@@ -233,10 +243,10 @@ void ResourceManager::notify_round_complete(JobId job, SimTime sched_delay,
                                             SimTime response_time,
                                             SimTime now) {
   scheduler_->on_round_complete(job, sched_delay, response_time, now);
-  auto it = jobs_.find(job);
-  if (it == jobs_.end()) return;
+  const JobEntry* e = entry(job);
+  if (e == nullptr) return;
   for (RunObserver* obs : observers_) {
-    obs->on_round_complete(*it->second.job, sched_delay, response_time, now);
+    obs->on_round_complete(*e->job, sched_delay, response_time, now);
   }
 }
 

@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/observer.h"
@@ -43,7 +42,9 @@ class ResourceManager {
   // Registers a job; its requirement defines (or joins) a job group. The
   // caller retains ownership and must keep the Job alive until
   // deregister_job. `solo_jct_estimate` is the contention-free JCT estimate
-  // sd_i used by the fairness bound (§4.4).
+  // sd_i used by the fairness bound (§4.4). A job's id is its slot in the
+  // manager's job table, so a negative id or one already registered throws
+  // std::invalid_argument.
   void register_job(Job* job, double solo_jct_estimate);
   void deregister_job(JobId id);
 
@@ -165,21 +166,29 @@ class ResourceManager {
   void notify_queue_change(SimTime now);
   [[nodiscard]] PendingJob make_pending(const JobEntry& e) const;
 
+  // The entry of a registered job, or null (unknown or deregistered id).
+  [[nodiscard]] JobEntry* entry(JobId id);
+  // The table slot of an id on job_order_ or wanting_.
+  [[nodiscard]] const JobEntry& slot(JobId id) const {
+    return jobs_[static_cast<std::size_t>(id.value())];
+  }
+
   std::unique_ptr<Scheduler> scheduler_;
   SignatureSpace sigs_;
-  std::unordered_map<JobId, JobEntry> jobs_;
-  // Registered entries in ascending job-id order (pointers into jobs_, which
-  // keeps element addresses stable). Replaces the per-offer materialize+sort
-  // of the whole pending view with a pre-sorted walk.
-  std::vector<JobEntry*> job_order_;
+  // The job table: slot i is job i's entry, with a null `job` while job i
+  // is not registered. Grows to the largest id registered.
+  std::vector<JobEntry> jobs_;
+  // Registered ids in ascending order: the walk list over the table's live
+  // slots, so a queue refresh never visits a finished job's slot.
+  std::vector<JobId> job_order_;
   std::vector<RunObserver*> observers_;
   journal::JournalSink* journal_ = nullptr;
   std::int64_t next_request_id_ = 0;
 
   mutable bool wants_dirty_ = true;
   mutable std::uint64_t wants_mask_ = 0;
-  // Entries with a device-wanting open request, ascending id.
-  mutable std::vector<JobEntry*> wanting_;
+  // Ids with a device-wanting open request, ascending.
+  mutable std::vector<JobId> wanting_;
   mutable HotpathStats hstats_;
   std::vector<PendingJob> candidates_;  // offer's per-call buffer
   std::vector<PendingJob> queue_view_;  // notify_queue_change's buffer

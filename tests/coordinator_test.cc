@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/coordinator.h"
 #include "core/metrics.h"
 #include "core/resource_manager.h"
 #include "fleet.h"

@@ -380,6 +380,34 @@ class AssignmentLog final : public RunObserver {
   std::vector<std::pair<DeviceId, SimTime>> entries;
 };
 
+TEST(ProtocolRun, FinishedJobsHoldNoOpenRequest) {
+  // A job is live until finish_job records its completion, and every
+  // protocol closes the job's request at that moment. So a response,
+  // failure or deadline that fires for a finished job is discarded by the
+  // handlers' open-request checks as well as by their live-job checks.
+  const protocol::SyncProtocol sync;
+  const protocol::OvercommitProtocol oc(2.0);
+  const protocol::AsyncProtocol async(/*buffer=*/1, /*concurrency=*/2);
+  const protocol::RoundProtocol* const protocols[] = {&sync, &oc, &async};
+  for (const protocol::RoundProtocol* proto : protocols) {
+    Fleet devices = always_on(16, {1.0, 1.0}, 2.0 * kDay);
+    sim::Engine engine(1);
+    ResourceManager mgr(std::make_unique<FifoScheduler>());
+    CoordinatorConfig cfg;
+    cfg.horizon = 2.0 * kDay;
+    cfg.protocol = proto;
+    Coordinator coord(engine, mgr, std::move(devices.devices),
+                      std::move(devices.sessions),
+                      {one_job(2, 2), one_job(1, 3, 30.0)}, cfg);
+    coord.run();
+    ASSERT_EQ(coord.unfinished_jobs(), 0u) << proto->name();
+    for (const auto& job : coord.jobs()) {
+      EXPECT_TRUE(job->completion_recorded()) << proto->name();
+      EXPECT_FALSE(job->request().has_value()) << proto->name();
+    }
+  }
+}
+
 TEST(ProtocolRun, MidSweepCommitDefersStragglerReleaseUntilPoolIsStable) {
   // Job 0 (demand 5, threshold 4) has 4 responses banked while the gate
   // parks device 4. Job 1's arrival sweep at t=600 assigns device 4, fully

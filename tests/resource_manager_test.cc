@@ -55,6 +55,41 @@ TEST(ResourceManager, DuplicateRegistrationThrows) {
   EXPECT_THROW(mgr.register_job(nullptr, 1.0), std::invalid_argument);
 }
 
+TEST(ResourceManager, RegisterRejectsNegativeAndDuplicateIds) {
+  // A job's id is its slot in the manager's job table: a negative id has
+  // no slot, and a second job claiming a registered id is rejected even
+  // when it is a different Job object.
+  ResourceManager mgr(std::make_unique<FifoScheduler>());
+  Job negative(JobId(-1), make_spec(ResourceCategory::kGeneral));
+  EXPECT_THROW(mgr.register_job(&negative, 1.0), std::invalid_argument);
+  EXPECT_THROW(mgr.deregister_job(JobId(-1)), std::invalid_argument);
+
+  // Slots 0-4 stay empty below job 5 and are still unknown ids.
+  Job high(JobId(5), make_spec(ResourceCategory::kGeneral));
+  Job low(JobId(2), make_spec(ResourceCategory::kGeneral));
+  mgr.register_job(&high, 1.0);
+  mgr.register_job(&low, 1.0);
+  Job twin(JobId(5), make_spec(ResourceCategory::kGeneral));
+  EXPECT_THROW(mgr.register_job(&twin, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)mgr.open_request(JobId(3), 0.0, 0.1),
+               std::invalid_argument);
+  EXPECT_THROW(mgr.close_request(JobId(9), 0.0), std::invalid_argument);
+
+  // The rejected registrations left the table as it was.
+  mgr.open_request(high.id(), 0.0, 0.1);
+  mgr.open_request(low.id(), 0.0, 0.2);
+  const auto pending = mgr.pending_view();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].job, JobId(2));
+  EXPECT_EQ(pending[1].job, JobId(5));
+  EXPECT_EQ(mgr.num_pending_jobs(), 2u);
+
+  // Deregistering frees the slot: the id registers again, for another job.
+  mgr.deregister_job(high.id());
+  EXPECT_EQ(mgr.num_pending_jobs(), 1u);
+  EXPECT_NO_THROW(mgr.register_job(&twin, 1.0));
+}
+
 TEST(ResourceManager, DeregisterUnknownThrows) {
   ResourceManager mgr(std::make_unique<FifoScheduler>());
   EXPECT_THROW(mgr.deregister_job(JobId(9)), std::invalid_argument);
