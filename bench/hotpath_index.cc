@@ -59,7 +59,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
-#include "orchestrator/metrics.h"
+#include "cell_metric.h"
 #include "util/parse.h"
 
 using namespace venn;
@@ -411,7 +411,7 @@ void write_json(const std::string& path, double horizon_days,
 // Minimal lookup into a previous output file: find the cell's identifying
 // prefix, then read the named field after it. The file format is our own
 // (write_json above), so no general JSON parsing is needed. The lookup
-// delegates to orchestrator::find_cell_metric, which bounds the key search
+// delegates to bench::find_cell_metric, which bounds the key search
 // to the matched cell object: an unbounded search would silently read the
 // NEXT cell's value when a cell lacks the key — e.g. an old baseline
 // without the work counters — and gate against the wrong number.
@@ -421,7 +421,7 @@ bool baseline_metric(const std::string& text, const CellResult& c,
   std::snprintf(needle, sizeof(needle),
                 "\"devices\": %zu, \"jobs\": %zu, \"mode\": \"%s\"",
                 c.devices, c.jobs, c.mode.c_str());
-  return orchestrator::find_cell_metric(text, needle, metric_key, out);
+  return bench::find_cell_metric(text, needle, metric_key, out);
 }
 
 // A raw count the gate bounds by the baseline's value. Returns false if

@@ -76,7 +76,7 @@ void print_run(const RunResult& r) {
   if (r.jobs.empty()) {
     // Degenerate-but-legal run (horizon too short for any arrival, or a
     // zero-job workload): there is no mean JCT. Omit the metric rather
-    // than crash — the orchestrator's aggregation already tolerates a
+    // than crash — bench/orchestrate.py's aggregation already tolerates a
     // missing "avg JCT" label and records the finished count.
     std::printf("%-16s finished 0/0   aborts 0   (no jobs ran)\n",
                 r.scheduler.c_str());
@@ -154,9 +154,15 @@ int run_replay(int argc, char** argv) {
     std::printf("replay of %s verified: %llu events byte-identical\n",
                 path.c_str(),
                 static_cast<unsigned long long>(report.events_verified));
+    for (const std::string& skipped : report.snapshots_skipped) {
+      std::printf("  snapshot at %s; skipped\n", skipped.c_str());
+    }
     if (report.snapshot_verified) {
       std::printf("  snapshot at commit %llu compared clean\n",
                   static_cast<unsigned long long>(report.snapshot_commits));
+    } else if (!report.snapshots_skipped.empty()) {
+      std::printf("  no readable snapshot; verified against the journal "
+                  "alone\n");
     }
     if (report.resumed_past_journal) {
       std::printf("  journal ended mid-run; continued live to completion\n");

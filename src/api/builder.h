@@ -82,7 +82,10 @@ struct ReplayOptions {
   bool resume = false;
   // When the journal marks snapshots, load the newest stored snapshot file
   // and compare the re-executed coordinator's state against it field for
-  // field at the marked commit — the zero-drift restore check.
+  // field at the marked commit — the zero-drift restore check. Strict
+  // replay fails when that file is unreadable. Resume falls back to the
+  // newest marked snapshot that reads cleanly, or to none: the journal
+  // alone recovers the run, and the snapshot only anchors it.
   bool verify_snapshot = true;
 };
 
@@ -96,6 +99,9 @@ struct ReplayReport {
   bool resumed_past_journal = false;
   bool snapshot_verified = false;     // stored snapshot compared clean
   std::uint64_t snapshot_commits = 0; // commit count of that snapshot (0=none)
+  // Resume only: the newer marked snapshots that did not read cleanly and
+  // were passed over, newest first, each with its read error.
+  std::vector<std::string> snapshots_skipped;
 };
 
 class Experiment {

@@ -17,6 +17,7 @@
 // consumes the kExternal record from the tape, and re-applies the command
 // — the drain-before-journal rule on the recording side guarantees the
 // interleaving with ordinary trace events matches event for event.
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -122,12 +123,23 @@ ReplayReport Experiment::replay(const std::string& journal_path,
   RebuiltRun run = rebuild_from_header(header);
 
   // The newest stored snapshot, when asked for and when one was marked:
-  // the zero-drift anchor of a crash recovery.
+  // the zero-drift anchor of a crash recovery. Resume walks back past
+  // unreadable ones (see ReplayOptions::verify_snapshot).
+  ReplayReport report;
   std::optional<journal::StateSnapshot> snapshot;
   if (opts.verify_snapshot) {
-    if (const auto commits = reader.last_snapshot_commits()) {
-      snapshot = journal::read_snapshot_file(
-          journal::snapshot_path(journal_path, *commits));
+    const std::vector<std::uint64_t>& marks = scan.snapshot_marks;
+    for (auto it = marks.rbegin(); it != marks.rend() && !snapshot; ++it) {
+      // Marks sharing a commit count share one file; try it once.
+      if (it != marks.rbegin() && *it == *std::prev(it)) continue;
+      try {
+        snapshot = journal::read_snapshot_file(
+            journal::snapshot_path(journal_path, *it));
+      } catch (const std::exception& e) {
+        if (!opts.resume) throw;
+        report.snapshots_skipped.push_back("commit " + std::to_string(*it) +
+                                           ": " + e.what());
+      }
     }
   }
 
@@ -138,7 +150,6 @@ ReplayReport Experiment::replay(const std::string& journal_path,
       snapshot ? &*snapshot : nullptr);
   auto scheduler = rebuilt_scheduler(run);
 
-  ReplayReport report;
   if (scan.externals.empty()) {
     report.result = run.experiment.run_with_sink(std::move(scheduler),
                                                  header.label, &verifier);

@@ -119,8 +119,7 @@ JournalScan JournalReader::scan() const {
         break;
       case RecordType::kSnapshotMark: {
         Decoder d(r->payload, r->offset + kFramePayloadOffset);
-        s.last_snapshot_commits = d.u64();
-        ++s.snapshots;
+        s.snapshot_marks.push_back(d.u64());
         break;
       }
       case RecordType::kExternal: {
@@ -136,25 +135,6 @@ JournalScan JournalReader::scan() const {
   s.torn = torn;
   s.torn_offset = torn_at;
   return s;
-}
-
-std::optional<std::uint64_t> JournalReader::last_snapshot_commits() const {
-  std::size_t pos = 0;
-  (void)decode_header(bytes_, &pos);
-  std::uint64_t index = 0;
-  bool torn = false;
-  std::size_t torn_at = 0;
-  std::optional<std::uint64_t> last;
-  while (true) {
-    const auto r = parse_at(&pos, index, &torn, &torn_at);
-    if (!r) break;
-    ++index;
-    if (r->type == RecordType::kSnapshotMark) {
-      Decoder d(r->payload, r->offset + 10);
-      last = d.u64();
-    }
-  }
-  return last;
 }
 
 }  // namespace venn::journal

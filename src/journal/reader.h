@@ -48,8 +48,7 @@ struct JournalScan {
   bool torn = false;
   std::size_t torn_offset = 0;
   std::size_t prefix_end = 0;
-  std::optional<std::uint64_t> last_snapshot_commits;
-  std::uint64_t snapshots = 0;
+  std::vector<std::uint64_t> snapshot_marks;  // each kSnapshotMark's commits
   std::uint64_t last_external_seq = 0;
   std::vector<ExternalEvent> externals;
 };
@@ -69,11 +68,6 @@ class JournalReader {
   [[nodiscard]] std::size_t torn_offset() const { return torn_offset_; }
 
   [[nodiscard]] std::uint64_t records_read() const { return index_; }
-
-  // Scans the whole journal (without disturbing this reader) for the last
-  // kSnapshotMark and returns its commit count; nullopt when none. Honors
-  // the reader's torn-tail tolerance.
-  [[nodiscard]] std::optional<std::uint64_t> last_snapshot_commits() const;
 
   // Full-journal summary (record/commit counts, torn prefix end, decoded
   // external commands) without disturbing this reader's cursor. Honors the

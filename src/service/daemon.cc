@@ -98,16 +98,16 @@ void CoordinatorDaemon::construct_resume(DaemonOptions& opts) {
   auto scheduler = api::rebuilt_scheduler(run);
   ex_ = std::make_unique<api::Experiment>(std::move(run.experiment));
 
-  if (scan.last_snapshot_commits) {
+  if (!scan.snapshot_marks.empty()) {
     snapshot_ = journal::read_snapshot_file(
-        journal::snapshot_path(path_, *scan.last_snapshot_commits));
+        journal::snapshot_path(path_, scan.snapshot_marks.back()));
   }
   verifier_ = std::make_unique<journal::JournalVerifier>(
       *reader_, journal::JournalVerifier::Mode::kResume,
       snapshot_ ? &*snapshot_ : nullptr);
   writer_ = std::make_unique<journal::JournalWriter>(
       path_, journal::JournalWriter::AppendExisting{
-                 scan.records, scan.commits, scan.snapshots});
+                 scan.records, scan.commits, scan.snapshot_marks.size()});
   sink_ = std::make_unique<VerifyThenAppendSink>(verifier_.get(),
                                                  writer_.get());
   session_ = std::make_unique<api::LiveSession>(*ex_, std::move(scheduler),

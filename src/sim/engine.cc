@@ -4,23 +4,6 @@
 
 namespace venn::sim {
 
-void Engine::every(SimTime period, std::function<bool()> fn) {
-  if (period <= 0.0) throw std::invalid_argument("period must be > 0");
-  // Shared state + member relay, like stream() below: the previous
-  // self-capturing closure (a shared_ptr<function> holding a copy of its
-  // own shared_ptr) formed a reference cycle and leaked every periodic
-  // task — found by the LeakSanitizer run of the CI sanitizer matrix.
-  every_tick(period, std::make_shared<std::function<bool()>>(std::move(fn)));
-}
-
-void Engine::every_tick(SimTime period,
-                        std::shared_ptr<std::function<bool()>> fn) {
-  queue_.schedule_after(period, [this, period, fn = std::move(fn)]() mutable {
-    if (!(*fn)()) return;
-    every_tick(period, std::move(fn));
-  });
-}
-
 void Engine::stream(std::optional<SimTime> first,
                     std::function<std::optional<SimTime>()> fn) {
   if (!first) return;

@@ -1,9 +1,8 @@
 // Simulation engine: event queue + seeded RNG + run-control.
 //
 // Thin composition layer every experiment drives: it owns the clock/event
-// queue and the root random stream, offers periodic-task scheduling (used
-// e.g. for tsdb compaction), and guards against runaway simulations with an
-// event budget.
+// queue and the root random stream, drives lazy event streams, and guards
+// against runaway simulations with an event budget.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +30,6 @@ class Engine {
     queue_.schedule_after(delay, std::move(fn));
   }
 
-  // Invoke `fn` every `period` starting at now() + period, until the engine
-  // stops or `fn` returns false.
-  void every(SimTime period, std::function<bool()> fn);
-
   // Drive a lazy event stream: `fn` fires at `first`, then at whatever time
   // it returns, until it returns nullopt. Times in the past are clamped to
   // now(). The workload generators feed the queue through this — one
@@ -55,7 +50,6 @@ class Engine {
  private:
   void stream_tick(SimTime at,
                    std::shared_ptr<std::function<std::optional<SimTime>()>> fn);
-  void every_tick(SimTime period, std::shared_ptr<std::function<bool()>> fn);
 
   EventQueue queue_;
   Rng rng_;

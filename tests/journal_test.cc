@@ -427,11 +427,9 @@ TEST(SnapshotTest, WriterMarksSnapshotAndReaderFindsNewest) {
     w.finalize(3.0);
   }
   JournalReader r(path);
-  const auto newest = r.last_snapshot_commits();
-  ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ(*newest, 6u);
-  // last_snapshot_commits() keeps its own cursor: iteration still starts
-  // at the first record.
+  EXPECT_EQ(r.scan().snapshot_marks, (std::vector<std::uint64_t>{3, 6}));
+  // scan() keeps its own cursor: iteration still starts at the first
+  // record.
   auto rec = r.next();
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->type, RecordType::kCommit);

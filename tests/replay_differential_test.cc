@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "journal/snapshot.h"
 #include "venn/venn.h"
 
 namespace venn {
@@ -328,6 +329,93 @@ TEST(ReplayDifferential, TornTailRecoveryMatchesUninterruptedRun) {
   const ReplayReport report = Experiment::replay(path, opts);
   EXPECT_TRUE(report.resumed_past_journal);
   expect_identical(uninterrupted, report.result, "torn recovery");
+}
+
+// A crashed sync run with snapshots marked at commits 2 and 4 (journal
+// cut after commit 5), and the results of the same run uninterrupted.
+struct CrashedJournal {
+  RunResult uninterrupted;
+  std::string path;
+};
+
+CrashedJournal crash_with_two_snapshots(const std::string& tag) {
+  ScenarioSpec base;
+  base.seed = 53;
+  base.num_devices = 2'500;
+  base.num_jobs = 6;
+  base.horizon = 3.0 * kDay;
+  base.set("churn", "weibull");
+  CrashedJournal out{ExperimentBuilder().scenario(base).run(), {}};
+
+  ScenarioSpec crashed = base;
+  crashed.set("journal", "1");
+  crashed.set("journal.dir", journal_dir(tag));
+  crashed.set("snapshot_every", "2");
+  crashed.set("journal.halt-after", "5");
+  EXPECT_THROW((void)ExperimentBuilder().scenario(crashed).run(),
+               SimulationHalted);
+  out.path = api::journal_file_path(crashed, out.uninterrupted.scheduler);
+  return out;
+}
+
+ReplayReport resume(const std::string& path) {
+  ReplayOptions opts;
+  opts.resume = true;
+  return Experiment::replay(path, opts);
+}
+
+// The snapshot is only a verification anchor: the journal alone recovers
+// the run. So a torn newest snapshot sends resume back to the newest one
+// that reads cleanly, and the report names the one it passed over.
+// Strict replay still refuses the torn file.
+TEST(ReplayDifferential, ResumeFallsBackPastATruncatedNewestSnapshot) {
+  const CrashedJournal crash = crash_with_two_snapshots("snap_truncated");
+  const std::string newest = journal::snapshot_path(crash.path, 4);
+  std::filesystem::resize_file(newest,
+                               std::filesystem::file_size(newest) / 2);
+
+  const ReplayReport report = resume(crash.path);
+  EXPECT_TRUE(report.resumed_past_journal);
+  EXPECT_TRUE(report.snapshot_verified);
+  EXPECT_EQ(report.snapshot_commits, 2u);
+  ASSERT_EQ(report.snapshots_skipped.size(), 1u);
+  EXPECT_NE(report.snapshots_skipped[0].find("commit 4: "), std::string::npos)
+      << report.snapshots_skipped[0];
+  EXPECT_NE(report.snapshots_skipped[0].find("truncated body"),
+            std::string::npos)
+      << report.snapshots_skipped[0];
+  expect_identical(crash.uninterrupted, report.result, "truncated snapshot");
+
+  try {
+    (void)Experiment::replay(crash.path);
+    FAIL() << "strict replay accepted a truncated snapshot";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated body"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A deleted newest snapshot falls back the same way; with every snapshot
+// gone, resume verifies against the journal alone.
+TEST(ReplayDifferential, ResumeFallsBackPastADeletedNewestSnapshot) {
+  const CrashedJournal crash = crash_with_two_snapshots("snap_deleted");
+  ASSERT_TRUE(std::filesystem::remove(journal::snapshot_path(crash.path, 4)));
+
+  const ReplayReport older = resume(crash.path);
+  EXPECT_TRUE(older.snapshot_verified);
+  EXPECT_EQ(older.snapshot_commits, 2u);
+  ASSERT_EQ(older.snapshots_skipped.size(), 1u);
+  EXPECT_NE(older.snapshots_skipped[0].find("cannot open"), std::string::npos)
+      << older.snapshots_skipped[0];
+  expect_identical(crash.uninterrupted, older.result, "deleted snapshot");
+
+  ASSERT_TRUE(std::filesystem::remove(journal::snapshot_path(crash.path, 2)));
+  const ReplayReport none = resume(crash.path);
+  EXPECT_FALSE(none.snapshot_verified);
+  EXPECT_EQ(none.snapshot_commits, 0u);
+  EXPECT_EQ(none.snapshots_skipped.size(), 2u);
+  EXPECT_TRUE(none.resumed_past_journal);
+  expect_identical(crash.uninterrupted, none.result, "no snapshot");
 }
 
 // --------------------------------------------------------------- guard rails --

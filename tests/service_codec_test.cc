@@ -330,7 +330,7 @@ TEST(ServiceCodec, InterleavedAdminTrafficJournalsNothingExtra) {
   for (std::size_t i = 0; i < traffic.size(); ++i) {
     EXPECT_EQ(scan.externals[i].command, traffic[i]);
   }
-  EXPECT_EQ(scan.snapshots, 1u);  // the snapshot-now
+  EXPECT_EQ(scan.snapshot_marks.size(), 1u);  // the snapshot-now
 }
 
 }  // namespace

@@ -57,11 +57,11 @@ TEST(ServiceInspect, SeeksVerifiesAndRefusesAcrossProtocols) {
     journal::JournalReader reader(path);
     const journal::JournalScan scan = reader.scan();
     ASSERT_GE(scan.commits, 4u) << "scenario too quiet to inspect";
-    ASSERT_TRUE(scan.last_snapshot_commits.has_value());
+    ASSERT_FALSE(scan.snapshot_marks.empty());
 
     // A commit WITH a stored snapshot: the replayed state must reproduce
     // it byte for byte, and the report says so.
-    const std::uint64_t snap_commit = *scan.last_snapshot_commits;
+    const std::uint64_t snap_commit = scan.snapshot_marks.back();
     const service::InspectReport at_snap =
         service::inspect_journal(path, {snap_commit});
     EXPECT_EQ(at_snap.commit, snap_commit);

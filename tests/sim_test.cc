@@ -162,20 +162,6 @@ TEST(EventQueue, PeakPendingIsTheHighWaterMark) {
   EXPECT_EQ(q.peak_pending(), 5u);
 }
 
-TEST(Engine, PeriodicTaskStopsOnFalse) {
-  Engine e(1);
-  int ticks = 0;
-  e.every(1.0, [&] { return ++ticks < 3; });
-  e.run_until(100.0);
-  EXPECT_EQ(ticks, 3);
-  EXPECT_DOUBLE_EQ(e.now(), 3.0);
-}
-
-TEST(Engine, PeriodicRejectsNonPositive) {
-  Engine e(1);
-  EXPECT_THROW(e.every(0.0, [] { return true; }), std::invalid_argument);
-}
-
 TEST(Engine, EventBudgetGuardsLivelock) {
   Engine e(1);
   e.set_event_budget(100);
