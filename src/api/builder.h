@@ -152,9 +152,10 @@ class Experiment {
   [[nodiscard]] RunResult run_with(std::unique_ptr<Scheduler> scheduler,
                                    std::string label = {}) const;
 
-  // Runs with a journal sink observing every event (null = none). The
-  // writer and the replay verifier both enter through here, so a recorded
-  // and a re-executed run are driven by the identical code path.
+  // Runs with a journal sink observing every event (null = none): a
+  // LiveSession started and finished in one breath. Replay re-executes
+  // through the same LiveSession (api/rebuild.h), so a recorded and a
+  // re-executed run are driven by the identical code path.
   [[nodiscard]] RunResult run_with_sink(std::unique_ptr<Scheduler> scheduler,
                                         std::string label,
                                         journal::JournalSink* sink) const;

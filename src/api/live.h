@@ -2,8 +2,8 @@
 //
 // Batch runs (Experiment::run*) construct the engine/manager/coordinator
 // stack, call Coordinator::run() and collect results in one breath. The
-// live service (src/service/) and the replay driver for journals carrying
-// external commands need the same stack held OPEN: schedule the trace,
+// live service (src/service/) and the journal restore path (api/rebuild.h)
+// need the same stack held OPEN: schedule the trace,
 // then advance the sim clock in steps and interleave external traffic
 // commands at the current cursor. LiveSession is that shape — it mirrors
 // Experiment::run_with_sink's construction order EXACTLY (run_with_sink

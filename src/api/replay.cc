@@ -1,4 +1,6 @@
-// Experiment::replay — deterministic re-execution of a journaled run.
+// Experiment::replay — deterministic re-execution of a journaled run —
+// and the restore path it shares with the daemon and the inspector
+// (api/rebuild.h).
 //
 // Replay does not interpret journal records as commands; it rebuilds the
 // experiment the journal's header describes (canonical scenario/policy
@@ -11,12 +13,13 @@
 // recovery, the stored snapshot is compared field-for-field at its marked
 // commit, and the run then continues live to completion.
 //
-// Journals recorded by the live daemon additionally carry kExternal
-// records (service traffic commands). Those replay through a LiveSession:
-// the driver advances the sim clock to each command's recorded cursor,
-// consumes the kExternal record from the tape, and re-applies the command
-// — the drain-before-journal rule on the recording side guarantees the
-// interleaving with ordinary trace events matches event for event.
+// Every journal replays through one LiveSession. Journals recorded by the
+// live daemon carry kExternal records (service traffic commands), which
+// restore_prefix re-applies at their recorded cursors — the
+// drain-before-journal rule on the recording side guarantees the
+// interleaving with ordinary trace events matches event for event. A
+// batch journal has none: its prefix is the t=0 drain alone, and finish()
+// runs the rest, exactly as the recording Experiment::run did.
 #include <iterator>
 #include <optional>
 #include <stdexcept>
@@ -105,6 +108,38 @@ std::unique_ptr<Scheduler> rebuilt_scheduler(const RebuiltRun& run) {
       run.experiment.stream_seed("scheduler"));
 }
 
+std::optional<journal::StateSnapshot> newest_readable_snapshot(
+    const std::string& journal_path, const journal::JournalScan& scan,
+    std::vector<std::string>* skipped) {
+  const std::vector<std::uint64_t>& marks = scan.snapshot_marks;
+  for (auto it = marks.rbegin(); it != marks.rend(); ++it) {
+    // Marks sharing a commit count share one file; try it once.
+    if (it != marks.rbegin() && *it == *std::prev(it)) continue;
+    try {
+      return journal::read_snapshot_file(
+          journal::snapshot_path(journal_path, *it));
+    } catch (const std::exception& e) {
+      if (skipped == nullptr) throw;
+      skipped->push_back("commit " + std::to_string(*it) + ": " + e.what());
+    }
+  }
+  return std::nullopt;
+}
+
+void restore_prefix(LiveSession& live, journal::JournalVerifier& verifier,
+                    const journal::JournalScan& scan) {
+  live.start();
+  live.advance_to(0.0);
+  for (const journal::ExternalEvent& ext : scan.externals) {
+    // advance_to drains every trace event the recording side drained
+    // before journaling the command, take_external consumes the kExternal
+    // record itself, apply re-runs the command's cascade.
+    live.advance_to(ext.time);
+    verifier.take_external(ext);
+    live.apply(TrafficCommand::parse(ext.command));
+  }
+}
+
 ReplayReport Experiment::replay(const std::string& journal_path,
                                 const ReplayOptions& opts) {
   // Resume means the journal may end mid-run — a torn final stretch is the
@@ -128,19 +163,8 @@ ReplayReport Experiment::replay(const std::string& journal_path,
   ReplayReport report;
   std::optional<journal::StateSnapshot> snapshot;
   if (opts.verify_snapshot) {
-    const std::vector<std::uint64_t>& marks = scan.snapshot_marks;
-    for (auto it = marks.rbegin(); it != marks.rend() && !snapshot; ++it) {
-      // Marks sharing a commit count share one file; try it once.
-      if (it != marks.rbegin() && *it == *std::prev(it)) continue;
-      try {
-        snapshot = journal::read_snapshot_file(
-            journal::snapshot_path(journal_path, *it));
-      } catch (const std::exception& e) {
-        if (!opts.resume) throw;
-        report.snapshots_skipped.push_back("commit " + std::to_string(*it) +
-                                           ": " + e.what());
-      }
-    }
+    snapshot = newest_readable_snapshot(
+        journal_path, scan, opts.resume ? &report.snapshots_skipped : nullptr);
   }
 
   journal::JournalVerifier verifier(
@@ -148,26 +172,10 @@ ReplayReport Experiment::replay(const std::string& journal_path,
       opts.resume ? journal::JournalVerifier::Mode::kResume
                   : journal::JournalVerifier::Mode::kStrict,
       snapshot ? &*snapshot : nullptr);
-  auto scheduler = rebuilt_scheduler(run);
-
-  if (scan.externals.empty()) {
-    report.result = run.experiment.run_with_sink(std::move(scheduler),
-                                                 header.label, &verifier);
-  } else {
-    // Service-journal replay: pace the run through the recorded external
-    // commands. advance_to drains every trace event the daemon drained
-    // before journaling the command, take_external consumes the kExternal
-    // record itself, apply re-runs the command's cascade.
-    LiveSession live(run.experiment, std::move(scheduler), header.label,
-                     &verifier);
-    live.start();
-    for (const journal::ExternalEvent& ext : scan.externals) {
-      live.advance_to(ext.time);
-      verifier.take_external(ext);
-      live.apply(TrafficCommand::parse(ext.command));
-    }
-    report.result = live.finish();
-  }
+  LiveSession live(run.experiment, rebuilt_scheduler(run), header.label,
+                   &verifier);
+  restore_prefix(live, verifier, scan);
+  report.result = live.finish();
   report.label = header.label;
   report.events_verified = verifier.events_verified();
   report.resumed_past_journal = verifier.passthrough();

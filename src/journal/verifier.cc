@@ -68,7 +68,9 @@ bool JournalVerifier::expect(RecordType type, std::string_view payload) {
 }
 
 void JournalVerifier::handle(RecordType type, std::string_view frame) {
-  (void)expect(type, frame.substr(kFramePayloadOffset));
+  if (!expect(type, frame.substr(kFramePayloadOffset)) && tail_ != nullptr) {
+    tail_->handle(type, frame);
+  }
 }
 
 void JournalVerifier::take_external(const ExternalEvent& expected) {
@@ -93,6 +95,7 @@ void JournalVerifier::take_external(const ExternalEvent& expected) {
 
 void JournalVerifier::on_snapshot(const StateSnapshot& snapshot) {
   if (!expect(RecordType::kSnapshotMark, encode_snapshot_mark(snapshot))) {
+    if (tail_ != nullptr) tail_->on_snapshot(snapshot);
     return;
   }
   // The clock check disambiguates operator-initiated snapshot-now marks:

@@ -18,6 +18,10 @@
 //     torn tail): when records run out mid-run the verifier flips to
 //     passthrough and the re-execution simply CONTINUES the run live past
 //     the journal's end. Verified prefix + live tail = crash recovery.
+//     Given a tail writer, the verifier hands it everything past that
+//     point — the event that ran the tape out first, then every later
+//     event, snapshot and the run-end footer — so a resumed daemon appends
+//     its live tail to the journal it verified, as one gapless transcript.
 //
 // Snapshot anchoring: on_snapshot receives the state the re-executed
 // coordinator captured at a snapshot cadence point. The verifier checks
@@ -32,6 +36,7 @@
 
 #include "journal/reader.h"
 #include "journal/sink.h"
+#include "journal/writer.h"
 
 namespace venn::journal {
 
@@ -55,15 +60,22 @@ class JournalVerifier final : public EventEncoderSink {
 
   // `expect_snapshot` (optional, caller-owned, must outlive the verifier):
   // the stored snapshot to compare against when re-execution reaches its
-  // commit count.
+  // commit count. `tail` (optional, caller-owned, kResume only): the
+  // writer that receives everything past the end of the tape.
   JournalVerifier(JournalReader& reader, Mode mode,
-                  const StateSnapshot* expect_snapshot = nullptr)
-      : reader_(reader), mode_(mode), expect_snapshot_(expect_snapshot) {}
+                  const StateSnapshot* expect_snapshot = nullptr,
+                  JournalWriter* tail = nullptr)
+      : reader_(reader),
+        mode_(mode),
+        expect_snapshot_(expect_snapshot),
+        tail_(tail) {}
 
   void on_snapshot(const StateSnapshot& snapshot) override;
   void on_run_end(SimTime now) override {
-    (void)now;
     finish();
+    // The footer always goes to the tail: the tape may end without any
+    // event past it (nothing happened after the tear).
+    if (tail_ != nullptr) tail_->on_run_end(now);
   }
 
   // Post-run check. Strict mode: consumes the kRunEnd footer and requires
@@ -99,6 +111,7 @@ class JournalVerifier final : public EventEncoderSink {
   JournalReader& reader_;
   Mode mode_;
   const StateSnapshot* expect_snapshot_;
+  JournalWriter* tail_;
   bool passthrough_ = false;
   bool snapshot_verified_ = false;
   std::uint64_t verified_ = 0;

@@ -80,7 +80,8 @@ class JournalWriter final : public EventEncoderSink {
   [[nodiscard]] std::uint64_t commits_written() const { return commits_; }
   [[nodiscard]] std::uint64_t snapshots_written() const { return snapshots_; }
 
- protected:
+  // Public so a resuming JournalVerifier can hand its tail writer the
+  // frames it already encoded.
   void handle(RecordType type, std::string_view frame) override;
 
  private:

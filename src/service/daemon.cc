@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "api/rebuild.h"
 #include "api/registry.h"
@@ -69,12 +70,11 @@ void CoordinatorDaemon::construct_resume(DaemonOptions& opts) {
   // Recover the valid prefix. A torn final stretch is the expected shape
   // of a crashed journal (the writer died mid-append), so the scan is
   // always tolerant here; strict verification still guards every recovered
-  // byte below.
-  journal::JournalScan scan;
-  {
-    const journal::JournalReader probe(path_, /*tolerate_torn_tail=*/true);
-    scan = probe.scan();
-  }
+  // byte below. The reader holds the bytes it loaded, so truncating the
+  // file underneath it changes nothing it hands out.
+  reader_ = std::make_unique<journal::JournalReader>(
+      path_, /*tolerate_torn_tail=*/true);
+  const journal::JournalScan scan = reader_->scan();
   if (scan.has_run_end) {
     throw std::runtime_error(
         "journal " + path_ +
@@ -90,39 +90,29 @@ void CoordinatorDaemon::construct_resume(DaemonOptions& opts) {
     std::filesystem::resize_file(path_, scan.prefix_end);
   }
 
-  reader_ = std::make_unique<journal::JournalReader>(
-      path_, /*tolerate_torn_tail=*/true);
   api::RebuiltRun run =
       api::rebuild_from_header(reader_->header(), {&recorder_});
   label_ = reader_->header().label;
   auto scheduler = api::rebuilt_scheduler(run);
   ex_ = std::make_unique<api::Experiment>(std::move(run.experiment));
 
-  if (!scan.snapshot_marks.empty()) {
-    snapshot_ = journal::read_snapshot_file(
-        journal::snapshot_path(path_, scan.snapshot_marks.back()));
+  std::vector<std::string> skipped;
+  snapshot_ = api::newest_readable_snapshot(path_, scan, &skipped);
+  for (const std::string& why : skipped) {
+    VENN_INFO << "snapshot at " << why << "; skipped";
   }
-  verifier_ = std::make_unique<journal::JournalVerifier>(
-      *reader_, journal::JournalVerifier::Mode::kResume,
-      snapshot_ ? &*snapshot_ : nullptr);
   writer_ = std::make_unique<journal::JournalWriter>(
       path_, journal::JournalWriter::AppendExisting{
                  scan.records, scan.commits, scan.snapshot_marks.size()});
-  sink_ = std::make_unique<VerifyThenAppendSink>(verifier_.get(),
-                                                 writer_.get());
+  verifier_ = std::make_unique<journal::JournalVerifier>(
+      *reader_, journal::JournalVerifier::Mode::kResume,
+      snapshot_ ? &*snapshot_ : nullptr, writer_.get());
   session_ = std::make_unique<api::LiveSession>(*ex_, std::move(scheduler),
-                                                label_, sink_.get());
+                                                label_, verifier_.get());
 
-  // Byte-verified restore: re-execute the recovered prefix, re-applying
-  // every journaled external command at its recorded cursor. Any drift
-  // from the dead process throws here instead of corrupting the tail.
-  session_->start();
-  session_->advance_to(0.0);
-  for (const journal::ExternalEvent& ext : scan.externals) {
-    session_->advance_to(ext.time);
-    verifier_->take_external(ext);
-    session_->apply(api::TrafficCommand::parse(ext.command));
-  }
+  // Byte-verified restore: any drift from the dead process throws here
+  // instead of corrupting the tail.
+  api::restore_prefix(*session_, *verifier_, scan);
   seq_ = scan.last_external_seq;
   recovered_seq_ = scan.last_external_seq;
 }

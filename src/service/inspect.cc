@@ -94,12 +94,7 @@ InspectReport inspect_journal(const std::string& journal_path,
   report.commit = target;
   bool reached = false;
   try {
-    live.start();
-    for (const journal::ExternalEvent& ext : scan.externals) {
-      live.advance_to(ext.time);
-      verifier.take_external(ext);
-      live.apply(api::TrafficCommand::parse(ext.command));
-    }
+    api::restore_prefix(live, verifier, scan);
     live.advance_to(live.horizon());
   } catch (const journal::SeekReached&) {
     reached = true;

@@ -26,9 +26,6 @@ class Engine {
   // Closure events (the queue's kClosure kind). Frequent event shapes
   // belong in typed events through queue() and its handler instead.
   void at(SimTime t, EventFn fn) { queue_.schedule(t, std::move(fn)); }
-  void after(SimTime delay, EventFn fn) {
-    queue_.schedule_after(delay, std::move(fn));
-  }
 
   // Drive a lazy event stream: `fn` fires at `first`, then at whatever time
   // it returns, until it returns nullopt. Times in the past are clamped to

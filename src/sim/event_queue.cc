@@ -199,13 +199,6 @@ void EventQueue::sort_lane(SimTime lo, SimTime end) {
   }
 }
 
-void EventQueue::schedule_after(SimTime delay, EventFn fn) {
-  if (delay < 0.0) {
-    throw std::invalid_argument("EventQueue::schedule_after: negative delay");
-  }
-  schedule(now_ + delay, std::move(fn));
-}
-
 bool EventQueue::step() {
   settle_lane();
   if (lane_pos_ < lane_.size() &&

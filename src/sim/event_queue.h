@@ -129,9 +129,6 @@ class EventQueue {
   // Exclusive end of the simulated time the lane has been filled up to.
   [[nodiscard]] SimTime lane_end() const { return lane_end_; }
 
-  // Convenience: schedule at now() + delay.
-  void schedule_after(SimTime delay, EventFn fn);
-
   // Pop and run the earliest pending event; returns false if none remain.
   bool step();
 

@@ -14,8 +14,9 @@
 //      drained. The drain dump (RunResult + TSDB streams at %.17g) must
 //      equal an uninterrupted in-process LiveSession run of the same
 //      script, across protocols {sync, overcommit, async} x two traffic
-//      scripts, at seeded random crash points — plus a double-crash cycle and an
-//      open-loop (admit) variant.
+//      scripts, at crash point 0 and at seeded random crash points — plus
+//      a double-crash cycle, an open-loop (admit) variant and a resume past
+//      torn or deleted snapshots.
 //   2. Process-level: the REAL venn_coordinatord binary, driven over its
 //      Unix socket and killed with SIGKILL between acked requests, then
 //      restarted with --resume and drained. Same byte-identity bar.
@@ -30,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -190,33 +192,40 @@ TEST(ServiceDaemon, CrashResumeDrainMatchesUninterruptedRun) {
                                        sc.horizon, /*open_loop=*/false);
       const std::string expected = reference_dump(sc, policy, script);
 
-      const std::string journal = temp_path("venn_crash_" + tag + ".vjl");
-      const std::size_t crash_at = std::uniform_int_distribution<std::size_t>(
-          1, script.size() - 1)(crash_rng);
-      {
-        service::CoordinatorDaemon daemon = fresh_daemon(sc, policy, journal);
-        play(daemon, script, 0, crash_at);
-        ASSERT_EQ(daemon.last_seq(), crash_at);
-        // Destroyed here WITHOUT drain: unflushed buffers are dropped,
-        // exactly like SIGKILL. Every acked command is already durable.
-      }
-      service::CoordinatorDaemon daemon = resumed_daemon(journal);
-      EXPECT_TRUE(daemon.resumed());
-      ASSERT_EQ(daemon.recovered_seq(), crash_at)
-          << "an acked command did not survive the crash";
-      play(daemon, script, daemon.recovered_seq(), script.size());
-      const std::string reply = daemon.dispatch("drain");
-      ASSERT_EQ(reply.rfind("ok drained ", 0), 0u) << reply;
-      EXPECT_TRUE(daemon.done());
-      EXPECT_EQ(read_file(daemon.result_path()), expected)
-          << tag << ": crashed-at-" << crash_at
-          << " run diverged from the uninterrupted baseline";
+      const std::size_t random_crash = std::uniform_int_distribution<
+          std::size_t>(1, script.size() - 1)(crash_rng);
+      // Crash point 0 (before the first acked command) resumes a journal
+      // with no kExternal record: the restore must still drain t=0 before
+      // the first command is journaled, or strict replay diverges.
+      for (const std::size_t crash_at : {std::size_t{0}, random_crash}) {
+        SCOPED_TRACE("crash_at=" + std::to_string(crash_at));
+        const std::string journal = temp_path("venn_crash_" + tag + ".vjl");
+        {
+          service::CoordinatorDaemon daemon =
+              fresh_daemon(sc, policy, journal);
+          play(daemon, script, 0, crash_at);
+          ASSERT_EQ(daemon.last_seq(), crash_at);
+          // Destroyed here WITHOUT drain: unflushed buffers are dropped,
+          // exactly like SIGKILL. Every acked command is already durable.
+        }
+        service::CoordinatorDaemon daemon = resumed_daemon(journal);
+        EXPECT_TRUE(daemon.resumed());
+        ASSERT_EQ(daemon.recovered_seq(), crash_at)
+            << "an acked command did not survive the crash";
+        play(daemon, script, daemon.recovered_seq(), script.size());
+        const std::string reply = daemon.dispatch("drain");
+        ASSERT_EQ(reply.rfind("ok drained ", 0), 0u) << reply;
+        EXPECT_TRUE(daemon.done());
+        EXPECT_EQ(read_file(daemon.result_path()), expected)
+            << tag << ": crashed-at-" << crash_at
+            << " run diverged from the uninterrupted baseline";
 
-      // The stitched journal (recovered prefix + live tail + footer) is
-      // one gapless transcript: strict replay verifies every byte.
-      const ReplayReport report = Experiment::replay(journal);
-      EXPECT_GT(report.events_verified, 0u);
-      EXPECT_FALSE(report.resumed_past_journal);
+        // The stitched journal (recovered prefix + live tail + footer) is
+        // one gapless transcript: strict replay verifies every byte.
+        const ReplayReport report = Experiment::replay(journal);
+        EXPECT_GT(report.events_verified, 0u);
+        EXPECT_FALSE(report.resumed_past_journal);
+      }
     }
   }
 }
@@ -269,6 +278,64 @@ TEST(ServiceDaemon, OpenLoopAdmissionsSurviveCrash) {
   play(daemon, script, crash_at, script.size());
   ASSERT_EQ(daemon.dispatch("drain").rfind("ok drained ", 0), 0u);
   EXPECT_EQ(read_file(daemon.result_path()), expected);
+}
+
+// The snapshot only anchors a restore; the journal alone recovers the run.
+// So a resumed daemon whose newest snapshot is torn in half, or whose
+// snapshots are all gone, walks back past them the way `replay --resume`
+// does, and still converges on the uninterrupted run.
+TEST(ServiceDaemon, ResumeFallsBackPastUnreadableSnapshots) {
+  const PolicySpec policy = ExperimentBuilder().current_policy();
+  ScenarioSpec sc = make_scenario("sync", false);
+  sc.set("snapshot_every", "2");
+  const auto script =
+      build_script(1001, sc.num_devices, sc.horizon, /*open_loop=*/false);
+  const std::string expected = reference_dump(sc, policy, script);
+  // Crash right after the script's snapshot-now is acked: the newest mark.
+  const auto snapshot_now =
+      std::find(script.begin(), script.end(), "snapshot-now");
+  ASSERT_NE(snapshot_now, script.end());
+  const auto crash_at =
+      static_cast<std::size_t>(snapshot_now - script.begin()) + 1;
+
+  for (const bool delete_all : {false, true}) {
+    SCOPED_TRACE(delete_all ? "every snapshot deleted"
+                            : "newest snapshot cut in half");
+    const std::string journal = temp_path(
+        delete_all ? "venn_snap_deleted.vjl" : "venn_snap_torn.vjl");
+    {
+      service::CoordinatorDaemon daemon = fresh_daemon(sc, policy, journal);
+      play(daemon, script, 0, crash_at);
+    }
+    const journal::JournalScan scan =
+        journal::JournalReader(journal, /*tolerate_torn_tail=*/true).scan();
+    const std::vector<std::uint64_t>& marks = scan.snapshot_marks;
+    ASSERT_GE(marks.size(), 2u);
+    ASSERT_NE(marks.front(), marks.back()) << "need two snapshot files";
+    if (delete_all) {
+      for (const std::uint64_t commits : marks) {
+        std::filesystem::remove(journal::snapshot_path(journal, commits));
+      }
+    } else {
+      const std::string newest = journal::snapshot_path(journal, marks.back());
+      std::filesystem::resize_file(newest,
+                                   std::filesystem::file_size(newest) / 2);
+    }
+
+    service::CoordinatorDaemon daemon = resumed_daemon(journal);
+    ASSERT_EQ(daemon.recovered_seq(), crash_at);
+    play(daemon, script, daemon.recovered_seq(), script.size());
+    ASSERT_EQ(daemon.dispatch("drain").rfind("ok drained ", 0), 0u);
+    EXPECT_EQ(read_file(daemon.result_path()), expected);
+
+    // Strict replay still refuses a damaged snapshot (its contract is
+    // unchanged), so check the stitched transcript against the journal
+    // alone.
+    const ReplayReport report =
+        Experiment::replay(journal, ReplayOptions{.verify_snapshot = false});
+    EXPECT_GT(report.events_verified, 0u);
+    EXPECT_FALSE(report.resumed_past_journal);
+  }
 }
 
 // A drained (complete) journal refuses to resume: there is nothing left.
