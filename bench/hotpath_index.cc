@@ -30,13 +30,19 @@
 //                the two middle runs). Every repeat must reproduce the
 //                first one's counters exactly.
 //
-// Sweep cell: a sweep-dominated workload — an insatiable high-performance
-// job keeps the wants mask non-empty forever, so every job arrival sweeps
-// the ENTIRE idle pool and skips nearly every device by signature —
-// measured at 1M devices (`--quick`: 150k). It reports sweep throughput
-// (pool entries visited per second of in-sweep wall time), and its exact
-// counters (sweep visits, skips and offers, events, queue peak) sit under
-// the same baseline gate as every other cell.
+// Sweep cells, at 1M devices (`--quick`: 150k), both under the same
+// baseline gate as every other cell:
+//  * "sweep": an insatiable high-performance job that no device qualifies
+//    for keeps the wants mask non-empty forever. A sweep ends at its last
+//    possible match, so every job arrival's sweep stops after the few
+//    General devices it needs; its exact visit count locks that exit in
+//    (a full walk of the pool would multiply it ~10,000-fold).
+//  * "sweep-long": the same fleet with every 1000th device rich, and a
+//    policy that never serves the pin, so those devices stay idle and keep
+//    matching the pin. Each job arrival's sweep then runs until the last
+//    of them, near the end of the pool, skipping nearly every device by
+//    signature. It reports sweep throughput: pool entries visited per
+//    second of in-sweep wall time.
 //
 // Journaling-overhead cell: the identical 150k-device scenario with the
 // event journal off and on (src/journal/ JournalWriter, round-boundary
@@ -255,13 +261,15 @@ CellResult run_cell(std::size_t devices, std::size_t jobs, double horizon_days,
   return r;
 }
 
-// ---------------------------------------------------------- sweep cell --
+// --------------------------------------------------------- sweep cells --
 
-// Always-on low-spec fleet (eligible for General only). The seed label
-// predates the cell's current name; keeping it keeps the world, and so the
-// counters, of the earlier BENCH_hotpath.json rows.
+// Always-on low-spec fleet (eligible for General only), with every
+// `rich_every`-th device rich instead (eligible for High-Performance too)
+// when that is non-zero. The seed label predates the cells' current names;
+// keeping it keeps the world, and so the counters, of the earlier
+// BENCH_hotpath.json rows.
 ExperimentInputs make_sweep_fleet(std::size_t devices, SimTime horizon,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed, std::size_t rich_every) {
   Rng rng(Rng::derive(seed, "shard-fleet"));
   ExperimentInputs fleet;
   fleet.devices.reserve(devices);
@@ -269,28 +277,53 @@ ExperimentInputs make_sweep_fleet(std::size_t devices, SimTime horizon,
   const Session always_on{0.0, horizon};
   for (std::size_t i = 0; i < devices; ++i) {
     // Below the rich thresholds on both axes: General-only signatures.
-    const DeviceSpec spec{0.05 + 0.4 * rng.uniform(),
-                          0.05 + 0.4 * rng.uniform()};
+    DeviceSpec spec{0.05 + 0.4 * rng.uniform(), 0.05 + 0.4 * rng.uniform()};
+    if (rich_every != 0 && i % rich_every == 0) spec = {0.9, 0.9};
     fleet.devices.push_back(spec);
     fleet.sessions.push_device({&always_on, 1});
   }
   return fleet;
 }
 
+// FIFO that never serves job 0, the long-sweep cell's pin: the rich
+// devices it is offered stay idle, still matching it.
+class PinDecliningFifo final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "FIFO-nopin"; }
+  [[nodiscard]] std::optional<std::size_t> assign(
+      const DeviceView& /*dev*/, std::span<const PendingJob> candidates,
+      SimTime /*now*/) override {
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const PendingJob& c = candidates[i];
+      if (c.job == JobId(0)) continue;
+      if (!best || c.job_arrival < candidates[*best].job_arrival ||
+          (c.job_arrival == candidates[*best].job_arrival &&
+           c.job < candidates[*best].job)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+};
+
 // Sweep-dominated world: an always-on low-spec fleet (eligible for General
 // only), one insatiable High-Performance job pinning the wants mask, and a
-// stream of small General jobs whose every arrival sweeps the full pool.
+// stream of small General jobs whose every arrival sweeps the pool. With
+// `long_sweeps`, every 1000th device is rich and the pin is never served,
+// so those devices stay idle and every sweep runs to the last of them.
 CellResult run_sweep_cell(std::size_t devices, std::size_t general_jobs,
-                          std::uint64_t seed) {
+                          std::uint64_t seed, bool long_sweeps) {
   const SimTime spacing = 300.0;
   const SimTime horizon =
       spacing * static_cast<double>(general_jobs + 2) + 2.0 * kHour;
 
-  ExperimentInputs fleet = make_sweep_fleet(devices, horizon, seed);
+  ExperimentInputs fleet =
+      make_sweep_fleet(devices, horizon, seed, long_sweeps ? 1000 : 0);
 
   std::vector<trace::JobSpec> jobs;
   {
-    trace::JobSpec hp;  // the insatiable pin: no device qualifies
+    trace::JobSpec hp;  // the insatiable pin
     hp.rounds = 1;
     hp.demand = static_cast<int>(devices);
     hp.category = ResourceCategory::kHighPerf;
@@ -309,8 +342,10 @@ CellResult run_sweep_cell(std::size_t devices, std::size_t general_jobs,
   }
 
   sim::Engine engine(Rng::derive(seed, "engine"));
-  ResourceManager manager(PolicyRegistry::instance().create(
-      "fifo", {}, Rng::derive(seed, "scheduler")));
+  ResourceManager manager(
+      long_sweeps ? std::make_unique<PinDecliningFifo>()
+                  : PolicyRegistry::instance().create(
+                        "fifo", {}, Rng::derive(seed, "scheduler")));
   CoordinatorConfig ccfg;
   ccfg.horizon = horizon;
   ccfg.seed = seed;
@@ -324,7 +359,7 @@ CellResult run_sweep_cell(std::size_t devices, std::size_t general_jobs,
   CellResult r;
   r.devices = devices;
   r.jobs = general_jobs + 1;
-  r.mode = "sweep";
+  r.mode = long_sweeps ? "sweep-long" : "sweep";
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   read_counters(r, coord, manager, engine);
   return r;
@@ -523,26 +558,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- sweep cell ----------------------------------------------------------
-  // The wants mask never empties (an insatiable High-Perf job), so every
-  // General-job arrival sweeps the whole pool and skips ~everything by
-  // signature: the sweep's filter loop dominates the run.
+  // --- sweep cells ---------------------------------------------------------
+  // The wants mask never empties (an insatiable High-Perf job). In the
+  // "sweep" cell no idle device can serve the pin, so each General-job
+  // arrival's sweep ends once the General devices it needs are offered. In
+  // "sweep-long" rich idle devices keep matching the pin, so each sweep
+  // walks nearly the whole pool and skips ~everything by signature: the
+  // sweep's filter loop dominates the run.
   const std::size_t sweep_devices = quick ? 150'000 : 1'000'000;
   const std::size_t sweep_jobs = quick ? 12 : 24;
-  const CellResult sweep = repeated(
-      [&] { return run_sweep_cell(sweep_devices, sweep_jobs, seed); });
-  std::printf("\nsweep throughput (%zu devices, insatiable pin):\n",
-              sweep_devices);
-  std::printf("%12s %12s %12s | %12s %12s | %10s %10s %8s\n", "wall s",
-              "min s", "max s", "sweep-wall s", "visits/s", "visits",
-              "skips", "offers");
-  std::printf("%12.4f %12.4f %12.4f | %12.4f %12.0f | %10llu %10llu %8llu\n",
-              sweep.wall_s, sweep.wall_min_s, sweep.wall_max_s,
-              sweep.sweep_wall_s, visits_per_sec(sweep),
-              static_cast<unsigned long long>(sweep.sweep_visits),
-              static_cast<unsigned long long>(sweep.sweep_skips),
-              static_cast<unsigned long long>(sweep.sweep_offers));
-  cells.push_back(sweep);
+  std::printf("\nsweep cells (%zu devices, insatiable pin):\n", sweep_devices);
+  std::printf("%10s | %10s %10s %10s | %12s %12s | %10s %10s %8s\n", "mode",
+              "wall s", "min s", "max s", "sweep-wall s", "visits/s",
+              "visits", "skips", "offers");
+  for (const bool long_sweeps : {false, true}) {
+    const CellResult sweep = repeated([&] {
+      return run_sweep_cell(sweep_devices, sweep_jobs, seed, long_sweeps);
+    });
+    std::printf(
+        "%10s | %10.4f %10.4f %10.4f | %12.4f %12.0f | %10llu %10llu %8llu\n",
+        sweep.mode.c_str(), sweep.wall_s, sweep.wall_min_s, sweep.wall_max_s,
+        sweep.sweep_wall_s, visits_per_sec(sweep),
+        static_cast<unsigned long long>(sweep.sweep_visits),
+        static_cast<unsigned long long>(sweep.sweep_skips),
+        static_cast<unsigned long long>(sweep.sweep_offers));
+    cells.push_back(sweep);
+  }
 
   // --- journaling overhead -------------------------------------------------
   // Durability must be an observer, not a tax: the identical 150k-device

@@ -1,6 +1,8 @@
 #include "core/coordinator.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -22,6 +24,13 @@ class Coordinator::SweepOrder {
              std::vector<SweepSlot>& slots, std::uint64_t gen)
       : pool_(pool), slots_(slots), gen_(gen) {
     if (slots_.size() < pool_.size()) slots_.resize(pool_.size());
+  }
+
+  // The device at position p of the permutation so far: for p past the
+  // last drawn position, a device the sweep has not visited yet.
+  std::size_t at(std::size_t p) const {
+    const SweepSlot& sp = slots_[p];
+    return sp.gen == gen_ ? sp.dev : pool_[p];
   }
 
   // Realizes the swap of positions i and j (j >= i) and returns the
@@ -605,6 +614,46 @@ void Coordinator::sweep_idle_pool(SimTime now) {
                   .count();
     }
   } timer{t0, &sstats_.sweep_wall_s};
+  // The sweep ends at the last possible match. An offer to a device whose
+  // cached signature misses the wants mask is a no-op (empty candidate
+  // set, no randomness consumed), so once no unvisited device matches a
+  // wanted group, every remaining visit would be a skip. One linear pass
+  // over the pool counts the idle devices per wanted group (signatures
+  // only, no draw); each offered visit takes its device out of those
+  // counts, and the loop stops when no wanted group has a device left.
+  // The counts only ever overstate what is left (a skipped device keeps
+  // its bits counted), so an exit never comes early. A group that joins
+  // the wants mask mid-sweep (a synchronous resubmission) was never
+  // counted, so such a sweep runs to its end (or until nothing is wanted).
+  const std::uint64_t* const sig = index_->signatures();
+  std::uint64_t wants = manager_.wants_mask();
+  const std::uint64_t counted = wants;
+  std::array<std::uint32_t, 64> left{};  // by group bit
+  bool any_left = false;
+  for (const std::size_t d : idle_vec_) {
+    for (std::uint64_t g = sig[d] & counted; g != 0; g &= g - 1) {
+      ++left[static_cast<std::size_t>(std::countr_zero(g))];
+      any_left = true;
+    }
+  }
+  bool exit_armed = true;
+  const auto matches_left = [&] {
+    if ((wants & ~counted) != 0) exit_armed = false;
+    if (!exit_armed) return wants != 0;
+    for (std::uint64_t g = wants; g != 0; g &= g - 1) {
+      if (left[static_cast<std::size_t>(std::countr_zero(g))] != 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  if (!any_left) {
+    // The stream of a sweep that draws nothing is never built, but its
+    // counter value is still spent.
+    ++sweep_counter_;
+    if (check_sweep_exits_) check_sweep_exit(idle_vec_, wants);
+    return;
+  }
   // Sweep order is a uniformly random permutation of the pool, generated
   // lazily (Fisher-Yates position by position) from a per-sweep stream
   // derived from the scenario seed. Randomness therefore costs one draw per
@@ -613,8 +662,8 @@ void Coordinator::sweep_idle_pool(SimTime now) {
   Rng sweep_rng(
       Rng::derive(Rng::derive(cfg_.seed, "idle-sweep"), sweep_counter_++));
   // The permutation is realized through SweepOrder: a sweep costs
-  // O(devices visited), not O(pool), and the usual early break keeps
-  // "visited" tiny. idle_vec_ itself must not change mid-sweep for
+  // O(devices visited), not O(pool), and the early exit keeps "visited"
+  // short. idle_vec_ itself must not change mid-sweep for
   // the displaced positions to stay valid, so erases of assigned devices
   // are deferred to the end of the loop. The deferral is safe because
   // nothing else mutates the pool while the loop runs: session events are
@@ -624,36 +673,51 @@ void Coordinator::sweep_idle_pool(SimTime now) {
   SweepOrder order(idle_vec_, sweep_slots_, ++sweep_gen_);
   std::vector<std::size_t> assigned;
   const std::size_t n = idle_vec_.size();
-  // Hoisted filter state. The wants mask can only change inside
-  // manager_.offer / handle_outcome — a skipped visit calls neither — so it
-  // is refreshed only after an offer lands instead of through an
-  // out-of-line call per visit, and the skip test itself is one AND over
-  // the index's contiguous signature column, whose entries the offer also
-  // passes down.
-  const std::uint64_t* const sig = index_->signatures();
-  std::uint64_t wants = manager_.wants_mask();
+  // The wants mask can only change inside manager_.offer / handle_outcome
+  // — a skipped visit calls neither — so it is refreshed only after an
+  // offer lands, and the skip test itself is one AND over the index's
+  // contiguous signature column, whose entries the offer also passes down.
   for (std::size_t i = 0; i < n; ++i) {
+    if (!any_left) {
+      if (check_sweep_exits_) {
+        std::vector<std::size_t> unvisited;
+        for (std::size_t p = i; p < n; ++p) unvisited.push_back(order.at(p));
+        check_sweep_exit(unvisited, wants);
+      }
+      break;
+    }
     const std::size_t j = i + sweep_rng.index(n - i);
     const std::size_t d = order.draw(i, j);
     ++hstats_.sweep_visits;
-    // Offers past this point are provably no-ops once nothing wants
-    // devices (empty candidate set, no randomness consumed), so stopping —
-    // or skipping a device whose cached signature misses every pending
-    // group — is byte-identical to offering every visited device.
-    if (wants == 0) break;
     if ((sig[d] & wants) == 0) {
       ++hstats_.sweep_skips;
       continue;
     }
     ++hstats_.sweep_offers;
+    for (std::uint64_t g = sig[d] & counted; g != 0; g &= g - 1) {
+      --left[static_cast<std::size_t>(std::countr_zero(g))];
+    }
     const auto outcome = manager_.offer(d, hot_.spec[d], sig[d], now);
     if (outcome) {
       assigned.push_back(d);
       handle_outcome(d, *outcome);
       wants = manager_.wants_mask();
     }
+    any_left = matches_left();
   }
   for (const std::size_t d : assigned) idle_erase(d);
+}
+
+void Coordinator::check_sweep_exit(std::span<const std::size_t> unvisited,
+                                   std::uint64_t wants) {
+  ++sweep_exits_checked_;
+  const std::uint64_t* const sig = index_->signatures();
+  for (const std::size_t d : unvisited) {
+    if ((sig[d] & wants) != 0) {
+      throw std::logic_error("sweep exit with unvisited idle device " +
+                             std::to_string(d) + " matching the wants mask");
+    }
+  }
 }
 
 void Coordinator::attempt_checkin(std::size_t dev_idx) {

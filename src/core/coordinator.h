@@ -59,6 +59,7 @@
 
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/elig_index.h"
@@ -214,10 +215,10 @@ class Coordinator final : private sim::EventHandler {
   [[nodiscard]] std::size_t resident_session_count() const;
 
   // --- hot-path accounting ----------------------------------------------
-  // Per-event work evidence for the perf-regression harness: with the index
-  // on, sweep offers stop scaling with fleet size (sweeps stop as soon as no
-  // request wants devices and skip ineligible devices outright), and supply
-  // queries stop rescanning devices.
+  // Per-event work evidence for the perf-regression harness: sweep offers
+  // do not scale with fleet size (a sweep skips ineligible devices outright
+  // and ends once no unvisited idle device matches a wanted group), and
+  // supply queries do not rescan devices.
   struct HotpathStats {
     std::uint64_t sweeps = 0;            // idle-pool sweep passes executed
     std::uint64_t sweep_visits = 0;      // idle devices visited across sweeps
@@ -227,6 +228,15 @@ class Coordinator final : private sim::EventHandler {
     std::uint64_t resweeps = 0;          // reentrant sweep requests deferred
   };
   [[nodiscard]] const HotpathStats& hotpath_stats() const { return hstats_; }
+
+  // Test hook for the sweep's early exit: while on, every exit (a sweep
+  // that stops with devices still unvisited, or draws none) first checks
+  // that no unvisited idle device matches the wants mask, and throws
+  // std::logic_error if one does. Off in every run outside the tests.
+  void check_sweep_exits(bool on) { check_sweep_exits_ = on; }
+  [[nodiscard]] std::uint64_t sweep_exits_checked() const {
+    return sweep_exits_checked_;
+  }
 
   // The eligibility index. For tests and the journal inspector.
   [[nodiscard]] const EligibilityIndex& index() const { return *index_; }
@@ -363,6 +373,10 @@ class Coordinator final : private sim::EventHandler {
   void offer_idle_pool(SimTime now);
   // One pass over the idle pool. Only offer_idle_pool may call this.
   void sweep_idle_pool(SimTime now);
+  // The check_sweep_exits hook's full scan of the devices a sweep left
+  // unvisited.
+  void check_sweep_exit(std::span<const std::size_t> unvisited,
+                        std::uint64_t wants);
   void on_response(JobId job, RequestId request, std::size_t dev_idx,
                    int assigned_round, double response_time);
   void maybe_complete(Job* job);
@@ -444,6 +458,8 @@ class Coordinator final : private sim::EventHandler {
   };
   std::vector<SweepSlot> sweep_slots_;  // grows to the largest pool swept
   std::uint64_t sweep_gen_ = 0;         // generation 0 never stamps a slot
+  bool check_sweep_exits_ = false;
+  std::uint64_t sweep_exits_checked_ = 0;
 
   // Sweep reentrancy guard: a round that completes synchronously mid-sweep
   // (handle_outcome -> maybe_complete -> submit_request) would otherwise

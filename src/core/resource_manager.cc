@@ -79,8 +79,8 @@ PendingJob ResourceManager::make_pending(const JobEntry& e) const {
 
 std::vector<PendingJob> ResourceManager::pending_view() const {
   // job_order_ is kept sorted by job id, so the walk is deterministic
-  // without a per-call sort. A fresh scan, independent of the wanting
-  // cache, so tests can hold the policy's queue view against it.
+  // without a per-call sort. A fresh scan, independent of the row table,
+  // so tests can hold the policy's queue view against it.
   std::vector<PendingJob> out;
   out.reserve(job_order_.size());
   for (const JobId id : job_order_) {
@@ -94,30 +94,27 @@ std::vector<PendingJob> ResourceManager::pending_view() const {
 
 void ResourceManager::refresh_queue_cache() const {
   wants_mask_ = 0;
-  wanting_.clear();
+  rows_.clear();
   for (const JobId id : job_order_) {
     const JobEntry& e = slot(id);
     const auto& req = e.job->request();
     if (!req || !req->wants_devices()) continue;
     wants_mask_ |= (1ULL << e.group);
-    wanting_.push_back(id);
+    rows_.push_back(make_pending(e));
   }
   wants_dirty_ = false;
 }
 
 std::size_t ResourceManager::num_pending_jobs() const {
   if (wants_dirty_) refresh_queue_cache();
-  return wanting_.size();
+  return rows_.size();
 }
 
 void ResourceManager::notify_queue_change(SimTime now) {
-  // The view is filled from the id-ordered wanting cache into one reused
-  // buffer: no allocation once its capacity covers the queue.
+  // The policy reads the wanting-row table itself: no per-change copy.
   ++hstats_.view_builds;
   if (wants_dirty_) refresh_queue_cache();
-  queue_view_.clear();
-  for (const JobId id : wanting_) queue_view_.push_back(make_pending(slot(id)));
-  scheduler_->on_queue_change(queue_view_, now);
+  scheduler_->on_queue_change(rows_, now);
 }
 
 RoundRequest& ResourceManager::open_request(JobId id, SimTime now,
@@ -165,34 +162,41 @@ std::optional<AssignOutcome> ResourceManager::offer(std::size_t dev,
                         signature};
   ++hstats_.offers;
 
-  // Candidate enumeration walks only the (cached, id-ordered) entries whose
-  // request still wants devices — no per-offer materialization, and the
-  // buffer's capacity is reused across offers.
-  candidates_.clear();
+  // The candidates are the wanting rows whose group the device satisfies.
+  // A device eligible for every wanting group is offered the table itself;
+  // otherwise only its eligible rows are copied, with their table
+  // positions, into reused buffers.
   if (wants_dirty_) refresh_queue_cache();
-  for (const JobId id : wanting_) {
-    ++hstats_.candidates_scanned;
-    const JobEntry& e = slot(id);
-    const auto& req = e.job->request();
-    if (!req || !req->wants_devices()) continue;
-    if (!((view.signature >> e.group) & 1ULL)) continue;
-    candidates_.push_back(make_pending(e));
+  hstats_.candidates_scanned += rows_.size();
+  const bool every_row = (signature & wants_mask_) == wants_mask_;
+  std::span<const PendingJob> candidates = rows_;
+  if (!every_row) {
+    candidates_.clear();
+    candidate_rows_.clear();
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+      if (!((signature >> rows_[r].group) & 1ULL)) continue;
+      candidates_.push_back(rows_[r]);
+      candidate_rows_.push_back(r);
+    }
+    candidates = candidates_;
   }
-  if (candidates_.empty()) return std::nullopt;
+  if (candidates.empty()) return std::nullopt;
 
-  const auto pick = scheduler_->assign(view, candidates_, now);
+  const auto pick = scheduler_->assign(view, candidates, now);
   if (!pick) return std::nullopt;
-  const PendingJob& winner = candidates_.at(*pick);
+  PendingJob& row = rows_.at(every_row ? *pick : candidate_rows_.at(*pick));
 
-  Job& job = *slot(winner.job).job;
+  Job& job = *slot(row.job).job;
   RoundRequest& req = job.mutable_request();
-  if (req.id != winner.request || !req.wants_devices()) {
+  if (req.id != row.request || !req.wants_devices()) {
     throw std::logic_error("scheduler picked a stale request");
   }
   ++req.assigned;
+  // The one row field an assignment changes, patched in place.
+  row.remaining_demand = req.remaining_demand();
 
   AssignOutcome out;
-  out.job = winner.job;
+  out.job = row.job;
   out.request = req.id;
   out.round = req.round;
   out.request_submitted = req.submitted;
@@ -243,6 +247,10 @@ void ResourceManager::notify_round_complete(JobId job, SimTime sched_delay,
                                             SimTime response_time,
                                             SimTime now) {
   scheduler_->on_round_complete(job, sched_delay, response_time, now);
+  // A buffered commit advances the job's completed rounds right after this
+  // call while its request stays open: its row goes stale without a
+  // queue change, so the table is rebuilt on its next read.
+  wants_dirty_ = true;
   const JobEntry* e = entry(job);
   if (e == nullptr) return;
   for (RunObserver* obs : observers_) {

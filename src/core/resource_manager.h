@@ -10,10 +10,19 @@
 // the job/device protocol (steps 3-5) and is driven by the simulation
 // coordinator; per Appendix A, Venn deliberately delegates device selection
 // refinements, fault tolerance and privacy to the jobs themselves.
+//
+// Request-path cost: the manager keeps one wanting-row table, a
+// PendingJob per job whose request still wants devices, in id order. A
+// queue change hands the policy that table, and an offer hands it the
+// table itself (a device eligible for every wanting group) or a copy of
+// just the eligible rows; an assignment patches its winner's row in place.
+// So an offer pays for the wanting rows, never for a walk of the job
+// table, and the table is rebuilt only after a change to some row.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/observer.h"
@@ -67,7 +76,7 @@ class ResourceManager {
 
   // Continuous-admission protocols: a response (or in-flight failure)
   // freed one assignment slot on the job's long-lived request — requeue it
-  // with the policy and invalidate the wants cache.
+  // with the policy and invalidate the wanting-row table.
   void release_assignment(JobId id, SimTime now);
 
   // ----- device flow -----------------------------------------------------
@@ -114,8 +123,8 @@ class ResourceManager {
   [[nodiscard]] Scheduler& scheduler() { return *scheduler_; }
   [[nodiscard]] std::size_t num_pending_jobs() const;
 
-  // The pending-job view, built fresh from the registered jobs: what every
-  // queue change hands the policy. For tests.
+  // The pending-job view, built fresh from the registered jobs: equal to
+  // the wanting-row table every queue change hands the policy. For tests.
   [[nodiscard]] std::vector<PendingJob> pending_view() const;
 
   // ----- hot-path queries -------------------------------------------------
@@ -150,7 +159,7 @@ class ResourceManager {
   // tests and the hotpath bench's work-counter gate bound them per event.
   struct HotpathStats {
     std::uint64_t offers = 0;             // offers, check-ins included
-    std::uint64_t candidates_scanned = 0; // job entries examined across offers
+    std::uint64_t candidates_scanned = 0; // wanting rows examined across offers
     std::uint64_t view_builds = 0;        // queue views handed to the policy
   };
   [[nodiscard]] const HotpathStats& hotpath_stats() const { return hstats_; }
@@ -168,7 +177,7 @@ class ResourceManager {
 
   // The entry of a registered job, or null (unknown or deregistered id).
   [[nodiscard]] JobEntry* entry(JobId id);
-  // The table slot of an id on job_order_ or wanting_.
+  // The table slot of an id on job_order_ or in rows_.
   [[nodiscard]] const JobEntry& slot(JobId id) const {
     return jobs_[static_cast<std::size_t>(id.value())];
   }
@@ -185,15 +194,19 @@ class ResourceManager {
   journal::JournalSink* journal_ = nullptr;
   std::int64_t next_request_id_ = 0;
 
+  // The wanting-row table (see the file comment), with the wants mask as
+  // the union of its rows' groups. Rebuilt lazily after `wants_dirty_` is
+  // set: every path that changes a row field other than through an offer
+  // sets it (open/close, a reopened unit of demand, a buffered commit).
   mutable bool wants_dirty_ = true;
   mutable std::uint64_t wants_mask_ = 0;
-  // Ids with a device-wanting open request, ascending.
-  mutable std::vector<JobId> wanting_;
+  mutable std::vector<PendingJob> rows_;
   mutable HotpathStats hstats_;
-  std::vector<PendingJob> candidates_;  // offer's per-call buffer
-  std::vector<PendingJob> queue_view_;  // notify_queue_change's buffer
+  // An offer's eligible rows and their positions in rows_, reused buffers.
+  std::vector<PendingJob> candidates_;
+  std::vector<std::size_t> candidate_rows_;
 
-  void refresh_queue_cache() const;  // recomputes wants_mask_ + wanting_
+  void refresh_queue_cache() const;  // recomputes wants_mask_ + rows_
 };
 
 }  // namespace venn

@@ -35,35 +35,52 @@ void VennScheduler::on_device_checkin(const DeviceView& dev, SimTime now) {
     if (ring.caps.size() < kCapReservoir) {
       ring.caps.push_back(cap);
     } else {
-      ring.caps[ring.oldest] = cap;
-      ring.oldest = (ring.oldest + 1) % kCapReservoir;
+      ring.caps[ring.writes % kCapReservoir] = cap;
     }
+    ++ring.writes;
   }
 }
 
-namespace {
-
-// Value bins of the reservoir quantiles. A power of two, so c * kCapBins is
-// exact and the bin is monotone in capacity: every value in a lower bin is
-// smaller than every value in a higher one. Capacities lie in [0, 1];
-// values outside clamp to the end bins, which keeps the order.
-constexpr std::size_t kCapBins = 256;
-
-std::size_t cap_bin(double c) {
+// Value bins of the reservoir quantiles. kCapBins is a power of two, so
+// c * kCapBins is exact and the bin is monotone in capacity: every value in
+// a lower bin is smaller than every value in a higher one. Capacities lie
+// in [0, 1]; values outside clamp to the end bins, which keeps the order.
+std::uint8_t VennScheduler::cap_bin(double c) {
+  static_assert(kCapBins == 256, "a bin must fit the ring's byte column");
   const double s = c * static_cast<double>(kCapBins);
   if (!(s > 0.0)) return 0;
   if (s >= static_cast<double>(kCapBins - 1)) return kCapBins - 1;
-  return static_cast<std::size_t>(s);
+  return static_cast<std::uint8_t>(s);
 }
-
-}  // namespace
 
 std::span<const double> VennScheduler::group_thresholds(std::size_t g) {
   if (g >= kMaxGroups) throw std::out_of_range("group index >= 64");
-  const std::vector<double>& caps = group_caps_[g].caps;
+  CapRing& ring = group_caps_[g];
+  const std::vector<double>& caps = ring.caps;
   const std::size_t n = caps.size();
   const std::size_t tiers = cfg_.num_tiers;
   if (n < 10 * tiers) return {};
+
+  // Bring the histogram up to date: re-bin the slots written since the
+  // last call (each at most once while fewer than a ring's worth arrived),
+  // or recount every slot.
+  std::array<std::uint32_t, kCapBins>& count = ring.count;
+  ring.bins.resize(n);
+  if (ring.writes - ring.counted >= kCapReservoir) {
+    count.fill(0);
+    for (std::size_t s = 0; s < n; ++s) {
+      ring.bins[s] = cap_bin(caps[s]);
+      ++count[ring.bins[s]];
+    }
+  } else {
+    for (std::uint64_t w = ring.counted; w < ring.writes; ++w) {
+      const auto s = static_cast<std::size_t>(w % kCapReservoir);
+      if (w >= kCapReservoir) --count[ring.bins[s]];  // the value it evicted
+      ring.bins[s] = cap_bin(caps[s]);
+      ++count[ring.bins[s]];
+    }
+  }
+  ring.counted = ring.writes;
 
   // Each quantile reads two order statistics of the reservoir (its
   // percentile_rank). One counting pass finds the bins that hold them; only
@@ -71,8 +88,6 @@ std::span<const double> VennScheduler::group_thresholds(std::size_t g) {
   // in the gather at (rank - values in lower bins + gathered lower values).
   // Same order statistics, same interpolation: bit-equal to selecting them
   // from a copy with percentile_select.
-  std::array<std::uint32_t, kCapBins> count{};
-  for (const double c : caps) ++count[cap_bin(c)];
   std::array<bool, kCapBins> wanted{};
   std::size_t bin = 0;
   std::size_t below = 0;     // values in bins before `bin`
@@ -96,8 +111,8 @@ std::span<const double> VennScheduler::group_thresholds(std::size_t g) {
     rank_scratch_.push_back(r);
   }
   bin_scratch_.clear();
-  for (const double c : caps) {
-    if (wanted[cap_bin(c)]) bin_scratch_.push_back(c);
+  for (std::size_t s = 0; s < n; ++s) {
+    if (wanted[ring.bins[s]]) bin_scratch_.push_back(caps[s]);
   }
   std::sort(bin_scratch_.begin(), bin_scratch_.end());
 

@@ -116,13 +116,25 @@ class VennScheduler final : public Scheduler {
   MatchingStats mstats_;
 
   // Sliding reservoir of the last kCapReservoir check-in capacities per job
-  // group; feeds eligible-population tier thresholds (§4.3). A ring: the
-  // quantiles read it as a multiset, so only which value leaves matters
-  // (the oldest). group_thresholds reads it in place, without copying it.
+  // group; feeds eligible-population tier thresholds (§4.3). A ring: write
+  // w lands in slot w mod kCapReservoir, and the quantiles read it as a
+  // multiset, so only which value leaves matters (the oldest).
+  //
+  // group_thresholds keeps the ring's value-bin histogram (`count`) and
+  // each slot's bin as last counted (`bins`), and brings them up to date
+  // lazily: it re-bins only the slots written since its last call
+  // (`counted` writes ago), with a full recount once a whole ring's worth
+  // has been written in between. A check-in pays one store and one
+  // increment; a threshold call pays for the new check-ins, not the ring.
   static constexpr std::size_t kCapReservoir = 2048;
+  static constexpr std::size_t kCapBins = 256;
+  static std::uint8_t cap_bin(double c);  // a capacity's value bin
   struct CapRing {
     std::vector<double> caps;
-    std::size_t oldest = 0;  // next slot to overwrite once full
+    std::uint64_t writes = 0;   // check-ins recorded, ever
+    std::uint64_t counted = 0;  // `writes` when `count` was last synced
+    std::vector<std::uint8_t> bins;  // per slot: its bin in `count`
+    std::array<std::uint32_t, kCapBins> count{};
   };
   std::array<CapRing, kMaxGroups> group_caps_;
 

@@ -96,9 +96,8 @@ void CoordinatorDaemon::construct_resume(DaemonOptions& opts) {
   auto scheduler = api::rebuilt_scheduler(run);
   ex_ = std::make_unique<api::Experiment>(std::move(run.experiment));
 
-  std::vector<std::string> skipped;
-  snapshot_ = api::newest_readable_snapshot(path_, scan, &skipped);
-  for (const std::string& why : skipped) {
+  snapshot_ = api::newest_readable_snapshot(path_, scan, &snapshots_skipped_);
+  for (const std::string& why : snapshots_skipped_) {
     VENN_INFO << "snapshot at " << why << "; skipped";
   }
   writer_ = std::make_unique<journal::JournalWriter>(
@@ -204,8 +203,20 @@ std::string CoordinatorDaemon::status_json() const {
   s += "\"commits\":" + std::to_string(writer_->commits_written()) + ",";
   s += "\"snapshots\":" + std::to_string(writer_->snapshots_written()) + ",";
   s += "\"last_seq\":" + std::to_string(seq_) + ",";
-  s += "\"recovered_seq\":" + std::to_string(recovered_seq_);
-  s += "}}";
+  s += "\"recovered_seq\":" + std::to_string(recovered_seq_) + ",";
+  // The restore anchor: whether the re-executed state compared clean
+  // against a stored snapshot, and which newer snapshots were passed over.
+  const bool verified = verifier_ != nullptr && verifier_->snapshot_verified();
+  s += "\"snapshot_verified\":" + std::string(verified ? "true" : "false") +
+       ",";
+  s += "\"snapshots_skipped\":[";
+  for (std::size_t i = 0; i < snapshots_skipped_.size(); ++i) {
+    if (i != 0) s += ",";
+    s += '"';
+    s += json_escape(snapshots_skipped_[i]);
+    s += '"';
+  }
+  s += "]}}";
   return s;
 }
 

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "api/builder.h"
 #include "api/live.h"
@@ -91,6 +92,9 @@ class CoordinatorDaemon {
   bool done_ = false;
   std::uint64_t seq_ = 0;
   std::uint64_t recovered_seq_ = 0;
+  // Resume only: the newer marked snapshots passed over as unreadable,
+  // newest first, each as "commit N: <read error>".
+  std::vector<std::string> snapshots_skipped_;
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 

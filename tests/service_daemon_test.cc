@@ -38,6 +38,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -324,6 +325,37 @@ TEST(ServiceDaemon, ResumeFallsBackPastUnreadableSnapshots) {
 
     service::CoordinatorDaemon daemon = resumed_daemon(journal);
     ASSERT_EQ(daemon.recovered_seq(), crash_at);
+    // `status` names the restore anchor: the older snapshot verified the
+    // restore when only the newest was torn; with every snapshot gone the
+    // journal alone did, and each marked snapshot was passed over.
+    const std::string status = daemon.status_json();
+    EXPECT_NE(status.find(delete_all ? "\"snapshot_verified\":false"
+                                     : "\"snapshot_verified\":true"),
+              std::string::npos)
+        << status;
+    const std::size_t list = status.find("\"snapshots_skipped\":[");
+    ASSERT_NE(list, std::string::npos) << status;
+    const std::string skipped = status.substr(list);
+    const auto names = [&](std::uint64_t commits) {
+      return skipped.find("\"commit " + std::to_string(commits) + ": ") !=
+             std::string::npos;
+    };
+    std::size_t entries = 0;
+    for (std::size_t at = skipped.find("\"commit "); at != std::string::npos;
+         at = skipped.find("\"commit ", at + 1)) {
+      ++entries;
+    }
+    EXPECT_TRUE(names(marks.back())) << status;
+    if (delete_all) {
+      // One entry per snapshot file; a snapshot-now can share its commit
+      // count with a cadence snapshot, and then its file.
+      EXPECT_TRUE(names(marks.front())) << status;
+      EXPECT_EQ(entries, std::set<std::uint64_t>(marks.begin(), marks.end())
+                             .size())
+          << status;
+    } else {
+      EXPECT_EQ(entries, 1u) << status;
+    }
     play(daemon, script, daemon.recovered_seq(), script.size());
     ASSERT_EQ(daemon.dispatch("drain").rfind("ok drained ", 0), 0u);
     EXPECT_EQ(read_file(daemon.result_path()), expected);

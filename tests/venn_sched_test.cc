@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "scheduler/venn_sched.h"
@@ -275,6 +276,75 @@ TEST(VennSched, NegativeJobIdThrows) {
   const std::vector<PendingJob> pending{make_pending(-1, G, 5)};
   EXPECT_THROW(s.on_queue_change(pending, 1.0), std::invalid_argument);
   EXPECT_EQ(s.sort_key(pending[0]), pending[0].remaining_service);
+}
+
+TEST(VennSched, IncrementalThresholdsMatchPercentileSelectAcrossTheWrap) {
+  // group_thresholds re-bins only the reservoir slots written since its
+  // last call, and recounts the whole ring when a ring's worth (2048) or
+  // more arrived in between. Hold it against percentile_select on a copy
+  // of the window after gaps that fill the ring, wrap it, and write more
+  // than a whole ring between two calls, on two groups written at
+  // different rates.
+  constexpr std::size_t kRing = 2048;
+  constexpr std::size_t kTiers = 3;
+  VennConfig cfg;
+  cfg.num_tiers = kTiers;
+  VennScheduler s(cfg, Rng(1));
+  Rng rng(19);
+  std::deque<double> window[2];
+  std::size_t written[2] = {};
+  std::size_t compared = 0;
+  std::size_t after_fill = 0;
+  std::size_t after_ring_gap = 0;
+  std::size_t since_call[2] = {};
+  const auto compare = [&](std::size_t g) {
+    std::vector<double> copy(window[g].begin(), window[g].end());
+    std::vector<double> want;
+    if (copy.size() >= 10 * kTiers) {
+      want.push_back(0.0);
+      for (std::size_t v = 1; v < kTiers; ++v) {
+        want.push_back(std::max(
+            want.back(),
+            percentile_select(copy, 100.0 * static_cast<double>(v) /
+                                        static_cast<double>(kTiers))));
+      }
+      want.push_back(1.0 + 1e-12);
+    }
+    const std::span<const double> got = s.group_thresholds(g);
+    ASSERT_EQ(std::vector<double>(got.begin(), got.end()), want)
+        << "group " << g << " after " << written[g] << " writes, "
+        << since_call[g] << " since the last call";
+    ++compared;
+    if (written[g] > kRing) ++after_fill;
+    if (since_call[g] >= kRing) ++after_ring_gap;
+    since_call[g] = 0;
+  };
+  // Check-ins between calls: below the minimum window, the fill, exactly
+  // a ring, a ring and one, several rings, then single writes.
+  const std::size_t gaps[] = {5,    40,   1,    900,  1100, 7,    1,
+                              2048, 2049, 3,    5000, 1,    1,    64,
+                              2047, 4100, 2,    1,    300,  2500};
+  for (const std::size_t gap : gaps) {
+    for (std::size_t i = 0; i < gap; ++i) {
+      // Group 0 gets every check-in, group 1 every other one; a few
+      // values repeat so that bins hold ties.
+      const double x = rng.uniform() < 0.2 ? 0.25 : rng.uniform();
+      const std::uint64_t sig = (i % 2 == 0) ? 0b11 : 0b01;
+      s.on_device_checkin(device_with_signature(sig, x, x), 0.0);
+      for (std::size_t g = 0; g < 2; ++g) {
+        if (!((sig >> g) & 1ULL)) continue;
+        window[g].push_back(DeviceSpec{x, x}.capacity());
+        if (window[g].size() > kRing) window[g].pop_front();
+        ++written[g];
+        ++since_call[g];
+      }
+    }
+    compare(0);
+    compare(1);
+  }
+  EXPECT_EQ(compared, 2 * std::size(gaps));
+  EXPECT_GT(after_fill, 10u);
+  EXPECT_GT(after_ring_gap, 4u);
 }
 
 TEST(VennSched, SupplyStoreRecordsCheckins) {
