@@ -94,7 +94,8 @@ Coordinator::Coordinator(sim::Engine& engine, ResourceManager& manager,
   uplink_ = cfg_.topo.hier ? cfg_.topo.sync_latency : 0.0;
   if (cfg_.topo.hier) tstats_.per_region.assign(regions_.regions(), {});
 
-  index_ = std::make_unique<EligibilityIndex>(hot_, manager_.signatures());
+  index_ = std::make_unique<EligibilityIndex>(hot_, manager_.signatures(),
+                                              regions_);
   // Durability: the manager emits the submit records (it owns request-id
   // assignment); everything else journals from here.
   manager_.set_journal(cfg_.journal);
@@ -135,63 +136,26 @@ std::size_t Coordinator::resident_session_count() const {
   return n;
 }
 
-const std::vector<topology::RegionSupply>& Coordinator::region_supply(
-    const Requirement& req) const {
-  for (const auto& [cached, partials] : region_supply_cache_) {
-    if (cached == req) return partials;
-  }
-  // First sight of this requirement: scan each region's contiguous range
-  // of the hot columns once. The per-device inputs never change after
-  // construction, so the partials are a pure function of (req, fleet).
-  const std::size_t nregions = regions_.regions();
-  std::vector<topology::RegionSupply> partials(nregions);
-  const DeviceSpec* specs = hot_.spec.data();
-  const double* session_counts = hot_.session_checkins.data();
-  const SimTime* last_ends = hot_.session_last_end.data();
-  for (std::size_t r = 0; r < nregions; ++r) {
-    topology::RegionSupply& p = partials[r];
-    const std::size_t end = regions_.end(r);
-    for (std::size_t d = regions_.begin(r); d < end; ++d) {
-      p.span = std::max(p.span, last_ends[d]);
-      if (!req.eligible(specs[d])) continue;
-      ++p.eligible;
-      p.checkins += session_counts[d];
-    }
-  }
-  region_supply_cache_.emplace_back(req, std::move(partials));
-  return region_supply_cache_.back().second;
-}
-
 double Coordinator::supply_rate(const Requirement& req) const {
   ++hstats_.supply_queries;
-  // Registration also assigns the requirement's bit and rebuckets the
-  // signature column, so hier mode registers the requirement too.
+  // Registration assigns the requirement's bit; its first sight rebuckets
+  // the signature column and accumulates the per-region partials.
   const std::size_t g = index_->register_requirement(req);
+  // Under topology=hier each partial is what a regional coordinator
+  // reports to the global one; flat mode has one region. The sum equals a
+  // brute-force fleet scan EXACTLY (integer counts, integer-valued double
+  // check-in sums; tests/supply_oracle_test.cc), which is what keeps hier
+  // byte-identical to flat at zero sync latency.
+  if (cfg_.topo.hier) ++tstats_.cross_region_supply_aggs;
   std::uint64_t eligible = 0;
   double checkins = 0.0;
-  SimTime span = 0.0;
-  if (cfg_.topo.hier) {
-    // Hierarchical topology: the global coordinator aggregates exact
-    // per-region partials (each regional coordinator reports its own
-    // eligible count / check-in sum / span). The region-grouped sums equal
-    // the flat values EXACTLY — eligible counts are integers, per-device
-    // check-in counts are integer-valued doubles (so partial sums are
-    // associative), and the span is a max — which is what keeps hier
-    // byte-identical to flat at zero sync latency.
-    ++tstats_.cross_region_supply_aggs;
-    for (const topology::RegionSupply& p : region_supply(req)) {
-      eligible += p.eligible;
-      checkins += p.checkins;
-      span = std::max(span, p.span);
-    }
-  } else {
-    // The index's per-signature atom buckets: O(#atoms), not a fleet scan,
-    // and equal to a brute-force scan over the hot-state columns bit for
-    // bit (tests/supply_oracle_test.cc).
-    eligible = index_->eligible_count(g);
-    checkins = index_->eligible_session_checkins(g);
-    span = index_->session_span();
+  for (const topology::RegionSupply& p : index_->partials(g)) {
+    eligible += p.eligible;
+    checkins += p.checkins;
   }
+  // The averaging span is the fleet's latest session end, the maximum of
+  // every region's.
+  const SimTime span = hot_.session_span;
   if (cfg_.churn != nullptr) {
     // Analytic rate from the churn model — used whether the sessions
     // stream or replay from a column, so the two estimate identically.
@@ -218,8 +182,7 @@ double Coordinator::solo_jct_estimate(const trace::JobSpec& spec) const {
     mean_session = cfg_.churn->mean_session_seconds();
   } else if (hot_.session_count > 0.0) {
     // The hot store accumulated the device-order sums once at
-    // construction; the sessions never change after that (the index's
-    // session accessors are views of the very same fields).
+    // construction; the sessions never change after that.
     mean_session = hot_.session_time / hot_.session_count;
   }
   const double pool = rate * mean_session;

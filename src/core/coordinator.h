@@ -48,9 +48,10 @@
 // setting) instead of coming from a pre-built spec list.
 //
 // Supply estimation and idle-pool sweeps run against an incremental
-// eligibility index (core/elig_index.h). Its supply answers equal a
-// brute-force scan of the fleet's hot-state columns exactly (asserted by
-// tests/supply_oracle_test.cc).
+// eligibility index (core/elig_index.h). Supply has one path in both
+// topologies: the index's per-region partials, summed (flat mode has one
+// region). Its answers equal a brute-force scan of the run's device specs
+// and sessions exactly (asserted by tests/supply_oracle_test.cc).
 //
 // Sweeps and index rebuckets run serially on the event loop: one check-in
 // or request arrival triggers one sweep and one offer sequence, as in the
@@ -200,8 +201,8 @@ class Coordinator final : private sim::EventHandler {
   // Used for the §4.4 fairness bound and the Fig. 14b metric.
   [[nodiscard]] double solo_jct_estimate(const trace::JobSpec& spec) const;
   // Estimated eligible check-in rate (devices/sec, daily average) for a
-  // requirement — the supply term of solo_jct_estimate, answered from the
-  // eligibility index (per-region partials under topology=hier).
+  // requirement — the supply term of solo_jct_estimate: the sum of the
+  // eligibility index's per-region partials over the fleet's session span.
   [[nodiscard]] double supply_rate(const Requirement& req) const;
 
   // --- session accounting -----------------------------------------------
@@ -395,13 +396,6 @@ class Coordinator final : private sim::EventHandler {
   // jobs_ keeps every Job for the run.
   std::size_t release_stragglers(Job* job, RequestId rid, SimTime now);
 
-  // Hier mode: per-region supply partials for a requirement, computed on
-  // first sight (the per-device inputs are fixed at init) and re-aggregated
-  // across regions on every query. The region-grouped sums equal the flat
-  // answer exactly (integer counts, integer-valued double sums, maxima).
-  [[nodiscard]] const std::vector<topology::RegionSupply>& region_supply(
-      const Requirement& req) const;
-
   sim::Engine& engine_;
   ResourceManager& manager_;
   SessionColumn sessions_;  // covers the fleet unless streamed_
@@ -411,9 +405,9 @@ class Coordinator final : private sim::EventHandler {
 
   // Struct-of-arrays hot state (device/fleet.h), the only per-device
   // store: specs, eligibility signatures (written by the index), idle-pool
-  // positions, participation budgets, and the session columns for the
-  // index rebuckets and the hier region supply partials. Initialized in
-  // the constructor; array addresses are stable for the run.
+  // positions, participation budgets, and the session check-in column the
+  // index's supply partials sum. Initialized in the constructor; array
+  // addresses are stable for the run.
   FleetHotState hot_;
 
   // Idle pool as a dense vector + position map (hot_.idle_pos): O(1)
@@ -435,12 +429,10 @@ class Coordinator final : private sim::EventHandler {
   // Region partition (1 region in flat mode), the uplink latency every
   // region→global result report rides (0.0 in flat mode — and x + 0.0 == x
   // keeps zero-latency hier event times bit-identical to flat), hier
-  // telemetry, and the per-requirement region supply cache.
+  // telemetry.
   topology::RegionMap regions_;
   double uplink_ = 0.0;
   mutable topology::TopologyStats tstats_;
-  mutable std::vector<std::pair<Requirement, std::vector<topology::RegionSupply>>>
-      region_supply_cache_;
 
   std::size_t unfinished_jobs_ = 0;
   double mean_exec_factor_ = 1.0;  // population mean of 1/speed

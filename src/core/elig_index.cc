@@ -2,14 +2,9 @@
 
 namespace venn {
 
-EligibilityIndex::EligibilityIndex(FleetHotState& hot, SignatureSpace& space)
-    : hot_(&hot), space_(&space) {
-  // Everything starts in the signature-0 bucket; requirement registrations
-  // move devices to their atoms incrementally.
-  Atom& zero = atoms_[0];
-  zero.device_count = hot_->size();
-  for (double c : hot_->session_checkins) zero.session_checkins += c;
-}
+EligibilityIndex::EligibilityIndex(FleetHotState& hot, SignatureSpace& space,
+                                   const topology::RegionMap& regions)
+    : hot_(&hot), space_(&space), regions_(regions) {}
 
 std::size_t EligibilityIndex::register_requirement(const Requirement& req) {
   const std::size_t bit = space_->register_requirement(req);
@@ -19,51 +14,36 @@ std::size_t EligibilityIndex::register_requirement(const Requirement& req) {
 
 void EligibilityIndex::sync() {
   // The one full pass this structure ever pays per distinct requirement:
-  // flip the new bit on eligible devices and move them between buckets.
-  // Dense column scans (spec + signature side by side in the hot store)
-  // instead of chasing per-device pointers.
+  // flip the new bit on eligible devices and add them to their region's
+  // partial. Dense column scans (spec + signature side by side in the hot
+  // store), region by region over contiguous ranges, so each partial is a
+  // device-order accumulation.
+  const std::size_t nregions = regions_.regions();
   for (; bucketed_ < space_->size(); ++bucketed_) {
     const Requirement& req = space_->requirement(bucketed_);
     const std::uint64_t mask = 1ULL << bucketed_;
     ++mstats_.requirement_registrations;
+    mstats_.device_rescans += hot_->size();
     const DeviceSpec* specs = hot_->spec.data();
     std::uint64_t* sigs = hot_->signature.data();
     const double* checkins = hot_->session_checkins.data();
-    const std::size_t n = hot_->size();
-    for (std::size_t d = 0; d < n; ++d) {
-      ++mstats_.device_rescans;
-      if (!req.eligible(specs[d])) continue;
-      const std::uint64_t old_sig = sigs[d];
-      const std::uint64_t new_sig = old_sig | mask;
-      sigs[d] = new_sig;
-
-      Atom& from = atoms_.at(old_sig);
-      --from.device_count;
-      from.session_checkins -= checkins[d];
-      Atom& to = atoms_[new_sig];
-      ++to.device_count;
-      to.session_checkins += checkins[d];
-      if (from.device_count == 0) atoms_.erase(old_sig);
+    partials_.resize((bucketed_ + 1) * nregions);
+    for (std::size_t r = 0; r < nregions; ++r) {
+      topology::RegionSupply& p = partials_[bucketed_ * nregions + r];
+      const std::size_t end = regions_.end(r);
+      for (std::size_t d = regions_.begin(r); d < end; ++d) {
+        if (!req.eligible(specs[d])) continue;
+        sigs[d] |= mask;
+        ++p.eligible;
+        p.checkins += checkins[d];
+      }
     }
   }
 }
 
 std::size_t EligibilityIndex::eligible_count(std::size_t group) const {
   std::size_t n = 0;
-  for (const auto& [sig, atom] : atoms_) {
-    if ((sig >> group) & 1ULL) n += atom.device_count;
-  }
-  return n;
-}
-
-double EligibilityIndex::eligible_session_checkins(std::size_t group) const {
-  // Each bucket total is an exact integer (sums of session counts), so the
-  // cross-bucket sum equals a per-device accumulation regardless of
-  // order.
-  double n = 0.0;
-  for (const auto& [sig, atom] : atoms_) {
-    if ((sig >> group) & 1ULL) n += atom.session_checkins;
-  }
+  for (const topology::RegionSupply& p : partials(group)) n += p.eligible;
   return n;
 }
 

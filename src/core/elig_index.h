@@ -1,4 +1,4 @@
-// Incremental eligibility/availability index over a device population.
+// Incremental eligibility index over a device population.
 //
 // The scheduling hot path used to rescan the whole fleet on every supply
 // query: `Coordinator::supply_rate` walked all devices (and, without a churn
@@ -10,22 +10,23 @@
 //     registered job requirements it satisfies, the same ≤64-group atoms
 //     `compute_irs_plan` consumes — updated only when a new distinct
 //     requirement arrives (job arrival), never per scheduling decision;
-//   * devices are bucketed per signature into *atom buckets* holding the
-//     device count and the total trace-session check-in count, so
-//     eligible-supply queries are O(#atoms) instead of O(devices);
-//   * population session statistics (span, mean session seconds) are
-//     computed once at construction in device order, so index-backed
-//     estimates are byte-identical to a brute-force fleet scan, which tests
-//     assert (tests/elig_index_test.cc, tests/supply_oracle_test.cc).
+//   * the rebucket pass that sets a requirement's bit also sums, per region
+//     of the coordinator's topology::RegionMap (one region in flat mode),
+//     the eligible devices and their trace-session check-ins. Those
+//     *supply partials* are the only supply path: a supply query adds up
+//     one requirement's partials, O(regions) instead of O(devices). Every
+//     quantity is an integer count or an integer-valued double sum, so the
+//     result equals a brute-force fleet scan bit for bit, which tests assert
+//     (tests/elig_index_test.cc, tests/supply_oracle_test.cc).
 //
 // Storage note: the per-device columns the index maintains — the signature
-// cache, and the spec and session-count columns the rebucket predicate
-// reads — live in the fleet's struct-of-arrays FleetHotState
-// (device/fleet.h), not in this class. The index works over a store it
-// does not own (the coordinator's, or in tests one built over a test
-// fleet), so the sweep filter can AND the very same contiguous `signature`
-// array against the manager's wants mask with no per-device indirection.
-// The index is the sole writer of the signature column.
+// cache, and the spec and session-count columns the rebucket pass reads —
+// live in the fleet's struct-of-arrays FleetHotState (device/fleet.h), not
+// in this class. The index works over a store it does not own (the
+// coordinator's, or in tests one built over a test fleet), so the sweep
+// filter can AND the very same contiguous `signature` array against the
+// manager's wants mask with no per-device indirection. The index is the
+// sole writer of the signature column.
 //
 // Requirement bits come from one SignatureSpace (device/eligibility.h),
 // which the index also does not own: the coordinator's index registers
@@ -36,34 +37,30 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <vector>
 
 #include "device/eligibility.h"
 #include "device/fleet.h"
+#include "topology/topology.h"
 
 namespace venn {
 
 class EligibilityIndex {
  public:
-  // One eligibility atom: the devices sharing a signature.
-  struct Atom {
-    std::size_t device_count = 0;
-    // Total number of trace sessions (= daily-averaged check-ins
-    // numerator) of the bucket's devices. Integer-valued, stored as double
-    // so sums reproduce a per-device double accumulation exactly.
-    double session_checkins = 0.0;
-  };
-
   struct MaintenanceStats {
     std::uint64_t requirement_registrations = 0;  // distinct requirements
     std::uint64_t device_rescans = 0;  // device visits across registrations
   };
 
   // Builds the index over an already-initialized store (the coordinator's
-  // FleetHotState) and a requirement space (the resource manager's). The
-  // index becomes the sole writer of `hot.signature` and reads `hot.spec` /
-  // `hot.session_checkins`; both must outlive the index.
-  EligibilityIndex(FleetHotState& hot, SignatureSpace& space);
+  // FleetHotState), a requirement space (the resource manager's) and a
+  // region partition of exactly the store's devices. The index becomes the
+  // sole writer of `hot.signature` and reads `hot.spec` /
+  // `hot.session_checkins`; the store and the space must outlive the
+  // index.
+  EligibilityIndex(FleetHotState& hot, SignatureSpace& space,
+                   const topology::RegionMap& regions);
 
   // Registers `req` in the space (idempotent), returns its bit index. A new
   // distinct requirement rebuckets the population once — O(devices) per
@@ -96,34 +93,19 @@ class EligibilityIndex {
     return hot_->signature.size();
   }
 
-  // Eligible-device count for requirement bit `group`: O(#atoms).
+  // Supply partials of requirement bit `group`, one per region in region
+  // order: the region's eligible devices and their session check-ins.
+  // Empty for a bit not yet rebucketed.
+  [[nodiscard]] std::span<const topology::RegionSupply> partials(
+      std::size_t group) const {
+    if (group >= bucketed_) return {};
+    const std::size_t nregions = regions_.regions();
+    return {partials_.data() + group * nregions, nregions};
+  }
+
+  // Eligible-device count for requirement bit `group`: the sum of its
+  // partials.
   [[nodiscard]] std::size_t eligible_count(std::size_t group) const;
-
-  // Total trace-session count of eligible devices for requirement
-  // bit `group` (the supply rate's check-in numerator): O(#atoms).
-  [[nodiscard]] double eligible_session_checkins(std::size_t group) const;
-
-  // --- population session statistics (accumulated once at store init) -----
-  // Latest session end over all devices (the supply rate's averaging span).
-  [[nodiscard]] SimTime session_span() const { return hot_->session_span; }
-  // Total session time / count over all devices, accumulated in device
-  // order.
-  [[nodiscard]] double total_session_seconds() const {
-    return hot_->session_time;
-  }
-  [[nodiscard]] double total_session_count() const {
-    return hot_->session_count;
-  }
-  [[nodiscard]] bool has_sessions() const { return hot_->session_count > 0.0; }
-  [[nodiscard]] double mean_session_seconds() const {
-    return hot_->session_time / hot_->session_count;
-  }
-
-  // Atom buckets keyed by signature (signature 0 = devices eligible for no
-  // registered requirement). Exposed for tests and benches.
-  [[nodiscard]] const std::unordered_map<std::uint64_t, Atom>& atoms() const {
-    return atoms_;
-  }
 
   [[nodiscard]] const MaintenanceStats& maintenance_stats() const {
     return mstats_;
@@ -135,8 +117,10 @@ class EligibilityIndex {
 
   FleetHotState* hot_ = nullptr;
   SignatureSpace* space_ = nullptr;
-  std::size_t bucketed_ = 0;         // space bits already in the column
-  std::unordered_map<std::uint64_t, Atom> atoms_;
+  topology::RegionMap regions_;
+  std::size_t bucketed_ = 0;  // space bits already in the column
+  // partials_[bit * regions + r]: region r's partial for requirement bit.
+  std::vector<topology::RegionSupply> partials_;
   MaintenanceStats mstats_;
 };
 

@@ -19,7 +19,6 @@ void FleetHotState::init(std::vector<DeviceSpec> specs,
   idle_pos.assign(n, 0);
   participation_day.assign(n, kNeverParticipated);
   session_checkins.assign(n, 0.0);
-  session_last_end.assign(n, 0.0);
 
   session_span = 0.0;
   session_time = 0.0;
@@ -30,10 +29,7 @@ void FleetHotState::init(std::vector<DeviceSpec> specs,
   for (std::size_t d = 0; d < sessions.devices(); ++d) {
     const std::span<const Session> ss = sessions.of(d);
     session_checkins[d] = static_cast<double>(ss.size());
-    if (!ss.empty()) {
-      session_last_end[d] = ss.back().end;
-      session_span = std::max(session_span, ss.back().end);
-    }
+    if (!ss.empty()) session_span = std::max(session_span, ss.back().end);
     for (const Session& s : ss) {
       session_time += s.duration();
       session_count += 1.0;

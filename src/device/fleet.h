@@ -19,9 +19,9 @@
 //                        device participated (kNeverParticipated =
 //                        never/refunded; -1 is a real day under floor
 //                        semantics). Snapshots serialize this column.
-//   * `session_checkins[d]`, `session_last_end[d]` — the exact per-device
-//                        quantities behind supply estimation (index
-//                        rebuckets, hier region partials).
+//   * `session_checkins[d]` — the device's trace-session count, the exact
+//                        per-device quantity the eligibility index sums
+//                        into its supply partials.
 //
 // The arrays are plain data with no invariants of their own: the
 // coordinator owns the store, the eligibility index writes the signature
@@ -42,8 +42,7 @@ namespace venn {
 
 // Struct-of-arrays state of one device fleet. Owned by the Coordinator;
 // shared by reference with the EligibilityIndex (which maintains
-// `signature`) and read by the sweep filter and the hier region supply
-// partials.
+// `signature` and sums `session_checkins`) and read by the sweep filter.
 class FleetHotState {
  public:
   // Lays out the arrays for the fleet `specs` (device d is specs[d]) and
@@ -77,10 +76,9 @@ class FleetHotState {
   std::vector<std::int32_t> participation_day;  // last day participated
   std::vector<double> session_checkins;   // trace sessions, integer-valued
                                           // (the supply numerator)
-  std::vector<SimTime> session_last_end;  // last session end; 0 = none
 
   // --- population session aggregates (device-order accumulation) --------
-  SimTime session_span = 0.0;   // max session_last_end over the fleet
+  SimTime session_span = 0.0;   // latest session end over the fleet
   double session_time = 0.0;    // total session seconds
   double session_count = 0.0;   // total session count (integer-valued)
 };

@@ -1,5 +1,7 @@
 #include "topology/topology.h"
 
+#include "util/ids.h"
+
 namespace venn::topology {
 
 double phase_offset(const TopologySpec& spec, std::size_t r) {

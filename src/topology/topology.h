@@ -13,9 +13,10 @@
 //     sessions shifted by phase_offset(r) = phase_spread_h·kHour·r/R,
 //     modeling timezone spread across a geo-distributed fleet.
 //   * Cross-region supply aggregation — supply-rate queries aggregate
-//     per-region partial sums (eligible counts, session check-ins, span
-//     maxima) instead of one flat fleet-wide answer. The merged quantities
-//     are integer counts, integer-valued double sums and maxima, so the
+//     per-region partial sums (eligible counts, session check-ins) that
+//     the eligibility index accumulates over each region's range; the
+//     averaging span is the fleet's latest session end. The merged
+//     quantities are integer counts and integer-valued double sums, so the
 //     region-grouped result equals the flat one EXACTLY.
 //   * Inter-region sync latency — each region holds a device's result for
 //     `sync_latency` seconds of uplink before the global coordinator sees
@@ -36,8 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "util/ids.h"
 
 namespace venn::topology {
 
@@ -127,14 +126,13 @@ struct TopologyStats {
   std::vector<RegionCounters> per_region;
 };
 
-// One region's cached supply partials for a single requirement. The
-// per-device inputs (spec eligibility, session check-in counts, session
-// end maxima) are fixed at fleet init, so the partials are computed once
-// per distinct requirement and re-aggregated across regions per query.
+// One region's supply partial for a single requirement. The per-device
+// inputs (spec eligibility, session check-in counts) are fixed at fleet
+// init, so the eligibility index computes the partials once per distinct
+// requirement, in its rebucket pass, and a query sums them across regions.
 struct RegionSupply {
   std::uint64_t eligible = 0;  // devices in the region matching the req
   double checkins = 0.0;       // Σ session check-ins over eligible devices
-  SimTime span = 0.0;          // max session end over the region (all devs)
 };
 
 }  // namespace venn::topology

@@ -61,7 +61,7 @@ StressRun run_stress(std::size_t devices) {
     const Requirement req = requirement_for(c);
     out.supply.push_back(coord.supply_rate(req));
     out.oracle_supply.push_back(
-        oracle::supply_rate(coord.hot_state(), req, ccfg.churn));
+        oracle::supply_rate(inputs.devices, inputs.sessions, req, ccfg.churn));
   }
   return out;
 }

@@ -1,35 +1,45 @@
 // Brute-force supply oracle: the eligible check-in rate of a fleet from a
-// plain range scan over the coordinator's struct-of-arrays hot-state
-// columns. Coordinator::supply_rate answers the same question from the
-// eligibility index's atom buckets (or, under topology=hier, from per-region
-// partials); every quantity involved is exact — integer eligible counts,
-// integer-valued check-in sums, a maximum span — so the two must agree to
-// the bit.
+// plain scan over the run's inputs — the device specs and their session
+// column — with the check-ins counted and the span taken from the sessions
+// themselves. It reads none of the coordinator's state:
+// Coordinator::supply_rate answers the same question from the eligibility
+// index's per-region partials over the hot-state columns, and every
+// quantity involved is exact — integer eligible counts, integer-valued
+// check-in sums, a maximum span — so the two must agree to the bit.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
+#include <vector>
 
-#include "core/coordinator.h"
+#include "device/device.h"
+#include "device/eligibility.h"
+#include "workload/churn.h"
 
 namespace venn::oracle {
 
-inline double supply_rate(const FleetHotState& hot, const Requirement& req,
+// `sessions` is the column the run was built with; one covering no device
+// (streamed churn, or a sessionless fleet) contributes no check-ins.
+inline double supply_rate(const std::vector<DeviceSpec>& specs,
+                          const SessionColumn& sessions,
+                          const Requirement& req,
                           const workload::ChurnModel* churn) {
+  std::size_t eligible = 0;
+  double checkins = 0.0;
+  SimTime span = 0.0;
+  for (std::size_t d = 0; d < specs.size(); ++d) {
+    const std::span<const Session> ss =
+        d < sessions.devices() ? sessions.of(d) : std::span<const Session>{};
+    for (const Session& s : ss) span = std::max(span, s.end);
+    if (!req.eligible(specs[d])) continue;
+    ++eligible;
+    checkins += static_cast<double>(ss.size());
+  }
   if (churn != nullptr) {
-    std::size_t eligible = 0;
-    for (std::size_t d = 0; d < hot.size(); ++d) {
-      eligible += req.eligible(hot.spec[d]) ? 1 : 0;
-    }
     const double rate = static_cast<double>(eligible) *
                         churn->mean_sessions_per_day() / kDay;
     return std::max(rate, 1e-9);
-  }
-  double checkins = 0.0;
-  SimTime span = 0.0;
-  for (std::size_t d = 0; d < hot.size(); ++d) {
-    span = std::max(span, hot.session_last_end[d]);
-    if (req.eligible(hot.spec[d])) checkins += hot.session_checkins[d];
   }
   if (span <= 0.0 || checkins <= 0.0) return 1e-9;
   return checkins / span;

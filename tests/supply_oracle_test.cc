@@ -1,11 +1,13 @@
 // Coordinator::supply_rate against the brute-force oracle (supply_oracle.h).
 //
-// The eligibility index is the only supply path the coordinator has; this
-// wall pins it to a plain fleet scan over the hot-state columns, exactly,
-// for every resource category, across the fleet kinds (trace sessions in a
-// column, a churn model with streamed sessions) and both coordination
-// topologies. Each cell runs the simulation first, so the index is queried after the registrations,
-// rebuckets and sweeps of a real run rather than on a fresh store.
+// The eligibility index's per-region partials are the only supply path the
+// coordinator has; this wall pins them to a plain scan of the run's device
+// specs and sessions, exactly, for every resource category, across the
+// fleet kinds (trace sessions in a column, a churn model with streamed
+// sessions) and both coordination topologies (one region, four). Each cell
+// runs the simulation first, so the index is queried after the
+// registrations, rebuckets and sweeps of a real run rather than on a fresh
+// store.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -59,7 +61,8 @@ TEST(SupplyRate, MatchesBruteForceScan) {
       for (const ResourceCategory c : all_categories()) {
         const Requirement req = requirement_for(c);
         EXPECT_EQ(coord.supply_rate(req),
-                  oracle::supply_rate(coord.hot_state(), req, ccfg.churn))
+                  oracle::supply_rate(inputs.devices, inputs.sessions, req,
+                                      ccfg.churn))
             << label << " category " << category_name(c);
       }
     }
