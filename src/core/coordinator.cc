@@ -244,8 +244,9 @@ void Coordinator::setup() {
 
   // Device session starts reach the queue through its presorted lane
   // (sim/event_queue.h), one chunk of simulated time at a time, from the
-  // cursors' dense next-start column: at most one pending start per
-  // device, in the order eager scheduling would give them.
+  // cursors' dense next-start column, bucketed into hour lists: at most
+  // one pending start per device, in the order eager scheduling would give
+  // them.
   const std::size_t n = hot_.size();
   lane_seq_ = engine_.queue().reserve_seqs(n);
   next_start_.assign(n, kNoStart);
@@ -261,6 +262,24 @@ void Coordinator::setup() {
     next_k_.assign(n, 0);
   }
   for (std::size_t d = 0; d < n; ++d) load_next_session(d);
+  // One list per hour of the horizon; past ~120 years of hours the last
+  // list holds the rest.
+  constexpr double kMaxStartHours = 1 << 20;
+  const double hours = cfg_.horizon / kHour;
+  start_head_.assign(
+      hours > 0.0
+          ? static_cast<std::size_t>(std::min(hours, kMaxStartHours)) + 1
+          : 1,
+      kNoChunk);
+  start_chunks_.clear();
+  free_chunk_ = kNoChunk;
+  start_marks_.assign((n + 63) / 64, 0);
+  start_low_ = start_head_.size() - 1;
+  for (std::size_t d = 0; d < n; ++d) {
+    if (next_start_[d] <= cfg_.horizon) {
+      hold_start(static_cast<std::uint32_t>(d));
+    }
+  }
   engine_.queue().set_handler(this);
   engine_.queue().set_lane(
       [this](SimTime end, std::vector<sim::LaneEvent>& out) {
@@ -354,28 +373,146 @@ void Coordinator::load_next_session(std::size_t d) {
   next_end_[d] = next.end;
 }
 
-SimTime Coordinator::refill_session_starts(
-    SimTime end, std::vector<sim::LaneEvent>& out) const {
-  // Starts past the horizon never fire: t <= horizon is t < the next
-  // double above it, so one compare per device decides an append.
-  const SimTime horizon = cfg_.horizon;
-  const SimTime limit = std::min(end, std::nextafter(horizon, kNoStart));
+std::size_t Coordinator::start_hour(SimTime t) const {
+  // A rounded product, truncated: monotone in t, which is all the lists
+  // need (a start in a later list is never earlier than one in an earlier
+  // list), even where rounding puts a start a hair before an hour's edge
+  // into the next hour.
+  const double h = t * (1.0 / kHour);
+  if (!(h > 0.0)) return 0;
+  const std::size_t last = start_head_.size() - 1;
+  return h >= static_cast<double>(last) ? last : static_cast<std::size_t>(h);
+}
+
+void Coordinator::hold_start(std::uint32_t d) {
+  const std::size_t h = start_hour(next_start_[d]);
+  std::uint32_t c = start_head_[h];
+  if (c == kNoChunk || start_chunks_[c].size == StartChunk::kDevices) {
+    if (free_chunk_ != kNoChunk) {
+      c = free_chunk_;
+      free_chunk_ = start_chunks_[c].next;
+    } else {
+      c = static_cast<std::uint32_t>(start_chunks_.size());
+      start_chunks_.emplace_back();
+    }
+    start_chunks_[c].next = start_head_[h];
+    start_chunks_[c].size = 0;
+    start_head_[h] = c;
+  }
+  StartChunk& chunk = start_chunks_[c];
+  chunk.dev[chunk.size++] = d;
+  start_low_ = std::min(start_low_, h);
+}
+
+SimTime Coordinator::refill_session_starts(SimTime end,
+                                           std::vector<sim::LaneEvent>& out) {
+  // Starts past the horizon never fire and are never held: t <= horizon is
+  // t < the next double above it.
+  const SimTime limit = std::min(end, std::nextafter(cfg_.horizon, kNoStart));
   const std::size_t before = out.size();
-  for (std::size_t d = 0; d < next_start_.size(); ++d) {
-    const SimTime t = next_start_[d];
-    if (t < limit) {
-      out.push_back({t, lane_seq_ + d, static_cast<std::uint32_t>(d)});
+  // File the starts that arrived since the last refill. Filing them here,
+  // in one batch, and not as each arrives keeps the start handler off the
+  // hour lists: there the filing waited on the cursor's freshly loaded
+  // start, and every session start paid for it.
+  for (const std::uint32_t d : start_arrivals_) hold_start(d);
+  start_arrivals_.clear();
+  // Every start before `limit` is in a list up to the hour of the last
+  // double before it. Those lists are walked; a start at or past `limit`
+  // stays in its list, and every earlier list is emptied. A chunk keeps
+  // its later starts in place, and an emptied chunk goes back to the pool.
+  const std::size_t hi = start_hour(std::nextafter(limit, -kNoStart));
+  bool marked = false;
+  for (std::size_t h = start_low_; h <= hi; ++h) {
+    std::uint32_t* link = &start_head_[h];
+    while (*link != kNoChunk) {
+      StartChunk& chunk = start_chunks_[*link];
+      std::uint32_t kept = 0;
+      for (std::uint32_t i = 0; i < chunk.size; ++i) {
+        const std::uint32_t d = chunk.dev[i];
+        const bool take = next_start_[d] < limit;
+        start_marks_[d >> 6] |= static_cast<std::uint64_t>(take) << (d & 63);
+        chunk.dev[kept] = d;
+        kept += take ? 0 : 1;
+      }
+      marked = marked || kept < chunk.size;
+      chunk.size = kept;
+      if (kept == 0) {
+        const std::uint32_t c = *link;
+        *link = chunk.next;
+        chunk.next = free_chunk_;
+        free_chunk_ = c;
+      } else {
+        link = &chunk.next;
+      }
+    }
+  }
+  start_low_ = std::max(start_low_, hi);
+  // Device order is ascending seq: the lane's contract, met without a sort.
+  if (marked) {
+    for (std::size_t w = 0; w < start_marks_.size(); ++w) {
+      for (std::uint64_t bits = start_marks_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t d = w * 64 + std::countr_zero(bits);
+        out.push_back({next_start_[d], lane_seq_ + d,
+                       static_cast<std::uint32_t>(d)});
+      }
+      start_marks_[w] = 0;
     }
   }
   // The earliest start left is read only after an empty refill (an empty
-  // stretch to skip), so the running minimum, a chain of dependent
-  // compares across the fleet, is folded only then.
-  if (out.size() != before) return kNoStart;
+  // stretch to skip): the minimum of the first non-empty list.
   SimTime rest = kNoStart;
-  for (const SimTime t : next_start_) {
-    if (t <= horizon) rest = std::min(rest, t);
+  if (out.size() == before) {
+    for (std::size_t h = start_low_; h < start_head_.size(); ++h) {
+      if (start_head_[h] == kNoChunk) continue;
+      for (std::uint32_t c = start_head_[h]; c != kNoChunk;
+           c = start_chunks_[c].next) {
+        const StartChunk& chunk = start_chunks_[c];
+        for (std::uint32_t i = 0; i < chunk.size; ++i) {
+          rest = std::min(rest, next_start_[chunk.dev[i]]);
+        }
+      }
+      break;
+    }
+  }
+  if (check_lane_refills_) {
+    check_lane_refill(limit, std::span(out).subspan(before), rest);
   }
   return rest;
+}
+
+void Coordinator::check_lane_refill(SimTime limit,
+                                    std::span<const sim::LaneEvent> got,
+                                    SimTime rest) {
+  ++lane_refills_checked_;
+  std::vector<sim::LaneEvent> want;
+  SimTime want_rest = kNoStart;
+  for (std::size_t d = 0; d < next_start_.size(); ++d) {
+    const SimTime t = next_start_[d];
+    if (t < limit) {
+      want.push_back({t, lane_seq_ + d, static_cast<std::uint32_t>(d)});
+    }
+    if (t <= cfg_.horizon) want_rest = std::min(want_rest, t);
+  }
+  const auto fail = [&](const std::string& what) {
+    throw std::logic_error("Coordinator: lane refill before t=" +
+                           std::to_string(limit) + " " + what);
+  };
+  if (got.size() != want.size()) {
+    fail("appended " + std::to_string(got.size()) + " starts, a scan finds " +
+         std::to_string(want.size()));
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got[i].t != want[i].t || got[i].seq != want[i].seq ||
+        got[i].dev != want[i].dev) {
+      fail("entry " + std::to_string(i) + " is device " +
+           std::to_string(got[i].dev) + ", a scan has device " +
+           std::to_string(want[i].dev));
+    }
+  }
+  if (want.empty() && rest != want_rest) {
+    fail("returned " + std::to_string(rest) + " as the earliest start, a " +
+         "scan finds " + std::to_string(want_rest));
+  }
 }
 
 void Coordinator::on_session_start(std::uint32_t d) {
@@ -384,10 +521,15 @@ void Coordinator::on_session_start(std::uint32_t d) {
   const SimTime t = next_start_[d];
   // A successor inside the lane's current chunk would be missed by the
   // next refill (which starts at the chunk end): it goes through the heap
-  // under the device's reserved number instead.
+  // under the device's reserved number instead. A later one is queued for
+  // the next refill to file under its hour.
   auto& queue = engine_.queue();
-  if (t < queue.lane_end() && t <= cfg_.horizon) {
-    queue.schedule_reserved(t, lane_seq_ + d, kSessionStart, d);
+  if (t <= cfg_.horizon) {
+    if (t < queue.lane_end()) {
+      queue.schedule_reserved(t, lane_seq_ + d, kSessionStart, d);
+    } else {
+      start_arrivals_.push_back(d);
+    }
   }
   attempt_checkin(d);
 }

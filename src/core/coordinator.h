@@ -58,6 +58,7 @@
 // paper. Sweep wall time is kept in ShardStats, outside RunResult.
 #pragma once
 
+#include <array>
 #include <limits>
 #include <memory>
 #include <span>
@@ -239,6 +240,16 @@ class Coordinator final : private sim::EventHandler {
     return sweep_exits_checked_;
   }
 
+  // Test hook for the lane source: while on, every refill of session starts
+  // is held against the O(devices) scan of the next-start column it
+  // replaced (the same starts in the same order, or the same earliest
+  // start after an empty refill), and a mismatch throws std::logic_error.
+  // Off in every run outside the tests.
+  void check_lane_refills(bool on) { check_lane_refills_ = on; }
+  [[nodiscard]] std::uint64_t lane_refills_checked() const {
+    return lane_refills_checked_;
+  }
+
   // The eligibility index. For tests and the journal inspector.
   [[nodiscard]] const EligibilityIndex& index() const { return *index_; }
 
@@ -350,10 +361,21 @@ class Coordinator final : private sim::EventHandler {
   // its churn stream (kNoStart when it has none left).
   void load_next_session(std::size_t dev_idx);
   // The event queue's lane source: appends every device's next start
-  // before `end` (at most one per device) and returns the earliest start
-  // left at or before the horizon (kNoStart when none).
-  SimTime refill_session_starts(SimTime end,
-                                std::vector<sim::LaneEvent>& out) const;
+  // before `end` (at most one per device), taking it out of its hour list,
+  // and returns the earliest start left at or before the horizon (kNoStart
+  // when none). Walks only the hours the chunk overlaps.
+  SimTime refill_session_starts(SimTime end, std::vector<sim::LaneEvent>& out);
+  // The hour list a start at `t` sits in: about [h, h+1) hours for list
+  // h, and monotone in t; the last list also holds every later start.
+  [[nodiscard]] std::size_t start_hour(SimTime t) const;
+  // Files the device's pending start under its hour.
+  void hold_start(std::uint32_t dev_idx);
+  // The check_lane_refills hook: holds one refill's appended starts, or the
+  // earliest start an empty refill returned, against a scan of the whole
+  // next-start column. The scan sees the column as it was before the
+  // refill; the lists' removals do not change it.
+  void check_lane_refill(SimTime limit, std::span<const sim::LaneEvent> got,
+                         SimTime rest);
   // The device's pending session starts: advances its cursor, sends a
   // successor that falls inside the lane's current chunk to the heap, then
   // attempts the check-in.
@@ -520,6 +542,33 @@ class Coordinator final : private sim::EventHandler {
   std::vector<SimTime> session_end_;
   std::vector<std::uint32_t> next_k_;
   std::vector<std::unique_ptr<workload::ChurnStream>> streams_;
+  // The lane's source, bucketed by hour. A device whose pending start the
+  // lane has not taken (lane_end() <= t <= horizon) is listed under that
+  // start's hour: start_head_[start_hour(t)] is the first of a chain of
+  // chunks of device ids, linked by `next` and ending at kNoChunk. The
+  // chunks come from one pool with a free list, so an hour owns no
+  // storage of its own, and a walk loads one link per chunk, not one per
+  // device: a chain of per-device links made each refill wait on a
+  // dependent load per start. Hours below start_low_ are empty. A refill
+  // collects its devices in start_marks_, one bit each, and emits them in
+  // device order (ascending seq) by walking the set words.
+  static constexpr std::uint32_t kNoChunk = 0xFFFFFFFFu;
+  struct StartChunk {
+    static constexpr std::size_t kDevices = 62;  // 256 bytes a chunk
+    std::uint32_t next = kNoChunk;
+    std::uint32_t size = 0;
+    std::array<std::uint32_t, kDevices> dev{};
+  };
+  std::vector<std::uint32_t> start_head_;
+  std::vector<StartChunk> start_chunks_;
+  std::uint32_t free_chunk_ = kNoChunk;
+  // Devices whose next start arrived (at or past lane_end()) since the
+  // last refill, which files them under their hours first.
+  std::vector<std::uint32_t> start_arrivals_;
+  std::size_t start_low_ = 0;
+  std::vector<std::uint64_t> start_marks_;
+  bool check_lane_refills_ = false;
+  std::uint64_t lane_refills_checked_ = 0;
   std::uint64_t sessions_streamed_ = 0;
 
   // Open-loop state: job specs sampled as arrivals fire.

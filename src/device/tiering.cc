@@ -16,13 +16,23 @@ TierProfile::TierProfile(std::size_t num_tiers, double tail_percentile)
 }
 
 void TierProfile::observe(double capacity, double response_time) {
-  capacities_.push_back(capacity);
-  response_times_.push_back(response_time);
+  obs_.push_back({response_time, capacity});
+}
+
+void TierProfile::merge_new() const {
+  if (sorted_ == obs_.size()) return;
+  const auto by_response = [](const Observation& a, const Observation& b) {
+    return a.response < b.response;
+  };
+  const auto mid = obs_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::sort(mid, obs_.end(), by_response);
+  std::inplace_merge(obs_.begin(), mid, obs_.end(), by_response);
+  sorted_ = obs_.size();
 }
 
 bool TierProfile::ready() const {
   // Require ~5 samples per tier before trusting quantile thresholds.
-  return capacities_.size() >= 5 * num_tiers_;
+  return obs_.size() >= 5 * num_tiers_;
 }
 
 void TierProfile::set_external_thresholds(std::span<const double> thresholds) {
@@ -47,7 +57,9 @@ std::span<const double> TierProfile::active_thresholds(
     std::vector<double>& local) const {
   if (!external_thresholds_.empty()) return external_thresholds_;
   if (!ready()) throw std::logic_error("TierProfile not ready");
-  std::vector<double> cap = capacities_;
+  std::vector<double> cap;
+  cap.reserve(obs_.size());
+  for (const Observation& o : obs_) cap.push_back(o.capacity);
   local.clear();
   local.push_back(0.0);
   for (std::size_t v = 1; v < num_tiers_; ++v) {
@@ -68,26 +80,42 @@ std::size_t TierProfile::tier_of(double capacity) const {
   return 0;
 }
 
-double TierProfile::speedup(std::size_t tier,
-                            std::vector<double>& scratch) const {
+double TierProfile::speedup(std::size_t tier) const {
   if (tier >= num_tiers_) throw std::out_of_range("tier index");
   std::vector<double> local;
   const std::span<const double> th = active_thresholds(local);
-  // One copy of the response times: the tier's own at the front, the rest
-  // at the back. Selecting the tier's tail reorders only the front, so the
-  // whole buffer is still the full sample for t0 afterwards.
-  const std::size_t n = response_times_.size();
-  scratch.resize(n);
-  std::size_t front = 0;
-  std::size_t back = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool in = capacities_[i] >= th[tier] && capacities_[i] < th[tier + 1];
-    scratch[in ? front++ : --back] = response_times_[i];
+  const double lo = th[tier];
+  const double hi = th[tier + 1];
+  merge_new();
+  const std::size_t n = obs_.size();
+  std::size_t members = 0;
+  for (const Observation& o : obs_) {
+    members += (o.capacity >= lo) & (o.capacity < hi);
   }
-  if (front == 0) return 1.0;
-  const std::span<double> all(scratch.data(), n);
-  const double tail = percentile_select(all.first(front), tail_percentile_);
-  const double t0 = percentile_select(all, tail_percentile_);
+  if (members == 0) return 1.0;
+  // percentile_select's value: one order statistic for a single sample,
+  // else the interpolation between ranks r.lo and r.hi. The tier's ranks
+  // count its members only; walking down from the slowest observation
+  // meets rank r.hi, then r.lo (r.lo <= r.hi), near the tail.
+  const PercentileRank r = percentile_rank(tail_percentile_, members);
+  double x_lo = 0.0;
+  double x_hi = 0.0;
+  std::size_t rank = members;
+  for (std::size_t i = n; i-- > 0;) {
+    const Observation& o = obs_[i];
+    if (!(o.capacity >= lo && o.capacity < hi)) continue;
+    --rank;
+    if (rank == r.hi) x_hi = o.response;
+    if (rank == r.lo) {
+      x_lo = o.response;
+      break;
+    }
+  }
+  const double tail = members == 1 ? x_lo : r.interpolate(x_lo, x_hi);
+  const PercentileRank r0 = percentile_rank(tail_percentile_, n);
+  const double t0 =
+      n == 1 ? obs_[0].response
+             : r0.interpolate(obs_[r0.lo].response, obs_[r0.hi].response);
   if (t0 <= 0.0) return 1.0;
   return tail / t0;
 }

@@ -33,7 +33,7 @@ class TierProfile {
   void observe(double capacity, double response_time);
 
   [[nodiscard]] std::size_t num_observations() const {
-    return capacities_.size();
+    return obs_.size();
   }
 
   // True once enough observations exist to build meaningful tiers (at least
@@ -63,10 +63,11 @@ class TierProfile {
   // Speed-up factor g_v = t_v / t_0 where t_v is the tail response time of
   // tier v and t_0 the tail over all observations (non-tiered). Values < 1
   // mean tier v responds faster than the mixed population. Requires ready().
-  // `scratch` is the caller's selection buffer (it holds one copy of the
-  // response times; its capacity is reused across calls).
-  [[nodiscard]] double speedup(std::size_t tier,
-                               std::vector<double>& scratch) const;
+  // Reads the order statistics in place: t_0's at their ranks, the tier's
+  // by one count of its members and a walk down from the slowest
+  // observation to the tail ranks. No copy, no selection: the observations
+  // since the last call are sorted and merged in first.
+  [[nodiscard]] double speedup(std::size_t tier) const;
 
  private:
   // The pinned thresholds in place, or else the observed capacity quantiles
@@ -74,10 +75,22 @@ class TierProfile {
   [[nodiscard]] std::span<const double> active_thresholds(
       std::vector<double>& local) const;
 
+  struct Observation {
+    double response;
+    double capacity;
+  };
+  // Sorts the observations past sorted_ by response and merges them into
+  // the sorted prefix.
+  void merge_new() const;
+
   std::size_t num_tiers_;
   double tail_percentile_;
-  std::vector<double> capacities_;
-  std::vector<double> response_times_;  // parallel to capacities_
+  // The observations, sorted by response time up to sorted_ and in arrival
+  // order after it. Every statistic is of a multiset, so nothing reads
+  // the arrival order: speedup() sorts them in place (hence mutable), and
+  // observe() costs one append.
+  mutable std::vector<Observation> obs_;
+  mutable std::size_t sorted_ = 0;
   std::vector<double> external_thresholds_;  // empty = derive from samples
 };
 

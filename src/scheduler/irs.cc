@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <stdexcept>
 
 namespace venn {
@@ -20,7 +21,37 @@ struct GroupWork {
 
 }  // namespace
 
-const std::vector<std::size_t>& IrsPlan::order_for(
+PlanArena::~PlanArena() { release(); }
+
+void* PlanArena::do_allocate(std::size_t bytes, std::size_t align) {
+  demand_ = (demand_ + align - 1) / align * align + bytes;
+  void* p = buf_.get() + used_;
+  std::size_t space = cap_ - used_;
+  if (buf_ != nullptr && std::align(align, bytes, p, space) != nullptr) {
+    used_ = cap_ - space + bytes;
+    return p;
+  }
+  p = std::pmr::new_delete_resource()->allocate(bytes, align);
+  overflow_.push_back({p, bytes, align});
+  return p;
+}
+
+void PlanArena::release() {
+  for (const Overflow& o : overflow_) {
+    std::pmr::new_delete_resource()->deallocate(o.p, o.bytes, o.align);
+  }
+  overflow_.clear();
+  if (demand_ > cap_) {
+    // Room for the largest build so far and for the alignment of the
+    // buffer's own start.
+    cap_ = std::bit_ceil(demand_ + alignof(std::max_align_t));
+    buf_ = std::make_unique<std::byte[]>(cap_);
+  }
+  used_ = 0;
+  demand_ = 0;
+}
+
+std::span<const std::size_t> IrsPlan::order_for(
     std::uint64_t signature, std::vector<std::size_t>& scratch) const {
   scratch.clear();
   if (signature == 0) return scratch;
@@ -47,8 +78,9 @@ const std::vector<std::size_t>& IrsPlan::order_for(
 }
 
 IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
-                         std::span<const AtomSupply> atoms) {
-  IrsPlan plan;
+                         std::span<const AtomSupply> atoms,
+                         std::pmr::memory_resource* mr) {
+  IrsPlan plan(mr);
   if (groups.empty()) return plan;
 
   // Active group mask; validate indices.
@@ -62,7 +94,10 @@ IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
   }
 
   // Merge atoms after masking to active groups.
-  std::unordered_map<std::uint64_t, double> atom_rate;
+  // Fresh maps, never cleared ones: a cleared map keeps its bucket count,
+  // and its iteration order, which orders the floating-point sums below,
+  // could then differ from a fresh map's.
+  std::pmr::unordered_map<std::uint64_t, double> atom_rate(mr);
   for (const auto& a : atoms) {
     const std::uint64_t sig = a.signature & active_mask;
     if (sig == 0 || a.rate <= 0.0) continue;
@@ -70,7 +105,7 @@ IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
   }
 
   // Group working state with eligible supply |S_j|.
-  std::vector<GroupWork> work;
+  std::pmr::vector<GroupWork> work(mr);
   work.reserve(groups.size());
   for (const auto& g : groups) {
     GroupWork w;
@@ -84,7 +119,7 @@ IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
   }
 
   // ---- Phase 1: initial allocation, scarcest group first (lines 5-9) ----
-  std::vector<std::size_t> by_supply_asc(work.size());
+  std::pmr::vector<std::size_t> by_supply_asc(work.size(), mr);
   for (std::size_t i = 0; i < work.size(); ++i) by_supply_asc[i] = i;
   std::stable_sort(by_supply_asc.begin(), by_supply_asc.end(),
                    [&](std::size_t a, std::size_t b) {
@@ -95,7 +130,7 @@ IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
                    });
 
   // owner[sig] = position in `work` of the group owning the atom.
-  std::unordered_map<std::uint64_t, std::size_t> owner;
+  std::pmr::unordered_map<std::uint64_t, std::size_t> owner(mr);
   for (std::size_t rank : by_supply_asc) {
     GroupWork& w = work[rank];
     for (const auto& [sig, rate] : atom_rate) {
@@ -107,8 +142,9 @@ IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
   }
 
   // ---- Phase 2: reallocation, most abundant group first (lines 10-23) ----
-  std::vector<std::size_t> by_supply_desc(by_supply_asc.rbegin(),
-                                          by_supply_asc.rend());
+  std::pmr::vector<std::size_t> by_supply_desc(by_supply_asc.rbegin(),
+                                               by_supply_asc.rend(), mr);
+  std::pmr::vector<std::uint64_t> movable_sigs(mr);
   for (std::size_t pos = 0; pos < by_supply_desc.size(); ++pos) {
     GroupWork& gj = work[by_supply_desc[pos]];
     if (gj.allocated <= kEpsRate) continue;  // line 12: |S'_j| > 0
@@ -120,7 +156,7 @@ IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
 
       // Intersection S_j ∩ S_k currently owned by k.
       double movable = 0.0;
-      std::vector<std::uint64_t> movable_sigs;
+      movable_sigs.clear();
       bool intersects = false;
       for (const auto& [sig, rate] : atom_rate) {
         const bool in_both =
@@ -162,13 +198,14 @@ IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
     plan.supply_rate[w.index] = w.supply;
     plan.allocated_rate[w.index] = std::max(0.0, w.allocated);
   }
+  std::pmr::vector<std::size_t> rest(mr);
   for (const auto& [sig, rate] : atom_rate) {
     (void)rate;
-    std::vector<std::size_t> order;
+    IrsPlan::Order order(mr);
     auto it = owner.find(sig);
     if (it != owner.end()) order.push_back(work[it->second].index);
     // Fall-through: remaining eligible groups, scarcest first.
-    std::vector<std::size_t> rest;
+    rest.clear();
     for (const auto& w : work) {
       if (((sig >> w.index) & 1ULL) &&
           (order.empty() || w.index != order.front())) {

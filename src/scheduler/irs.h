@@ -32,7 +32,10 @@
 // and its runner-up), which VennScheduler::assign finds in O(m).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <memory_resource>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -51,14 +54,61 @@ struct GroupInput {
   double queue_len = 0.0;  // m_j — jobs waiting (possibly fairness-adjusted)
 };
 
+// The storage a plan and its temporaries are built in: a bump arena over
+// one buffer. Deallocation is a no-op; release() forgets every allocation
+// at once and, when the last build outgrew the buffer (its overflow came
+// from the heap), grows the buffer to fit it. Once warm, building a plan
+// allocates nothing. Release only when nothing built in it is alive.
+class PlanArena final : public std::pmr::memory_resource {
+ public:
+  PlanArena() = default;
+  PlanArena(const PlanArena&) = delete;
+  PlanArena& operator=(const PlanArena&) = delete;
+  ~PlanArena() override;
+
+  void release();
+  // The buffer's size in bytes (0 before the first release that grows it).
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
+
+ private:
+  void* do_allocate(std::size_t bytes, std::size_t align) override;
+  void do_deallocate(void* /*p*/, std::size_t /*bytes*/,
+                     std::size_t /*align*/) override {}
+  [[nodiscard]] bool do_is_equal(
+      const std::pmr::memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+
+  struct Overflow {
+    void* p;
+    std::size_t bytes;
+    std::size_t align;
+  };
+  std::unique_ptr<std::byte[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t used_ = 0;
+  std::size_t demand_ = 0;  // bytes this build would take in one buffer
+  std::vector<Overflow> overflow_;
+};
+
+// A plan's containers allocate from the resource it was built with. Their
+// hash tables iterate in an order set by the inserts alone (libstdc++'s
+// hashing and rehash policy do not depend on the allocator), so a plan
+// built in an arena iterates as one built on the heap does.
 struct IrsPlan {
+  using Order = std::pmr::vector<std::size_t>;
+
+  explicit IrsPlan(
+      std::pmr::memory_resource* mr = std::pmr::get_default_resource())
+      : atom_order(mr), supply_rate(mr), allocated_rate(mr) {}
+
   // atom signature -> group indices in service order (owner first).
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> atom_order;
+  std::pmr::unordered_map<std::uint64_t, Order> atom_order;
 
   // Diagnostics (also used by tests and the fairness estimator):
   // total eligible supply |S_j| and post-IRS allocated rate |S'_j|.
-  std::unordered_map<std::size_t, double> supply_rate;
-  std::unordered_map<std::size_t, double> allocated_rate;
+  std::pmr::unordered_map<std::size_t, double> supply_rate;
+  std::pmr::unordered_map<std::size_t, double> allocated_rate;
 
   // Service order for a device with the given (active-restricted) signature:
   // a reference to the plan's own order for a known atom, no copy. Falls
@@ -68,14 +118,16 @@ struct IrsPlan {
   // bits referencing groups the plan does not know (inactive groups — no
   // supply_rate entry) are ignored: only plan groups can be ordered.
   // Iterates the signature's set bits, not all 64 positions.
-  [[nodiscard]] const std::vector<std::size_t>& order_for(
+  [[nodiscard]] std::span<const std::size_t> order_for(
       std::uint64_t signature, std::vector<std::size_t>& scratch) const;
 };
 
 // Computes the IRS plan. `atoms` may include signatures with bits outside
 // `groups` — they are masked off; atoms reduced to signature 0 are ignored.
-// Group indices must be unique and < 64.
-[[nodiscard]] IrsPlan compute_irs_plan(std::span<const GroupInput> groups,
-                                       std::span<const AtomSupply> atoms);
+// Group indices must be unique and < 64. The plan and every temporary are
+// allocated from `mr`.
+[[nodiscard]] IrsPlan compute_irs_plan(
+    std::span<const GroupInput> groups, std::span<const AtomSupply> atoms,
+    std::pmr::memory_resource* mr = std::pmr::get_default_resource());
 
 }  // namespace venn

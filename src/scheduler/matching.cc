@@ -32,8 +32,7 @@ std::optional<double> JobMatcher::c_estimate() const {
   return ewma_resp_ / sched;
 }
 
-void JobMatcher::begin_request(RequestId id, SimTime /*now*/,
-                               std::vector<double>& scratch) {
+void JobMatcher::begin_request(RequestId id, SimTime /*now*/) {
   current_request_ = id;
   tier_choice_.reset();
   if (cfg_.num_tiers <= 1) return;  // V = 1: tiering is a no-op
@@ -45,7 +44,7 @@ void JobMatcher::begin_request(RequestId id, SimTime /*now*/,
   // if the JCT trade-off favours it (line 7).
   const auto u = static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<std::int64_t>(cfg_.num_tiers) - 1));
-  const double g_u = profile_.speedup(u, scratch);
+  const double g_u = profile_.speedup(u);
   if (tiering_beneficial(cfg_.num_tiers, g_u, *c)) {
     tier_choice_ = u;
   }

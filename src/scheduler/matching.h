@@ -50,9 +50,8 @@ class JobMatcher {
 
   // --- per-request tier selection ----------------------------------------
   // Called when a new resource request opens. Decides whether tier-based
-  // matching is active for this request and which tier it pins. `scratch`
-  // is the caller's buffer for the speed-up estimate (TierProfile::speedup).
-  void begin_request(RequestId id, SimTime now, std::vector<double>& scratch);
+  // matching is active for this request and which tier it pins.
+  void begin_request(RequestId id, SimTime now);
 
   // The request of the last begin_request; invalid before the first.
   [[nodiscard]] RequestId current_request() const { return current_request_; }

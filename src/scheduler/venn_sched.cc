@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/stats.h"
@@ -33,6 +34,7 @@ void VennScheduler::on_device_checkin(const DeviceView& dev, SimTime now) {
     const auto g = static_cast<std::size_t>(std::countr_zero(bits));
     CapRing& ring = group_caps_[g];
     if (ring.caps.size() < kCapReservoir) {
+      if (ring.caps.empty()) ring.count.assign(kCapBins, 0);
       ring.caps.push_back(cap);
     } else {
       ring.caps[ring.writes % kCapReservoir] = cap;
@@ -64,10 +66,10 @@ std::span<const double> VennScheduler::group_thresholds(std::size_t g) {
   // Bring the histogram up to date: re-bin the slots written since the
   // last call (each at most once while fewer than a ring's worth arrived),
   // or recount every slot.
-  std::array<std::uint32_t, kCapBins>& count = ring.count;
+  std::vector<std::uint32_t>& count = ring.count;
   ring.bins.resize(n);
   if (ring.writes - ring.counted >= kCapReservoir) {
-    count.fill(0);
+    std::fill(count.begin(), count.end(), 0);
     for (std::size_t s = 0; s < n; ++s) {
       ring.bins[s] = cap_bin(caps[s]);
       ++count[ring.bins[s]];
@@ -89,6 +91,8 @@ std::span<const double> VennScheduler::group_thresholds(std::size_t g) {
   // Same order statistics, same interpolation: bit-equal to selecting them
   // from a copy with percentile_select.
   std::array<bool, kCapBins> wanted{};
+  std::array<std::uint8_t, kCapBins> wanted_bins{};  // the same, ascending
+  std::size_t num_wanted = 0;
   std::size_t bin = 0;
   std::size_t below = 0;     // values in bins before `bin`
   std::size_t gathered = 0;  // of those, values in wanted bins
@@ -99,7 +103,10 @@ std::span<const double> VennScheduler::group_thresholds(std::size_t g) {
       below += count[bin];
       ++bin;
     }
-    wanted[bin] = true;
+    if (!wanted[bin]) {
+      wanted[bin] = true;
+      wanted_bins[num_wanted++] = static_cast<std::uint8_t>(bin);
+    }
     return gathered + (rank - below);
   };
   rank_scratch_.clear();
@@ -110,11 +117,34 @@ std::span<const double> VennScheduler::group_thresholds(std::size_t g) {
     r.hi = locate(r.hi);
     rank_scratch_.push_back(r);
   }
-  bin_scratch_.clear();
-  for (std::size_t s = 0; s < n; ++s) {
-    if (wanted[ring.bins[s]]) bin_scratch_.push_back(caps[s]);
+  // The gather tests eight slots' bins at a time without a branch: a byte
+  // of `hit` has its top bit set where the slot's bin is a wanted one
+  // (the exact zero-byte test of bin ^ wanted). Only the wanted slots'
+  // values are read, one load per set bit.
+  if (bin_scratch_.size() < n) bin_scratch_.resize(n);
+  std::size_t kept = 0;
+  std::size_t s = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+    for (; s + 8 <= n; s += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, ring.bins.data() + s, sizeof word);
+      std::uint64_t hit = 0;
+      for (std::size_t k = 0; k < num_wanted; ++k) {
+        const std::uint64_t x = word ^ (kOnes * wanted_bins[k]);
+        hit |= ~(((x & kLow7) + kLow7) | x | kLow7);
+      }
+      for (; hit != 0; hit &= hit - 1) {
+        bin_scratch_[kept++] = caps[s + std::countr_zero(hit) / 8];
+      }
+    }
   }
-  std::sort(bin_scratch_.begin(), bin_scratch_.end());
+  for (; s < n; ++s) {
+    if (wanted[ring.bins[s]]) bin_scratch_[kept++] = caps[s];
+  }
+  std::sort(bin_scratch_.begin(),
+            bin_scratch_.begin() + static_cast<std::ptrdiff_t>(kept));
 
   th_scratch_.clear();
   th_scratch_.push_back(0.0);
@@ -148,6 +178,10 @@ JobMatcher& VennScheduler::matcher_for(JobId job) {
 void VennScheduler::on_queue_change(std::span<const PendingJob> pending,
                                     SimTime now) {
   // --- group statistics + fairness inputs -------------------------------
+  // At ε <= 0, the test adjusted_demand and adjusted_queue_len make, every
+  // multiplier is 1 and every queue length passes through unadjusted, so
+  // the fairness inputs are not built. A NaN ε keeps the full path.
+  const bool fair = !(cfg_.epsilon <= 0.0);
   const double num_jobs = std::max<double>(1.0, pending.size());
   for (const std::size_t j : mult_written_) fairness_mult_[j] = 1.0;
   mult_written_.clear();
@@ -155,14 +189,6 @@ void VennScheduler::on_queue_change(std::span<const PendingJob> pending,
   for (const auto& pj : pending) {
     if (pj.group >= kMaxGroups) throw std::out_of_range("group index >= 64");
     if (pj.job.value() < 0) throw std::invalid_argument("negative job id");
-    JobFairnessInput fin;
-    fin.progress = pj.total_rounds > 0
-                       ? static_cast<double>(pj.completed_rounds) /
-                             static_cast<double>(pj.total_rounds)
-                       : 0.0;
-    fin.elapsed = now - pj.job_arrival;
-    fin.fair_jct = num_jobs * std::max(pj.solo_jct_estimate, 1.0);
-
     GroupAgg& g = agg_[pj.group];
     if (!((present >> pj.group) & 1ULL)) {
       present |= 1ULL << pj.group;
@@ -170,6 +196,15 @@ void VennScheduler::on_queue_change(std::span<const PendingJob> pending,
       g.jobs.clear();
     }
     g.queue_len += 1.0;
+    if (!fair) continue;
+
+    JobFairnessInput fin;
+    fin.progress = pj.total_rounds > 0
+                       ? static_cast<double>(pj.completed_rounds) /
+                             static_cast<double>(pj.total_rounds)
+                       : 0.0;
+    fin.elapsed = now - pj.job_arrival;
+    fin.fair_jct = num_jobs * std::max(pj.solo_jct_estimate, 1.0);
     g.jobs.push_back(fin);
 
     // d'_i = d_i * r_i^ε; we store the multiplier and apply it to the live
@@ -189,7 +224,7 @@ void VennScheduler::on_queue_change(std::span<const PendingJob> pending,
     JobMatcher& m = matcher_for(pj.job);
     const std::span<const double> th = group_thresholds(pj.group);
     if (!th.empty()) m.set_thresholds(th);
-    m.begin_request(pj.request, now, speedup_scratch_);
+    m.begin_request(pj.request, now);
     ++mstats_.requests_seen;
     if (m.active_tier()) ++mstats_.requests_tiered;
   }
@@ -202,8 +237,10 @@ void VennScheduler::on_queue_change(std::span<const PendingJob> pending,
     const GroupAgg& g = agg_[index];
     GroupInput gi;
     gi.index = index;
-    gi.queue_len = adjusted_queue_len(
-        g.queue_len, group_relative_usage(g.jobs), cfg_.epsilon);
+    gi.queue_len = fair ? adjusted_queue_len(g.queue_len,
+                                             group_relative_usage(g.jobs),
+                                             cfg_.epsilon)
+                        : g.queue_len;
     groups_.push_back(gi);
   }
 
@@ -212,7 +249,9 @@ void VennScheduler::on_queue_change(std::span<const PendingJob> pending,
     const double rate = supply_.rate(key, now, cfg_.supply_window);
     if (rate > 0.0) atoms_.push_back({key, rate});
   }
-  plan_ = compute_irs_plan(groups_, atoms_);
+  plan_ = IrsPlan(&plan_arena_);
+  plan_arena_.release();
+  plan_ = compute_irs_plan(groups_, atoms_, &plan_arena_);
 
   // Bound the §4.4 time-series store on multi-day runs: points older than
   // twice the averaging window can never influence a rate query.

@@ -101,7 +101,10 @@ class VennScheduler final : public Scheduler {
   Rng rng_;
 
   tsdb::TimeSeriesStore supply_;  // key: full eligibility signature
-  IrsPlan plan_;
+  // The plan lives in plan_arena_, which every queue change releases (after
+  // dropping the old plan) before it builds the next one.
+  PlanArena plan_arena_;
+  IrsPlan plan_{&plan_arena_};
   std::uint64_t active_mask_ = 0;
 
   // Fairness multiplier r_i^ε by job id value, refreshed on every queue
@@ -126,6 +129,8 @@ class VennScheduler final : public Scheduler {
   // (`counted` writes ago), with a full recount once a whole ring's worth
   // has been written in between. A check-in pays one store and one
   // increment; a threshold call pays for the new check-ins, not the ring.
+  // A group slot no check-in has written holds no storage: its histogram
+  // is allocated with its first write.
   static constexpr std::size_t kCapReservoir = 2048;
   static constexpr std::size_t kCapBins = 256;
   static std::uint8_t cap_bin(double c);  // a capacity's value bin
@@ -134,7 +139,7 @@ class VennScheduler final : public Scheduler {
     std::uint64_t writes = 0;   // check-ins recorded, ever
     std::uint64_t counted = 0;  // `writes` when `count` was last synced
     std::vector<std::uint8_t> bins;  // per slot: its bin in `count`
-    std::array<std::uint32_t, kCapBins> count{};
+    std::vector<std::uint32_t> count;  // kCapBins once written
   };
   std::array<CapRing, kMaxGroups> group_caps_;
 
@@ -150,7 +155,6 @@ class VennScheduler final : public Scheduler {
   std::vector<double> th_scratch_;            // group_thresholds' result
   std::vector<double> bin_scratch_;           // its gathered rank bins
   std::vector<PercentileRank> rank_scratch_;  // its wanted ranks
-  std::vector<double> speedup_scratch_;       // JobMatcher::begin_request
   std::vector<std::size_t> order_scratch_;    // IrsPlan::order_for fallback
   std::uint64_t queue_changes_ = 0;  // drives periodic tsdb compaction
 };

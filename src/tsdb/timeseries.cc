@@ -40,12 +40,33 @@ std::optional<double> Series::rate_in_window(SimTime now,
   if (points_.empty()) return std::nullopt;
   const double age = now - points_.front().t;
   const double denom = std::max(1e-9, std::min(window, age));
-  return static_cast<double>(count_in_window(now, window)) / denom;
+  // count_in_window's two bounds: lo = upper_bound(now - window), from the
+  // cursor when it holds, and hi = upper_bound(now), which is the end when
+  // the last point is at or before `now`.
+  const SimTime from = now - window;
+  std::size_t lo = 0;
+  if (window == cursor_window_ && now >= cursor_now_) {
+    lo = cursor_lo_;
+    while (lo < points_.size() && !(from < points_[lo].t)) ++lo;
+  } else {
+    lo = upper_bound(from);
+  }
+  cursor_now_ = now;
+  cursor_window_ = window;
+  cursor_lo_ = lo;
+  const std::size_t hi =
+      points_.back().t <= now ? points_.size() : upper_bound(now);
+  return static_cast<double>(hi - lo) / denom;
 }
 
 void Series::compact(SimTime now, SimTime horizon) {
   const SimTime cutoff = now - horizon;
-  while (!points_.empty() && points_.front().t < cutoff) points_.pop_front();
+  std::size_t dropped = 0;
+  while (!points_.empty() && points_.front().t < cutoff) {
+    points_.pop_front();
+    ++dropped;
+  }
+  cursor_lo_ -= std::min(cursor_lo_, dropped);
 }
 
 SimTime Series::first_timestamp() const {

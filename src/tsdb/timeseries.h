@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -39,6 +40,8 @@ class Series {
   // Events per unit time over the window (count / window). If the series is
   // younger than `window`, the elapsed series age is used as the denominator
   // instead so early estimates are not biased low; nullopt if empty.
+  // Amortized O(points that left the window) for a caller whose `now`
+  // never decreases under one window, as the scheduler's; O(log n) else.
   [[nodiscard]] std::optional<double> rate_in_window(SimTime now,
                                                      SimTime window) const;
 
@@ -63,6 +66,14 @@ class Series {
   [[nodiscard]] std::size_t upper_bound(SimTime t) const;
 
   std::deque<Point> points_;
+  // rate_in_window's cursor: the window's first point, found by the last
+  // call for (cursor_now_, cursor_window_). Every point before it is at or
+  // before cursor_now_ - cursor_window_, so a call with the same window
+  // and a `now` no earlier advances from it; any other call searches. NaN
+  // matches no window: the first call searches.
+  mutable SimTime cursor_now_ = 0.0;
+  mutable SimTime cursor_window_ = std::numeric_limits<SimTime>::quiet_NaN();
+  mutable std::size_t cursor_lo_ = 0;
 };
 
 // Keyed collection of series. Keys are opaque 64-bit values (the scheduler

@@ -10,6 +10,7 @@
 #include "device/fleet.h"
 #include "device/tiering.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace venn {
 namespace {
@@ -267,22 +268,84 @@ TEST(TierProfile, TierOfRespectsThresholds) {
 }
 
 TEST(TierProfile, FastTierHasSpeedupBelowOne) {
-  std::vector<double> scratch;
   TierProfile p(2);
   // Slow devices (low capacity): 200 s. Fast devices: 50 s.
   for (int i = 0; i < 20; ++i) {
     p.observe(0.2, 200.0);
     p.observe(0.8, 50.0);
   }
-  EXPECT_LT(p.speedup(1, scratch), 1.0);  // fast tier beats the mixed tail
-  EXPECT_GE(p.speedup(0, scratch), 1.0);  // slow tier is at or above it
+  EXPECT_LT(p.speedup(1), 1.0);  // fast tier beats the mixed tail
+  EXPECT_GE(p.speedup(0), 1.0);  // slow tier is at or above it
 }
 
 TEST(TierProfile, SingleTierSpeedupIsOne) {
-  std::vector<double> scratch;
   TierProfile p(1);
   for (int i = 0; i < 10; ++i) p.observe(0.5, 60.0 + i);
-  EXPECT_NEAR(p.speedup(0, scratch), 1.0, 1e-9);
+  EXPECT_NEAR(p.speedup(0), 1.0, 1e-9);
+}
+
+TEST(TierProfile, SpeedupKnownAnswer) {
+  // Two pinned tiers. All eight responses, sorted: 5 5 5 10 20 30 40 50;
+  // the median sits between ranks 3 and 4: t0 = 15. The slow tier's
+  // 10 20 30 40 gives 25, the fast tier's 5 5 5 50 gives 5.
+  TierProfile p(2, 50.0);
+  p.set_external_thresholds(std::vector<double>{0.0, 0.5, 1.0 + 1e-12});
+  for (const double rt : {40.0, 10.0, 30.0, 20.0}) p.observe(0.1, rt);
+  for (const double rt : {5.0, 50.0, 5.0, 5.0}) p.observe(0.6, rt);
+  EXPECT_EQ(p.speedup(0), 25.0 / 15.0);
+  EXPECT_EQ(p.speedup(1), 5.0 / 15.0);
+}
+
+TEST(TierProfile, SpeedupMatchesPercentileSelectAsObservationsArrive) {
+  // Observations arrive between queries, so each query merges a new batch
+  // into the sorted ones. Few distinct response times and capacities put
+  // ties at every tail rank; every tier of every tier count is queried,
+  // against percentile_select on copies of the tier's and all responses.
+  Rng rng(17);
+  std::size_t compared = 0;
+  for (const double tail : {50.0, 90.0, 95.0, 100.0}) {
+    for (std::size_t tiers = 1; tiers <= 4; ++tiers) {
+      TierProfile p(tiers, tail);
+      std::vector<double> th{0.0};
+      for (std::size_t v = 1; v < tiers; ++v) {
+        th.push_back(static_cast<double>(v) / static_cast<double>(tiers));
+      }
+      th.push_back(1.0 + 1e-12);
+      p.set_external_thresholds(th);
+      std::vector<double> caps;
+      std::vector<double> rts;
+      for (int batch = 0; batch < 30; ++batch) {
+        const auto k = static_cast<int>(rng.uniform_int(1, 9));
+        for (int i = 0; i < k; ++i) {
+          const double cap =
+              0.125 * static_cast<double>(rng.uniform_int(0, 7)) + 0.05;
+          const double rt = 10.0 * static_cast<double>(rng.uniform_int(1, 6));
+          p.observe(cap, rt);
+          caps.push_back(cap);
+          rts.push_back(rt);
+        }
+        for (std::size_t v = 0; v < tiers; ++v) {
+          std::vector<double> in_tier;
+          for (std::size_t i = 0; i < caps.size(); ++i) {
+            if (caps[i] >= th[v] && caps[i] < th[v + 1]) {
+              in_tier.push_back(rts[i]);
+            }
+          }
+          double want = 1.0;
+          if (!in_tier.empty()) {
+            std::vector<double> all = rts;
+            const double t0 = percentile_select(all, tail);
+            if (t0 > 0.0) want = percentile_select(in_tier, tail) / t0;
+          }
+          ASSERT_EQ(p.speedup(v), want)
+              << "tail " << tail << " tiers " << tiers << " tier " << v
+              << " after " << caps.size() << " observations";
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 250u);
 }
 
 TEST(TierProfile, RejectsBadConfig) {
@@ -292,10 +355,9 @@ TEST(TierProfile, RejectsBadConfig) {
 }
 
 TEST(TierProfile, SpeedupOutOfRangeThrows) {
-  std::vector<double> scratch;
   TierProfile p(2);
   for (int i = 0; i < 10; ++i) p.observe(0.5, 60.0);
-  EXPECT_THROW((void)p.speedup(2, scratch), std::out_of_range);
+  EXPECT_THROW((void)p.speedup(2), std::out_of_range);
 }
 
 TEST(TieringCondition, MatchesAlgorithm2Line7) {

@@ -5,7 +5,11 @@
 // {G}, {G,C}, {G,M}, {G,C,M,H}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "scheduler/irs.h"
@@ -25,6 +29,158 @@ std::vector<AtomSupply> fig8a_atoms(double g_only, double gc, double gm,
       {(1ULL << G) | (1ULL << M), gm},
       {(1ULL << G) | (1ULL << C) | (1ULL << M) | (1ULL << H), gcmh},
   };
+}
+
+// compute_irs_plan as it was before it built in an arena: heap-allocated
+// std containers, fresh for every plan. The arena plan must equal it bit
+// for bit, iteration order of its maps included.
+struct HeapPlan {
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> atom_order;
+  std::unordered_map<std::size_t, double> supply_rate;
+  std::unordered_map<std::size_t, double> allocated_rate;
+};
+
+HeapPlan heap_irs_plan(std::span<const GroupInput> groups,
+                       std::span<const AtomSupply> atoms) {
+  struct GroupWork {
+    std::size_t index = 0;
+    double queue_len = 0.0;
+    double supply = 0.0;
+    double allocated = 0.0;
+    double affected_queue = 0.0;
+  };
+  constexpr double kEpsRate = 1e-12;
+  HeapPlan plan;
+  if (groups.empty()) return plan;
+  std::uint64_t active_mask = 0;
+  for (const auto& g : groups) active_mask |= (1ULL << g.index);
+  std::unordered_map<std::uint64_t, double> atom_rate;
+  for (const auto& a : atoms) {
+    const std::uint64_t sig = a.signature & active_mask;
+    if (sig == 0 || a.rate <= 0.0) continue;
+    atom_rate[sig] += a.rate;
+  }
+  std::vector<GroupWork> work;
+  for (const auto& g : groups) {
+    GroupWork w;
+    w.index = g.index;
+    w.queue_len = g.queue_len;
+    w.affected_queue = g.queue_len;
+    for (const auto& [sig, rate] : atom_rate) {
+      if ((sig >> g.index) & 1ULL) w.supply += rate;
+    }
+    work.push_back(w);
+  }
+  std::vector<std::size_t> by_supply_asc(work.size());
+  for (std::size_t i = 0; i < work.size(); ++i) by_supply_asc[i] = i;
+  std::stable_sort(by_supply_asc.begin(), by_supply_asc.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (work[a].supply != work[b].supply) {
+                       return work[a].supply < work[b].supply;
+                     }
+                     return work[a].index < work[b].index;
+                   });
+  std::unordered_map<std::uint64_t, std::size_t> owner;
+  for (std::size_t rank : by_supply_asc) {
+    GroupWork& w = work[rank];
+    for (const auto& [sig, rate] : atom_rate) {
+      if (((sig >> w.index) & 1ULL) && !owner.contains(sig)) {
+        owner[sig] = rank;
+        w.allocated += rate;
+      }
+    }
+  }
+  std::vector<std::size_t> by_supply_desc(by_supply_asc.rbegin(),
+                                          by_supply_asc.rend());
+  for (std::size_t pos = 0; pos < by_supply_desc.size(); ++pos) {
+    GroupWork& gj = work[by_supply_desc[pos]];
+    if (gj.allocated <= kEpsRate) continue;
+    for (std::size_t pos2 = pos + 1; pos2 < by_supply_desc.size(); ++pos2) {
+      GroupWork& gk = work[by_supply_desc[pos2]];
+      if (gk.supply >= gj.supply) continue;
+      double movable = 0.0;
+      std::vector<std::uint64_t> movable_sigs;
+      bool intersects = false;
+      for (const auto& [sig, rate] : atom_rate) {
+        const bool in_both =
+            ((sig >> gj.index) & 1ULL) && ((sig >> gk.index) & 1ULL);
+        if (!in_both) continue;
+        intersects = true;
+        auto it = owner.find(sig);
+        if (it != owner.end() && &work[it->second] == &gk) {
+          movable += rate;
+          movable_sigs.push_back(sig);
+        }
+      }
+      if (!intersects) continue;
+      const double lhs = gj.affected_queue / std::max(gj.allocated, kEpsRate);
+      const double rhs = gk.affected_queue / std::max(gk.supply, kEpsRate);
+      if (lhs > rhs) {
+        if (movable > 0.0) {
+          for (std::uint64_t sig : movable_sigs) {
+            owner[sig] = by_supply_desc[pos];
+          }
+          gj.allocated += movable;
+          gk.allocated -= movable;
+          gj.affected_queue += gk.affected_queue;
+        }
+      } else {
+        break;
+      }
+    }
+  }
+  for (const auto& w : work) {
+    plan.supply_rate[w.index] = w.supply;
+    plan.allocated_rate[w.index] = std::max(0.0, w.allocated);
+  }
+  for (const auto& [sig, rate] : atom_rate) {
+    (void)rate;
+    std::vector<std::size_t> order;
+    auto it = owner.find(sig);
+    if (it != owner.end()) order.push_back(work[it->second].index);
+    std::vector<std::size_t> rest;
+    for (const auto& w : work) {
+      if (((sig >> w.index) & 1ULL) &&
+          (order.empty() || w.index != order.front())) {
+        rest.push_back(w.index);
+      }
+    }
+    std::sort(rest.begin(), rest.end(), [&](std::size_t a, std::size_t b) {
+      const double sa = plan.supply_rate.at(a);
+      const double sb = plan.supply_rate.at(b);
+      if (sa != sb) return sa < sb;
+      return a < b;
+    });
+    order.insert(order.end(), rest.begin(), rest.end());
+    plan.atom_order[sig] = std::move(order);
+  }
+  return plan;
+}
+
+// Equal bit for bit, and the maps iterate in the same order.
+void expect_same_plan(const IrsPlan& got, const HeapPlan& want) {
+  ASSERT_EQ(got.atom_order.size(), want.atom_order.size());
+  auto g = got.atom_order.begin();
+  for (const auto& [sig, order] : want.atom_order) {
+    EXPECT_EQ(g->first, sig) << "atom_order iterates in another order";
+    EXPECT_TRUE(std::equal(g->second.begin(), g->second.end(), order.begin(),
+                           order.end()))
+        << "atom " << sig;
+    ++g;
+  }
+  const auto same_rates = [](const auto& a, const auto& b, const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    auto it = a.begin();
+    for (const auto& [group, rate] : b) {
+      EXPECT_EQ(it->first, group) << what << " iterates in another order";
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(it->second),
+                std::bit_cast<std::uint64_t>(rate))
+          << what << " of group " << group;
+      ++it;
+    }
+  };
+  same_rates(got.supply_rate, want.supply_rate, "supply_rate");
+  same_rates(got.allocated_rate, want.allocated_rate, "allocated_rate");
 }
 
 TEST(Irs, EmptyGroupsYieldEmptyPlan) {
@@ -315,6 +471,47 @@ TEST_P(IrsPropertyTest, PlanIsInvariantUnderInputPermutation) {
       EXPECT_NEAR(p.supply_rate.at(g), rate, 1e-9);
       EXPECT_NEAR(p.allocated_rate.at(g), base.allocated_rate.at(g), 1e-9);
     }
+  }
+}
+
+// The arena plan against the heap-allocated copy above, over the
+// property inputs and a wider variant (up to 12 groups and 40 atoms, so
+// the hash maps rehash mid-build), through one arena released between
+// plans as the scheduler releases it. A second build of the same inputs
+// finds the arena warm: its buffer does not grow.
+TEST_P(IrsPropertyTest, ArenaPlanMatchesTheHeapPlanBitForBit) {
+  PlanArena arena;
+  for (const bool wide : {false, true}) {
+    Rng rng(static_cast<std::uint64_t>(2000 + GetParam()));
+    const std::size_t n_groups = wide ? 6 + rng.index(7) : 2 + rng.index(5);
+    const std::size_t n_atoms = wide ? 10 + rng.index(31) : 1 + rng.index(8);
+    std::vector<GroupInput> groups;
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      groups.push_back({g, 1.0 + static_cast<double>(rng.index(20))});
+    }
+    std::vector<AtomSupply> atoms;
+    for (std::size_t a = 0; a < n_atoms; ++a) {
+      std::uint64_t sig = 0;
+      for (std::size_t g = 0; g < n_groups; ++g) {
+        if (rng.bernoulli(0.5)) sig |= (1ULL << g);
+      }
+      // Rates across magnitudes: a reordered sum would change low bits.
+      atoms.push_back({sig, rng.uniform(0.0, 1.0) *
+                                std::pow(10.0, rng.uniform(-6.0, 3.0))});
+    }
+    const HeapPlan want = heap_irs_plan(groups, atoms);
+    IrsPlan plan(&arena);
+    std::size_t warm = 0;
+    for (int build = 0; build < 3; ++build) {
+      plan = IrsPlan(&arena);
+      arena.release();  // grows the buffer if the last build overflowed it
+      if (build == 1) warm = arena.capacity();
+      if (build == 2) EXPECT_EQ(arena.capacity(), warm);
+      plan = compute_irs_plan(groups, atoms, &arena);
+      expect_same_plan(plan, want);
+    }
+    EXPECT_GT(warm, 0u);
+    expect_same_plan(compute_irs_plan(groups, atoms), want);
   }
 }
 

@@ -17,7 +17,6 @@ MatcherConfig cfg3() {
 }
 
 // Speed-up selection buffer handed to begin_request.
-std::vector<double> scratch;
 
 void feed_bimodal_profile(JobMatcher& m, int reps = 20) {
   // Fast high-capacity devices and slow low-capacity ones, plus mid.
@@ -31,7 +30,7 @@ void feed_bimodal_profile(JobMatcher& m, int reps = 20) {
 TEST(JobMatcher, NoTieringBeforeProfileReady) {
   JobMatcher m(cfg3(), Rng(1));
   m.observe_round(10.0, 100.0);
-  m.begin_request(RequestId(0), 0.0, scratch);
+  m.begin_request(RequestId(0), 0.0);
   EXPECT_FALSE(m.active_tier().has_value());
   EXPECT_TRUE(m.accepts(0.1));
   EXPECT_TRUE(m.accepts(0.9));
@@ -40,7 +39,7 @@ TEST(JobMatcher, NoTieringBeforeProfileReady) {
 TEST(JobMatcher, NoTieringWithoutRoundEstimates) {
   JobMatcher m(cfg3(), Rng(1));
   feed_bimodal_profile(m);
-  m.begin_request(RequestId(0), 0.0, scratch);
+  m.begin_request(RequestId(0), 0.0);
   EXPECT_FALSE(m.active_tier().has_value());
   EXPECT_FALSE(m.c_estimate().has_value());
 }
@@ -70,7 +69,7 @@ TEST(JobMatcher, HighCWithFastTierActivates) {
   m.observe_round(1.0, 500.0);
   int active = 0;
   for (int i = 0; i < 60; ++i) {
-    m.begin_request(RequestId(i), 0.0, scratch);
+    m.begin_request(RequestId(i), 0.0);
     if (m.active_tier().has_value()) {
       ++active;
       // When active, the filter must partition: some capacity accepted,
@@ -91,7 +90,7 @@ TEST(JobMatcher, LowCNeverActivates) {
   feed_bimodal_profile(m);
   m.observe_round(1000.0, 10.0);  // c = 0.01: scheduling dominates
   for (int i = 0; i < 50; ++i) {
-    m.begin_request(RequestId(i), 0.0, scratch);
+    m.begin_request(RequestId(i), 0.0);
     EXPECT_FALSE(m.active_tier().has_value());
   }
 }
@@ -102,7 +101,7 @@ TEST(JobMatcher, SingleTierNeverActivates) {
   JobMatcher m(mc, Rng(1));
   feed_bimodal_profile(m);
   m.observe_round(1.0, 500.0);
-  m.begin_request(RequestId(0), 0.0, scratch);
+  m.begin_request(RequestId(0), 0.0);
   EXPECT_FALSE(m.active_tier().has_value());
 }
 

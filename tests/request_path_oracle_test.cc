@@ -12,6 +12,11 @@
 //    sweep left unvisited and throws if one of them matches the wants
 //    mask, including a sweep whose offer completes a round and resubmits
 //    it mid-sweep.
+//  * LaneRefill: the lane's hour-bucketed source of session starts. With
+//    the coordinator's check_lane_refills hook on, every refill is held
+//    against a scan of the whole next-start column: the same starts in the
+//    same (device) order, and after an empty refill the same earliest
+//    start left.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "api/live.h"
 #include "fleet.h"
 #include "protocol/builtins.h"
 #include "scheduler/fifo_sched.h"
@@ -346,6 +352,109 @@ TEST(SweepExit, NoUnvisitedIdleDeviceMatchesAtAnyExit) {
     }
     EXPECT_EQ(dumps[0], dumps[1]);
   }
+}
+
+TEST(LaneRefill, EveryRefillMatchesAScanOfTheNextStartColumn) {
+  // Trace sessions (sync, async), streamed churn (overcommit) and a
+  // phase-shifted hier fleet, each run with and without the check; the
+  // runs must be equal.
+  struct Case {
+    const char* name;
+    std::vector<std::pair<const char*, const char*>> keys;
+  };
+  const std::vector<Case> cases = {
+      {"sync", {{"protocol", "sync"}}},
+      {"overcommit+weibull",
+       {{"protocol", "overcommit"}, {"churn", "weibull"}}},
+      {"async", {{"protocol", "async"}}},
+      {"hier+async",
+       {{"protocol", "async"},
+        {"topology", "hier"},
+        {"topo.regions", "4"},
+        {"topo.phase_spread", "8"}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ScenarioSpec sc = contended_scenario();
+    for (const auto& [k, v] : c.keys) sc.set(k, v);
+    ExperimentBuilder b;
+    b.scenario(sc);
+    const Experiment ex = b.build();
+    const PolicySpec policy = b.current_policy();
+    std::string dumps[2];
+    for (const bool checked : {false, true}) {
+      api::LiveSession live(
+          ex,
+          PolicyRegistry::instance().create(policy.name, policy.params,
+                                            ex.stream_seed("scheduler")),
+          {}, nullptr);
+      live.coordinator().check_lane_refills(checked);
+      live.start();
+      RunResult r;
+      ASSERT_NO_THROW(r = live.finish());
+      dumps[checked ? 1 : 0] = service::dump_run(r, nullptr);
+      if (checked) {
+        // About one refill per simulated hour; an empty stretch is
+        // skipped in one.
+        EXPECT_GT(live.coordinator().lane_refills_checked(), 24u);
+      } else {
+        EXPECT_EQ(live.coordinator().lane_refills_checked(), 0u);
+      }
+    }
+    EXPECT_EQ(dumps[0], dumps[1]);
+  }
+}
+
+TEST(LaneRefill, SparseStartsSkipEmptyHoursAndKeepTheirHour) {
+  // Starts on hour boundaries, a hair before one, two in one hour, one
+  // alone days later and one past the horizon: the lane skips the empty
+  // stretches through the earliest start an empty refill returns, and a
+  // lane chunk that ends inside an hour leaves that hour's later starts
+  // filed.
+  Fleet fleet;
+  const DeviceSpec spec{0.9, 0.9};
+  fleet.add(spec, {{kHour, kHour + 60.0}, {30.5 * kHour, 31 * kHour}});
+  fleet.add(spec, {{std::nextafter(2 * kHour, 0.0), 2 * kHour + 60.0}});
+  fleet.add(spec, {{2 * kHour + 1.0, 2 * kHour + 90.0},
+                   {2 * kHour + 120.0, 2 * kHour + 200.0}});
+  fleet.add(spec, {{3 * kDay + 17.0, 3 * kDay + 600.0}});
+  fleet.add(spec, {{9 * kDay, 9 * kDay + 60.0}});  // past the horizon
+  fleet.add(spec, {{0.0, 30.0}, {30.5 * kHour + 1.0, 31 * kHour}});
+  // After the skip to 30.5 h the lane chunk ends at 31.5 h, inside this
+  // start's hour: it must stay filed for the next refill.
+  fleet.add(spec, {{31.5 * kHour + 10.0, 31.5 * kHour + 100.0}});
+  sim::Engine engine(1);
+  ResourceManager mgr(std::make_unique<FifoScheduler>());
+  CoordinatorConfig cfg;
+  cfg.horizon = 5 * kDay;
+  Coordinator coord(engine, mgr, std::move(fleet.devices),
+                    std::move(fleet.sessions), {}, cfg);
+  coord.check_lane_refills(true);
+  coord.setup();
+  std::vector<SimTime> starts;
+  // Each start checks its device in: the idle pool grows by one.
+  std::size_t idle = 0;
+  while (engine.queue().next_time()) {
+    const SimTime t = *engine.queue().next_time();
+    if (t > cfg.horizon) break;
+    ASSERT_NO_THROW(engine.run_until(t));
+    if (coord.idle_pool_size() > idle) starts.push_back(t);
+    idle = coord.idle_pool_size();
+  }
+  const std::vector<SimTime> want = {0.0,
+                                     kHour,
+                                     std::nextafter(2 * kHour, 0.0),
+                                     2 * kHour + 1.0,
+                                     2 * kHour + 120.0,
+                                     30.5 * kHour,
+                                     30.5 * kHour + 1.0,
+                                     31.5 * kHour + 10.0,
+                                     3 * kDay + 17.0};
+  ASSERT_EQ(starts.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(starts[i], want[i]) << "start " << i;
+  }
+  EXPECT_GE(coord.lane_refills_checked(), 4u);
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "api/live.h"
 #include "journal/reader.h"
 #include "journal/snapshot.h"
 #include "service/inspect.h"
@@ -33,9 +35,8 @@ std::string journal_dir(const std::string& tag) {
   return dir;
 }
 
-// A journaled batch run with a snapshot cadence, returning the journal
-// path. Small but busy enough to accumulate a healthy commit count.
-std::string make_journal(const std::string& proto) {
+// A small scenario busy enough to accumulate a healthy commit count.
+ScenarioSpec busy_scenario(const std::string& proto) {
   ScenarioSpec sc;
   sc.seed = 83;
   sc.num_devices = 2'000;
@@ -43,6 +44,13 @@ std::string make_journal(const std::string& proto) {
   sc.horizon = 2.0 * kDay;
   sc.set("churn", "weibull");
   sc.set("protocol", proto);
+  return sc;
+}
+
+// A journaled batch run with a snapshot cadence, returning the journal
+// path.
+std::string make_journal(const std::string& proto) {
+  ScenarioSpec sc = busy_scenario(proto);
   sc.set("journal", "1");
   sc.set("journal.dir", journal_dir(proto));
   sc.set("snapshot_every", "3");
@@ -106,6 +114,48 @@ TEST(ServiceInspect, SeeksVerifiesAndRefusesAcrossProtocols) {
           << msg;
     }
   }
+}
+
+// The eligibility-index line, at the last commit, against a scan of the
+// fleet per requirement. Which requirement each count belongs to comes
+// from the same scenario run in process: requirements are registered in
+// the same order, and registration only appends.
+TEST(ServiceInspect, EligibleCountsMatchAPerRequirementScan) {
+  const std::string path = make_journal("sync");
+  const std::string text = service::inspect_journal(path).text;
+  const std::string head = "eligibility-index requirements=";
+  const std::size_t at = text.find(head);
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::string line = text.substr(at, text.find('\n', at) - at);
+  const std::size_t reqs = std::stoul(line.substr(head.size()));
+
+  ExperimentBuilder b;
+  b.scenario(busy_scenario("sync"));
+  const Experiment ex = b.build();
+  const PolicySpec policy = b.current_policy();
+  api::LiveSession live(
+      ex,
+      PolicyRegistry::instance().create(policy.name, policy.params,
+                                        ex.stream_seed("scheduler")),
+      {}, nullptr);
+  live.start();
+  (void)live.finish();
+  const EligibilityIndex& index = live.coordinator().index();
+  ASSERT_GE(index.num_requirements(), reqs);
+  ASSERT_GE(reqs, 2u) << "scenario registers too few requirements";
+
+  const std::vector<DeviceSpec>& devices = ex.inputs().devices;
+  std::string want = head + std::to_string(reqs) +
+                     " devices=" + std::to_string(devices.size()) +
+                     " eligible";
+  for (std::size_t g = 0; g < reqs; ++g) {
+    const Requirement& req = index.requirement(g);
+    std::size_t eligible = 0;
+    for (const DeviceSpec& d : devices) eligible += req.eligible(d) ? 1 : 0;
+    EXPECT_GT(eligible, 0u) << "requirement " << g;
+    want += ' ' + std::to_string(eligible);
+  }
+  EXPECT_EQ(line, want);
 }
 
 TEST(ServiceInspect, RefusesMissingJournal) {

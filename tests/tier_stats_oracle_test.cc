@@ -4,7 +4,11 @@
 // jobs the last queue change did or did not list.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "device/tiering.h"
@@ -123,9 +127,6 @@ TEST(TierStatsOracle, GroupThresholdsMatchCopyAndSelect) {
 
 TEST(TierStatsOracle, SpeedupMatchesCopyAndSelect) {
   Rng rng(91);
-  // One buffer across every call, starting dirty: speedup may not rely on
-  // its contents or size.
-  std::vector<double> scratch(1000, -7.0);
   std::size_t compared = 0;
   std::size_t non_unit = 0;
   for (const double tail : {50.0, 95.0, 100.0}) {
@@ -161,14 +162,14 @@ TEST(TierStatsOracle, SpeedupMatchesCopyAndSelect) {
               oracle::profile_thresholds(caps, tiers);
           for (std::size_t v = 0; v < tiers; ++v) {
             const double want_pinned = oracle::speedup(caps, rts, th, v, tail);
-            ASSERT_EQ(pinned.speedup(v, scratch), want_pinned)
+            ASSERT_EQ(pinned.speedup(v), want_pinned)
                 << "pinned tail " << tail << " tiers " << tiers << " n " << n
                 << " tier " << v;
             ++compared;
             if (want_pinned != 1.0) ++non_unit;
             if (!unpinned.ready()) continue;
             const double want_own = oracle::speedup(caps, rts, own, v, tail);
-            ASSERT_EQ(unpinned.speedup(v, scratch), want_own)
+            ASSERT_EQ(unpinned.speedup(v), want_own)
                 << "unpinned tail " << tail << " tiers " << tiers << " n " << n
                 << " tier " << v;
             ++compared;
@@ -236,6 +237,41 @@ TEST(TierStatsOracle, SortKeysMatchMapReference) {
     }
   }
   EXPECT_GT(absent_after_listed, 100u);
+}
+
+// The knob values around the scheduler's ε <= 0 shortcut, which skips the
+// fairness inputs: zero of either sign and a negative ε take it, a tiny
+// positive one and NaN (for which ε <= 0 is false, as in adjusted_demand)
+// do not, and a NaN multiplier makes NaN keys. Compared bit for bit, so
+// NaN keys must match too.
+TEST(TierStatsOracle, SortKeysHoldOnBothSidesOfTheEpsilonShortcut) {
+  Rng rng(23);
+  std::size_t nan_keys = 0;
+  for (const double epsilon : {-0.0, -1.0, 1e-300,
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    VennConfig cfg;
+    cfg.epsilon = epsilon;
+    VennScheduler s(cfg, Rng(1));
+    oracle::SortKeys ref;
+    for (int change = 0; change < 20; ++change) {
+      std::vector<PendingJob> pending;
+      for (std::int64_t id = 0; id < 30; ++id) {
+        if (rng.uniform() < 0.5) pending.push_back(pending_job(id, rng));
+      }
+      const SimTime now = 2000.0 + 50.0 * change;
+      s.on_queue_change(pending, now);
+      ref.on_queue_change(pending, now, epsilon);
+      for (const PendingJob& pj : pending) {
+        const double got = s.sort_key(pj);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(ref.key(pj, true)))
+            << "epsilon " << epsilon << " change " << change << " job "
+            << pj.job.value();
+        if (std::isnan(got)) ++nan_keys;
+      }
+    }
+  }
+  EXPECT_GT(nan_keys, 10u);
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 // Unit tests for the time-series store backing §4.4 supply estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "tsdb/timeseries.h"
 #include "util/ids.h"
+#include "util/rng.h"
 
 namespace venn::tsdb {
 namespace {
@@ -121,6 +127,70 @@ TEST(Store, CompactAllBoundsMemory) {
   EXPECT_EQ(store.total_points(), 1000u);
   store.compact_all(1000.0, 100.0);
   EXPECT_LE(store.total_points(), 101u);
+}
+
+// rate_in_window's cursor against two binary searches over the points, bit
+// for bit: appends (ties included), compactions, window changes, a query
+// at an earlier `now`, and a `now` before the last point. Every query
+// runs on the one series whose cursor the previous queries moved.
+TEST(Series, RateCursorMatchesUpperBound) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Series s;
+    SimTime t = 0.0;
+    SimTime now = 0.0;
+    double window = 50.0;
+    std::size_t earlier = 0;
+    std::size_t compactions = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const double u = rng.uniform();
+      if (u < 0.55) {
+        // Ties: a third of the appends repeat the last timestamp.
+        if (rng.uniform() < 0.67) t += rng.uniform(0.0, 5.0);
+        s.append(t);
+        continue;
+      }
+      if (u < 0.58) {
+        s.compact(t, rng.uniform(0.0, 80.0));
+        ++compactions;
+        continue;
+      }
+      if (u < 0.61) window = rng.bernoulli(0.5) ? 50.0 : rng.uniform(1.0, 120.0);
+      // Mostly a `now` that never decreases, at or past the last point;
+      // sometimes an earlier one (inside the points, or before them).
+      if (rng.uniform() < 0.1) {
+        now = t - rng.uniform(0.0, 150.0);
+        ++earlier;
+      } else {
+        now = std::max(now, t) + (rng.bernoulli(0.5) ? 0.0 : rng.uniform());
+      }
+      const auto points = s.snapshot();
+      const auto got = s.rate_in_window(now, window);
+      if (points.empty()) {
+        EXPECT_FALSE(got.has_value());
+        continue;
+      }
+      const auto upper = [&](SimTime x) {
+        return static_cast<std::size_t>(
+            std::upper_bound(points.begin(), points.end(), x,
+                             [](SimTime v, const auto& p) {
+                               return v < p.first;
+                             }) -
+            points.begin());
+      };
+      const double age = now - points.front().first;
+      const double denom = std::max(1e-9, std::min(window, age));
+      const double want =
+          static_cast<double>(upper(now) - upper(now - window)) / denom;
+      ASSERT_TRUE(got.has_value());
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(*got),
+                std::bit_cast<std::uint64_t>(want))
+          << "seed " << seed << " step " << step << " now " << now
+          << " window " << window;
+    }
+    EXPECT_GT(earlier, 10u);
+    EXPECT_GT(compactions, 10u);
+  }
 }
 
 // Property sweep: the windowed rate over a homogeneous Poisson-ish stream
